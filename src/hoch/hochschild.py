@@ -58,20 +58,41 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None):
     The basepoint slot (when a module is given) carries module positions.
     Normalized: the non-unit algebra support must meet every degeneracy-
     image complement.  Budgets: total weight in ``weights`` (if given),
-    total internal degree >= min_int (if given).
+    total internal degree >= min_int (if given).  Sorted.
+
+    The supports are enumerated by branch-and-bound over the index of the
+    next non-unit slot, so unit slots cost nothing; an assignment is
+    recorded as soon as it meets every complement, then extended further.
+    The running weight (<= max(weights)) and degree (>= min_int) are
+    checked after each non-unit slot, in slot order.  Two bounds prune
+    without losing an assignment:
+
+    - The next slot may not pass the last slot of any complement that is
+      still uncovered: every later slot lies beyond it, so that complement
+      would stay uncovered.
+    - When weights are given and every non-unit weight is >= 1, at most
+      (max(weights) - weight so far) // (least non-unit weight) further
+      slots fit.  At 0 the search stops; at 1, with complements still
+      uncovered, the single remaining slot must lie in all of them.
+
+    ``cap`` bounds the number of support assignments (before the module
+    slot is expanded); EnumerationCapError is raised as soon as it is
+    exceeded.
     """
     card = Y.card(n)
     if module is not None and Y.basepoint is None:
         raise ValueError("module coefficients require a pointed space")
     bp = Y.basepoint[n] if (module is not None) else None
-    complements = []
+    complements = ()
     if normalized and n >= 1:
-        complements = [frozenset(c) for c in Y.nondegenerate_complements(n)]
+        complements = Y.nondegenerate_complements(n)
         if any(not c for c in complements):
             return []
     max_wt = max(weights) if weights is not None else None
     wt_set = set(weights) if weights is not None else None
-    nonunit = [p for p in range(A.dim) if p != A.unit]
+    nonunit = [
+        (p, A.weights[p], A.degrees[p]) for p in range(A.dim) if p != A.unit
+    ]
     if A.max_weight is not None and weights is None:
         raise dga.AlgebraClassError(
             f"{A.name}: weights must be specified for a per-weight-"
@@ -85,66 +106,76 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None):
             return []
     algebra_slots = [s for s in range(card) if s != bp]
     slot_index = {s: i for i, s in enumerate(algebra_slots)}
-    # for the prune: max slot-recursion index touching each complement
-    last_idx = [
-        max(slot_index[s] for s in c) if c else -1 for c in complements
-    ]
-    covers = [[] for _ in algebra_slots]  # slot idx -> complement ids
-    for ci, c in enumerate(complements):
-        for s in c:
-            covers[slot_index[s]].append(ci)
-    finished_at = [[] for _ in range(len(algebra_slots) + 1)]
-    for ci, li in enumerate(last_idx):
-        finished_at[li + 1].append(ci)
+    # complements as sorted slot indices, ordered by their last index, so
+    # the lowest uncovered one bounds the next non-unit slot
+    comps = sorted(
+        (sorted(slot_index[s] for s in c) for c in complements),
+        key=lambda c: c[-1],
+    )
+    covers = [0] * len(algebra_slots)  # slot idx -> bitmask of complements
+    for ci, c in enumerate(comps):
+        for i in c:
+            covers[i] |= 1 << ci
+    min_w = None
+    if max_wt is not None and nonunit and all(w >= 1 for _, w, _ in nonunit):
+        min_w = min(w for _, w, _ in nonunit)
+    n_slots = len(algebra_slots)
     out = []
+    picks = []  # (slot, position) of the non-unit slots chosen so far
 
-    def rec(idx, assign, wt, deg, covered):
-        if cap is not None and len(out) > cap:
-            raise EnumerationCapError(
-                f"level {n} basis exceeds the feasibility cap ({cap})"
-            )
-        # complements fully below the cursor must already be covered
-        for ci in finished_at[idx]:
-            if ci not in covered:
+    def search(start, wt, deg, uncovered):
+        if uncovered:
+            lowest = comps[(uncovered & -uncovered).bit_length() - 1]
+            nxt = range(start, lowest[-1] + 1)
+        else:
+            out.append((tuple(picks), wt, deg))
+            if cap is not None and len(out) > cap:
+                raise EnumerationCapError(
+                    f"level {n} basis exceeds the feasibility cap ({cap})"
+                )
+            nxt = range(start, n_slots)
+        if min_w is not None:
+            left = (max_wt - wt) // min_w
+            if left == 0:
                 return
-        if idx == len(algebra_slots):
-            out.append((dict(assign), wt, deg))
-            return
-        rec(idx + 1, assign, wt, deg, covered)  # unit in this slot
-        slot = algebra_slots[idx]
-        for p in nonunit:
-            w2 = wt + A.weights[p]
-            d2 = deg + A.degrees[p]
-            if max_wt is not None and w2 > max_wt:
-                continue
-            if min_int is not None and d2 < min_int:
-                continue
-            assign[slot] = p
-            newly = [ci for ci in covers[idx] if ci not in covered]
-            rec(idx + 1, assign, w2, d2, covered | set(newly))
-            del assign[slot]
+            if left == 1 and uncovered:
+                nxt = [
+                    i for i in lowest
+                    if i >= start and covers[i] & uncovered == uncovered
+                ]
+        for i in nxt:
+            rest = uncovered & ~covers[i]
+            slot = algebra_slots[i]
+            for p, pw, pd in nonunit:
+                w2 = wt + pw
+                d2 = deg + pd
+                if max_wt is not None and w2 > max_wt:
+                    continue
+                if min_int is not None and d2 < min_int:
+                    continue
+                picks.append((slot, p))
+                search(i + 1, w2, d2, rest)
+                picks.pop()
 
-    rec(0, {}, 0, 0, frozenset())
+    search(0, 0, 0, (1 << len(comps)) - 1)
 
     monos = []
     module_range = range(module.dim) if module is not None else [None]
-    for assign, wt, deg in out:
+    for support, wt, deg in out:
+        mono = [A.unit] * card
+        for s, p in support:
+            mono[s] = p
         for mpos in module_range:
             if mpos is None:
                 total_wt, total_deg = wt, deg
             else:
                 total_wt = wt + module.weights[mpos]
                 total_deg = deg + module.degrees[mpos]
+                mono[bp] = mpos
             if wt_set is not None and total_wt not in wt_set:
                 continue
             if min_int is not None and total_deg < min_int:
                 continue
-            mono = []
-            for s in range(card):
-                if s == bp:
-                    mono.append(mpos)
-                else:
-                    mono.append(assign.get(s, A.unit))
             monos.append(tuple(mono))
     monos.sort()
     return monos
@@ -173,11 +204,10 @@ def _is_nondegenerate(Y, n, A, module, mono):
         for s, p in enumerate(mono)
         if s != bp and p != A.unit
     }
-    for c in Y.nondegenerate_complements(n):
-        cc = c - {bp} if bp is not None else c
-        if not (support & cc):
-            return False
-    return True
+    # the basepoint is never in the support, so it needs no removal here
+    return not any(
+        c.isdisjoint(support) for c in Y.nondegenerate_complements(n)
+    )
 
 
 def _internal_diff(A, module, bp, mono):

@@ -222,20 +222,32 @@ class ChainComplex:
             for d in range(lo, hi + 1):
                 if self.dim(d, w):
                     tasks.append((d, w))
+        # each differential block (d, w) -> (d + 1, w) the window needs,
+        # ranked once although it is d's outgoing and d + 1's incoming map
+        needed = set()
+        for d, w in tasks:
+            if self.dim(d + 1, w):
+                needed.add((d, w))
+            if self.dim(d - 1, w):
+                needed.add((d - 1, w))
+        blocks = sorted(needed)
 
         def job(key):
-            d, w = key
-            n = self.dim(d, w)
-            r_out = rank(self.d_matrix(d, w)) if self.dim(d + 1, w) else 0
-            r_in = rank(self.d_matrix(d - 1, w)) if self.dim(d - 1, w) else 0
-            return key, n - r_out - r_in
+            return rank(self.d_matrix(*key))
 
-        if threads and threads > 1 and len(tasks) > 1:
+        if threads and threads > 1 and len(blocks) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = dict(pool.map(job, tasks))
+                ranks = dict(zip(blocks, pool.map(job, blocks)))
         else:
-            results = dict(map(job, tasks))
-        return {k: v for k, v in sorted(results.items()) if v}
+            ranks = dict(zip(blocks, map(job, blocks)))
+        results = {}
+        for d, w in sorted(tasks):
+            r_out = ranks.get((d, w), 0)
+            r_in = ranks.get((d - 1, w), 0)
+            n = self.dim(d, w) - r_out - r_in
+            if n:
+                results[(d, w)] = n
+        return results
 
     def betti(self, window, weights=None, threads=1):
         """Betti numbers per degree (weights summed), zeros included."""

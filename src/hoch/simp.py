@@ -30,6 +30,7 @@ class SimplicialSet:
         # degenerate in at most c directions, so nondegenerate monomials with
         # k non-unit slots die above level c*k.  None = no certificate.
         self.hitcap_coeff = hitcap_coeff
+        self._complements = {}  # level -> nondegenerate_complements, lazily
 
     @property
     def top_level(self):
@@ -53,9 +54,16 @@ class SimplicialSet:
 
     def nondegenerate_complements(self, n):
         """For level n >= 1: the complements of the degeneracy images
-        s_i : Y_{n-1} -> Y_n, one set per i in 0..n-1."""
-        full = set(range(self.card(n)))
-        return [full - self.degeneracy_image(n - 1, i) for i in range(n)]
+        s_i : Y_{n-1} -> Y_n, one frozenset per i in 0..n-1.  Computed at
+        the first request for a level and kept, since the tables are fixed."""
+        comps = self._complements.get(n)
+        if comps is None:
+            full = frozenset(range(self.card(n)))
+            comps = tuple(
+                full - self.degeneracy_image(n - 1, i) for i in range(n)
+            )
+            self._complements[n] = comps
+        return comps
 
     def validate(self):
         """Exhaustively check all simplicial identities up to the top level.

@@ -1,6 +1,7 @@
 """Hochschild complexes, Bar constructions, oracles, HKR predictions."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -482,3 +483,96 @@ def test_window_consistency_per_weight(QQ):
     assert st == {
         k: v for k, v in bt.items() if k[0] >= -2 and k[1] in (1, 2)
     }
+
+
+# -- enumeration of the level bases ------------------------------------------
+
+
+def _brute_monomials(Y, n, A, module, weights, min_int, normalized):
+    """Every slot assignment of Y_n, kept when its non-unit algebra support
+    meets every degeneracy-image complement (if normalized) and its total
+    weight and internal degree pass the filters."""
+    card = Y.card(n)
+    bp = Y.basepoint[n] if module is not None else None
+    complements = []
+    if normalized:
+        complements = [
+            set(range(card)) - set(Y.deg_tab[n - 1][i]) for i in range(n)
+        ]
+    ranges = [
+        range(module.dim) if s == bp else range(A.dim) for s in range(card)
+    ]
+    out = []
+    for mono in product(*ranges):
+        support = {s for s, p in enumerate(mono) if s != bp and p != A.unit}
+        if not all(support & c for c in complements):
+            continue
+        wt = deg = 0
+        for s, p in enumerate(mono):
+            space = module if s == bp else A
+            wt += space.weights[p]
+            deg += space.degrees[p]
+        if weights is not None and wt not in weights:
+            continue
+        if min_int is not None and deg < min_int:
+            continue
+        out.append(mono)
+    return sorted(out)
+
+
+ENUMERATION_SPACES = {
+    "interval": lambda: simp.interval(6),
+    "circle": lambda: simp.circle(6),
+    "torus": lambda: simp.torus(3),
+    "sphere_small_2": lambda: simp.sphere_small(2, 6),
+    "sphere_small_3": lambda: simp.sphere_small(3, 6),
+    "wedge_circles": lambda: simp.wedge(simp.circle(4), simp.circle(4)),
+}
+
+
+@pytest.mark.parametrize("space", sorted(ENUMERATION_SPACES))
+def test_level_monomials_match_brute_force(QQ, exterior, trunc3, space):
+    Y = ENUMERATION_SPACES[space]()
+    # (algebra, weights, min_int): the budget bound needs weights with
+    # every non-unit weight >= 1; min_int needs nonzero degrees
+    variants = [
+        (exterior, None, None), (exterior, None, -2), (exterior, [1, 2], None),
+        (trunc3, None, None), (trunc3, [2, 3], None), (trunc3, [0, 2], None),
+        (dga.polynomial(QQ, max_weight=3), [1, 2, 3], None),
+    ]
+    checked = 0
+    for A, weights, min_int in variants:
+        modules = (
+            None, dga.augmentation_module(A), dga.algebra_as_bimodule(A)
+        )
+        for module in modules:
+            for normalized in (True, False):
+                for n in range(Y.top_level + 1):
+                    if A.dim ** Y.card(n) > 3000:
+                        break  # the brute force stops at a small top level
+                    got = hh._level_monomials(
+                        Y, n, A, module, weights, min_int, normalized
+                    )
+                    want = _brute_monomials(
+                        Y, n, A, module, weights, min_int, normalized
+                    )
+                    assert got == want, (A.name, weights, min_int,
+                                         module is not None, normalized, n)
+                    checked += 1
+    assert checked >= 6 * len(variants)
+
+
+@pytest.mark.parametrize("Y, A, weights", [
+    (simp.sphere_small(2, 5), dga.exterior(), None),
+    (simp.sphere_small(3, 6), dga.polynomial(max_weight=3), [1, 2, 3]),
+    (simp.circle(6), dga.truncated_polynomial(truncation=3), None),
+])
+def test_enumeration_cap_boundary(Y, A, weights):
+    n = Y.top_level
+    monos = hh._level_monomials(Y, n, A, None, weights, None, True)
+    m = len(monos)  # without a module, one monomial per support assignment
+    assert m > 1
+    assert hh._level_monomials(Y, n, A, None, weights, None, True,
+                               cap=m) == monos
+    with pytest.raises(hh.EnumerationCapError):
+        hh._level_monomials(Y, n, A, None, weights, None, True, cap=m - 1)

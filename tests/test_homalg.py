@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hoch import dga, simp
+from hoch import dga, homalg, simp
 from hoch import hochschild as hh
 from hoch.homalg import (
     ChainComplex,
@@ -208,6 +208,40 @@ def test_homology_threads_deterministic(QQ, trunc2):
     assert C.homology_dims((-5, 0), threads=1) == C.homology_dims(
         (-5, 0), threads=4
     )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_homology_ranks_each_block_once(QQ, trunc2, monkeypatch, threads):
+    C = hh.hochschild_chain(simp.circle(8), trunc2, window=(-5, 0)).complex
+    lo, hi = window = (-5, 0)
+    real_rank = homalg.rank
+    ranked = []
+
+    def counting_rank(mat):
+        ranked.append(mat)
+        return real_rank(mat)
+
+    monkeypatch.setattr(homalg, "rank", counting_rank)
+    table = C.homology_dims(window, threads=threads)
+    monkeypatch.undo()
+    # the blocks d: (d, w) -> (d + 1, w) with both sides non-empty that
+    # touch the window
+    blocks = [
+        (d, w) for w in C.weights() for d in range(lo - 1, hi + 1)
+        if C.dim(d, w) and C.dim(d + 1, w)
+    ]
+    assert len(ranked) == len(blocks)
+    assert len({id(mat) for mat in ranked}) == len(ranked)
+    assert all(mat.nrows and mat.ncols for mat in ranked)
+    # the table of ranking each map twice, as outgoing and as incoming
+    expected = {}
+    for w in C.weights():
+        for d in range(lo, hi + 1):
+            r_out = real_rank(C.d_matrix(d, w)) if C.dim(d + 1, w) else 0
+            r_in = real_rank(C.d_matrix(d - 1, w)) if C.dim(d - 1, w) else 0
+            if C.dim(d, w) - r_out - r_in:
+                expected[(d, w)] = C.dim(d, w) - r_out - r_in
+    assert table == expected
 
 
 def test_chain_map_validation(QQ):
