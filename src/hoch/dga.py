@@ -7,9 +7,14 @@ Supported classes (so that every (degree, weight) computation is finite):
 Constructors outside these classes are rejected.
 
 All structure constants are exact; an axiom audit runs at construction
-and fails fast.  Koszul signs are always computed from explicit sorting
-permutations of the slots involved, never from ad-hoc parity formulas.
+and fails fast.  Koszul signs are computed from the sorting permutation
+of the odd-degree factors involved (``koszul_sign``), never from ad-hoc
+parity formulas; even factors never change a sign.
 """
+
+from bisect import insort
+from fractions import Fraction
+from itertools import compress, product
 
 from .homalg import Coefficients
 from .linalg import SparseMatrix, rank
@@ -715,6 +720,24 @@ def koszul_sign(pairs):
     return sign
 
 
+def _constants(owner, table_name, compute, i, j):
+    """``compute(i, j)`` ({k: coeff}) as a tuple of (k, coeff) pairs, with
+    integral rationals stored as int.  Kept in a table on ``owner`` that
+    is made at first use and holds only the pairs met so far."""
+    table = owner.__dict__.get(table_name)
+    if table is None:
+        table = owner.__dict__[table_name] = {}
+    entry = table.get((i, j))
+    if entry is None:
+        entry = table[i, j] = tuple(
+            (k, c.numerator)
+            if isinstance(c, Fraction) and c.denominator == 1
+            else (k, c)
+            for k, c in compute(i, j).items()
+        )
+    return entry
+
+
 def apply_setmap(A, setmap, monomial, module=None, module_slot_map=None):
     """Push a monomial through a map of slot sets (Eq.-7 style).
 
@@ -724,89 +747,105 @@ def apply_setmap(A, setmap, monomial, module=None, module_slot_map=None):
     {source_slot: target_slot} for the (at most one) module slot; merging
     into the module slot acts through the module structure.
 
-    Returns {target_monomial: coeff}.  Unit slots are dropped before the
-    sign computation, so only non-unit factors move.
+    Returns {target_monomial: coeff}, targets 0..max(setmap).  Only the
+    non-unit factors (and the module factor) are walked: they are grouped
+    by target slot in source order, and each group is folded left to
+    right through the structure constants.  The Koszul sign of the
+    regrouping is ``koszul_sign`` over the odd-degree factors alone, since
+    even factors never change it.  Coefficients are multiplied as plain
+    numbers (integral rationals as int) and coerced into the field once
+    per output term; terms that are zero after coercion are dropped.
+
+    >>> apply_setmap(exterior(), (1, 0), (1, 1))  # two odd factors swap
+    {(1, 1): Fraction(-1, 1)}
     """
-    f = A.coefficients.field
-    module_src = None
+    unit = A.unit
+    # positions are ints, so with the unit at 0 the non-unit slots are
+    # exactly the truthy entries
+    flags = monomial if unit == 0 else map(unit.__ne__, monomial)
+    support = list(compress(range(len(setmap)), flags))
+    msrc = mtgt = tm = None
     if module_slot_map:
-        (module_src, module_tgt), = module_slot_map.items()
+        (msrc, mtgt), = module_slot_map.items()
+        if msrc in range(len(setmap)):
+            tm = setmap[msrc]
+            if monomial[msrc] == unit:
+                insort(support, msrc)
+    odd = [
+        ((setmap[s], s), d) for s in support
+        if (d := (module.degrees if s == msrc else A.degrees)[monomial[s]]) % 2
+    ]
+    coeff = koszul_sign(odd) if len(odd) > 1 else 1
     n_targets = 1 + max(setmap) if setmap else 0
-    # collect non-unit factors (slot order) and compute the Koszul sign of
-    # the regrouping by (target, source) order
-    factors = []  # (source_slot, degree, kind, basis_pos)
-    for s, t in enumerate(setmap):
-        if s == module_src:
-            factors.append((s, module.degrees[monomial[s]], "m", monomial[s]))
-        elif monomial[s] != A.unit:
-            factors.append((s, A.degrees[monomial[s]], "a", monomial[s]))
-    pairs = [((setmap[s], s), d) for (s, d, _, _) in factors]
-    sign = koszul_sign(pairs)
-    coeff0 = f.coerce(sign)
-    # group factors by target slot, in source order
-    groups = {}
-    for (s, d, kind, p) in factors:
-        groups.setdefault(setmap[s], []).append((kind, p))
-    # fold the products; expand linear combinations as we go
-    results = [(coeff0, {})]  # list of (coeff, {target_slot: value_pos_kind})
-    for t, group in sorted(groups.items()):
-        expanded = [(f.one, None)]  # (coeff, (kind, pos)) folding left
-        for kind, p in group:
-            new = []
-            for c, cur in expanded:
-                if cur is None:
-                    new.append((c, (kind, p)))
-                    continue
-                ckind, cpos = cur
-                if ckind == "a" and kind == "a":
-                    for k, e in A.product(cpos, p).items():
-                        if k == A.unit:
-                            new.append((f.mul(c, e), ("a", k)))
-                        else:
-                            new.append((f.mul(c, e), ("a", k)))
-                elif ckind == "m" and kind == "a":
-                    for k, e in module.act_right(cpos, p).items():
-                        new.append((f.mul(c, e), ("m", k)))
-                elif ckind == "a" and kind == "m":
-                    for k, e in module.act_left(cpos, p).items():
-                        new.append((f.mul(c, e), ("m", k)))
-                else:
-                    raise ValueError("two module factors merged")
-            expanded = new
-        out = []
-        for rc, rmono in results:
-            for c, cur in expanded:
-                if cur is None:
-                    cur = ("a", A.unit)
-                mono = dict(rmono)
-                mono[t] = cur
-                out.append((f.mul(rc, c), mono))
-        results = out
-    final = {}
-    for c, mono in results:
+    # fold each target's group (the stable sort keeps source order within
+    # a target); a group with a single term lives in ``image`` with its
+    # coefficient folded into ``coeff``, the others (zero or several
+    # terms) in ``spread``
+    support.sort(key=setmap.__getitem__)
+    image = [unit] * n_targets
+    spread = []  # (target, [(coeff, position), ...]) in target order
+    t_prev = None
+    for s in support:
+        t = setmap[s]
+        p = monomial[s]
+        if t != t_prev:
+            image[t] = p
+            t_prev = t
+            single = True
+            continue
+        if t != tm or s < msrc:
+            owner, name, compute = A, "_product_constants", A.product
+        elif s == msrc:
+            owner, name, compute = module, "_left_constants", module.act_left
+        else:
+            owner, name, compute = module, "_right_constants", module.act_right
+        if single:
+            prod = _constants(owner, name, compute, image[t], p)
+            if len(prod) == 1:
+                (image[t], e), = prod
+                coeff *= e
+            else:
+                spread.append((t, [(e, k) for k, e in prod]))
+                single = False
+        else:
+            terms = spread[-1][1]
+            terms[:] = [
+                (c * e, k)
+                for c, cur in terms
+                for k, e in _constants(owner, name, compute, cur, p)
+            ]
+    fault = None
+    if module_slot_map and tm != mtgt:
+        # the first target, in slot order, where the module factor is
+        # missing or misplaced decides: the image is 0, or an error is
+        # raised at the first nonzero term
+        if 0 <= mtgt < n_targets and (tm is None or mtgt < tm):
+            if not any(setmap[s] == mtgt for s in support):
+                return {}
+            fault = "module slot received algebra factor"
+        elif tm is not None:
+            fault = "algebra slot received module factor"
+    f = A.coefficients.field
+    if not spread:
+        c = f.coerce(coeff)
+        if f.is_zero(c):
+            return {}
+        if fault:
+            raise ValueError(fault)
+        return {tuple(image): c}
+    out = {}
+    for combo in product(*(terms for _, terms in spread)):
+        c = coeff
+        for (t, _), (e, k) in zip(spread, combo):
+            image[t] = k
+            c *= e
+        c = f.coerce(c)
         if f.is_zero(c):
             continue
-        tgt = []
-        ok = True
-        for t in range(n_targets):
-            if module_slot_map and t == module_tgt:
-                kind, p = mono.get(t, (None, None))
-                if kind is None:
-                    ok = False  # module slot must receive the module factor
-                    break
-                if kind != "m":
-                    raise ValueError("module slot received algebra factor")
-                tgt.append(p)
-            else:
-                kind, p = mono.get(t, ("a", A.unit))
-                if kind != "a":
-                    raise ValueError("algebra slot received module factor")
-                tgt.append(p)
-        if not ok:
-            continue
-        key = tuple(tgt)
-        _acc(final, key, c, f)
-    return final
+        if fault:
+            raise ValueError(fault)
+        _acc(out, tuple(image), c, f)
+    return out
 
 
 def multiop(A, setmap, n_source, n_target):
@@ -815,15 +854,13 @@ def multiop(A, setmap, n_source, n_target):
     Intended for small slot counts (tests, explicit checks); the chain
     builders apply ``apply_setmap`` per monomial instead.
     """
-    from itertools import product as iproduct
-
     f = A.coefficients.field
     if len(setmap) != n_source:
         raise ValueError("setmap length mismatch")
     if setmap and max(setmap) >= n_target:
         raise ValueError("setmap range exceeds target")
-    src = list(iproduct(range(A.dim), repeat=n_source))
-    tgt = list(iproduct(range(A.dim), repeat=n_target))
+    src = list(product(range(A.dim), repeat=n_source))
+    tgt = list(product(range(A.dim), repeat=n_target))
     tpos = {m: i for i, m in enumerate(tgt)}
     mat = SparseMatrix(len(tgt), len(src), f)
     padded = tuple(setmap)

@@ -52,7 +52,8 @@ class HochschildComplex:
 # -- monomial enumeration ---------------------------------------------------
 
 
-def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None):
+def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
+                     unit_slot=None):
     """Monomials at level n: tuples of basis positions per slot of Y_n.
 
     The basepoint slot (when a module is given) carries module positions.
@@ -77,12 +78,14 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None):
 
     ``cap`` bounds the number of support assignments (before the module
     slot is expanded); EnumerationCapError is raised as soon as it is
-    exceeded.
+    exceeded.  Without a module, ``unit_slot`` is left out of the search
+    like the basepoint slot of a module, and kept unit (the basepoint of a
+    cochain argument).
     """
     card = Y.card(n)
     if module is not None and Y.basepoint is None:
         raise ValueError("module coefficients require a pointed space")
-    bp = Y.basepoint[n] if (module is not None) else None
+    bp = Y.basepoint[n] if module is not None else unit_slot
     complements = ()
     if normalized and n >= 1:
         complements = Y.nondegenerate_complements(n)
@@ -281,7 +284,8 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
         )
     min_int = None if exhausted else window[0] - 1
     coeff = A.coefficients
-    f = coeff.field
+    # a zero differential (of the algebra and the module) adds no entries
+    has_diff = bool(A.diff or (module is not None and module.diff))
     levels = []
     level_monos = []
     for n in range(top_level + 1):
@@ -295,14 +299,15 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
         for mono in monos:
             d, w = _monomial_data(Y, n, A, module, mono)
             c.add_element(mono, d, w)
-        for mono in monos:
-            for tgt, v in _internal_diff(A, module, bp, mono).items():
-                if tgt in c.index:
-                    c.set_differential_entry(mono, tgt, v)
-                else:
-                    if _is_nondegenerate(Y, n, A, module, tgt) and (
+        if has_diff:
+            for mono in monos:
+                for tgt, v in _internal_diff(A, module, bp, mono).items():
+                    if tgt in c.index:
+                        c.set_differential_entry(mono, tgt, v)
+                    elif _is_nondegenerate(Y, n, A, module, tgt) and (
                         min_int is None
-                        or _monomial_data(Y, n, A, module, tgt)[0] >= min_int + n
+                        or _monomial_data(Y, n, A, module, tgt)[0]
+                        >= min_int + n
                     ):
                         raise AssertionError("missing internal target")
         levels.append(c.freeze(support=(NEG_INF, 0)))

@@ -324,11 +324,12 @@ class CochainComplexData:
                 f"{Y.name} materialized to level {Y.top_level}, need {top}"
             )
         self.top = top
-        self.args = []
-        for n in range(top + 1):
-            monos = _level_monomials(Y, n, A, None, None, None, True)
-            bp = Y.basepoint[n]
-            self.args.append([m for m in monos if m[bp] == A.unit])
+        self.args = [
+            _level_monomials(
+                Y, n, A, None, None, None, True, unit_slot=Y.basepoint[n]
+            )
+            for n in range(top + 1)
+        ]
         out = ChainComplex(A.coefficients)
         for n in range(top + 1):
             for arg in self.args[n]:
@@ -388,7 +389,9 @@ class CochainComplexData:
                         out.set_differential_entry(
                             (n, u, m), (n, u, q), f.mul(sgn_n, c)
                         )
-                # -(-1)^{|phi|_int} phi ∘ d, dualized
+                # -(-1)^{|phi|_int} phi ∘ d, dualized (nothing when d = 0)
+                if not A.diff:
+                    continue
                 for tgt, c in _internal_diff(A, None, None, u).items():
                     if tgt not in argset:
                         continue

@@ -6,6 +6,7 @@ import pytest
 
 from hoch import dga
 from hoch.dga import AlgebraClassError
+from hoch.homalg import Coefficients
 
 
 def test_exterior_relations(QQ, exterior):
@@ -226,3 +227,244 @@ def test_multiop_functoriality_hypothesis(QQ, ns, nm, nt, data):
     comp = tuple(gmap[t] for t in fmap)
     Mgf, _, _ = dga.multiop(A, comp, ns, nt)
     assert Mg.compose(Mf).cols == Mgf.cols
+
+
+# -- apply_setmap against the generic fold ----------------------------------
+
+
+def _reference_apply_setmap(A, setmap, monomial, module=None,
+                            module_slot_map=None):
+    """The generic fold: every source slot is walked, the Koszul sign is
+    taken over all non-unit factors, every fold step is multiplied in the
+    field and the output tuple is rebuilt slot by slot."""
+    f = A.coefficients.field
+    module_src = None
+    if module_slot_map:
+        (module_src, module_tgt), = module_slot_map.items()
+    n_targets = 1 + max(setmap) if setmap else 0
+    factors = []  # (source_slot, degree, kind, basis_pos)
+    for s, t in enumerate(setmap):
+        if s == module_src:
+            factors.append((s, module.degrees[monomial[s]], "m", monomial[s]))
+        elif monomial[s] != A.unit:
+            factors.append((s, A.degrees[monomial[s]], "a", monomial[s]))
+    sign = dga.koszul_sign([((setmap[s], s), d) for (s, d, _, _) in factors])
+    groups = {}
+    for (s, d, kind, p) in factors:
+        groups.setdefault(setmap[s], []).append((kind, p))
+    results = [(f.coerce(sign), {})]  # (coeff, {target_slot: (kind, pos)})
+    for t, group in sorted(groups.items()):
+        expanded = [(f.one, None)]
+        for kind, p in group:
+            new = []
+            for c, cur in expanded:
+                if cur is None:
+                    new.append((c, (kind, p)))
+                    continue
+                ckind, cpos = cur
+                if ckind == "a" and kind == "a":
+                    terms, okind = A.product(cpos, p), "a"
+                elif ckind == "m" and kind == "a":
+                    terms, okind = module.act_right(cpos, p), "m"
+                elif ckind == "a" and kind == "m":
+                    terms, okind = module.act_left(cpos, p), "m"
+                else:
+                    raise ValueError("two module factors merged")
+                for k, e in terms.items():
+                    new.append((f.mul(c, e), (okind, k)))
+            expanded = new
+        out = []
+        for rc, rmono in results:
+            for c, cur in expanded:
+                mono = dict(rmono)
+                mono[t] = cur
+                out.append((f.mul(rc, c), mono))
+        results = out
+    final = {}
+    for c, mono in results:
+        if f.is_zero(c):
+            continue
+        tgt = []
+        for t in range(n_targets):
+            if module_slot_map and t == module_tgt:
+                kind, p = mono.get(t, (None, None))
+                if kind is None:
+                    break  # the module slot must receive the module factor
+                if kind != "m":
+                    raise ValueError("module slot received algebra factor")
+            else:
+                kind, p = mono.get(t, ("a", A.unit))
+                if kind != "a":
+                    raise ValueError("algebra slot received module factor")
+            tgt.append(p)
+        else:
+            dga._acc(final, tuple(tgt), c, f)
+    return final
+
+
+def _outcome(fn, *args):
+    """What a call gives, in a form that also compares insertion order and
+    value types (Fraction(1) == 1, so equality alone would miss them)."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:  # AlgebraClassError is a ValueError
+        return type(exc), str(exc)
+    return list(out.items()), [type(v) for v in out.values()]
+
+
+def _two_term_algebra(coefficients):
+    """a in weight 1, c and d in weight 2, e in weight 3, with
+    a·a = c + d, a·c = c·a = e and a·d = d·a = -e: folds branch, and
+    a·a·a = e - e cancels between two branches."""
+    f = coefficients.field
+    one = f.one
+    basis = [("1", 0, 0), ("a", 0, 1), ("c", 0, 2), ("d", 0, 2), ("e", 0, 3)]
+    mult = {(0, i): {i: one} for i in range(5)}
+    mult.update({(i, 0): {i: one} for i in range(5)})
+    mult[1, 1] = {2: one, 3: one}
+    mult[1, 2] = mult[2, 1] = {4: one}
+    mult[1, 3] = mult[3, 1] = {4: f.coerce(-1)}
+    return dga.DGAlgebra("two-term", coefficients, basis, mult, unit=0,
+                         augmentation={0: one}, weight_graded=True)
+
+
+def _reversed(A):
+    """A with its basis listed backwards, so that the unit is not at 0."""
+    r = A.dim - 1
+    return dga.DGAlgebra(
+        f"{A.name} reversed", A.coefficients, A.basis[::-1],
+        {(r - i, r - j): {r - k: c for k, c in out.items()}
+         for (i, j), out in A.mult.items()},
+        unit=r - A.unit,
+        augmentation={r - i: c for i, c in A.augmentation.items()},
+        weight_graded=True,
+    )
+
+
+def _oracle_algebras(coefficients):
+    ext = dga.exterior(coefficients)
+    trunc3 = dga.truncated_polynomial(coefficients, 3)
+    return [
+        ext,
+        trunc3,
+        dga.polynomial(coefficients, max_weight=3),
+        dga.tensor_algebra(ext, dga.truncated_polynomial(coefficients, 2)),
+        _two_term_algebra(coefficients),
+        _reversed(trunc3),
+    ]
+
+
+def _oracle_modules(A):
+    """No module, k through the augmentation, A itself, and A with the
+    right action twisted by x -> 2^weight(x) x, so that the right action
+    is not the left one read backwards."""
+    f = A.coefficients.field
+    scale = dga.AlgebraAutomorphism(
+        A, {p: {p: f.coerce(2 ** A.weights[p])} for p in range(A.dim)}
+    )
+    return [
+        None,
+        dga.augmentation_module(A),
+        dga.algebra_as_bimodule(A),
+        dga.twisted_bimodule(A, scale),
+    ]
+
+
+ORACLE_FIELDS = {"Q": Coefficients(), "F5": Coefficients("prime-field", 5)}
+ORACLE_CASES = {  # field -> [(algebra, modules)]
+    name: [(A, _oracle_modules(A)) for A in _oracle_algebras(c)]
+    for name, c in ORACLE_FIELDS.items()
+}
+
+
+def _calls(A, module, setmap):
+    """Every monomial on the slots of ``setmap``, with the module (when
+    given) in each source slot, sent to each target slot."""
+    k, m = len(setmap), 1 + max(setmap, default=0)
+    if module is None:
+        for mono in iproduct(range(A.dim), repeat=k):
+            yield A, setmap, mono, None, None
+        return
+    for s in range(k):
+        ranges = [range(module.dim if i == s else A.dim) for i in range(k)]
+        for t in range(m):
+            for mono in iproduct(*ranges):
+                yield A, setmap, mono, module, {s: t}
+
+
+@pytest.mark.parametrize("field", sorted(ORACLE_FIELDS))
+def test_apply_setmap_matches_reference_exhaustive(field):
+    """Every setmap {0..k-1} -> {0..m-1} for k, m <= 3, every monomial."""
+    seen = set()
+    calls = 0
+    for A, modules in ORACLE_CASES[field]:
+        for module in modules:
+            for k in range(4):
+                for m in range(1, 4):
+                    for setmap in iproduct(range(m), repeat=k):
+                        for args in _calls(A, module, setmap):
+                            got = _outcome(dga.apply_setmap, *args)
+                            want = _outcome(_reference_apply_setmap, *args)
+                            assert got == want, args
+                            if isinstance(got[1], str):
+                                seen.add(got[1])
+                            calls += 1
+    assert calls > 10000
+    # the past-the-weight error and both module-slot errors were met
+    assert {
+        "k[x]: product exceeds materialized weight 3",
+        "module slot received algebra factor",
+        "algebra slot received module factor",
+    } <= seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_apply_setmap_matches_reference_hypothesis(data):
+    field = data.draw(st.sampled_from(sorted(ORACLE_FIELDS)))
+    A, modules = data.draw(st.sampled_from(ORACLE_CASES[field]))
+    module = data.draw(st.sampled_from(modules))
+    k = data.draw(st.integers(0, 6))
+    m = data.draw(st.integers(1, 6))
+    setmap = tuple(data.draw(st.integers(0, m - 1)) for _ in range(k))
+    slot_map = None
+    if module is not None and k:
+        slot_map = {data.draw(st.integers(0, k - 1)):
+                    data.draw(st.integers(0, m - 1))}
+    mono = tuple(
+        data.draw(st.integers(0, (module if slot_map and s in slot_map
+                                  else A).dim - 1))
+        for s in range(k)
+    )
+    args = (A, setmap, mono, module, slot_map)
+    assert _outcome(dga.apply_setmap, *args) == _outcome(
+        _reference_apply_setmap, *args
+    )
+
+
+def test_apply_setmap_fp_drops_terms_zero_after_reduction():
+    # structure constants given unreduced over F_3: x·x = 3z ≡ 0,
+    # x·y = y·x = 4z ≡ z, y·y = -z ≡ 2z; declared non-commutative, since
+    # the audit's commutativity check compares them with reduced values
+    F3 = Coefficients("prime-field", 3)
+    basis = [("1", 0, 0), ("x", 0, 1), ("y", 0, 1), ("z", 0, 2)]
+    mult = {(0, i): {i: 1} for i in range(4)}
+    mult.update({(i, 0): {i: 1} for i in range(4)})
+    mult.update({(1, 1): {3: 3}, (1, 2): {3: 4}, (2, 1): {3: 4},
+                 (2, 2): {3: -1}})
+    A = dga.DGAlgebra("unreduced", F3, basis, mult, unit=0,
+                      commutative=False, augmentation={0: 1},
+                      weight_graded=True)
+    assert dga.apply_setmap(A, (0, 0), (1, 1)) == {}
+    assert dga.apply_setmap(A, (0, 1, 0), (1, 2, 1)) == {}
+    assert dga.apply_setmap(A, (0, 0), (1, 2)) == {(3,): 1}
+    assert dga.apply_setmap(A, (1, 1), (2, 2)) == {(0, 3): 2}
+    for k in range(4):
+        for m in range(1, 4):
+            for setmap in iproduct(range(m), repeat=k):
+                for args in _calls(A, None, setmap):
+                    out = dga.apply_setmap(*args)
+                    assert all(0 < v < 3 for v in out.values()), args
+                    assert _outcome(dga.apply_setmap, *args) == _outcome(
+                        _reference_apply_setmap, *args
+                    )

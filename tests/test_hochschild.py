@@ -576,3 +576,31 @@ def test_enumeration_cap_boundary(Y, A, weights):
                                cap=m) == monos
     with pytest.raises(hh.EnumerationCapError):
         hh._level_monomials(Y, n, A, None, weights, None, True, cap=m - 1)
+
+
+@pytest.mark.parametrize("space, weights", [
+    ("circle", None),
+    ("wedge_circles", None),
+    ("torus", range(5)),  # unbounded, level 4 of the torus is too large
+])
+def test_unit_slot_matches_filtered_enumeration(exterior, trunc2, space,
+                                                weights):
+    # cochain arguments: the basepoint left out of the search and kept
+    # unit gives exactly the normalized basis filtered to a unit basepoint
+    Y = {
+        "circle": lambda: simp.circle(4),
+        "wedge_circles": lambda: simp.wedge(simp.circle(4), simp.circle(4)),
+        "torus": lambda: simp.torus(4),
+    }[space]()
+    dropped = 0
+    for A in (exterior, trunc2):
+        for n in range(5):
+            bp = Y.basepoint[n]
+            full = hh._level_monomials(Y, n, A, None, weights, None, True)
+            want = [m for m in full if m[bp] == A.unit]
+            got = hh._level_monomials(
+                Y, n, A, None, weights, None, True, unit_slot=bp
+            )
+            assert got == want, (A.name, n)
+            dropped += len(full) - len(want)
+    assert dropped > 0
