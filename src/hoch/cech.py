@@ -629,11 +629,11 @@ class CechComplex:
         self.simplicial_truncation = truncation
         self.augmentation = augmentation
 
-    def homology_dims(self, window, weights=None, threads=1):
-        return self.total.homology_dims(window, weights, threads)
+    def homology_dims(self, window, weights=None):
+        return self.total.homology_dims(window, weights)
 
-    def betti(self, window, weights=None, threads=1):
-        return self.total.betti(window, weights, threads)
+    def betti(self, window, weights=None):
+        return self.total.betti(window, weights)
 
 
 def cech_complex(F, cover, truncation=2, max_family=3):
@@ -683,8 +683,8 @@ def cech_complex(F, cover, truncation=2, max_family=3):
                 for tlab, v in _face_image(F, alpha, lab, s).items():
                     fmap.set_entry((alpha, lab), (beta, tlab), v)
             faces[(i, s)] = fmap
-    scc = SimplicialChainComplex(levels, faces, {}, exhausted=False)
-    tot = total_complex(scc, normalized=False)
+    scc = SimplicialChainComplex(levels, faces, exhausted=False)
+    tot = total_complex(scc)
     augmentation = None
     if F.poset.union_id is not None and F.poset.union_id in F.values:
         augmentation = _augmentation_map(F, levels[0], level_basis[0])

@@ -53,7 +53,6 @@ _TOP_FIELDS = {
     "cover",
     "output",
     "cap",
-    "threads",
     "expect",
     "expect_per_degree",
     "trials",
@@ -94,7 +93,6 @@ def load_jobspec(obj):
     out["weights"] = list(weights) if weights is not None else None
     out["cap"] = cap
     out.setdefault("output", "text")
-    out.setdefault("threads", 1)
     if out["output"] not in ("text", "json"):
         raise SchemaError("output must be text or json")
     return out
@@ -219,7 +217,6 @@ def run_job(spec):
     window = spec["window"]
     weights = spec["weights"]
     cap = spec["cap"]
-    threads = spec["threads"]
     deltas = []
     betti_table = {}
     extra = {}
@@ -245,13 +242,13 @@ def run_job(spec):
                 Y, A, window, weights, monomial_cap=mono_cap
             )
         extra["max_block"] = _check_cap(H.complex, cap)
-        betti_table = H.homology_dims(window, weights, threads)
+        betti_table = H.homology_dims(window, weights)
     elif task == "hkr-check":
         H = hh.hochschild_chain(
             Y, A, window, weights, monomial_cap=mono_cap
         )
         extra["max_block"] = _check_cap(H.complex, cap)
-        betti_table = H.homology_dims(window, weights, threads)
+        betti_table = H.homology_dims(window, weights)
         pred = hh.hkr_prediction(
             _hkr_descriptor(spec["algebra"], A),
             _hkr_space(spec["space"]),
@@ -267,7 +264,7 @@ def run_job(spec):
             A, module, window, weights, monomial_cap=mono_cap,
         )
         extra["max_block"] = _check_cap(H.complex, cap)
-        betti_table = H.homology_dims(window, weights, threads)
+        betti_table = H.homology_dims(window, weights)
         acyclic = {}
         for p in range(A.dim):
             key = (A.degrees[p], A.weights[p])
@@ -281,14 +278,14 @@ def run_job(spec):
         i = spec.get("iterations", 1)
         C = hh.iterated_bar(A, i, window, weights)
         extra["max_block"] = _check_cap(C, cap)
-        betti_table = C.homology_dims(window, weights, threads)
+        betti_table = C.homology_dims(window, weights)
         if i == 1:
             k_mod = dga.augmentation_module(A)
             B = hh.two_sided_bar(k_mod, A, k_mod, window)
             deltas.append(
                 _delta(
                     "two_sided_bar(k,A,k)",
-                    B.homology_dims(window, weights, threads),
+                    B.homology_dims(window, weights),
                     betti_table,
                 )
             )
@@ -298,7 +295,7 @@ def run_job(spec):
         sigma = _scaling_automorphism(A, scalar)
         C = hh.twisted_hochschild(A, sigma, window)
         extra["max_block"] = _check_cap(C, cap)
-        betti_table = C.homology_dims(window, None, threads)
+        betti_table = C.homology_dims(window, None)
         trunc = spec["algebra"].get("truncation", 2)
         oracle = hh.periodic_resolution_dims(trunc, scalar, window, coefficients)
         got = _per_degree(betti_table, window)
@@ -315,7 +312,7 @@ def run_job(spec):
     elif task == "cech":
         C, aug_ok = _run_cech(spec, coefficients)
         extra["max_block"] = _check_cap(C.total, cap)
-        betti_table = C.homology_dims(window, None, threads)
+        betti_table = C.homology_dims(window, None)
         if spec.get("cover", {}).get("compare_cone_gluing"):
             cone_dims = _cone_gluing_dims(coefficients)
             deltas.append(
@@ -628,7 +625,6 @@ def main(argv=None):
         p.add_argument("--window", default=None, help="a..b")
         p.add_argument("--weights", default=None, help="w1,w2,...")
         p.add_argument("--format", default=None, choices=("text", "json"))
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--cap", type=int, default=None)
     args = parser.parse_args(argv)
     try:
@@ -647,8 +643,6 @@ def main(argv=None):
             raw["weights"] = [int(w) for w in args.weights.split(",")]
         if args.format:
             raw["output"] = args.format
-        if args.threads is not None:
-            raw["threads"] = args.threads
         if args.cap is not None:
             raw["cap"] = args.cap
         spec = load_jobspec(raw)

@@ -42,11 +42,11 @@ class HochschildComplex:
         self.levels = levels  # level -> list of monomial tuples
         self.normalized = normalized
 
-    def homology_dims(self, window, weights=None, threads=1):
-        return self.complex.homology_dims(window, weights, threads)
+    def homology_dims(self, window, weights=None):
+        return self.complex.homology_dims(window, weights)
 
-    def betti(self, window, weights=None, threads=1):
-        return self.complex.betti(window, weights, threads)
+    def betti(self, window, weights=None):
+        return self.complex.betti(window, weights)
 
 
 # -- monomial enumeration ---------------------------------------------------
@@ -336,27 +336,7 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
                     else:
                         raise AssertionError("missing face target")
             faces[(n, r)] = fmap
-    degeneracies = {}
-    if not normalized:
-        for n in range(top_level):
-            src = levels[n]
-            tgt = levels[n + 1]
-            bp_src = Y.basepoint[n] if module is not None else None
-            bp_tgt = Y.basepoint[n + 1] if module is not None else None
-            for i in range(n + 1):
-                setmap = tuple(Y.deg_tab[n][i])
-                smap = ChainMap(src, tgt, shift=0)
-                mmap = {bp_src: bp_tgt} if module is not None else None
-                for mono in level_monos[n]:
-                    image = apply_setmap(
-                        A, setmap, mono, module=module, module_slot_map=mmap
-                    )
-                    for timg, v in image.items():
-                        full = _pad(timg, Y.card(n + 1), A.unit)
-                        if full in tgt.index:
-                            smap.set_entry(mono, full, v)
-                degeneracies[(n, i)] = smap
-    return SimplicialChainComplex(levels, faces, degeneracies, exhausted)
+    return SimplicialChainComplex(levels, faces, exhausted)
 
 
 def _pad(mono, card, unit):
@@ -370,7 +350,7 @@ def hochschild_chain(Y, A, window=(-6, 0), weights=None, normalized=True,
     """CH_Y(A) as a HochschildComplex with a certified window."""
     scc = build_simplicial_ch(Y, A, None, window, weights, normalized,
                               monomial_cap=monomial_cap)
-    tot = total_complex(scc, normalized=False)
+    tot = total_complex(scc)
     tot.weights_materialized = set(weights) if weights is not None else None
     return HochschildComplex(
         Y, A, None, tot, [list(l.index) for l in scc.levels], normalized
@@ -396,7 +376,7 @@ def hochschild_chain_with_coeff(Y, A, module, window=(-6, 0), weights=None,
         return HochschildComplex(Y, A, module, classical, [], True)
     scc = build_simplicial_ch(Y, A, module, window, weights, normalized,
                               monomial_cap=monomial_cap)
-    tot = total_complex(scc, normalized=False)
+    tot = total_complex(scc)
     tot.weights_materialized = set(weights) if weights is not None else None
     return HochschildComplex(
         Y, A, module, tot, [list(l.index) for l in scc.levels], normalized

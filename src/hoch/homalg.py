@@ -11,8 +11,6 @@ Every complex records the degree window on which it is certifiably equal
 to the untruncated object; homology requests outside it are hard errors.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .linalg import QQ, PrimeField, SparseMatrix, rank
 
 NEG_INF = -(10**9)
@@ -192,7 +190,7 @@ class ChainComplex:
                 return False, self.blocks[(d, w)][col]
         return True, None
 
-    def homology_dims(self, window, weights=None, threads=1):
+    def homology_dims(self, window, weights=None):
         """Betti table {(degree, weight): dim} on the requested window.
 
         Requires one extra certified degree on each side of the window.
@@ -230,16 +228,7 @@ class ChainComplex:
                 needed.add((d, w))
             if self.dim(d - 1, w):
                 needed.add((d - 1, w))
-        blocks = sorted(needed)
-
-        def job(key):
-            return rank(self.d_matrix(*key))
-
-        if threads and threads > 1 and len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                ranks = dict(zip(blocks, pool.map(job, blocks)))
-        else:
-            ranks = dict(zip(blocks, map(job, blocks)))
+        ranks = {key: rank(self.d_matrix(*key)) for key in sorted(needed)}
         results = {}
         for d, w in sorted(tasks):
             r_out = ranks.get((d, w), 0)
@@ -249,9 +238,9 @@ class ChainComplex:
                 results[(d, w)] = n
         return results
 
-    def betti(self, window, weights=None, threads=1):
+    def betti(self, window, weights=None):
         """Betti numbers per degree (weights summed), zeros included."""
-        table = self.homology_dims(window, weights, threads)
+        table = self.homology_dims(window, weights)
         out = {d: 0 for d in range(window[0], window[1] + 1)}
         for (d, _w), n in table.items():
             out[d] += n
@@ -548,72 +537,31 @@ def cone(fmap):
 class SimplicialChainComplex:
     """A simplicial object in chain complexes, materialized to a level.
 
-    levels[n] is a ChainComplex; face(n, r) maps level n to level n-1 and
-    degeneracy(n, i) maps level n to level n+1.  Degeneracies must send
-    basis elements to ±(basis element) (monomial shape), which is what
-    every construction in this package produces; normalization relies
-    on it.
+    levels[n] is a ChainComplex and face(n, r) maps level n to level n-1.
+    The levels hold whatever basis the builder chose (normalized or not);
+    totalization uses them as they are.
     """
 
-    def __init__(self, levels, faces, degeneracies, exhausted=False):
+    def __init__(self, levels, faces, exhausted=False):
         self.levels = levels
         self.faces = faces  # dict (n, r) -> ChainMap
-        self.degeneracies = degeneracies  # dict (n, i) -> ChainMap
         self.exhausted = exhausted  # complex is zero above the top level
 
     @property
     def top_level(self):
         return len(self.levels) - 1
 
-    def degenerate_labels(self, n):
-        """Labels of level n lying in the image of some degeneracy."""
-        out = set()
-        if n == 0:
-            return out
-        prev = self.levels[n - 1]
-        for i in range(n):
-            smap = self.degeneracies.get((n - 1, i))
-            if smap is None:
-                raise ValueError("degeneracies required for normalization")
-            for (d, w), block in prev.blocks.items():
-                for lab in block:
-                    img = smap.apply({lab: prev.coefficients.field.one})
-                    if not img:
-                        continue
-                    if len(img) != 1:
-                        raise ValueError("non-monomial degeneracy")
-                    out.update(img.keys())
-        return out
 
-
-def total_complex(simp, normalized=True, window=None):
-    """Totalize: level n shifted by -n, D = (-1)^n d_int + Σ (-1)^r d_r.
-
-    For the normalized variant the degeneracy images are quotiented out
-    (basis subsetting, valid for monomial degeneracies).
-    """
+def total_complex(simp, window=None):
+    """Totalize: level n shifted by -n, D = (-1)^n d_int + Σ (-1)^r d_r."""
     levels = simp.levels
     coeff = levels[0].coefficients
     f = coeff.field
     out = ChainComplex(coeff)
-    keep = []
     for n, lvl in enumerate(levels):
-        if normalized:
-            dead = simp.degenerate_labels(n)
-        else:
-            dead = set()
-        keep.append(
-            {
-                lab
-                for block in lvl.blocks.values()
-                for lab in block
-                if lab not in dead
-            }
-        )
         for (d, w), block in sorted(lvl.blocks.items()):
             for lab in block:
-                if lab in keep[n]:
-                    out.add_element((n, lab), d - n, w)
+                out.add_element((n, lab), d - n, w)
     for n, lvl in enumerate(levels):
         for (d, w), block in sorted(lvl.blocks.items()):
             int_sign = f.coerce(1) if n % 2 == 0 else f.coerce(-1)
@@ -621,15 +569,10 @@ def total_complex(simp, normalized=True, window=None):
             if mat is not None:
                 targets = lvl.blocks.get((d + 1, w), [])
                 for col in range(len(block)):
-                    src = block[col]
-                    if src not in keep[n]:
-                        continue
                     for row, v in mat.column(col).items():
-                        tgt = targets[row]
-                        if tgt not in keep[n]:
-                            continue
                         out.set_differential_entry(
-                            (n, src), (n, tgt), f.mul(int_sign, v)
+                            (n, block[col]), (n, targets[row]),
+                            f.mul(int_sign, v),
                         )
             if n == 0:
                 continue
@@ -641,15 +584,10 @@ def total_complex(simp, normalized=True, window=None):
                     continue
                 targets = levels[n - 1].blocks.get((d, w), [])
                 for col in range(len(block)):
-                    src = block[col]
-                    if src not in keep[n]:
-                        continue
                     for row, v in fm.column(col).items():
-                        tgt = targets[row]
-                        if tgt not in keep[n - 1]:
-                            continue
                         out.set_differential_entry(
-                            (n, src), (n - 1, tgt), f.mul(sgn, v)
+                            (n, block[col]), (n - 1, targets[row]),
+                            f.mul(sgn, v),
                         )
     if simp.exhausted:
         win = (NEG_INF, POS_INF)
@@ -669,7 +607,7 @@ def total_complex(simp, normalized=True, window=None):
 
 
 def constant_simplicial(complex_, top_level):
-    """Constant simplicial object on a complex, all faces/degeneracies id."""
+    """Constant simplicial object on a complex, all faces the identity."""
     levels = []
     for n in range(top_level + 1):
         c = ChainComplex(complex_.coefficients)
@@ -684,20 +622,12 @@ def constant_simplicial(complex_, top_level):
                     c.set_differential_entry(block[col], targets[row], v)
         levels.append(c.freeze(support=complex_.support))
     faces = {}
-    degeneracies = {}
     one = complex_.coefficients.field.one
-
-    def identity(src, tgt, shift=0):
-        m = ChainMap(src, tgt, shift)
-        for block in src.blocks.values():
-            for lab in block:
-                m.set_entry(lab, lab, one)
-        return m
-
     for n in range(1, top_level + 1):
         for r in range(n + 1):
-            faces[(n, r)] = identity(levels[n], levels[n - 1])
-    for n in range(top_level):
-        for i in range(n + 1):
-            degeneracies[(n, i)] = identity(levels[n], levels[n + 1])
-    return SimplicialChainComplex(levels, faces, degeneracies, exhausted=False)
+            m = ChainMap(levels[n], levels[n - 1])
+            for block in levels[n].blocks.values():
+                for lab in block:
+                    m.set_entry(lab, lab, one)
+            faces[(n, r)] = m
+    return SimplicialChainComplex(levels, faces, exhausted=False)

@@ -1,14 +1,16 @@
 """Exact sparse linear algebra over Q and F_p.
 
-Matrices are stored column-major as dicts of dicts of field elements;
-rank is computed by fraction-free (Bareiss-style) elimination with a
-Markowitz-flavored pivot choice, with a dense fallback for small blocks.
-No floating point anywhere.
+Matrices are stored column-major as dicts of dicts of field elements.
+``rank`` is the one elimination kernel: a sparse row reduction over Z
+(rows of a rational matrix scaled to integers) or over F_p, whatever the
+size of the matrix.  It takes the shortest row as pivot row, and in it a
+unit pivot when there is one, so that ±1 pivots are removed without any
+fraction-free step.  ``Echelon`` keeps incremental canonical residues for
+kernels, solving and subquotients.  No floating point anywhere.
 """
 
 from fractions import Fraction
-
-DENSE_THRESHOLD = 64
+from math import gcd
 
 
 class RationalField:
@@ -67,6 +69,11 @@ class PrimeField:
         if isinstance(x, Fraction):
             num = x.numerator % self.p
             den = x.denominator % self.p
+            if not den:
+                raise ValueError(
+                    f"{x} has a denominator divisible by {self.p}, so it is "
+                    f"not defined in F{self.p}"
+                )
             return num * self.inv(den) % self.p
         return x % self.p
 
@@ -83,6 +90,8 @@ class PrimeField:
         return (-a) % self.p
 
     def inv(self, a):
+        if a % self.p == 0:
+            raise ZeroDivisionError(f"0 has no inverse in F{self.p}")
         return pow(a, self.p - 2, self.p)
 
     def is_zero(self, a):
@@ -201,141 +210,78 @@ class SparseMatrix:
         return m
 
 
-def _rows_from_matrix(mat):
-    rows = {}
-    for row, col, v in mat.entries():
-        rows.setdefault(row, {})[col] = v
-    return rows
+def rank(mat):
+    """Exact rank of a SparseMatrix, by one sparse row reduction.
 
+    Over Q each row is scaled to integers and reduced over Z; over F_p
+    the residues are reduced mod p.  The pivot row is the shortest one;
+    within it a unit (±1 over Z, any nonzero entry over F_p) in the
+    smallest column, else the smallest |entry| in the smallest column.
+    ``mat`` is left unchanged.
 
-def _integerize_rows(rows):
-    """Scale each row by the lcm of denominators; rank is unchanged."""
-    out = []
-    for row in rows.values():
-        lcm = 1
-        for v in row.values():
-            d = v.denominator
-            from math import gcd
-
-            lcm = lcm // gcd(lcm, d) * d
-        out.append({c: int(v * lcm) for c, v in row.items()})
-    return out
-
-
-def _rank_sparse_int(rows):
-    """Fraction-free elimination over Z with row-gcd normalization.
-
-    rows: list of {col: int}.  Destructive.
+    >>> rank(SparseMatrix.from_dense([[1, 1], [1, -1]]))
+    2
+    >>> rank(SparseMatrix.from_dense([[1, 1], [1, -1]], PrimeField(2)))
+    1
     """
-    from math import gcd
-
+    p = mat.field.characteristic
+    by_row = {}
+    for col, colmap in mat.cols.items():
+        for row, v in colmap.items():
+            by_row.setdefault(row, {})[col] = v
+    rows = list(by_row.values())
+    if not p:
+        for r in rows:
+            lcm = 1
+            for v in r.values():
+                d = v.denominator
+                lcm = lcm // gcd(lcm, d) * d
+            for c, v in r.items():
+                r[c] = v.numerator * (lcm // v.denominator)
     rank = 0
-    eliminated = set()
-    while rows:
-        # Markowitz-ish pivot: shortest row, then smallest |entry|.
+    while True:
         rows = [r for r in rows if r]
         if not rows:
-            break
-        rows.sort(key=len)
-        pivot_row = rows.pop(0)
-        pc = min(pivot_row, key=lambda c: (abs(pivot_row[c]), c))
-        pv = pivot_row[pc]
+            return rank
+        lengths = list(map(len, rows))
+        pivot_row = rows.pop(lengths.index(min(lengths)))
         rank += 1
-        eliminated.add(pc)
+        # scale the pivot row so that a unit pivot becomes 1
+        if p:
+            pc = min(pivot_row)
+            inv = pow(pivot_row[pc], -1, p)
+            pivot_row = {c: v * inv % p for c, v in pivot_row.items()}
+        else:
+            pc = min(pivot_row, key=lambda c: (abs(pivot_row[c]), c))
+            if pivot_row[pc] == -1:
+                pivot_row = {c: -v for c, v in pivot_row.items()}
+        pv = pivot_row.pop(pc)
         for r in rows:
-            x = r.pop(pc, None)
-            if x is None:
+            if pc not in r:
                 continue
-            # r := pv * r - x * pivot_row (every entry of r scales by pv)
-            new = {c: v * pv for c, v in r.items()}
+            x = r.pop(pc)
+            # r -= x * pivot_row; without a unit pivot (over Z only) this
+            # is r := pv * r - x * pivot_row, divided by the row gcd
+            if pv != 1:
+                for c in r:
+                    r[c] *= pv
             for c, v in pivot_row.items():
-                if c == pc:
-                    continue
-                acc = new.get(c, 0) - x * v
-                if acc:
-                    new[c] = acc
-                else:
-                    new.pop(c, None)
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                for c in new:
-                    new[c] //= g
-            r.clear()
-            r.update(new)
-    return rank
-
-
-def _rank_sparse_modp(rows, field):
-    rank = 0
-    while rows:
-        rows = [r for r in rows if r]
-        if not rows:
-            break
-        rows.sort(key=len)
-        pivot_row = rows.pop(0)
-        pc = min(pivot_row)
-        inv = field.inv(pivot_row[pc])
-        rank += 1
-        for r in rows:
-            x = r.get(pc)
-            if x is None:
-                continue
-            factor = field.mul(x, inv)
-            for c, v in pivot_row.items():
-                acc = field.sub(r.get(c, 0), field.mul(factor, v))
+                acc = r.get(c, 0) - x * v
+                if p:
+                    acc %= p
                 if acc:
                     r[c] = acc
                 else:
                     r.pop(c, None)
-    return rank
-
-
-def _rank_dense(mat):
-    """Dense Bareiss elimination (used below DENSE_THRESHOLD and in tests)."""
-    field = mat.field
-    if field is QQ or isinstance(field, RationalField):
-        rows = [r[:] for r in mat.to_dense()]
-        m, n = len(rows), mat.ncols
-        rank = 0
-        prev = Fraction(1)
-        for col in range(n):
-            piv = None
-            for i in range(rank, m):
-                if rows[i][col] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            pv = rows[rank][col]
-            for i in range(rank + 1, m):
-                x = rows[i][col]
-                for j in range(col, n):
-                    rows[i][j] = (rows[i][j] * pv - x * rows[rank][j]) / prev
-            prev = pv
-            rank += 1
-            if rank == m:
-                break
-        return rank
-    rows = _rows_from_matrix(mat)
-    return _rank_sparse_modp(list(rows.values()), field)
-
-
-def rank(mat):
-    """Exact rank of a SparseMatrix."""
-    if mat.nrows == 0 or mat.ncols == 0 or mat.is_zero():
-        return 0
-    if mat.nrows < DENSE_THRESHOLD and mat.ncols < DENSE_THRESHOLD:
-        return _rank_dense(mat)
-    rows = _rows_from_matrix(mat)
-    field = mat.field
-    if isinstance(field, PrimeField):
-        return _rank_sparse_modp(list(rows.values()), field)
-    return _rank_sparse_int(_integerize_rows(rows))
+            if pv != 1:
+                g = 0
+                for v in r.values():
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
+                if g > 1:
+                    for c in r:
+                        r[c] //= g
 
 
 class Echelon:

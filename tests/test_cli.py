@@ -36,10 +36,16 @@ def test_schema_version_required():
 
 
 def test_unknown_field_rejected():
-    bad = dict(BASE)
-    bad["surprise"] = 1
-    with pytest.raises(cli.SchemaError, match="unknown fields"):
-        cli.load_jobspec(bad)
+    for field in ("surprise", "threads"):
+        bad = dict(BASE)
+        bad[field] = 1
+        with pytest.raises(cli.SchemaError, match="unknown fields"):
+            cli.load_jobspec(bad)
+
+
+def test_schema_lists_the_top_fields():
+    schema = json.loads((JOBS / "schema.json").read_text())
+    assert set(schema["properties"]) == cli._TOP_FIELDS
 
 
 def test_bad_window_rejected():
@@ -123,6 +129,33 @@ def test_bad_inline_presentation_is_schema_error():
         run_spec(raw)
 
 
+def test_fp_rejects_a_constant_with_denominator_p(tmp_path):
+    # over F_3 the constant 1/3 used to be read as 0, which ran the job
+    # for x·x = 0 and passed
+    raw = dict(BASE, coefficients="Fp:3", window=[-2, 0])
+    mult = [["1", "1", {"1": "1"}], ["x", "x", {"y": "1/3"}]]
+    for a in ("x", "y"):
+        mult += [["1", a, {a: "1"}], [a, "1", {a: "1"}]]
+    mult += [["x", "y", {}], ["y", "x", {}], ["y", "y", {}]]
+    raw["algebra"] = {
+        "basis": [
+            {"label": "1", "degree": 0, "weight": 0},
+            {"label": "x", "degree": 0, "weight": 1},
+            {"label": "y", "degree": 0, "weight": 2},
+        ],
+        "unit": "1",
+        "mult": mult,
+        "augmentation": {"1": "1"},
+        "weight_graded": True,
+    }
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 2
+    raw["coefficients"] = "Fp:5"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 0
+
+
 def test_fp_coefficients():
     raw = dict(BASE)
     raw["coefficients"] = "Fp:5"
@@ -188,7 +221,7 @@ def test_flag_overrides(tmp_path, capsys):
     path.write_text(json.dumps(BASE))
     code = cli.main(
         ["run", str(path), "--window=-2..0", "--format", "json",
-         "--threads", "2", "--coefficients", "Q"]
+         "--coefficients", "Q"]
     )
     assert code == 0
     out = json.loads(capsys.readouterr().out)
