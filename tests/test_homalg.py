@@ -201,9 +201,11 @@ def test_euler_characteristic_per_weight(QQ, trunc2):
         assert euler_h == euler_chain.get(w, 0)
 
 
-def test_homology_ranks_each_block_once(QQ, trunc2, monkeypatch):
-    C = hh.hochschild_chain(simp.circle(8), trunc2, window=(-5, 0)).complex
-    lo, hi = window = (-5, 0)
+@pytest.mark.parametrize("sphere_dim", [1, 2])
+def test_homology_ranks_each_block_once(QQ, trunc2, monkeypatch, sphere_dim):
+    lo, hi = window = (-4, 0)
+    X = simp.sphere_small(sphere_dim, 8)
+    C = hh.hochschild_chain(X, trunc2, window=window).complex
     real_rank = homalg.rank
     ranked = []
 
