@@ -221,10 +221,6 @@ def _interval_intersection(a, b):
     return ("m", lo, hi)
 
 
-def abstract_poset(opens, inter):
-    return OpenPoset("abstract", opens, inter)
-
-
 # -- prefactorization data ----------------------------------------------------
 
 
@@ -269,9 +265,10 @@ class PrefactorizationData:
         return self.rho_raw(family, factors, target)
 
 
-def validate_prefactorization(F, max_family=3, max_inner=2):
+def validate_prefactorization(F):
     """Exhaustive audit: symmetry, identity on U ⊆ U, and the
-    associativity square over all admissible nestings; (ok, witness)."""
+    associativity square over all admissible nestings (families of up to
+    three opens, inner families of up to two); (ok, witness)."""
     poset = F.poset
     f = F.coefficients.field
     if F.mode == "coproduct":
@@ -284,7 +281,7 @@ def validate_prefactorization(F, max_family=3, max_inner=2):
                 return False, ("identity", u, lab)
     # symmetry under permutations with Koszul signs
     for w in poset.opens:
-        for family in poset.disjoint_families(inside=w, max_size=max_family):
+        for family in poset.disjoint_families(inside=w, max_size=3):
             if len(family) < 2:
                 continue
             perms = _permutations(len(family))
@@ -297,7 +294,7 @@ def validate_prefactorization(F, max_family=3, max_inner=2):
                 for perm in perms:
                     pf = tuple(family[i] for i in perm)
                     pl = tuple(factors[i] for i in perm)
-                    sign = _perm_koszul(perm, degs)
+                    sign = dga.koszul_sign([(i, degs[i]) for i in perm])
                     got = F.rho(pf, pl, w)
                     want = {
                         k: f.mul(f.coerce(sign), c) for k, c in base.items()
@@ -306,12 +303,10 @@ def validate_prefactorization(F, max_family=3, max_inner=2):
                         return False, ("symmetry", w, family, perm)
     # associativity square (nested families), inner families possibly empty
     for w in poset.opens:
-        for mids in poset.disjoint_families(inside=w, max_size=max_family):
+        for mids in poset.disjoint_families(inside=w, max_size=3):
             inner_choices = []
             for v in mids:
-                fams = [()] + poset.disjoint_families(
-                    inside=v, max_size=max_inner
-                )
+                fams = [()] + poset.disjoint_families(inside=v, max_size=2)
                 inner_choices.append(fams)
             for inners in iproduct(*inner_choices):
                 flat = tuple(u for fam in inners for u in fam)
@@ -375,15 +370,6 @@ def _permutations(n):
     return list(permutations(range(n)))
 
 
-def _perm_koszul(perm, degs):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j] and degs[perm[i]] % 2 and degs[perm[j]] % 2:
-                sign = -sign
-    return sign
-
-
 def _factor_tuples(F, family):
     pools = [_labels(F.value(u)) for u in family]
     return iproduct(*pools) if family else [()]
@@ -410,26 +396,6 @@ def _expand(value_dicts):
 
 
 # -- builders -----------------------------------------------------------------
-
-
-def _complex_of_algebra(A):
-    c = ChainComplex(A.coefficients)
-    for p in range(A.dim):
-        c.add_element(A.labels[p], A.degrees[p], A.weights[p])
-    for p in range(A.dim):
-        for q, v in A.d(p).items():
-            c.set_differential_entry(A.labels[p], A.labels[q], v)
-    return c.freeze(support=(NEG_INF, 0))
-
-
-def _complex_of_module(M):
-    c = ChainComplex(M.coefficients)
-    for p in range(M.dim):
-        c.add_element(M.labels[p], M.degrees[p], M.weights[p])
-    for p in range(M.dim):
-        for q, v in M.d(p).items():
-            c.set_differential_entry(M.labels[p], M.labels[q], v)
-    return c.freeze(support=(NEG_INF, 0))
 
 
 def trivial_prefactorization(poset, coefficients=None):
@@ -478,26 +444,22 @@ def circle_arc_algebra(A, poset, orientation=1):
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     f = A.coefficients.field
-    values = {u: _complex_of_algebra(A) for u in poset.opens}
+    values = {u: dga.underlying_complex(A) for u in poset.opens}
     arc = poset.arc_data
 
     def rho_raw(family, factors, target):
-        # positions measured from the start of the target arc
+        # positions measured from the start of the target arc, in the
+        # direction of the orientation
         t0 = arc[target][0]
-        keyed = []
-        for u, lab in zip(family, factors):
-            rel = (arc[u][0] - t0) % 1
-            keyed.append((rel, u, lab))
-        order = sorted(
-            range(len(keyed)),
-            key=lambda i: keyed[i][0],
-            reverse=(orientation == -1),
+        keyed = [
+            (orientation * ((arc[u][0] - t0) % 1), lab)
+            for u, lab in zip(family, factors)
+        ]
+        sign = dga.koszul_sign(
+            [(key, A.degrees[A.position[lab]]) for key, lab in keyed]
         )
-        degs = [A.degrees[A.position[lab]] for (_, _, lab) in keyed]
-        sign = _perm_koszul(tuple(order), degs)
         out = {A.labels[A.unit]: f.coerce(sign)}
-        for i in order:
-            lab = keyed[i][2]
+        for _key, lab in sorted(keyed, key=lambda k: k[0]):
             new = {}
             for cur, c in out.items():
                 for k, v in A.product(A.position[cur], A.position[lab]).items():
@@ -524,12 +486,9 @@ def interval_stratified(Mr, A, Ml, poset):
     values = {}
     for u in poset.opens:
         kind = data[u][0]
-        if kind == "r":
-            values[u] = _complex_of_module(Mr)
-        elif kind == "l":
-            values[u] = _complex_of_module(Ml)
-        else:
-            values[u] = _complex_of_algebra(A)
+        values[u] = dga.underlying_complex(
+            Mr if kind == "r" else Ml if kind == "l" else A
+        )
 
     def _pos(u):
         return _interval_span(data[u])[0]
@@ -546,7 +505,9 @@ def interval_stratified(Mr, A, Ml, poset):
             if kind == "l":
                 return Ml.degrees[Ml.labels.index(factors[i])]
             return A.degrees[A.position[factors[i]]]
-        sign = _perm_koszul(tuple(keyed), [deg_of(i) for i in keyed])
+        sign = dga.koszul_sign(
+            [(_pos(family[i]), deg_of(i)) for i in range(len(family))]
+        )
         tkind = data[target][0]
         # fold in position order
         if tkind == "m":
@@ -636,7 +597,7 @@ class CechComplex:
         return self.total.betti(window, weights)
 
 
-def cech_complex(F, cover, truncation=2, max_family=3):
+def cech_complex(F, cover, truncation=2):
     """Čech complex over PU^{i+1} tuples (adjacent-distinct, i.e. the
     normalized total complex), faces discard one collection."""
     poset = F.poset
@@ -648,7 +609,7 @@ def cech_complex(F, cover, truncation=2, max_family=3):
     PU = sorted(
         set(
             fam
-            for fam in poset.disjoint_families(max_size=max_family)
+            for fam in poset.disjoint_families(max_size=3)
             if all(u in cover for u in fam)
         )
     )
@@ -798,22 +759,13 @@ def _face_image(F, alpha, lab, s):
     for combo, _inter in _combos(F, beta):
         groups.setdefault(combo, [])
     # Koszul sign: regroup the tensor factors by target combo
-    degs = []
-    keys = []
-    target_sorted = sorted(groups)
-    rankof = {c: r for r, c in enumerate(target_sorted)}
-    for idx, (combo, l) in enumerate(parts):
-        tcombo = combo[:s] + combo[s + 1 :]
-        inter = poset.family_intersection(list(combo))
-        degs.append(F.value(inter).index[l][0])
-        keys.append((rankof[tcombo], idx))
-    sign = 1
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if keys[j] < keys[i] and degs[i] % 2 and degs[j] % 2:
-                sign = -sign
+    sign = dga.koszul_sign([
+        (combo[:s] + combo[s + 1 :],
+         F.value(poset.family_intersection(list(combo))).index[l][0])
+        for combo, l in parts
+    ])
     results = [(f.coerce(sign), {})]
-    for tcombo in target_sorted:
+    for tcombo in sorted(groups):
         members = groups[tcombo]
         tgt_open = poset.family_intersection(list(tcombo))
         family = []

@@ -16,14 +16,10 @@ from fractions import Fraction
 from . import cech, dga, hochschild as hh, products, simp
 from .dga import AlgebraClassError
 from .homalg import Coefficients, WindowError
-from .hochschild import EnumerationCapError, TruncationError
+from .hochschild import InfeasibleError, TruncationError
 
 
 class SchemaError(ValueError):
-    pass
-
-
-class InfeasibleError(RuntimeError):
     pass
 
 
@@ -38,6 +34,9 @@ TASKS = (
     "cup-table",
     "shuffle-check",
 )
+
+# the tasks that rank CH_Y(A) or CH_Y(A, M) from the simplicial builder
+CHAIN_TASKS = ("homology", "hkr-check", "bar")
 
 _TOP_FIELDS = {
     "schema",
@@ -194,13 +193,24 @@ def space_level_for(spec, A, space_desc):
     return n_deg
 
 
-def _check_cap(complex_, cap):
-    size = complex_.max_block_dim()
-    if size > cap:
-        raise InfeasibleError(
-            f"largest (degree, weight) block has dimension {size} > cap {cap}"
-        )
-    return size
+def _chain_inputs(spec, coefficients):
+    """(space, algebra, module) of a chain task, or of shuffle-check.
+
+    The space is the spec's (the circle by default), except for ``bar``:
+    the Bar construction is always the interval with self coefficients.
+    ``homology`` takes self coefficients when the spec asks for them.
+    """
+    task = spec["task"]
+    A = build_algebra(spec["algebra"], coefficients, spec["weights"])
+    if task == "bar":
+        space_desc = {"name": "interval"}
+    else:
+        space_desc = spec.get("space", {"name": "circle"})
+    Y = build_space(space_desc, space_level_for(spec, A, space_desc))
+    module = None
+    if task == "bar" or (task == "homology" and spec.get("module") == "self"):
+        module = dga.algebra_as_bimodule(A)
+    return Y, A, module
 
 
 def _betti_entries(table, window):
@@ -222,33 +232,18 @@ def run_job(spec):
     extra = {}
     task = spec["task"]
 
-    if task in ("homology", "hkr-check", "shuffle-check"):
-        A = build_algebra(spec["algebra"], coefficients, weights)
-        space_desc = spec.get("space", {"name": "circle"})
-        level = space_level_for(spec, A, space_desc)
-        Y = build_space(space_desc, level)
-    elif task == "bar":
-        A = build_algebra(spec["algebra"], coefficients, weights)
-    mono_cap = 50 * cap
-    if task == "homology":
-        module = None
-        if spec.get("module") == "self":
-            module = dga.algebra_as_bimodule(A)
-            H = hh.hochschild_chain_with_coeff(
-                Y, A, module, window, weights, monomial_cap=mono_cap
-            )
+    if task in CHAIN_TASKS + ("shuffle-check",):
+        Y, A, module = _chain_inputs(spec, coefficients)
+    if task in CHAIN_TASKS:
+        if module is None:
+            H = hh.hochschild_chain(Y, A, window, weights, cap=cap)
         else:
-            H = hh.hochschild_chain(
-                Y, A, window, weights, monomial_cap=mono_cap
+            H = hh.hochschild_chain_with_coeff(
+                Y, A, module, window, weights, cap=cap
             )
-        extra["max_block"] = _check_cap(H.complex, cap)
+        extra["max_block"] = H.complex.max_block_dim()
         betti_table = H.homology_dims(window, weights)
-    elif task == "hkr-check":
-        H = hh.hochschild_chain(
-            Y, A, window, weights, monomial_cap=mono_cap
-        )
-        extra["max_block"] = _check_cap(H.complex, cap)
-        betti_table = H.homology_dims(window, weights)
+    if task == "hkr-check":
         pred = hh.hkr_prediction(
             _hkr_descriptor(spec["algebra"], A),
             _hkr_space(spec["space"]),
@@ -257,14 +252,6 @@ def run_job(spec):
         )
         deltas.append(_delta("hkr_prediction", pred, betti_table))
     elif task == "bar":
-        module = dga.algebra_as_bimodule(A)
-        H = hh.hochschild_chain_with_coeff(
-            build_space({"name": "interval"}, space_level_for(
-                spec, A, {"name": "interval"})),
-            A, module, window, weights, monomial_cap=mono_cap,
-        )
-        extra["max_block"] = _check_cap(H.complex, cap)
-        betti_table = H.homology_dims(window, weights)
         acyclic = {}
         for p in range(A.dim):
             key = (A.degrees[p], A.weights[p])
@@ -277,7 +264,7 @@ def run_job(spec):
         A = build_algebra(spec["algebra"], coefficients, weights)
         i = spec.get("iterations", 1)
         C = hh.iterated_bar(A, i, window, weights)
-        extra["max_block"] = _check_cap(C, cap)
+        extra["max_block"] = hh.check_cap(C, cap)
         betti_table = C.homology_dims(window, weights)
         if i == 1:
             k_mod = dga.augmentation_module(A)
@@ -294,7 +281,7 @@ def run_job(spec):
         scalar = Fraction(spec.get("automorphism", {}).get("x", -1))
         sigma = _scaling_automorphism(A, scalar)
         C = hh.twisted_hochschild(A, sigma, window)
-        extra["max_block"] = _check_cap(C, cap)
+        extra["max_block"] = hh.check_cap(C, cap)
         betti_table = C.homology_dims(window, None)
         trunc = spec["algebra"].get("truncation", 2)
         oracle = hh.periodic_resolution_dims(trunc, scalar, window, coefficients)
@@ -311,7 +298,7 @@ def run_job(spec):
         extra["max_block"] = 0
     elif task == "cech":
         C, aug_ok = _run_cech(spec, coefficients)
-        extra["max_block"] = _check_cap(C.total, cap)
+        extra["max_block"] = hh.check_cap(C.total, cap)
         betti_table = C.homology_dims(window, None)
         if spec.get("cover", {}).get("compare_cone_gluing"):
             cone_dims = _cone_gluing_dims(coefficients)
@@ -547,43 +534,35 @@ def _shuffle_check(Y, A, spec):
 
 
 def explain_job(spec):
-    """Truncation level, per-level chain dimensions, estimated cost."""
-    coefficients = parse_coefficients(spec)
-    window = spec["window"]
-    weights = spec["weights"]
-    task = spec["task"]
-    if task not in ("homology", "hkr-check", "bar"):
-        return {"job": _echo(spec), "note": f"explain supports chain tasks"}
-    A = build_algebra(spec["algebra"], coefficients, weights)
-    space_desc = spec.get(
-        "space", {"name": "interval" if task == "bar" else "circle"}
+    """Size a chain job without building a face map or ranking a block.
+
+    The level complexes come from ``hochschild.build_levels``, the same
+    build that ``run`` starts with, under the same cap: InfeasibleError is
+    raised when a (degree, weight) block of the total complex exceeds it.
+    Reports the truncation level, whether it exhausts the complex, the
+    dimension of each level, the cap and the largest block.  A genuine
+    bimodule over the circle takes the classical complex, which is built
+    and reported by its largest block alone.
+    """
+    if spec["task"] not in CHAIN_TASKS:
+        return {"job": _echo(spec), "note": "explain supports chain tasks"}
+    window, weights, cap = spec["window"], spec["weights"], spec["cap"]
+    Y, A, module = _chain_inputs(spec, parse_coefficients(spec))
+    report = {"job": _echo(spec), "cap": cap}
+    if module is not None and not module.symmetric:
+        H = hh.hochschild_chain_with_coeff(Y, A, module, window, weights,
+                                           cap=cap)
+        report["max_block"] = H.complex.max_block_dim()
+        return report
+    levels, exhausted, blocks = hh.build_levels(
+        Y, A, module, window, weights, cap=cap
     )
-    level = space_level_for(spec, A, space_desc)
-    Y = build_space(space_desc, level)
-    module = dga.algebra_as_bimodule(A) if task == "bar" else None
-    top, exhausted = hh.required_level(Y, A, window, weights)
-    dims = []
-    est = 0
-    for n in range(top + 1):
-        monos = hh._level_monomials(
-            Y, n, A, module, weights,
-            None if exhausted else window[0] - 1 + n, True,
-        )
-        dims.append(len(monos))
-        est += len(monos) ** 3
-    report = {
-        "job": _echo(spec),
-        "truncation_level": top,
-        "exhausted": exhausted,
-        "level_dims": dims,
-        "estimated_elimination_cost": est,
-        "cap": spec["cap"],
-        "feasible": max(dims, default=0) <= spec["cap"],
-    }
-    if not report["feasible"]:
-        raise InfeasibleError(
-            f"estimated level dimension {max(dims)} exceeds cap {spec['cap']}"
-        )
+    report.update(
+        truncation_level=len(levels) - 1,
+        exhausted=exhausted,
+        level_dims=[len(c.index) for c in levels],
+        max_block=max(blocks.values(), default=0),
+    )
     return report
 
 
@@ -594,12 +573,11 @@ def render(report, fmt):
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True, default=str)
     lines = [f"task: {report['job']['task']}"]
-    if "truncation_level" in report:
-        lines.append(f"truncation level: {report['truncation_level']}")
-        lines.append(f"level dims: {report['level_dims']}")
-        lines.append(
-            f"estimated cost: {report['estimated_elimination_cost']}"
-        )
+    if "cap" in report:  # an explain report
+        if "truncation_level" in report:
+            lines.append(f"truncation level: {report['truncation_level']}")
+            lines.append(f"level dims: {report['level_dims']}")
+        lines.append(f"max block: {report['max_block']}")
         return "\n".join(lines) + "\n"
     lines.append("betti (degree, weight, dim):")
     for e in report.get("betti", []):
@@ -655,7 +633,7 @@ def main(argv=None):
             sys.stdout.write(render(report, spec["output"]))
             return 0
         report = run_job(spec)
-    except (InfeasibleError, EnumerationCapError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except (TruncationError, WindowError, AlgebraClassError,

@@ -16,7 +16,7 @@ from bisect import insort
 from fractions import Fraction
 from itertools import compress, product
 
-from .homalg import Coefficients
+from .homalg import NEG_INF, ChainComplex, Coefficients
 from .linalg import SparseMatrix, rank
 
 
@@ -44,7 +44,6 @@ class DGAlgebra:
         augmentation=None,
         weight_graded=False,
         max_weight=None,
-        audit=True,
     ):
         self.name = name
         self.coefficients = coefficients
@@ -63,8 +62,7 @@ class DGAlgebra:
         self.weight_graded = weight_graded
         self.max_weight = max_weight
         self._classify()
-        if audit:
-            self.audit()
+        self.audit()
 
     # -- structure ------------------------------------------------------
 
@@ -239,7 +237,8 @@ class DGModule:
 
     left[(a, m)] / right[(m, a)] give the actions as {m': coeff}; for a
     symmetric bimodule only ``left`` is stored and m*a is derived by the
-    Koszul rule.
+    Koszul rule.  A right module has ``left=None``; a left module has no
+    ``right`` table and is not symmetric.
     """
 
     def __init__(
@@ -252,7 +251,6 @@ class DGModule:
         symmetric=True,
         diff=None,
         pointed_element=None,
-        audit=True,
     ):
         self.name = name
         self.algebra = algebra
@@ -268,8 +266,7 @@ class DGModule:
         self.pointed_element = pointed_element
         if any(d > 0 for d in self.degrees):
             raise AlgebraClassError(f"{name}: positive-degree module elements")
-        if audit:
-            self.audit()
+        self.audit()
 
     @property
     def dim(self):
@@ -282,6 +279,8 @@ class DGModule:
         return self.weights[i]
 
     def act_left(self, a, m):
+        if self.left is None:
+            raise ValueError(f"{self.name}: no left action")
         return self.left.get((a, m), {})
 
     def act_right(self, m, a):
@@ -299,13 +298,19 @@ class DGModule:
         return self.diff.get(m, {})
 
     def audit(self):
+        """Unit, associativity and Leibniz for the left action, when there
+        is one; unit and associativity for the right action, when there is
+        one (a right table, or a symmetric module); compatibility when
+        there are both."""
         A = self.algebra
         f = self.coefficients.field
         uA = A.unit
+        has_left = self.left is not None
+        has_right = self._right is not None or self.symmetric
         for m in range(self.dim):
-            if self.act_left(uA, m) != {m: f.one}:
+            if has_left and self.act_left(uA, m) != {m: f.one}:
                 raise ValueError(f"{self.name}: unit does not act as identity")
-            if self.act_right(m, uA) != {m: f.one}:
+            if has_right and self.act_right(m, uA) != {m: f.one}:
                 raise ValueError(f"{self.name}: unit right action fails")
         bound = A.max_weight
         for a in range(A.dim):
@@ -313,44 +318,51 @@ class DGModule:
                 if bound is not None and A.weights[a] + A.weights[b] > bound:
                     continue
                 for m in range(self.dim):
-                    lhs = {}
-                    for k, c in A.product(a, b).items():
-                        for t, e in self.act_left(k, m).items():
-                            _acc(lhs, t, f.mul(c, e), f)
-                    rhs = {}
-                    for t, c in self.act_left(b, m).items():
-                        for s, e in self.act_left(a, t).items():
-                            _acc(rhs, s, f.mul(c, e), f)
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"{self.name}: left module axiom fails {(a, b, m)}"
-                        )
-                    # (a m) b = a (m b)
-                    lhs = {}
-                    for t, c in self.act_left(a, m).items():
-                        for s, e in self.act_right(t, b).items():
-                            _acc(lhs, s, f.mul(c, e), f)
-                    rhs = {}
-                    for t, c in self.act_right(m, b).items():
-                        for s, e in self.act_left(a, t).items():
-                            _acc(rhs, s, f.mul(c, e), f)
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"{self.name}: bimodule compatibility fails"
-                        )
-                    # m (a b) = (m a) b
-                    lhs = {}
-                    for k, c in A.product(a, b).items():
-                        for t, e in self.act_right(m, k).items():
-                            _acc(lhs, t, f.mul(c, e), f)
-                    rhs = {}
-                    for t, c in self.act_right(m, a).items():
-                        for s, e in self.act_right(t, b).items():
-                            _acc(rhs, s, f.mul(c, e), f)
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"{self.name}: right module axiom fails {(a, b, m)}"
-                        )
+                    if has_left:
+                        lhs = {}
+                        for k, c in A.product(a, b).items():
+                            for t, e in self.act_left(k, m).items():
+                                _acc(lhs, t, f.mul(c, e), f)
+                        rhs = {}
+                        for t, c in self.act_left(b, m).items():
+                            for s, e in self.act_left(a, t).items():
+                                _acc(rhs, s, f.mul(c, e), f)
+                        if lhs != rhs:
+                            raise ValueError(
+                                f"{self.name}: left module axiom fails "
+                                f"{(a, b, m)}"
+                            )
+                    if has_left and has_right:
+                        # (a m) b = a (m b)
+                        lhs = {}
+                        for t, c in self.act_left(a, m).items():
+                            for s, e in self.act_right(t, b).items():
+                                _acc(lhs, s, f.mul(c, e), f)
+                        rhs = {}
+                        for t, c in self.act_right(m, b).items():
+                            for s, e in self.act_left(a, t).items():
+                                _acc(rhs, s, f.mul(c, e), f)
+                        if lhs != rhs:
+                            raise ValueError(
+                                f"{self.name}: bimodule compatibility fails"
+                            )
+                    if has_right:
+                        # m (a b) = (m a) b
+                        lhs = {}
+                        for k, c in A.product(a, b).items():
+                            for t, e in self.act_right(m, k).items():
+                                _acc(lhs, t, f.mul(c, e), f)
+                        rhs = {}
+                        for t, c in self.act_right(m, a).items():
+                            for s, e in self.act_right(t, b).items():
+                                _acc(rhs, s, f.mul(c, e), f)
+                        if lhs != rhs:
+                            raise ValueError(
+                                f"{self.name}: right module axiom fails "
+                                f"{(a, b, m)}"
+                            )
+        if not has_left:
+            return
         # Leibniz: d(a m) = d(a) m + (-1)^{|a|} a d(m)
         for a in range(A.dim):
             for m in range(self.dim):
@@ -376,22 +388,13 @@ class DGModule:
 class AlgebraAutomorphism:
     """Degree-0, weight-preserving multiplicative unital chain automorphism."""
 
-    def __init__(self, algebra, images, audit=True):
+    def __init__(self, algebra, images):
         self.algebra = algebra
         self.images = images  # {i: {j: coeff}}
-        if audit:
-            self.audit()
+        self.audit()
 
     def apply(self, i):
         return self.images.get(i, {})
-
-    def apply_vec(self, vec):
-        f = self.algebra.coefficients.field
-        out = {}
-        for i, c in vec.items():
-            for j, e in self.apply(i).items():
-                _acc(out, j, f.mul(c, e), f)
-        return out
 
     def audit(self):
         A = self.algebra
@@ -641,6 +644,18 @@ def _right_from_mult(A):
     for (i, j), out in A.mult.items():
         right[(i, j)] = dict(out)
     return right
+
+
+def underlying_complex(X):
+    """The chain complex of a DG algebra or module: one element per basis
+    label, with the differential of X."""
+    c = ChainComplex(X.coefficients)
+    for p in range(X.dim):
+        c.add_element(X.labels[p], X.degrees[p], X.weights[p])
+    for p in range(X.dim):
+        for q, v in X.d(p).items():
+            c.set_differential_entry(X.labels[p], X.labels[q], v)
+    return c.freeze(support=(NEG_INF, 0))
 
 
 def augmentation_module(A, name=None):

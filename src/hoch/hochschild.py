@@ -26,21 +26,31 @@ class TruncationError(ValueError):
     """The materialized simplicial set cannot certify the request."""
 
 
-class EnumerationCapError(TruncationError):
-    """A level basis would exceed the configured feasibility cap."""
+class InfeasibleError(RuntimeError):
+    """A (degree, weight) block of the total complex exceeds the cap."""
+
+
+def check_cap(complex_, cap):
+    """The largest (degree, weight) block of a built complex; raises
+    InfeasibleError when it exceeds ``cap``."""
+    size = complex_.max_block_dim()
+    if size > cap:
+        raise InfeasibleError(
+            f"largest (degree, weight) block has dimension {size} > cap {cap}"
+        )
+    return size
 
 
 class HochschildComplex:
     """CH_Y(A) (or CH_Y(A, M)): the normalized total complex plus the
     labeling of tensor slots by simplices, kept for products."""
 
-    def __init__(self, space, algebra, module, complex_, levels, normalized):
+    def __init__(self, space, algebra, module, complex_, levels):
         self.space = space
         self.algebra = algebra
         self.module = module
         self.complex = complex_
         self.levels = levels  # level -> list of monomial tuples
-        self.normalized = normalized
 
     def homology_dims(self, window, weights=None):
         return self.complex.homology_dims(window, weights)
@@ -76,11 +86,13 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
       slots fit.  At 0 the search stops; at 1, with complements still
       uncovered, the single remaining slot must lie in all of them.
 
-    ``cap`` bounds the number of support assignments (before the module
-    slot is expanded); EnumerationCapError is raised as soon as it is
-    exceeded.  Without a module, ``unit_slot`` is left out of the search
-    like the basepoint slot of a module, and kept unit (the basepoint of a
-    cochain argument).
+    An assignment is expanded over the module slot when it is recorded.
+    ``cap`` bounds each (internal degree, weight) block of the level:
+    InfeasibleError is raised as soon as one holds more than ``cap``
+    monomials.  A level block lies inside one block of the total complex,
+    so this never rejects a job whose total blocks all fit.  Without a
+    module, ``unit_slot`` is left out of the search like the basepoint
+    slot of a module, and kept unit (the basepoint of a cochain argument).
     """
     card = Y.card(n)
     if module is not None and Y.basepoint is None:
@@ -123,19 +135,42 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
     if max_wt is not None and nonunit and all(w >= 1 for _, w, _ in nonunit):
         min_w = min(w for _, w, _ in nonunit)
     n_slots = len(algebra_slots)
-    out = []
+    # (position, weight, degree) of the basepoint slot's module element
+    module_terms = [(None, 0, 0)] if module is None else [
+        (m, module.weights[m], module.degrees[m]) for m in range(module.dim)
+    ]
+    monos = []
+    counts = {}  # (internal degree, weight) -> monomials so far
     picks = []  # (slot, position) of the non-unit slots chosen so far
+
+    def record(wt, deg):
+        mono = [A.unit] * card
+        for s, p in picks:
+            mono[s] = p
+        for mpos, mw, md in module_terms:
+            key = (deg + md, wt + mw)
+            if wt_set is not None and key[1] not in wt_set:
+                continue
+            if min_int is not None and key[0] < min_int:
+                continue
+            if mpos is not None:
+                mono[bp] = mpos
+            monos.append(tuple(mono))
+            if cap is not None:
+                count = counts[key] = counts.get(key, 0) + 1
+                if count > cap:
+                    raise InfeasibleError(
+                        f"level {n}: (internal degree, weight) block {key}, "
+                        f"in total degree {key[0] - n}, has more than cap "
+                        f"{cap} elements"
+                    )
 
     def search(start, wt, deg, uncovered):
         if uncovered:
             lowest = comps[(uncovered & -uncovered).bit_length() - 1]
             nxt = range(start, lowest[-1] + 1)
         else:
-            out.append((tuple(picks), wt, deg))
-            if cap is not None and len(out) > cap:
-                raise EnumerationCapError(
-                    f"level {n} basis exceeds the feasibility cap ({cap})"
-                )
+            record(wt, deg)
             nxt = range(start, n_slots)
         if min_w is not None:
             left = (max_wt - wt) // min_w
@@ -161,25 +196,6 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
                 picks.pop()
 
     search(0, 0, 0, (1 << len(comps)) - 1)
-
-    monos = []
-    module_range = range(module.dim) if module is not None else [None]
-    for support, wt, deg in out:
-        mono = [A.unit] * card
-        for s, p in support:
-            mono[s] = p
-        for mpos in module_range:
-            if mpos is None:
-                total_wt, total_deg = wt, deg
-            else:
-                total_wt = wt + module.weights[mpos]
-                total_deg = deg + module.degrees[mpos]
-                mono[bp] = mpos
-            if wt_set is not None and total_wt not in wt_set:
-                continue
-            if min_int is not None and total_deg < min_int:
-                continue
-            monos.append(tuple(mono))
     monos.sort()
     return monos
 
@@ -262,58 +278,83 @@ def required_level(Y, A, window, weights):
 # -- the main builders -------------------------------------------------------
 
 
-def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
-                        normalized=True, top_level=None, exhausted=None,
-                        monomial_cap=None):
-    """The simplicial chain complex n -> A^{⊗Y_n} (module at basepoint).
+def build_levels(Y, A, module=None, window=(-6, 0), weights=None,
+                 normalized=True, cap=None):
+    """The level complexes of n -> A^{⊗Y_n} (module at the basepoint):
+    their bases and internal differentials, and no faces.
 
-    Module coefficients must be symmetric bimodules here: the Eq.-7
-    source-order merges only exercise one side of the action.  Genuine
-    bimodules over the circle go through the classical complex instead.
+    Returns ``(levels, exhausted, blocks)``: ``levels[n]`` is the frozen
+    level-n ChainComplex, labelled by monomials in sorted order;
+    ``exhausted`` says the complex vanishes above the top level; and
+    ``blocks`` maps each (degree, weight) block of the total complex to its
+    dimension, the sum over n of the level-n blocks at (degree + n, weight).
+
+    With a ``cap``, InfeasibleError is raised as soon as one block of the
+    total complex is larger: within a level by the enumeration, and after
+    each level's basis, before its internal differential.  No face map is
+    built here, so an infeasible job stops before the expensive work.
     """
     if module is not None and not module.symmetric:
         raise ValueError(
             "simplicial module coefficients require a symmetric bimodule"
         )
-    if top_level is None:
-        top_level, exhausted = required_level(Y, A, window, weights)
+    top_level, exhausted = required_level(Y, A, window, weights)
     if top_level > Y.top_level:
         raise TruncationError(
             f"{Y.name} materialized to level {Y.top_level}, "
             f"need {top_level}"
         )
     min_int = None if exhausted else window[0] - 1
-    coeff = A.coefficients
     # a zero differential (of the algebra and the module) adds no entries
     has_diff = bool(A.diff or (module is not None and module.diff))
     levels = []
-    level_monos = []
+    blocks = {}
     for n in range(top_level + 1):
+        lo = None if min_int is None else min_int + n
         monos = _level_monomials(
-            Y, n, A, module, weights,
-            min_int if min_int is None else min_int + n,
-            normalized, cap=monomial_cap,
+            Y, n, A, module, weights, lo, normalized, cap=cap
         )
-        c = ChainComplex(coeff)
-        bp = Y.basepoint[n] if module is not None else None
+        c = ChainComplex(A.coefficients)
         for mono in monos:
             d, w = _monomial_data(Y, n, A, module, mono)
             c.add_element(mono, d, w)
+        for (d, w), block in c.blocks.items():
+            key = (d - n, w)
+            size = blocks[key] = blocks.get(key, 0) + len(block)
+            if cap is not None and size > cap:
+                raise InfeasibleError(
+                    f"(degree, weight) block {key} of the total complex "
+                    f"has {size} elements through level {n} > cap {cap}"
+                )
         if has_diff:
+            bp = Y.basepoint[n] if module is not None else None
             for mono in monos:
                 for tgt, v in _internal_diff(A, module, bp, mono).items():
                     if tgt in c.index:
                         c.set_differential_entry(mono, tgt, v)
                     elif _is_nondegenerate(Y, n, A, module, tgt) and (
-                        min_int is None
-                        or _monomial_data(Y, n, A, module, tgt)[0]
-                        >= min_int + n
+                        lo is None or _monomial_data(Y, n, A, module, tgt)[0]
+                        >= lo
                     ):
                         raise AssertionError("missing internal target")
         levels.append(c.freeze(support=(NEG_INF, 0)))
-        level_monos.append(monos)
+    return levels, exhausted, blocks
+
+
+def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
+                        normalized=True, cap=None):
+    """The simplicial chain complex n -> A^{⊗Y_n} (module at basepoint):
+    the levels of ``build_levels`` and the faces induced by Y.
+
+    Module coefficients must be symmetric bimodules here: the Eq.-7
+    source-order merges only exercise one side of the action.  Genuine
+    bimodules over the circle go through the classical complex instead.
+    """
+    levels, exhausted, _blocks = build_levels(
+        Y, A, module, window, weights, normalized, cap
+    )
     faces = {}
-    for n in range(1, top_level + 1):
+    for n in range(1, len(levels)):
         src = levels[n]
         tgt = levels[n - 1]
         bp_src = Y.basepoint[n] if module is not None else None
@@ -322,7 +363,7 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
             setmap = tuple(Y.face_tab[n][r])
             fmap = ChainMap(src, tgt, shift=0)
             mmap = {bp_src: bp_tgt} if module is not None else None
-            for mono in level_monos[n]:
+            for mono in src.index:
                 image = apply_setmap(
                     A, setmap, mono, module=module, module_slot_map=mmap
                 )
@@ -345,24 +386,19 @@ def _pad(mono, card, unit):
     return tuple(list(mono) + [unit] * (card - len(mono)))
 
 
-def hochschild_chain(Y, A, window=(-6, 0), weights=None, normalized=True,
-                     monomial_cap=None):
-    """CH_Y(A) as a HochschildComplex with a certified window."""
-    scc = build_simplicial_ch(Y, A, None, window, weights, normalized,
-                              monomial_cap=monomial_cap)
-    tot = total_complex(scc)
-    tot.weights_materialized = set(weights) if weights is not None else None
-    return HochschildComplex(
-        Y, A, None, tot, [list(l.index) for l in scc.levels], normalized
-    )
+def hochschild_chain(Y, A, window=(-6, 0), weights=None, cap=None):
+    """CH_Y(A) as a HochschildComplex with a certified window; ``cap``
+    bounds its (degree, weight) blocks (see ``build_levels``)."""
+    return _chain(Y, A, None, window, weights, cap)
 
 
 def hochschild_chain_with_coeff(Y, A, module, window=(-6, 0), weights=None,
-                                normalized=True, monomial_cap=None):
+                                cap=None):
     """CH_Y(A, M): the basepoint slot carries M.
 
     M must be a symmetric bimodule for a general pointed space; the circle
-    admits genuine bimodules through the classical complex.
+    admits genuine bimodules through the classical complex, whose blocks
+    are held to ``cap`` once it is built.
     """
     if not Y.is_pointed():
         raise ValueError("module coefficients require a pointed space")
@@ -373,13 +409,18 @@ def hochschild_chain_with_coeff(Y, A, module, window=(-6, 0), weights=None,
                 "circle"
             )
         classical = classical_hochschild(A, module, window)
-        return HochschildComplex(Y, A, module, classical, [], True)
-    scc = build_simplicial_ch(Y, A, module, window, weights, normalized,
-                              monomial_cap=monomial_cap)
+        if cap is not None:
+            check_cap(classical, cap)
+        return HochschildComplex(Y, A, module, classical, [])
+    return _chain(Y, A, module, window, weights, cap)
+
+
+def _chain(Y, A, module, window, weights, cap):
+    scc = build_simplicial_ch(Y, A, module, window, weights, cap=cap)
     tot = total_complex(scc)
     tot.weights_materialized = set(weights) if weights is not None else None
     return HochschildComplex(
-        Y, A, module, tot, [list(l.index) for l in scc.levels], normalized
+        Y, A, module, tot, [list(l.index) for l in scc.levels]
     )
 
 
@@ -648,54 +689,16 @@ def enveloping_modules(A):
                     right[(m, e)] = outv2
     basis = list(zip(A.labels, A.degrees, A.weights))
     mod_r = dga.DGModule(
-        f"{A.name} (right over envelope)", E, basis, left={}, right=right,
+        f"{A.name} (right over envelope)", E, basis, left=None, right=right,
         symmetric=False, diff={i: dict(v) for i, v in A.diff.items()},
-        pointed_element=A.unit, audit=False,
+        pointed_element=A.unit,
     )
     mod_l = dga.DGModule(
         f"{A.name} (left over envelope)", E, basis, left=left,
         symmetric=False, diff={i: dict(v) for i, v in A.diff.items()},
-        pointed_element=A.unit, audit=False,
+        pointed_element=A.unit,
     )
-    _audit_one_sided(mod_r, side="right")
-    _audit_one_sided(mod_l, side="left")
     return mod_r, E, mod_l
-
-
-def _audit_one_sided(module, side):
-    A = module.algebra
-    f = module.coefficients.field
-    for m in range(module.dim):
-        act = (
-            module.act_left(A.unit, m)
-            if side == "left"
-            else module.act_right(m, A.unit)
-        )
-        if act != {m: f.one}:
-            raise ValueError(f"{module.name}: unit axiom fails")
-    for a in range(A.dim):
-        for b in range(A.dim):
-            for m in range(module.dim):
-                if side == "left":
-                    lhs = {}
-                    for k, c in A.product(a, b).items():
-                        for t, e in module.act_left(k, m).items():
-                            dga._acc(lhs, t, f.mul(c, e), f)
-                    rhs = {}
-                    for t, c in module.act_left(b, m).items():
-                        for s, e in module.act_left(a, t).items():
-                            dga._acc(rhs, s, f.mul(c, e), f)
-                else:
-                    lhs = {}
-                    for k, c in A.product(a, b).items():
-                        for t, e in module.act_right(m, k).items():
-                            dga._acc(lhs, t, f.mul(c, e), f)
-                    rhs = {}
-                    for t, c in module.act_right(m, a).items():
-                        for s, e in module.act_right(t, b).items():
-                            dga._acc(rhs, s, f.mul(c, e), f)
-                if lhs != rhs:
-                    raise ValueError(f"{module.name}: {side} axiom fails")
 
 
 def hh_via_enveloping(A, window=(-6, 0)):
@@ -711,13 +714,7 @@ def iterated_bar(A, i, window=(-6, 0), weights=None):
     if A.augmentation is None:
         raise ValueError("iterated Bar needs an augmented algebra")
     if i == 0:
-        ch = ChainComplex(A.coefficients)
-        for p in range(A.dim):
-            ch.add_element(A.labels[p], A.degrees[p], A.weights[p])
-        for p in range(A.dim):
-            for q, c in A.d(p).items():
-                ch.set_differential_entry(A.labels[p], A.labels[q], c)
-        return ch.freeze(support=(NEG_INF, 0))
+        return dga.underlying_complex(A)
     k_mod = dga.augmentation_module(A)
     Y = simp.sphere_small(i, _sphere_level(A, i, window, weights))
     hc = hochschild_chain_with_coeff(Y, A, k_mod, window, weights)

@@ -139,9 +139,6 @@ class ChainComplex:
     def weights(self):
         return sorted({w for _, w in self.blocks})
 
-    def block_labels(self, degree, weight):
-        return self.blocks.get((degree, weight), [])
-
     def d_matrix(self, degree, weight):
         key = (degree, weight)
         mat = self.diff.get(key)

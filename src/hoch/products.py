@@ -286,12 +286,6 @@ class ClassicalCochains:
         return out
 
 
-def cup_product_s1(A, fch, gch, top=None):
-    """Convenience wrapper: Gerstenhaber cup product of classical cochains."""
-    cc = ClassicalCochains(A, top if top is not None else 8)
-    return cc.cup(fch, gch)
-
-
 # -- higher Hochschild cochains ----------------------------------------------
 
 

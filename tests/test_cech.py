@@ -207,6 +207,25 @@ def test_interval_stratified(QQ, trunc2):
     assert G.betti((-4, 0)) == {0: 2, -1: 0, -2: 0, -3: 0, -4: 0}
 
 
+def test_interval_stratified_signs_follow_positions(QQ, exterior):
+    # three disjoint opens carrying odd factors, whose family order (sorted
+    # by id) differs from their order on the interval: the reordering sign
+    # takes each factor's degree by its place in the family
+    E = dga.tensor_algebra(exterior, exterior, name="Λ⊗Λ")
+    ip = cech.interval_poset(
+        [("r", Fraction(9, 10)), ("m", Fraction(1, 10), Fraction(2, 10)),
+         ("m", Fraction(3, 10), Fraction(4, 10)),
+         ("m", Fraction(5, 10), Fraction(6, 10))]
+    )
+    assert ("(1/10,1/5)", "(1/2,3/5)", "(3/10,2/5)") in ip.disjoint_families(
+        inside="[0,9/10)"
+    )
+    m = dga.algebra_as_bimodule(E)
+    F = cech.interval_stratified(m, E, m, ip)
+    ok, wit = cech.validate_prefactorization(F)
+    assert ok, wit
+
+
 def test_interval_stratified_requires_pointing(QQ, trunc2):
     ip = cech.interval_poset([("r", Fraction(1, 2)), ("l", Fraction(1, 2))])
     m = dga.algebra_as_bimodule(trunc2)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hoch import cli
+from hoch import hochschild as hh
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -195,11 +196,103 @@ def test_explain_reports_builder_dims(tmp_path, capsys):
 
 
 def test_explain_infeasible():
-    raw = dict(BASE)
-    raw["cap"] = 1
-    spec = cli.load_jobspec(raw)
+    # k[x]/x^3 on the circle: its largest (degree, weight) block has 25
+    # elements, and both commands refuse a cap below that
+    raw = dict(BASE, algebra={"name": "truncated-polynomial", "truncation": 3})
+    assert cli.explain_job(cli.load_jobspec(dict(raw)))["max_block"] == 25
+    raw["cap"] = 24
     with pytest.raises(cli.InfeasibleError):
-        cli.explain_job(spec)
+        cli.explain_job(cli.load_jobspec(dict(raw)))
+    with pytest.raises(cli.InfeasibleError):
+        run_spec(raw)
+
+
+CHAIN_JOBS = sorted(
+    p.name for p in JOBS.glob("criterion*.json")
+    if json.loads(p.read_text())["task"] in cli.CHAIN_TASKS
+)
+
+
+def test_golden_chain_jobs_listed():
+    assert len(CHAIN_JOBS) == 8
+
+
+@pytest.mark.parametrize("job", CHAIN_JOBS)
+def test_explain_and_run_agree_on_the_cap(job, capsys):
+    # one rule: a (degree, weight) block of the total complex larger than
+    # the cap; explain predicts the largest block that run then reports
+    path = str(JOBS / job)
+    assert cli.main(["explain", path, "--format", "json"]) == 0
+    explained = json.loads(capsys.readouterr().out)
+    largest = explained["max_block"]
+    assert cli.main(["run", path, "--format", "json", "--cap", str(largest)]) == 0
+    assert json.loads(capsys.readouterr().out)["max_block"] == largest
+    assert cli.main(["explain", path, "--cap", str(largest)]) == 0
+    if largest > 1:
+        for cmd in ("run", "explain"):
+            assert cli.main([cmd, path, "--cap", str(largest - 1)]) == 3
+
+
+def test_bar_job_agrees_at_its_largest_block():
+    # the level sizes (1152 on the top level) are not the rule
+    path = str(JOBS / "criterion02_bar_acyclicity.json")
+    for cap, code in ((500, 0), (245, 0), (244, 3)):
+        for cmd in ("run", "explain"):
+            assert cli.main([cmd, path, "--cap", str(cap)]) == code, (cmd, cap)
+
+
+def test_infeasible_job_builds_no_face(monkeypatch):
+    def no_faces(*args, **kwargs):
+        raise AssertionError("a face map was built")
+
+    monkeypatch.setattr(hh, "apply_setmap", no_faces)
+    path = str(JOBS / "criterion05b_hkr_sphere3.json")  # largest block 945
+    assert cli.main(["run", path, "--cap", "900"]) == 3
+    assert cli.main(["explain", path, "--cap", "900"]) == 3
+
+
+def test_bar_ignores_the_space_in_both_commands():
+    raw = {
+        "schema": 1,
+        "task": "bar",
+        "algebra": {"name": "truncated-polynomial", "truncation": 3},
+        "window": [-3, 0],
+    }
+    plain = cli.explain_job(cli.load_jobspec(dict(raw)))
+    spaced = dict(raw, space={"name": "circle"})
+    explained = cli.explain_job(cli.load_jobspec(dict(spaced)))
+    assert explained["level_dims"] == plain["level_dims"]
+    assert explained["level_dims"][:3] == [9, 18, 36]  # the interval's
+    assert run_spec(spaced)["max_block"] == explained["max_block"]
+
+
+def test_explain_follows_run_to_the_classical_complex():
+    # self coefficients over a noncommutative algebra are a genuine
+    # bimodule: over the circle both commands size the classical complex
+    mult = [["1", a, {a: "1"}] for a in "1xyz"]
+    mult += [[a, "1", {a: "1"}] for a in "xyz"] + [["x", "y", {"z": "1"}]]
+    basis = [("1", 0), ("x", 1), ("y", 1), ("z", 2)]
+    raw = dict(BASE, module="self", window=[-3, 0], algebra={
+        "basis": [{"label": a, "degree": 0, "weight": w} for a, w in basis],
+        "unit": "1", "mult": mult, "commutative": False,
+        "weight_graded": True,
+    })
+    explained = cli.explain_job(cli.load_jobspec(dict(raw)))
+    assert "level_dims" not in explained
+    assert explained["max_block"] == run_spec(raw)["max_block"] == 104
+    raw["cap"] = 103
+    with pytest.raises(cli.InfeasibleError):
+        cli.explain_job(cli.load_jobspec(dict(raw)))
+    with pytest.raises(cli.InfeasibleError):
+        run_spec(raw)
+
+
+def test_space_below_the_required_level_is_a_schema_error(tmp_path):
+    raw = dict(BASE, space={"name": "circle", "level": 2})  # needs 5
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, str(path)]) == 2
 
 
 def test_malformed_json_exit_code(tmp_path):

@@ -206,6 +206,30 @@ def test_enveloping_modules_axioms(QQ, exterior, trunc2):
             assert mod_l.act_left(E.unit, m) == {m: f.one}
 
 
+def test_one_sided_modules_are_audited(QQ, trunc3):
+    # a right module has no left table, a left module no right table; the
+    # audit checks the action each one has: x acting by 2 and x^2 by 3 is
+    # not an action
+    A = trunc3
+    basis = list(zip(A.labels, A.degrees, A.weights))
+    right = dga.DGModule("A right", A, basis, left=None, right=A.mult,
+                         symmetric=False)
+    assert right.act_right(1, 1) == {2: QQ.field.one}
+    with pytest.raises(ValueError, match="no left action"):
+        right.act_left(1, 1)
+    bad = {
+        (m, a): {k: c * (A.weights[a] + 1) for k, c in out.items()}
+        for (m, a), out in A.mult.items()
+    }
+    with pytest.raises(ValueError, match="right module axiom"):
+        dga.DGModule("bad right", A, basis, left=None, right=bad,
+                     symmetric=False)
+    with pytest.raises(ValueError, match="left module axiom"):
+        dga.DGModule("bad left", A, basis,
+                     left={(a, m): out for (m, a), out in bad.items()},
+                     symmetric=False)
+
+
 from hypothesis import given, settings, strategies as st
 
 

@@ -1,5 +1,6 @@
 """Hochschild complexes, Bar constructions, oracles, HKR predictions."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -568,14 +569,37 @@ def test_level_monomials_match_brute_force(QQ, exterior, trunc3, space):
     (simp.circle(6), dga.truncated_polynomial(truncation=3), None),
 ])
 def test_enumeration_cap_boundary(Y, A, weights):
+    # the cap bounds each (internal degree, weight) block of the level,
+    # counted after the module slot is expanded
     n = Y.top_level
-    monos = hh._level_monomials(Y, n, A, None, weights, None, True)
-    m = len(monos)  # without a module, one monomial per support assignment
-    assert m > 1
-    assert hh._level_monomials(Y, n, A, None, weights, None, True,
-                               cap=m) == monos
-    with pytest.raises(hh.EnumerationCapError):
-        hh._level_monomials(Y, n, A, None, weights, None, True, cap=m - 1)
+    for module in (None, dga.algebra_as_bimodule(A)):
+        monos = hh._level_monomials(Y, n, A, module, weights, None, True)
+        blocks = Counter(
+            hh._monomial_data(Y, n, A, module, mono) for mono in monos
+        )
+        m = max(blocks.values())
+        assert 1 < m < len(monos)
+        assert hh._level_monomials(Y, n, A, module, weights, None, True,
+                                   cap=m) == monos
+        with pytest.raises(hh.InfeasibleError):
+            hh._level_monomials(Y, n, A, module, weights, None, True,
+                                cap=m - 1)
+
+
+def test_build_levels_caps_the_total_blocks(exterior, trunc2):
+    # with an odd and an even generator of weight 1, one total block draws
+    # on several levels and is larger than every level block; the cap
+    # holds it before any face is built
+    E = dga.tensor_algebra(exterior, trunc2)
+    Y = simp.circle(5)
+    levels, _exhausted, blocks = hh.build_levels(Y, E, None, (-3, 0))
+    total = hh.hochschild_chain(Y, E, (-3, 0)).complex
+    assert blocks == {key: len(b) for key, b in total.blocks.items()}
+    largest = max(blocks.values())
+    assert largest > max(len(b) for c in levels for b in c.blocks.values())
+    hh.build_levels(Y, E, None, (-3, 0), cap=largest)
+    with pytest.raises(hh.InfeasibleError, match="of the total complex"):
+        hh.build_levels(Y, E, None, (-3, 0), cap=largest - 1)
 
 
 @pytest.mark.parametrize("space, weights", [
