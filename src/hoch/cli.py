@@ -38,6 +38,9 @@ TASKS = (
 # the tasks that rank CH_Y(A) or CH_Y(A, M) from the simplicial builder
 CHAIN_TASKS = ("homology", "hkr-check", "bar")
 
+# the other tasks that build one complex; it is held to the same cap
+BUILT_TASKS = ("iterated-bar", "twisted-hh", "cech", "shuffle-check")
+
 _TOP_FIELDS = {
     "schema",
     "task",
@@ -213,6 +216,37 @@ def _chain_inputs(spec, coefficients):
     return Y, A, module
 
 
+def _build(spec, coefficients):
+    """(algebra, complex, max_block) of a task in CHAIN_TASKS or BUILT_TASKS:
+    InfeasibleError when a (degree, weight) block exceeds the cap."""
+    task, window, weights, cap = (
+        spec["task"], spec["window"], spec["weights"], spec["cap"]
+    )
+    if task in CHAIN_TASKS + ("shuffle-check",):
+        Y, A, module = _chain_inputs(spec, coefficients)
+        if module is None:
+            H = hh.hochschild_chain(Y, A, window, weights, cap=cap)
+        else:
+            H = hh.hochschild_chain_with_coeff(
+                Y, A, module, window, weights, cap=cap
+            )
+        return A, H, H.complex.max_block_dim()
+    if task == "cech":
+        C = _run_cech(spec, coefficients)
+        return None, C, hh.check_cap(C.total, cap)
+    A = build_algebra(spec["algebra"], coefficients, weights)
+    if task == "iterated-bar":
+        C = hh.iterated_bar(A, spec.get("iterations", 1), window, weights)
+    else:
+        sigma = _scaling_automorphism(A, _twist_scalar(spec))
+        C = hh.twisted_hochschild(A, sigma, window)
+    return A, C, hh.check_cap(C, cap)
+
+
+def _twist_scalar(spec):
+    return Fraction(spec.get("automorphism", {}).get("x", -1))
+
+
 def _betti_entries(table, window):
     entries = []
     for (d, w), v in sorted(table.items()):
@@ -226,23 +260,15 @@ def run_job(spec):
     coefficients = parse_coefficients(spec)
     window = spec["window"]
     weights = spec["weights"]
-    cap = spec["cap"]
     deltas = []
     betti_table = {}
     extra = {}
     task = spec["task"]
 
-    if task in CHAIN_TASKS + ("shuffle-check",):
-        Y, A, module = _chain_inputs(spec, coefficients)
+    if task in CHAIN_TASKS + BUILT_TASKS:
+        A, C, extra["max_block"] = _build(spec, coefficients)
     if task in CHAIN_TASKS:
-        if module is None:
-            H = hh.hochschild_chain(Y, A, window, weights, cap=cap)
-        else:
-            H = hh.hochschild_chain_with_coeff(
-                Y, A, module, window, weights, cap=cap
-            )
-        extra["max_block"] = H.complex.max_block_dim()
-        betti_table = H.homology_dims(window, weights)
+        betti_table = C.homology_dims(window, weights)
     if task == "hkr-check":
         pred = hh.hkr_prediction(
             _hkr_descriptor(spec["algebra"], A),
@@ -261,12 +287,8 @@ def run_job(spec):
                 acyclic[key] = acyclic.get(key, 0) + 1
         deltas.append(_delta("bar_acyclicity(dims of A)", acyclic, betti_table))
     elif task == "iterated-bar":
-        A = build_algebra(spec["algebra"], coefficients, weights)
-        i = spec.get("iterations", 1)
-        C = hh.iterated_bar(A, i, window, weights)
-        extra["max_block"] = hh.check_cap(C, cap)
         betti_table = C.homology_dims(window, weights)
-        if i == 1:
+        if spec.get("iterations", 1) == 1:
             k_mod = dga.augmentation_module(A)
             B = hh.two_sided_bar(k_mod, A, k_mod, window)
             deltas.append(
@@ -277,14 +299,11 @@ def run_job(spec):
                 )
             )
     elif task == "twisted-hh":
-        A = build_algebra(spec["algebra"], coefficients, weights)
-        scalar = Fraction(spec.get("automorphism", {}).get("x", -1))
-        sigma = _scaling_automorphism(A, scalar)
-        C = hh.twisted_hochschild(A, sigma, window)
-        extra["max_block"] = hh.check_cap(C, cap)
         betti_table = C.homology_dims(window, None)
         trunc = spec["algebra"].get("truncation", 2)
-        oracle = hh.periodic_resolution_dims(trunc, scalar, window, coefficients)
+        oracle = hh.periodic_resolution_dims(
+            trunc, _twist_scalar(spec), window, coefficients
+        )
         got = _per_degree(betti_table, window)
         deltas.append(_delta("periodic_resolution", oracle, got))
     elif task == "excision-check":
@@ -297,8 +316,6 @@ def run_job(spec):
         )
         extra["max_block"] = 0
     elif task == "cech":
-        C, aug_ok = _run_cech(spec, coefficients)
-        extra["max_block"] = hh.check_cap(C.total, cap)
         betti_table = C.homology_dims(window, None)
         if spec.get("cover", {}).get("compare_cone_gluing"):
             cone_dims = _cone_gluing_dims(coefficients)
@@ -313,8 +330,7 @@ def run_job(spec):
         extra["max_block"] = 0
         deltas.append({"name": "cup_chain_level_axioms", "delta": 0 if ok else 1})
     elif task == "shuffle-check":
-        ok, checked = _shuffle_check(Y, A, spec)
-        extra["max_block"] = 0
+        ok, checked = _shuffle_check(C, spec)
         extra["cases"] = checked
         deltas.append({"name": "shuffle_axioms", "delta": 0 if ok else 1})
 
@@ -432,7 +448,7 @@ def _run_cech(spec, coefficients):
     ok, wit = cech.validate_prefactorization(F)
     if not ok:
         raise SchemaError(f"prefactorization audit failed: {wit}")
-    return cech.cech_complex(F, poset.opens, trunc), True
+    return cech.cech_complex(F, poset.opens, trunc)
 
 
 def _cone_gluing_dims(coefficients):
@@ -481,10 +497,8 @@ def _cup_table(A, spec):
     return {"hh0_basis": list(A.labels), "product": table}, ok
 
 
-def _shuffle_check(Y, A, spec):
-    f = A.coefficients.field
-    window = spec["window"]
-    H = hh.hochschild_chain(Y, A, window, spec["weights"])
+def _shuffle_check(H, spec):
+    f = H.algebra.coefficients.field
     C = H.complex
     rng = random.Random(spec.get("seed", 0))
     labels = sorted(
@@ -534,25 +548,28 @@ def _shuffle_check(Y, A, spec):
 
 
 def explain_job(spec):
-    """Size a chain job without building a face map or ranking a block.
+    """Size a job without ranking a block.
 
-    The level complexes come from ``hochschild.build_levels``, the same
-    build that ``run`` starts with, under the same cap: InfeasibleError is
-    raised when a (degree, weight) block of the total complex exceeds it.
-    Reports the truncation level, whether it exhausts the complex, the
-    dimension of each level, the cap and the largest block.  A genuine
-    bimodule over the circle takes the classical complex, which is built
-    and reported by its largest block alone.
+    A chain task is sized by ``hochschild.build_levels``, the build that
+    ``run`` starts with, under the same cap and before any face map: a
+    (degree, weight) block of the total complex over the cap raises
+    InfeasibleError.  The report gives the truncation level, whether it
+    exhausts the complex, the level dims, the cap and the largest block.
+    The complexes of BUILT_TASKS, and the classical complex of a genuine
+    bimodule over the circle, are built as ``run`` builds them and
+    reported by their largest block alone.
     """
-    if spec["task"] not in CHAIN_TASKS:
+    task, window, weights, cap = (
+        spec["task"], spec["window"], spec["weights"], spec["cap"]
+    )
+    if task not in CHAIN_TASKS + BUILT_TASKS:
         return {"job": _echo(spec), "note": "explain supports chain tasks"}
-    window, weights, cap = spec["window"], spec["weights"], spec["cap"]
-    Y, A, module = _chain_inputs(spec, parse_coefficients(spec))
+    coefficients = parse_coefficients(spec)
     report = {"job": _echo(spec), "cap": cap}
-    if module is not None and not module.symmetric:
-        H = hh.hochschild_chain_with_coeff(Y, A, module, window, weights,
-                                           cap=cap)
-        report["max_block"] = H.complex.max_block_dim()
+    if task in CHAIN_TASKS:
+        Y, A, module = _chain_inputs(spec, coefficients)
+    if task in BUILT_TASKS or module is not None and not module.symmetric:
+        report["max_block"] = _build(spec, coefficients)[2]
         return report
     levels, exhausted, blocks = hh.build_levels(
         Y, A, module, window, weights, cap=cap

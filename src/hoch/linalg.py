@@ -1,15 +1,17 @@
 """Exact sparse linear algebra over Q and F_p.
 
 Matrices are stored column-major as dicts of dicts of field elements.
-``rank`` is the one elimination kernel: a sparse row reduction over Z
-(rows of a rational matrix scaled to integers) or over F_p, whatever the
-size of the matrix.  It takes the shortest row as pivot row, and in it a
-unit pivot when there is one, so that ±1 pivots are removed without any
-fraction-free step.  ``Echelon`` keeps incremental canonical residues for
-kernels, solving and subquotients.  No floating point anywhere.
+One loop, ``_eliminate``, does all elimination: a sparse row reduction over
+Z (rows of a rational matrix scaled to integers) or over F_p, which can
+record a transform per row.  ``rank`` counts its pivots; ``kernel_basis``
+takes the transforms of the columns that reach zero; ``SubquotientSpace``
+sweeps a vector through the pivots of the image to a canonical residue,
+empty iff the vector is a boundary.  No floating point anywhere.
 """
 
+import operator
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -22,25 +24,11 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    @staticmethod
-    def coerce(x):
-        return Fraction(x)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
+    coerce = staticmethod(Fraction)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     @staticmethod
     def inv(a):
@@ -149,11 +137,6 @@ class SparseMatrix:
     def is_zero(self):
         return not self.cols
 
-    def copy(self):
-        m = SparseMatrix(self.nrows, self.ncols, self.field)
-        m.cols = {c: dict(col) for c, col in self.cols.items()}
-        return m
-
     def apply(self, vec):
         """Apply to a vector given as {col: value}; returns {row: value}."""
         f = self.field
@@ -186,21 +169,6 @@ class SparseMatrix:
             out.set(col, row, v)
         return out
 
-    def permute_columns(self, perm):
-        """New matrix with column j equal to old column perm[j] (tests only)."""
-        out = SparseMatrix(self.nrows, self.ncols, self.field)
-        for j in range(self.ncols):
-            for row, v in self.cols.get(perm[j], {}).items():
-                out.set(row, j, v)
-        return out
-
-    def to_dense(self):
-        z = self.field.zero
-        dense = [[z] * self.ncols for _ in range(self.nrows)]
-        for row, col, v in self.entries():
-            dense[row][col] = v
-        return dense
-
     @classmethod
     def from_dense(cls, rows, field=QQ):
         m = cls(len(rows), len(rows[0]) if rows else 0, field)
@@ -210,14 +178,122 @@ class SparseMatrix:
         return m
 
 
+def _integral(vecs, p):
+    """Scale each vector over Q in place by the lcm of its denominators
+    (over F_p the residues are integers already); return the scales."""
+    if p:
+        return [1] * len(vecs)
+    scales = []
+    for r in vecs:
+        lcm = 1
+        for v in r.values():
+            d = v.denominator
+            lcm = lcm // gcd(lcm, d) * d
+        for c, v in r.items():
+            r[c] = v.numerator * (lcm // v.denominator)
+        scales.append(lcm)
+    return scales
+
+
+def _combine(r, pv, x, s, p, holding=None, j=None):
+    """r := pv·r − x·s in place (mod p when p).
+
+    With ``holding``, a column that r gains is recorded there under j.
+    """
+    if pv != 1:
+        for c in r:
+            r[c] *= pv
+    for c, v in s.items():
+        acc = r.get(c, 0) - x * v
+        if p:
+            acc %= p
+        if acc:
+            if holding is not None and c not in r:
+                holding[c].append(j)
+            r[c] = acc
+        else:
+            r.pop(c, None)
+
+
+def _divide_content(vecs):
+    """Divide integer vectors by the gcd of all their entries together."""
+    g = 0
+    for vec in vecs:
+        for v in vec.values():
+            g = gcd(g, v)
+            if g == 1:
+                return
+    if g > 1:
+        for vec in vecs:
+            for c in vec:
+                vec[c] //= g
+
+
+def _eliminate(rows, p, transforms=None):
+    """Reduce integer rows {col: int} over Z, or mod p when p.
+
+    The pivot row is the shortest row, the first among equals (found by a
+    heap of (length, position)); its pivot a unit (±1 over Z; over F_p
+    any entry, scaled to 1) in the smallest column, else the smallest
+    |entry| in the smallest column.  Each other row holding the pivot
+    column (found by a column index) becomes ``row − x·pivot_row``, or
+    without a unit pivot ``pv·row − x·pivot_row`` divided by its content.
+    Each row operation is applied to ``transforms[j]`` too, when given, in
+    place; the content is then divided out of row and transform together.
+
+    Yields ``(col, pv, rest, transform, index)`` in pivot order: ``rest``
+    is zero at every earlier pivot column, ``index`` is the position of
+    the pivot row.  A row never yielded reached zero, and its transform
+    is the combination that took it there.  ``rows`` are consumed.
+    """
+    rows = list(rows)
+    holding = {}  # column -> positions of the rows that may hold it
+    for i, r in enumerate(rows):
+        for c in r:
+            holding.setdefault(c, []).append(i)
+    queue = [(len(r), i) for i, r in enumerate(rows) if r]
+    heapify(queue)
+    t = None
+    while queue:
+        n, i = heappop(queue)
+        pivot_row = rows[i]
+        if pivot_row is None or len(pivot_row) != n:
+            continue  # a pivot already, or its length has changed since
+        rows[i] = None
+        if transforms is not None:
+            t = transforms[i]
+        if p:
+            pc = min(pivot_row)
+            k = pow(pivot_row[pc], -1, p)
+        else:
+            pc = min(pivot_row, key=lambda c: (abs(pivot_row[c]), c))
+            k = -1 if pivot_row[pc] == -1 else 1
+        if k != 1:  # scale the pivot row so that a unit pivot becomes 1
+            for vec in (pivot_row,) if t is None else (pivot_row, t):
+                for c in vec:
+                    vec[c] = vec[c] * k % p if p else vec[c] * k
+        pv = pivot_row.pop(pc)
+        for j in holding.pop(pc):
+            r = rows[j]
+            if r is None or pc not in r:
+                continue
+            before = len(r)
+            x = r.pop(pc)
+            _combine(r, pv, x, pivot_row, p, holding, j)
+            if t is not None:
+                _combine(transforms[j], pv, x, t, p)
+            if pv != 1:
+                _divide_content((r, transforms[j]) if t is not None else (r,))
+            if r and len(r) != before:
+                heappush(queue, (len(r), j))
+        yield pc, pv, pivot_row, t, i
+
+
 def rank(mat):
-    """Exact rank of a SparseMatrix, by one sparse row reduction.
+    """Exact rank of a SparseMatrix: the pivot count of its rows.
 
     Over Q each row is scaled to integers and reduced over Z; over F_p
-    the residues are reduced mod p.  The pivot row is the shortest one;
-    within it a unit (±1 over Z, any nonzero entry over F_p) in the
-    smallest column, else the smallest |entry| in the smallest column.
-    ``mat`` is left unchanged.
+    the residues are reduced mod p.  ``mat`` is left unchanged.
 
     >>> rank(SparseMatrix.from_dense([[1, 1], [1, -1]]))
     2
@@ -230,203 +306,107 @@ def rank(mat):
         for row, v in colmap.items():
             by_row.setdefault(row, {})[col] = v
     rows = list(by_row.values())
-    if not p:
-        for r in rows:
-            lcm = 1
-            for v in r.values():
-                d = v.denominator
-                lcm = lcm // gcd(lcm, d) * d
-            for c, v in r.items():
-                r[c] = v.numerator * (lcm // v.denominator)
-    rank = 0
-    while True:
-        rows = [r for r in rows if r]
-        if not rows:
-            return rank
-        lengths = list(map(len, rows))
-        pivot_row = rows.pop(lengths.index(min(lengths)))
-        rank += 1
-        # scale the pivot row so that a unit pivot becomes 1
-        if p:
-            pc = min(pivot_row)
-            inv = pow(pivot_row[pc], -1, p)
-            pivot_row = {c: v * inv % p for c, v in pivot_row.items()}
-        else:
-            pc = min(pivot_row, key=lambda c: (abs(pivot_row[c]), c))
-            if pivot_row[pc] == -1:
-                pivot_row = {c: -v for c, v in pivot_row.items()}
-        pv = pivot_row.pop(pc)
-        for r in rows:
-            if pc not in r:
-                continue
-            x = r.pop(pc)
-            # r -= x * pivot_row; without a unit pivot (over Z only) this
-            # is r := pv * r - x * pivot_row, divided by the row gcd
-            if pv != 1:
-                for c in r:
-                    r[c] *= pv
-            for c, v in pivot_row.items():
-                acc = r.get(c, 0) - x * v
-                if p:
-                    acc %= p
-                if acc:
-                    r[c] = acc
-                else:
-                    r.pop(c, None)
-            if pv != 1:
-                g = 0
-                for v in r.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    for c in r:
-                        r[c] //= g
+    _integral(rows, p)
+    return sum(1 for _ in _eliminate(rows, p))
 
 
-class Echelon:
-    """Row-echelon store for membership tests and coordinates over a field.
-
-    Vectors are dicts {index: value}.  ``reduce`` returns the residue of a
-    vector modulo the span; ``add`` extends the span.
-    """
-
-    def __init__(self, field=QQ):
-        self.field = field
-        self.pivots = {}  # pivot index -> normalized row dict
-
-    def reduce(self, vec):
-        # Stored rows have their pivot at their minimal index, so each
-        # elimination introduces only larger indices and one sweep in
-        # increasing index order terminates.
-        f = self.field
-        v = {c: x for c, x in vec.items() if not f.is_zero(x)}
-        while True:
-            todo = [idx for idx in v if idx in self.pivots]
-            if not todo:
-                return v
-            idx = min(todo)
-            x = v[idx]
-            for c, w in self.pivots[idx].items():
-                acc = f.sub(v.get(c, f.zero), f.mul(x, w))
-                if f.is_zero(acc):
-                    v.pop(c, None)
-                else:
-                    v[c] = acc
-
-    def add(self, vec):
-        """Reduce and, if nonzero, insert into the span. True if rank grew."""
-        f = self.field
-        v = self.reduce(vec)
-        v = {c: x for c, x in v.items() if not f.is_zero(x)}
-        if not v:
-            return False
-        piv = min(v)
-        inv = f.inv(v[piv])
-        self.pivots[piv] = {c: f.mul(x, inv) for c, x in v.items()}
-        return True
-
-    def contains(self, vec):
-        f = self.field
-        return all(f.is_zero(x) for x in self.reduce(vec).values())
-
-    @property
-    def rank(self):
-        return len(self.pivots)
+def _kernel(mat):
+    """Integer kernel basis: the columns are reduced as rows, column j
+    carrying the transform {j: s} where s scales it to integers, and the
+    transforms of the columns that reach zero are the basis."""
+    p = mat.field.characteristic
+    cols = [dict(mat.cols.get(j, ())) for j in range(mat.ncols)]
+    transforms = [{j: s} for j, s in enumerate(_integral(cols, p))]
+    pivots = {index for *_, index in _eliminate(cols, p, transforms)}
+    return [t for i, t in enumerate(transforms) if i not in pivots]
 
 
 def kernel_basis(mat):
-    """Basis of ker(mat) as vectors over the column index set."""
-    field = mat.field
-    n = mat.ncols
-    ech = Echelon(field)
-    basis = []
-    # Incremental: column j either grows the span of previous columns or is
-    # dependent; dependency coefficients give a kernel vector.
-    cols_aug = []  # (echelon of image columns augmented with bookkeeping)
-    aug = Echelon(field)
-    for j in range(n):
-        # augmented vector: image part on indices (0..nrows-1),
-        # bookkeeping part on indices nrows + i
-        v = {r: x for r, x in mat.column(j).items()}
-        v[mat.nrows + j] = field.one
-        red = aug.reduce(v)
-        image_part = {r: x for r, x in red.items() if r < mat.nrows}
-        if all(field.is_zero(x) for x in image_part.values()):
-            vec = {
-                r - mat.nrows: x
-                for r, x in red.items()
-                if r >= mat.nrows and not field.is_zero(x)
-            }
-            basis.append(vec)
-            # do not add to echelon: keep kernel directions out of the span
-        else:
-            aug.add(red)
-    return basis
+    """Basis of ker(mat): ``ncols − rank`` vectors {col: field element}.
+
+    >>> kernel_basis(SparseMatrix.from_dense([[1, 1]]))
+    [{0: Fraction(-1, 1), 1: Fraction(1, 1)}]
+    >>> kernel_basis(SparseMatrix.from_dense([[1, 2], [3, 6]], PrimeField(5)))
+    [{0: 3, 1: 1}]
+    """
+    return [_coerced(z, mat.field) for z in _kernel(mat)]
 
 
-def solve(mat, target):
-    """Solve mat @ x = target; returns {col: value} or None."""
-    field = mat.field
-    aug = Echelon(field)
-    nr = mat.nrows
-    reps = {}
-    for j in range(mat.ncols):
-        v = dict(mat.column(j))
-        v[nr + j] = field.one
-        aug.add(v)
-    red = aug.reduce(dict(target))
-    if any(r < nr and not field.is_zero(x) for r, x in red.items()):
-        return None
-    # residual bookkeeping encodes -x
-    return {r - nr: field.neg(x) for r, x in red.items() if r >= nr}
+def _coerced(vec, field):
+    return {j: field.coerce(vec[j]) for j in sorted(vec)}
+
+
+class _Pivots(list):
+    """The pivot sequence of a span; its length is the rank."""
+
+    @property
+    def rank(self):
+        return len(self)
 
 
 class SubquotientSpace:
-    """ker(d_out) / im(d_in): dimensions, class coordinates, comparisons."""
+    """ker(d_out) / im(d_in): dimension, class residues, comparisons.
+
+    ``image`` is the pivot sequence of the columns of ``d_in``.  A residue
+    sweeps a vector through it in pivot order; as each pivot row is zero
+    at the earlier pivot columns, the residue is zero at every pivot
+    column, depends only on the class and is empty iff it is trivial.
+    ``reps`` are the kernel vectors of ``d_out`` whose residues became
+    pivots when the same loop reduced them: one per basis class.
+
+    >>> d = SparseMatrix.from_dense([[1, 1]])
+    >>> space = SubquotientSpace(d, None)
+    >>> space.dim, space.image.rank
+    (1, 0)
+    >>> space.same_class({0: 1, 1: -1}, {0: 2, 1: -2})
+    False
+    >>> SubquotientSpace(None, d.transpose()).same_class({0: 1}, {1: -1})
+    True
+    """
 
     def __init__(self, d_out, d_in, field=QQ):
         self.field = field
         self.d_out = d_out
-        self.image = Echelon(field)
+        p = field.characteristic
+        cols = []
         if d_in is not None:
-            for j in range(d_in.ncols):
-                self.image.add(d_in.column(j))
-        self.classes = Echelon(field)
-        self.reps = []
+            cols = [dict(d_in.cols[j]) for j in sorted(d_in.cols)]
+            _integral(cols, p)
+        self.image = _Pivots(_eliminate(cols, p))
         if d_out is not None:
-            cycles = kernel_basis(d_out)
+            cycles = _kernel(d_out)  # integral: unit pivots keep residues so
         else:
             dim = d_in.nrows if d_in is not None else 0
-            cycles = [{i: field.one} for i in range(dim)]
-        for z in cycles:
-            red = self.image.reduce(z)
-            if self.classes.add(red):
-                self.reps.append(z)
+            cycles = [{i: 1} for i in range(dim)]
+        residues = [self._residue(z) for z in cycles]
+        _integral(residues, p)
+        classes = sorted(pivot[4] for pivot in _eliminate(residues, p))
+        self.reps = [_coerced(cycles[i], field) for i in classes]
 
     @property
     def dim(self):
-        return self.classes.rank
+        return len(self.reps)
+
+    def _residue(self, vec):
+        f = self.field
+        p = f.characteristic
+        v = {c: x for c, x in vec.items() if not f.is_zero(x)}
+        for pc, pv, rest, _t, _i in self.image:
+            x = v.pop(pc, None)
+            if x is not None:
+                _combine(v, 1, x if pv == 1 else Fraction(x, pv), rest, p)
+        return v
 
     def is_cycle(self, vec):
-        if self.d_out is None:
-            return True
-        img = self.d_out.apply(vec)
-        return all(self.field.is_zero(x) for x in img.values())
+        return self.d_out is None or not self.d_out.apply(vec)
 
     def class_residue(self, vec):
         """Canonical residue of a cycle modulo boundaries (0 iff trivial)."""
         if not self.is_cycle(vec):
             raise ValueError("not a cycle")
-        return self.image.reduce(vec)
+        return self._residue(vec)
 
     def same_class(self, u, v):
-        f = self.field
         diff = dict(u)
-        for c, x in v.items():
-            acc = f.sub(diff.get(c, f.zero), x)
-            if f.is_zero(acc):
-                diff.pop(c, None)
-            else:
-                diff[c] = acc
-        return self.image.contains(diff) if self.is_cycle(diff) else False
+        _combine(diff, 1, 1, v, self.field.characteristic)
+        return self.is_cycle(diff) and not self._residue(diff)

@@ -213,11 +213,27 @@ CHAIN_JOBS = sorted(
 )
 
 
+BUILT_JOBS = sorted(
+    p.name for p in JOBS.glob("*.json")
+    if json.loads(p.read_text()).get("task") in cli.BUILT_TASKS
+)
+
+
 def test_golden_chain_jobs_listed():
     assert len(CHAIN_JOBS) == 8
 
 
-@pytest.mark.parametrize("job", CHAIN_JOBS)
+def test_golden_built_jobs_listed():
+    assert BUILT_JOBS == [
+        "criterion08a_twisted.json", "criterion08b_twisted_identity.json",
+        "criterion09a_iterated_bar_exterior.json",
+        "criterion09b_iterated_bar_trunc.json", "criterion09c_double_bar.json",
+        "criterion10_cosheaf_cech.json", "criterion11a_shuffle_check.json",
+        "extra_tensor_cech.json",
+    ]
+
+
+@pytest.mark.parametrize("job", CHAIN_JOBS + BUILT_JOBS)
 def test_explain_and_run_agree_on_the_cap(job, capsys):
     # one rule: a (degree, weight) block of the total complex larger than
     # the cap; explain predicts the largest block that run then reports
@@ -231,6 +247,19 @@ def test_explain_and_run_agree_on_the_cap(job, capsys):
     if largest > 1:
         for cmd in ("run", "explain"):
             assert cli.main([cmd, path, "--cap", str(largest - 1)]) == 3
+
+
+def test_shuffle_check_holds_the_cap(tmp_path, capsys):
+    # k[x]/x^3 on the circle: the largest block of the total complex has 25
+    # elements, whatever the task that builds it
+    raw = dict(BASE, task="shuffle-check", trials=2,
+               algebra={"name": "truncated-polynomial", "truncation": 3})
+    path = tmp_path / "shuffle.json"
+    path.write_text(json.dumps(raw))
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, str(path), "--cap", "25"]) == 0, cmd
+        assert json.loads(capsys.readouterr().out)["max_block"] == 25
+        assert cli.main([cmd, str(path), "--cap", "24"]) == 3, cmd
 
 
 def test_bar_job_agrees_at_its_largest_block():

@@ -1,4 +1,4 @@
-"""Exact linear algebra: ranks, kernels, solving, subquotients."""
+"""Exact linear algebra: ranks, kernels, subquotients."""
 
 import random
 from fractions import Fraction
@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from hoch.linalg import (
     QQ,
-    Echelon,
     PrimeField,
     SparseMatrix,
     SubquotientSpace,
     kernel_basis,
     rank,
-    solve,
 )
 
 
@@ -41,9 +39,25 @@ def test_rank_small_cases():
     assert rank(SparseMatrix(5, 3)) == 0
 
 
+def _dense(mat):
+    dense = [[mat.field.zero] * mat.ncols for _ in range(mat.nrows)]
+    for row, col, v in mat.entries():
+        dense[row][col] = v
+    return dense
+
+
+def _permute_columns(mat, perm):
+    """New matrix with column j equal to column perm[j] of mat."""
+    out = SparseMatrix(mat.nrows, mat.ncols, mat.field)
+    for j in range(mat.ncols):
+        for row, v in mat.cols.get(perm[j], {}).items():
+            out.set(row, j, v)
+    return out
+
+
 def _reference_rank(mat):
     """Dense Bareiss elimination on Fractions: the former small-block path."""
-    rows = [r[:] for r in mat.to_dense()]
+    rows = _dense(mat)
     m, n = len(rows), mat.ncols
     rank = 0
     prev = Fraction(1)
@@ -170,7 +184,7 @@ def test_rank_invariant_under_column_permutation():
         M = random_matrix(rng, m, n)
         perm = list(range(n))
         rng.shuffle(perm)
-        assert rank(M) == rank(M.permute_columns(perm))
+        assert rank(M) == rank(_permute_columns(M, perm))
 
 
 def test_kernel_and_rank_nullity():
@@ -184,13 +198,15 @@ def test_kernel_and_rank_nullity():
         assert rank(M) + len(K) == n
 
 
-def test_solve_membership():
+def test_image_membership_of_solvable_targets():
+    # formerly a test of solve(): the target M·(2, −3) is in the image
     M = SparseMatrix.from_dense([[1, 1], [0, 1], [1, 0]])
+    image = SubquotientSpace(None, M)
     target = M.apply({0: Fraction(2), 1: Fraction(-3)})
-    x = solve(M, target)
-    assert x is not None
-    assert M.apply(x) == target
-    assert solve(M, {0: Fraction(0), 1: Fraction(1), 2: Fraction(1)}) is None
+    assert image.same_class(target, {})
+    assert image.class_residue(target) == {}
+    outside = {0: Fraction(0), 1: Fraction(1), 2: Fraction(1)}
+    assert not image.same_class(outside, {})
 
 
 def test_prime_field_rank():
@@ -217,13 +233,16 @@ def test_prime_field_rejects_denominators_divisible_by_p():
     assert F3.inv(2) == 2 and F5.inv(4) == 4
 
 
-def test_echelon_reduce_and_contains():
-    e = Echelon(QQ)
-    assert e.add({0: Fraction(1), 1: Fraction(2)})
-    assert e.add({1: Fraction(1)})
-    assert not e.add({0: Fraction(2), 1: Fraction(1)})
-    assert e.contains({0: Fraction(3), 1: Fraction(-1)})
-    assert not e.contains({2: Fraction(1)})
+def test_image_membership_of_spanned_vectors():
+    # formerly a test of Echelon: the span of (1, 2) and (0, 1) in k³
+    M = SparseMatrix(3, 3)
+    for j, col in enumerate(({0: 1, 1: 2}, {1: 1}, {0: 2, 1: 1})):
+        for i, v in col.items():
+            M.set(i, j, Fraction(v))
+    image = SubquotientSpace(None, M)
+    assert image.image.rank == 2  # the third column is dependent
+    assert image.same_class({0: Fraction(3), 1: Fraction(-1)}, {})
+    assert not image.same_class({2: Fraction(1)}, {})
 
 
 def test_subquotient_dims():
@@ -242,3 +261,155 @@ def test_rank_transpose_symmetry(m, n, seed):
     rng = random.Random(seed)
     M = random_matrix(rng, m, n)
     assert rank(M) == rank(M.transpose())
+
+
+# -- the former Fraction elimination, kept as the reference ----------------
+
+
+class _ReferenceEchelon:
+    """Incremental row-echelon store over a field (the former Echelon)."""
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}  # pivot index -> row normalized to 1 at its pivot
+
+    def reduce(self, vec):
+        f = self.field
+        v = {c: x for c, x in vec.items() if not f.is_zero(x)}
+        while True:
+            todo = [idx for idx in v if idx in self.pivots]
+            if not todo:
+                return v
+            idx = min(todo)
+            x = v[idx]
+            for c, w in self.pivots[idx].items():
+                acc = f.sub(v.get(c, f.zero), f.mul(x, w))
+                if f.is_zero(acc):
+                    v.pop(c, None)
+                else:
+                    v[c] = acc
+
+    def add(self, vec):
+        f = self.field
+        v = self.reduce(vec)
+        if not v:
+            return False
+        piv = min(v)
+        inv = f.inv(v[piv])
+        self.pivots[piv] = {c: f.mul(x, inv) for c, x in v.items()}
+        return True
+
+    def contains(self, vec):
+        return not self.reduce(vec)
+
+
+def _reference_kernel_basis(mat):
+    """Kernel by reducing each column augmented with an identity part."""
+    field, nr = mat.field, mat.nrows
+    aug = _ReferenceEchelon(field)
+    basis = []
+    for j in range(mat.ncols):
+        v = mat.column(j)
+        v[nr + j] = field.one
+        red = aug.reduce(v)
+        if all(r >= nr for r in red):
+            basis.append({r - nr: x for r, x in red.items()})
+        else:
+            aug.add(red)
+    return basis
+
+
+class _ReferenceSubquotient:
+    """ker(d_out) / im(d_in) on _ReferenceEchelon (the former class)."""
+
+    def __init__(self, d_out, d_in, field):
+        self.field = field
+        self.image = _ReferenceEchelon(field)
+        for j in range(d_in.ncols):
+            self.image.add(d_in.column(j))
+        self.classes = _ReferenceEchelon(field)
+        for z in _reference_kernel_basis(d_out):
+            self.classes.add(self.image.reduce(z))
+        self.dim = len(self.classes.pivots)
+
+
+def _combination(field, vecs, coeffs):
+    out = {}
+    for vec, a in zip(vecs, coeffs):
+        for c, x in vec.items():
+            acc = field.add(out.get(c, field.zero), field.mul(a, x))
+            if field.is_zero(acc):
+                out.pop(c, None)
+            else:
+                out[c] = acc
+    return out
+
+
+def _random_pair(rng, field, entries):
+    """(d_out, d_in) with d_out·d_in = 0: the columns of d_in are random
+    combinations of some vectors of the reference kernel of d_out."""
+    m, n = rng.randint(1, 9), rng.randint(1, 9)
+    density = rng.choice((0.2, 0.5, 0.8))
+    make = rng.choice((_random_dense, _low_rank_dense))
+    d_out = SparseMatrix(m, n, field)
+    for i, row in enumerate(make(rng, m, n, entries, density)):
+        for j, v in enumerate(row):
+            d_out.set(i, j, field.coerce(v))
+    kernel = _reference_kernel_basis(d_out)
+    some = rng.sample(kernel, rng.randint(0, len(kernel)))
+    d_in = SparseMatrix(n, rng.randint(1, 6), field)
+    for j in range(d_in.ncols):
+        coeffs = [field.coerce(rng.choice(entries + [0])) for _ in some]
+        for i, v in _combination(field, some, coeffs).items():
+            d_in.set(i, j, v)
+    return d_out, d_in
+
+
+SUBQUOTIENT_ENTRIES = [2, -2, 3, -3, Fraction(1, 2), Fraction(-3, 2)]
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 2**31 - 1])
+def test_subquotient_against_reference(p):
+    rng = random.Random(100 + p)
+    field = PrimeField(p) if p else QQ
+    entries = [x for x in range(-4, 5) if x] if p else SUBQUOTIENT_ENTRIES
+    trivial = nontrivial = 0
+    for _ in range(80):
+        d_out, d_in = _random_pair(rng, field, entries)
+        before = (_cols(d_out), _cols(d_in))
+        space = SubquotientSpace(d_out, d_in, field)
+        ref = _ReferenceSubquotient(d_out, d_in, field)
+        assert (_cols(d_out), _cols(d_in)) == before
+        assert space.dim == ref.dim == len(space.reps)
+        kernel = kernel_basis(d_out)
+        assert (_cols(d_out), _cols(d_in)) == before
+        assert len(kernel) == d_out.ncols - rank(d_out)
+        for z in kernel + space.reps:
+            assert z and not d_out.apply(z)
+        reps = _ReferenceEchelon(field)
+        assert all(reps.add(ref.image.reduce(z)) for z in space.reps)
+
+        def random_coeffs(k):
+            return [field.coerce(rng.choice(entries + [0])) for _ in range(k)]
+
+        for _ in range(6):
+            z = _combination(field, kernel, random_coeffs(len(kernel)))
+            x = dict(enumerate(random_coeffs(d_in.ncols)))
+            boundary = d_in.apply(x)
+            moved = _combination(field, (z, boundary), (field.one, field.one))
+            residue = space.class_residue(z)
+            assert space.class_residue(moved) == residue
+            assert space.class_residue(boundary) == {}
+            assert (residue == {}) == ref.image.contains(z)
+            trivial += residue == {}
+            nontrivial += residue != {}
+            w = _combination(field, kernel, random_coeffs(len(kernel)))
+            diff = _combination(field, (z, w), (field.one, field.coerce(-1)))
+            assert space.same_class(z, w) == ref.image.contains(diff)
+            assert space.same_class(moved, z)
+        noncycle = {j: field.one for j in range(d_out.ncols)}
+        if d_out.apply(noncycle):
+            assert not space.same_class(noncycle, {})
+            with pytest.raises(ValueError):
+                space.class_residue(noncycle)
+    assert trivial >= 50 and nontrivial >= 50
