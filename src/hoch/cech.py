@@ -632,18 +632,19 @@ def cech_complex(F, cover, truncation=2):
                 c.set_differential_entry((alpha, lab), (alpha, tgt), v)
         levels.append(c.freeze(support=(NEG_INF, POS_INF)))
         level_basis.append(basis)
-    faces = {}
+    faces = {}  # i -> the alternating face sum, one column per element
     for i in range(1, truncation + 1):
-        src, tgt = levels[i], levels[i - 1]
-        for s in range(i + 1):
-            fmap = ChainMap(src, tgt)
-            for (alpha, lab) in level_basis[i]:
+        index = levels[i - 1].index
+        fmap = faces[i] = ChainMap(levels[i], levels[i - 1])
+        for (alpha, lab) in level_basis[i]:
+            terms = []
+            for s in range(i + 1):
                 beta = alpha[:s] + alpha[s + 1 :]
                 if any(beta[j] == beta[j + 1] for j in range(len(beta) - 1)):
                     continue  # degenerate target is zero in the quotient
                 for tlab, v in _face_image(F, alpha, lab, s).items():
-                    fmap.set_entry((alpha, lab), (beta, tlab), v)
-            faces[(i, s)] = fmap
+                    terms.append((index[(beta, tlab)][2], -v if s % 2 else v))
+            fmap.set_column((alpha, lab), terms)
     scc = SimplicialChainComplex(levels, faces, exhausted=False)
     tot = total_complex(scc)
     augmentation = None

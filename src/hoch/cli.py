@@ -236,7 +236,9 @@ def _build(spec, coefficients):
         return None, C, hh.check_cap(C.total, cap)
     A = build_algebra(spec["algebra"], coefficients, weights)
     if task == "iterated-bar":
-        C = hh.iterated_bar(A, spec.get("iterations", 1), window, weights)
+        C = hh.iterated_bar(
+            A, spec.get("iterations", 1), window, weights, cap=cap
+        )
     else:
         sigma = _scaling_automorphism(A, _twist_scalar(spec))
         C = hh.twisted_hochschild(A, sigma, window)

@@ -8,6 +8,8 @@ truncated polynomial algebras) live here too, on deliberately separate
 code paths.
 """
 
+from itertools import compress
+
 from . import dga
 from .dga import apply_setmap
 from .homalg import (
@@ -63,7 +65,7 @@ class HochschildComplex:
 
 
 def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
-                     unit_slot=None):
+                     unit_slot=None, keyed=False):
     """Monomials at level n: tuples of basis positions per slot of Y_n.
 
     The basepoint slot (when a module is given) carries module positions.
@@ -93,6 +95,8 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
     so this never rejects a job whose total blocks all fit.  Without a
     module, ``unit_slot`` is left out of the search like the basepoint
     slot of a module, and kept unit (the basepoint of a cochain argument).
+    With ``keyed``, each monomial comes as ``(monomial, (internal degree,
+    weight))``, in the same order.
     """
     card = Y.card(n)
     if module is not None and Y.basepoint is None:
@@ -155,7 +159,7 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
                 continue
             if mpos is not None:
                 mono[bp] = mpos
-            monos.append(tuple(mono))
+            monos.append((tuple(mono), key) if keyed else tuple(mono))
             if cap is not None:
                 count = counts[key] = counts.get(key, 0) + 1
                 if count > cap:
@@ -196,7 +200,7 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
                 picks.pop()
 
     search(0, 0, 0, (1 << len(comps)) - 1)
-    monos.sort()
+    monos.sort()  # monomials are distinct, so their keys are never compared
     return monos
 
 
@@ -214,19 +218,16 @@ def _monomial_data(Y, n, A, module, mono):
     return deg, wt
 
 
-def _is_nondegenerate(Y, n, A, module, mono):
+def _is_nondegenerate(Y, n, A, mono):
     if n == 0:
         return True
-    bp = Y.basepoint[n] if module is not None else None
-    support = {
-        s
-        for s, p in enumerate(mono)
-        if s != bp and p != A.unit
-    }
-    # the basepoint is never in the support, so it needs no removal here
-    return not any(
-        c.isdisjoint(support) for c in Y.nondegenerate_complements(n)
-    )
+    # positions are ints, so with the unit at 0 the non-unit slots are
+    # exactly the truthy entries (as in ``apply_setmap``).  A module slot
+    # is the basepoint, which lies in no complement (it is degenerate-
+    # stable), so whatever it holds never decides.
+    flags = mono if A.unit == 0 else map(A.unit.__ne__, mono)
+    support = set(compress(range(len(mono)), flags))
+    return not any(map(support.isdisjoint, Y.nondegenerate_complements(n)))
 
 
 def _internal_diff(A, module, bp, mono):
@@ -311,12 +312,10 @@ def build_levels(Y, A, module=None, window=(-6, 0), weights=None,
     blocks = {}
     for n in range(top_level + 1):
         lo = None if min_int is None else min_int + n
-        monos = _level_monomials(
-            Y, n, A, module, weights, lo, normalized, cap=cap
-        )
         c = ChainComplex(A.coefficients)
-        for mono in monos:
-            d, w = _monomial_data(Y, n, A, module, mono)
+        for mono, (d, w) in _level_monomials(
+            Y, n, A, module, weights, lo, normalized, cap=cap, keyed=True
+        ):
             c.add_element(mono, d, w)
         for (d, w), block in c.blocks.items():
             key = (d - n, w)
@@ -328,11 +327,11 @@ def build_levels(Y, A, module=None, window=(-6, 0), weights=None,
                 )
         if has_diff:
             bp = Y.basepoint[n] if module is not None else None
-            for mono in monos:
+            for mono in c.index:
                 for tgt, v in _internal_diff(A, module, bp, mono).items():
                     if tgt in c.index:
                         c.set_differential_entry(mono, tgt, v)
-                    elif _is_nondegenerate(Y, n, A, module, tgt) and (
+                    elif _is_nondegenerate(Y, n, A, tgt) and (
                         lo is None or _monomial_data(Y, n, A, module, tgt)[0]
                         >= lo
                     ):
@@ -344,7 +343,9 @@ def build_levels(Y, A, module=None, window=(-6, 0), weights=None,
 def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
                         normalized=True, cap=None):
     """The simplicial chain complex n -> A^{⊗Y_n} (module at basepoint):
-    the levels of ``build_levels`` and the faces induced by Y.
+    the levels of ``build_levels`` and, per level, the alternating sum of
+    the faces induced by Y, set one source column at a time.  A target
+    missing from the level below must be degenerate (never, unnormalized).
 
     Module coefficients must be symmetric bimodules here: the Eq.-7
     source-order merges only exercise one side of the action.  Genuine
@@ -355,28 +356,29 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
     )
     faces = {}
     for n in range(1, len(levels)):
-        src = levels[n]
-        tgt = levels[n - 1]
-        bp_src = Y.basepoint[n] if module is not None else None
-        bp_tgt = Y.basepoint[n - 1] if module is not None else None
-        for r in range(n + 1):
-            setmap = tuple(Y.face_tab[n][r])
-            fmap = ChainMap(src, tgt, shift=0)
-            mmap = {bp_src: bp_tgt} if module is not None else None
-            for mono in src.index:
+        index = levels[n - 1].index
+        mmap = {Y.basepoint[n]: Y.basepoint[n - 1]} if module else None
+        # (odd r, setmap, unit padding of its image to the slots of Y_{n-1})
+        faces_r = [
+            (r % 2, setmap, (A.unit,) * (Y.card(n - 1) - 1 - max(setmap)))
+            for r, setmap in enumerate(map(tuple, Y.face_tab[n]))
+        ]
+        fmap = faces[n] = ChainMap(levels[n], levels[n - 1])
+        for mono in levels[n].index:
+            terms = []
+            for odd, setmap, pad in faces_r:
                 image = apply_setmap(
                     A, setmap, mono, module=module, module_slot_map=mmap
                 )
                 for timg, v in image.items():
-                    full = _pad(timg, Y.card(n - 1), A.unit)
-                    if full in tgt.index:
-                        fmap.set_entry(mono, full, v)
-                    elif normalized:
-                        if _is_nondegenerate(Y, n - 1, A, module, full):
-                            raise AssertionError("missing face target")
-                    else:
+                    hit = index.get(timg + pad)
+                    if hit is not None:
+                        terms.append((hit[2], -v if odd else v))
+                    elif not normalized or _is_nondegenerate(
+                        Y, n - 1, A, timg + pad
+                    ):
                         raise AssertionError("missing face target")
-            faces[(n, r)] = fmap
+            fmap.set_column(mono, terms)
     return SimplicialChainComplex(levels, faces, exhausted)
 
 
@@ -707,8 +709,9 @@ def hh_via_enveloping(A, window=(-6, 0)):
     return two_sided_bar(mod_r, E, mod_l, window)
 
 
-def iterated_bar(A, i, window=(-6, 0), weights=None):
-    """Bar^{(i)}(A) = CH over the i-sphere with trivial coefficients."""
+def iterated_bar(A, i, window=(-6, 0), weights=None, cap=None):
+    """Bar^{(i)}(A) = CH over the i-sphere with trivial coefficients;
+    ``cap`` bounds its (degree, weight) blocks (see ``build_levels``)."""
     from . import simp
 
     if A.augmentation is None:
@@ -717,7 +720,7 @@ def iterated_bar(A, i, window=(-6, 0), weights=None):
         return dga.underlying_complex(A)
     k_mod = dga.augmentation_module(A)
     Y = simp.sphere_small(i, _sphere_level(A, i, window, weights))
-    hc = hochschild_chain_with_coeff(Y, A, k_mod, window, weights)
+    hc = hochschild_chain_with_coeff(Y, A, k_mod, window, weights, cap=cap)
     return hc.complex
 
 

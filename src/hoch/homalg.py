@@ -281,6 +281,26 @@ class ChainMap:
             self.blocks[key] = mat
         mat.add_to(tp, sp, coeff)
 
+    def set_column(self, source_label, terms):
+        """Set the image of a source element at once from ``(row, coeff)``
+        terms, rows in its target block: summed as plain numbers, reduced
+        mod p, zeros dropped."""
+        sd, sw, sp = self.source.index[source_label]
+        column = {}
+        for row, v in terms:
+            column[row] = column[row] + v if row in column else v
+        field = self.source.coefficients.field
+        if field.characteristic:
+            column = {r: v % field.characteristic for r, v in column.items()}
+        column = {r: v for r, v in column.items() if v}
+        if column:
+            if (sd, sw) not in self.blocks:
+                self.blocks[(sd, sw)] = SparseMatrix(
+                    self.target.dim(sd + self.shift, sw),
+                    self.source.dim(sd, sw), field,
+                )
+            self.blocks[(sd, sw)].cols[sp] = column
+
     def matrix(self, degree, weight):
         mat = self.blocks.get((degree, weight))
         if mat is None:
@@ -290,24 +310,6 @@ class ChainMap:
                 self.source.coefficients.field,
             )
         return mat
-
-    def apply(self, chain):
-        f = self.source.coefficients.field
-        out = {}
-        for label, x in chain.items():
-            d, w, pos = self.source.index[label]
-            mat = self.blocks.get((d, w))
-            if mat is None:
-                continue
-            targets = self.target.blocks.get((d + self.shift, w), [])
-            for row, v in mat.column(pos).items():
-                lab = targets[row]
-                acc = f.add(out.get(lab, f.zero), f.mul(v, x))
-                if f.is_zero(acc):
-                    out.pop(lab, None)
-                else:
-                    out[lab] = acc
-        return out
 
     def is_chain_map(self):
         """Check commutation with differentials on the window overlap."""
@@ -534,14 +536,15 @@ def cone(fmap):
 class SimplicialChainComplex:
     """A simplicial object in chain complexes, materialized to a level.
 
-    levels[n] is a ChainComplex and face(n, r) maps level n to level n-1.
+    levels[n] is a ChainComplex and faces[n], for n >= 1, the ChainMap from
+    level n to level n - 1 of the alternating face sum Σ_r (-1)^r d_r.
     The levels hold whatever basis the builder chose (normalized or not);
     totalization uses them as they are.
     """
 
     def __init__(self, levels, faces, exhausted=False):
         self.levels = levels
-        self.faces = faces  # dict (n, r) -> ChainMap
+        self.faces = faces  # dict n -> ChainMap
         self.exhausted = exhausted  # complex is zero above the top level
 
     @property
@@ -550,42 +553,47 @@ class SimplicialChainComplex:
 
 
 def total_complex(simp, window=None):
-    """Totalize: level n shifted by -n, D = (-1)^n d_int + Σ (-1)^r d_r."""
+    """Totalize: level n shifted by -n, D = (-1)^n d_int + Σ (-1)^r d_r.
+
+    A total block (D, w) stacks the level blocks (D + n, w) in level order.
+    The column of a level-n element holds its internal column, signed
+    (-1)^n, at level n's row offset and its face-sum column at level
+    n - 1's: two disjoint row ranges, so no entry is added to another.
+    """
     levels = simp.levels
     coeff = levels[0].coefficients
-    f = coeff.field
+    neg = coeff.field.neg
     out = ChainComplex(coeff)
+    offsets = []  # level n -> {total block: row offset of level n in it}
     for n, lvl in enumerate(levels):
+        offsets.append({})
         for (d, w), block in sorted(lvl.blocks.items()):
+            offsets[n][(d - n, w)] = out.dim(d - n, w)
             for lab in block:
                 out.add_element((n, lab), d - n, w)
+    for (d, w), block in out.blocks.items():
+        out.diff[(d, w)] = SparseMatrix(
+            out.dim(d + 1, w), len(block), coeff.field
+        )
     for n, lvl in enumerate(levels):
-        for (d, w), block in sorted(lvl.blocks.items()):
-            int_sign = f.coerce(1) if n % 2 == 0 else f.coerce(-1)
-            mat = lvl.diff.get((d, w))
-            if mat is not None:
-                targets = lvl.blocks.get((d + 1, w), [])
-                for col in range(len(block)):
-                    for row, v in mat.column(col).items():
-                        out.set_differential_entry(
-                            (n, block[col]), (n, targets[row]),
-                            f.mul(int_sign, v),
-                        )
-            if n == 0:
-                continue
-            for r in range(n + 1):
-                face = simp.faces[(n, r)]
-                sgn = f.coerce(1) if r % 2 == 0 else f.coerce(-1)
-                fm = face.blocks.get((d, w))
-                if fm is None:
-                    continue
-                targets = levels[n - 1].blocks.get((d, w), [])
-                for col in range(len(block)):
-                    for row, v in fm.column(col).items():
-                        out.set_differential_entry(
-                            (n, block[col]), (n - 1, targets[row]),
-                            f.mul(sgn, v),
-                        )
+        for (d, w) in sorted(lvl.blocks):
+            key, tkey = (d - n, w), (d - n + 1, w)
+            start, cols = offsets[n][key], out.diff[key].cols
+            internal = lvl.diff.get((d, w))
+            if internal is not None:
+                row0 = offsets[n][tkey]
+                for c, col in internal.cols.items():
+                    cols[start + c] = {
+                        row0 + r: neg(v) if n % 2 else v
+                        for r, v in col.items()
+                    }
+            fm = simp.faces[n].blocks.get((d, w)) if n else None
+            if fm is not None:
+                row0 = offsets[n - 1][tkey]
+                for c, col in fm.cols.items():
+                    cols.setdefault(start + c, {}).update(
+                        {row0 + r: v for r, v in col.items()}
+                    )
     if simp.exhausted:
         win = (NEG_INF, POS_INF)
         support = (NEG_INF, POS_INF)
@@ -601,30 +609,3 @@ def total_complex(simp, window=None):
     if window is not None:
         win = _interval_meet(win, window)
     return out.freeze(window=win, support=support)
-
-
-def constant_simplicial(complex_, top_level):
-    """Constant simplicial object on a complex, all faces the identity."""
-    levels = []
-    for n in range(top_level + 1):
-        c = ChainComplex(complex_.coefficients)
-        for (d, w), block in sorted(complex_.blocks.items()):
-            for lab in block:
-                c.add_element(lab, d, w)
-        for (d, w), mat in complex_.diff.items():
-            block = complex_.blocks[(d, w)]
-            targets = complex_.blocks.get((d + 1, w), [])
-            for col in range(len(block)):
-                for row, v in mat.column(col).items():
-                    c.set_differential_entry(block[col], targets[row], v)
-        levels.append(c.freeze(support=complex_.support))
-    faces = {}
-    one = complex_.coefficients.field.one
-    for n in range(1, top_level + 1):
-        for r in range(n + 1):
-            m = ChainMap(levels[n], levels[n - 1])
-            for block in levels[n].blocks.values():
-                for lab in block:
-                    m.set_entry(lab, lab, one)
-            faces[(n, r)] = m
-    return SimplicialChainComplex(levels, faces, exhausted=False)

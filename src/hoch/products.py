@@ -125,7 +125,7 @@ def shuffle_product(H, u, v):
                     if label in index:
                         dga._acc(out, label, total, f)
                     else:
-                        if _is_nondegenerate(Y, p + q, A, None, mono):
+                        if _is_nondegenerate(Y, p + q, A, mono):
                             raise TruncationError(
                                 "shuffle product leaves the materialized "
                                 "window"

@@ -280,6 +280,20 @@ def test_infeasible_job_builds_no_face(monkeypatch):
     assert cli.main(["explain", path, "--cap", "900"]) == 3
 
 
+def test_infeasible_iterated_bar_builds_no_face(monkeypatch, capsys):
+    path = str(JOBS / "criterion09c_double_bar.json")
+    assert cli.main(["explain", path, "--format", "json"]) == 0
+    largest = json.loads(capsys.readouterr().out)["max_block"]
+    assert largest > 1
+
+    def no_faces(*args, **kwargs):
+        raise AssertionError("a face map was built")
+
+    monkeypatch.setattr(hh, "apply_setmap", no_faces)
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, path, "--cap", str(largest - 1)]) == 3, cmd
+
+
 def test_bar_ignores_the_space_in_both_commands():
     raw = {
         "schema": 1,

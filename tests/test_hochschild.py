@@ -1,5 +1,6 @@
 """Hochschild complexes, Bar constructions, oracles, HKR predictions."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -416,27 +417,6 @@ def test_wedge_of_circles_chains(QQ, exterior):
     assert C.betti((-4, 0)) == agg
 
 
-@pytest.fixture(scope="module")
-def koszul_dga(QQ):
-    """(k[x]/x² ⊗ Λ(e), de = x): acyclic in positive weights, quasi-
-    isomorphic to Λ(z) with z = [xe]; exercises the nonzero-differential
-    code paths end to end."""
-    one = QQ.field.one
-    basis = [("1", 0, 0), ("x", 0, 1), ("e", -1, 1), ("xe", -1, 2)]
-    mult = {
-        (0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one},
-        (0, 3): {3: one},
-        (1, 0): {1: one}, (2, 0): {2: one}, (3, 0): {3: one},
-        (1, 1): {}, (1, 2): {3: one}, (2, 1): {3: one},
-        (1, 3): {}, (3, 1): {}, (2, 2): {}, (2, 3): {}, (3, 2): {},
-        (3, 3): {},
-    }
-    return dga.DGAlgebra(
-        "koszul", QQ, basis, mult, unit=0, diff={2: {1: one}},
-        commutative=True, augmentation={0: one}, weight_graded=True,
-    )
-
-
 def test_nonzero_differential_quasi_iso_invariance(QQ, koszul_dga, exterior):
     C = hh.hochschild_chain(simp.circle(8), koszul_dga, window=(-5, 0))
     assert C.complex.check_differential()[0]
@@ -577,6 +557,14 @@ def test_enumeration_cap_boundary(Y, A, weights):
         blocks = Counter(
             hh._monomial_data(Y, n, A, module, mono) for mono in monos
         )
+        # the keyed enumeration carries the same (degree, weight) per slot
+        keyed = hh._level_monomials(Y, n, A, module, weights, None, True,
+                                    keyed=True)
+        assert [mono for mono, _key in keyed] == monos
+        assert all(
+            key == hh._monomial_data(Y, n, A, module, mono)
+            for mono, key in keyed
+        )
         m = max(blocks.values())
         assert 1 < m < len(monos)
         assert hh._level_monomials(Y, n, A, module, weights, None, True,
@@ -628,3 +616,78 @@ def test_unit_slot_matches_filtered_enumeration(exterior, trunc2, space,
             assert got == want, (A.name, n)
             dropped += len(full) - len(want)
     assert dropped > 0
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_missing_face_target_is_an_error(trunc3, normalized, monkeypatch):
+    # x ⊗ x in level 1 of the circle is the face of a level-2 monomial in
+    # both bases; a level that lost it leaves that face no target
+    real_build_levels = hh.build_levels
+
+    def drop_x_x(*args, **kwargs):
+        levels, exhausted, blocks = real_build_levels(*args, **kwargs)
+        del levels[1].index[(1, 1)]
+        return levels, exhausted, blocks
+
+    monkeypatch.setattr(hh, "build_levels", drop_x_x)
+    with pytest.raises(AssertionError, match="missing face target"):
+        hh.build_simplicial_ch(simp.circle(4), trunc3, None, (-2, 0), None,
+                               normalized)
+
+
+def _reference_is_nondegenerate(Y, n, A, module, mono):
+    """Reference test: the support built by a set comprehension over
+    every slot, the basepoint left out when a module is given."""
+    if n == 0:
+        return True
+    bp = Y.basepoint[n] if module is not None else None
+    support = {s for s, p in enumerate(mono) if s != bp and p != A.unit}
+    return not any(
+        c.isdisjoint(support) for c in Y.nondegenerate_complements(n)
+    )
+
+
+def _exterior_unit_last(QQ):
+    """Λ(x) with the unit at basis position 1, not 0."""
+    one = QQ.field.one
+    return dga.DGAlgebra(
+        "exterior(unit last)", QQ, [("x", -1, 1), ("1", 0, 0)],
+        {(1, 1): {1: one}, (1, 0): {0: one}, (0, 1): {0: one}}, unit=1,
+        augmentation={1: one}, weight_graded=True,
+    )
+
+
+NONDEGENERACY_SPACES = {
+    "circle": lambda: simp.circle(4),
+    "torus": lambda: simp.torus(4),
+    "sphere_small_3": lambda: simp.sphere_small(3, 4),
+    "wedge_circles": lambda: simp.wedge(simp.circle(4), simp.circle(4)),
+}
+
+
+@pytest.mark.parametrize("space", sorted(NONDEGENERACY_SPACES))
+def test_is_nondegenerate_matches_reference(QQ, trunc3, space):
+    Y = NONDEGENERACY_SPACES[space]()
+    rng = random.Random(space)
+    verdicts = Counter()
+    for A in (trunc3, _exterior_unit_last(QQ)):
+        nonunit = [p for p in range(A.dim) if p != A.unit]
+        modules = (
+            None, dga.augmentation_module(A), dga.algebra_as_bimodule(A)
+        )
+        for module in modules:
+            for n in range(5):
+                card = Y.card(n)
+                for _ in range(150):
+                    mono = [A.unit] * card
+                    size = rng.randint(0, min(card, n + 1))
+                    slots = rng.sample(range(card), size)
+                    for s in slots:
+                        mono[s] = rng.choice(nonunit)
+                    if module is not None:
+                        mono[Y.basepoint[n]] = rng.randrange(module.dim)
+                    mono = tuple(mono)
+                    want = _reference_is_nondegenerate(Y, n, A, module, mono)
+                    assert hh._is_nondegenerate(Y, n, A, mono) == want
+                    verdicts[want] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100

@@ -1,17 +1,23 @@
 """Chain complexes: constructions, homology, windows, totalization."""
 
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from hoch import dga, homalg, simp
+from hoch import cech, cli, dga, homalg, simp
 from hoch import hochschild as hh
 from hoch.homalg import (
+    NEG_INF,
+    POS_INF,
     ChainComplex,
     ChainMap,
+    Coefficients,
     WindowError,
     cone,
-    constant_simplicial,
     dual,
     field_complex,
     hom_complex,
@@ -19,6 +25,7 @@ from hoch.homalg import (
     total_complex,
     zero_complex,
 )
+from tests_support import constant_simplicial
 
 
 def two_term(coefficients, label="a", degree=-1):
@@ -170,6 +177,220 @@ def test_constant_simplicial_total(QQ):
     tot = total_complex(scc, window=(-4, 1))
     assert tot.check_differential()[0]
     assert tot.betti((-3, 0)) == V.betti((-3, 0))
+
+
+# -- reference builder and totalization, one face at a time ---------------
+
+
+def _reference_simplicial_ch(Y, A, module, window, weights, normalized=True):
+    """Reference builder: the levels of ``build_levels`` and one ChainMap
+    per face (n, r), filled entry by entry."""
+    levels, exhausted, _blocks = hh.build_levels(
+        Y, A, module, window, weights, normalized
+    )
+    faces = {}
+    for n in range(1, len(levels)):
+        src, tgt = levels[n], levels[n - 1]
+        mmap = None
+        if module is not None:
+            mmap = {Y.basepoint[n]: Y.basepoint[n - 1]}
+        for r in range(n + 1):
+            setmap = tuple(Y.face_tab[n][r])
+            fmap = ChainMap(src, tgt)
+            for mono in src.index:
+                image = dga.apply_setmap(
+                    A, setmap, mono, module=module, module_slot_map=mmap
+                )
+                for timg, v in image.items():
+                    full = hh._pad(timg, Y.card(n - 1), A.unit)
+                    if full in tgt.index:
+                        fmap.set_entry(mono, full, v)
+                    else:
+                        assert normalized and not hh._is_nondegenerate(
+                            Y, n - 1, A, full
+                        ), "missing face target"
+            faces[(n, r)] = fmap
+    return SimpleNamespace(
+        levels=levels, faces=faces, exhausted=exhausted,
+        top_level=len(levels) - 1,
+    )
+
+
+def _reference_total_complex(simp_, window=None):
+    """Reference totalization: every entry of every face added in by
+    ``set_differential_entry`` under its labels."""
+    levels = simp_.levels
+    coeff = levels[0].coefficients
+    f = coeff.field
+    out = ChainComplex(coeff)
+    for n, lvl in enumerate(levels):
+        for (d, w), block in sorted(lvl.blocks.items()):
+            for lab in block:
+                out.add_element((n, lab), d - n, w)
+    for n, lvl in enumerate(levels):
+        for (d, w), block in sorted(lvl.blocks.items()):
+            int_sign = f.coerce(1) if n % 2 == 0 else f.coerce(-1)
+            mat = lvl.diff.get((d, w))
+            if mat is not None:
+                targets = lvl.blocks.get((d + 1, w), [])
+                for col in range(len(block)):
+                    for row, v in mat.column(col).items():
+                        out.set_differential_entry(
+                            (n, block[col]), (n, targets[row]),
+                            f.mul(int_sign, v),
+                        )
+            if n == 0:
+                continue
+            for r in range(n + 1):
+                fm = simp_.faces[(n, r)].blocks.get((d, w))
+                if fm is None:
+                    continue
+                sgn = f.coerce(1) if r % 2 == 0 else f.coerce(-1)
+                targets = levels[n - 1].blocks.get((d, w), [])
+                for col in range(len(block)):
+                    for row, v in fm.column(col).items():
+                        out.set_differential_entry(
+                            (n, block[col]), (n - 1, targets[row]),
+                            f.mul(sgn, v),
+                        )
+    if simp_.exhausted:
+        win = support = (NEG_INF, POS_INF)
+    else:
+        hi_int = 0
+        for lvl in levels:
+            for (d, _w) in lvl.blocks:
+                hi_int = max(hi_int, d)
+        win = (hi_int - simp_.top_level, POS_INF)
+        support = (NEG_INF, hi_int)
+    if window is not None:
+        win = (max(win[0], window[0]), min(win[1], window[1]))
+    return out.freeze(window=win, support=support)
+
+
+def _assert_same_total(got, want):
+    """Equal blocks (labels in order), window, support and entries, with
+    Fraction entries over Q and ints in [0, p) over F_p."""
+    assert got.blocks == want.blocks
+    assert got.index == want.index
+    assert (got.window, got.support) == (want.window, want.support)
+    p = got.coefficients.p
+    nnz = 0
+    for key in set(got.diff) | set(want.diff):
+        g = {(r, c): v for r, c, v in got.d_matrix(*key).entries()}
+        assert g == {(r, c): v for r, c, v in want.d_matrix(*key).entries()}
+        mat = got.d_matrix(*key)
+        assert (mat.nrows, mat.ncols) == (got.dim(key[0] + 1, key[1]),
+                                          got.dim(*key))
+        for v in g.values():
+            if p is None:
+                assert type(v) is Fraction and v != 0
+            else:
+                assert type(v) is int and 0 < v < p
+        nnz += len(g)
+    assert nnz > 0
+
+
+F7 = Coefficients("prime-field", 7)
+
+# id -> (space, algebra, module or None, window, weights, normalized)
+REFERENCE_CASES = {
+    "sphere2-polynomial": lambda: (
+        simp.sphere_small(2, 6), dga.polynomial(max_weight=3), None,
+        (-4, 0), [1, 2, 3], True),
+    "sphere3-polynomial": lambda: (
+        simp.sphere_small(3, 6), dga.polynomial(max_weight=2), None,
+        (-4, 0), [1, 2], True),
+    "circle-trunc3": lambda: (
+        simp.circle(6), dga.truncated_polynomial(truncation=3), None,
+        (-4, 0), None, True),
+    "circle-trunc3-unnormalized": lambda: (
+        simp.circle(6), dga.truncated_polynomial(truncation=3), None,
+        (-3, 0), None, False),
+    "torus-F7": lambda: (
+        simp.torus(3), dga.truncated_polynomial(F7, 2), None, (-1, 0), None,
+        True),
+    "torus-F7-unnormalized": lambda: (
+        simp.torus(3), dga.exterior(F7), None, (-1, 0), None, False),
+    "circle-self": lambda: (
+        simp.circle(6), dga.truncated_polynomial(truncation=3),
+        dga.algebra_as_bimodule, (-3, 0), None, True),
+    "circle-self-F7-unnormalized": lambda: (
+        simp.circle(6), dga.truncated_polynomial(F7, 3),
+        dga.algebra_as_bimodule, (-2, 0), None, False),
+    "sphere2-augmentation": lambda: (
+        simp.sphere_small(2, 6), dga.truncated_polynomial(truncation=3),
+        dga.augmentation_module, (-3, 0), None, True),
+    "sphere2-self-F7": lambda: (
+        simp.sphere_small(2, 6), dga.polynomial(F7, max_weight=2),
+        dga.algebra_as_bimodule, (-3, 0), [0, 1, 2], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_total_complex_matches_reference(case):
+    Y, A, module, window, weights, normalized = REFERENCE_CASES[case]()
+    if module is not None:
+        module = module(A)
+    args = (Y, A, module, window, weights, normalized)
+    scc = hh.build_simplicial_ch(*args)
+    ref = _reference_simplicial_ch(*args)
+    assert [l.blocks for l in scc.levels] == [l.blocks for l in ref.levels]
+    assert sorted(scc.faces) == list(range(1, len(scc.levels)))
+    _assert_same_total(total_complex(scc), _reference_total_complex(ref))
+    _assert_same_total(total_complex(scc, window=(-2, 0)),
+                       _reference_total_complex(ref, window=(-2, 0)))
+
+
+def test_total_complex_matches_reference_with_a_differential(koszul_dga):
+    cases = [(simp.circle(6), True), (simp.circle(6), False),
+             (simp.sphere_small(2, 6), True)]
+    for Y, normalized in cases:
+        args = (Y, koszul_dga, None, (-3, 0), None, normalized)
+        scc = hh.build_simplicial_ch(*args)
+        assert any(l.diff for l in scc.levels)
+        _assert_same_total(
+            total_complex(scc),
+            _reference_total_complex(_reference_simplicial_ch(*args)),
+        )
+
+
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
+
+
+@pytest.mark.parametrize(
+    "job", ["criterion10_cosheaf_cech.json", "extra_tensor_cech.json"]
+)
+def test_cech_total_matches_reference(job, monkeypatch):
+    spec = cli.load_jobspec(json.loads((JOBS / job).read_text()))
+    kept = {}
+    real_cech_complex = cech.cech_complex
+
+    def keep_precosheaf(F, *args):
+        kept["F"] = F
+        return real_cech_complex(F, *args)
+
+    def keep_simplicial(scc, window=None):
+        kept["scc"] = scc
+        return total_complex(scc, window)
+
+    monkeypatch.setattr(cech, "cech_complex", keep_precosheaf)
+    monkeypatch.setattr(cech, "total_complex", keep_simplicial)
+    C = cli._run_cech(spec, cli.parse_coefficients(spec))
+    F, levels = kept["F"], kept["scc"].levels
+    # reference Čech assembly: one ChainMap per face (i, s)
+    faces = {}
+    for i in range(1, len(levels)):
+        for s in range(i + 1):
+            fmap = faces[(i, s)] = ChainMap(levels[i], levels[i - 1])
+            for (alpha, lab) in levels[i].index:
+                beta = alpha[:s] + alpha[s + 1 :]
+                if any(beta[j] == beta[j + 1] for j in range(len(beta) - 1)):
+                    continue
+                for tlab, v in cech._face_image(F, alpha, lab, s).items():
+                    fmap.set_entry((alpha, lab), (beta, tlab), v)
+    ref = SimpleNamespace(levels=levels, faces=faces, exhausted=False,
+                          top_level=len(levels) - 1)
+    _assert_same_total(C.total, _reference_total_complex(ref))
 
 
 def test_point_retract_via_total(QQ, exterior):

@@ -1,6 +1,6 @@
 """Shared helpers for the test-suite (kept out of the package)."""
 
-from hoch.homalg import ChainComplex
+from hoch.homalg import ChainComplex, ChainMap, SimplicialChainComplex
 
 _counter = [0]
 
@@ -16,3 +16,19 @@ def two_term_complex(coefficients, degree):
         ("tt", tag, 0), ("tt", tag, 1), coefficients.field.one
     )
     return c.freeze(support=(degree, degree + 1))
+
+
+def constant_simplicial(complex_, top_level):
+    """Constant simplicial object on a complex, all faces the identity:
+    the alternating face sum of level n is the identity for even n and
+    zero for odd n."""
+    one = complex_.coefficients.field.one
+    faces = {}
+    for n in range(1, top_level + 1):
+        m = faces[n] = ChainMap(complex_, complex_)
+        face_sum = sum((-1) ** r for r in range(n + 1)) * one
+        for lab, (_d, _w, pos) in complex_.index.items():
+            m.set_column(lab, [(pos, face_sum)])
+    return SimplicialChainComplex(
+        [complex_] * (top_level + 1), faces, exhausted=False
+    )
