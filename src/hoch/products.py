@@ -10,8 +10,9 @@ is enforced by the test battery.
 from itertools import combinations
 
 from . import dga
-from .dga import apply_setmap
+from .dga import _constants, apply_setmap
 from .homalg import NEG_INF, POS_INF, ChainComplex
+from .linalg import SparseMatrix
 from .hochschild import (
     TruncationError,
     _internal_diff,
@@ -294,7 +295,13 @@ class CochainComplexData:
 
     Level-n basis: (n, arg, m) with arg a normalized monomial on the
     non-basepoint slots (unit at the basepoint) and m a module basis
-    element; weights are collapsed to 0.
+    element; weights are collapsed to 0.  ``arg_degrees[n]`` maps each
+    level-n argument, in sorted order, to its internal degree.
+
+    The coboundary is summed as plain numbers into one {column: {row:
+    value}} dict per block, keyed by positions, and coerced into the field
+    once per entry.  A face or internal-differential image missing from
+    the level below must be degenerate.
     """
 
     def __init__(self, Y, A, module, window=(0, 4), top=None):
@@ -307,10 +314,8 @@ class CochainComplexData:
         self.Y = Y
         self.A = A
         self.module = module
-        f = A.coefficients.field
-        min_deg_m = min(
-            (module.degrees[m] for m in range(module.dim)), default=0
-        )
+        mdeg = module.degrees
+        min_deg_m = min(mdeg, default=0)
         if top is None:
             top = window[1] + 1 - min_deg_m
         if top > Y.top_level:
@@ -324,80 +329,91 @@ class CochainComplexData:
             )
             for n in range(top + 1)
         ]
-        out = ChainComplex(A.coefficients)
-        for n in range(top + 1):
-            for arg in self.args[n]:
-                adeg, _ = _monomial_data(Y, n, A, None, arg)
-                for m in range(module.dim):
-                    out.add_element(
-                        (n, arg, m), n + module.degrees[m] - adeg, 0
-                    )
-        self._arg_index = [
-            {arg: k for k, arg in enumerate(a)} for a in self.args
+        self.arg_degrees = [
+            {arg: _monomial_data(Y, n, A, None, arg)[0] for arg in args}
+            for n, args in enumerate(self.args)
         ]
-        # One pass over the source arguments of each level: dualize the
-        # (normalized) face and internal-differential matrices.
+        out = ChainComplex(A.coefficients)
+        for n, table in enumerate(self.arg_degrees):
+            for arg, adeg in table.items():
+                for m in range(module.dim):
+                    out.add_element((n, arg, m), n + mdeg[m] - adeg, 0)
+        index = out.index
+        blocks = {}  # (degree, weight) -> {column: {row: plain number}}
+
+        def add(source, target, value):
+            sd, sw, col = index[source]
+            td, tw, row = index[target]
+            if td != sd + 1 or tw != sw:
+                raise ValueError(
+                    f"coboundary entry {source!r} -> {target!r} must raise "
+                    "the degree by 1 and preserve the weight"
+                )
+            column = blocks.setdefault((sd, sw), {}).setdefault(col, {})
+            column[row] = column.get(row, 0) + value
+
+        # the faces, dualized: a face image w of a level-lvl argument u
+        # splits into its basepoint factor b, which acts on the value, and
+        # the level-n argument ``rest``
         for lvl in range(1, top + 1):
             n = lvl - 1
-            bp_tgt = Y.basepoint[n]
-            argset = self._arg_index[n]
-            for i in range(lvl + 1):
-                setmap = tuple(Y.face_tab[lvl][i])
-                sgn_face = f.coerce(-1 if i % 2 else 1)
+            bp = Y.basepoint[n]
+            below = self.arg_degrees[n]
+            for i, setmap in enumerate(map(tuple, Y.face_tab[lvl])):
                 for u in self.args[lvl]:
-                    image = apply_setmap(A, setmap, u)
-                    for w, lam in image.items():
+                    for w, lam in apply_setmap(A, setmap, u).items():
                         full = _pad(w, Y.card(n), A.unit)
-                        b = full[bp_tgt]
-                        rest = tuple(
-                            p if s != bp_tgt else A.unit
-                            for s, p in enumerate(full)
-                        )
-                        if rest not in argset:
+                        rest = full[:bp] + (A.unit,) + full[bp + 1:]
+                        adeg = below.get(rest)
+                        if adeg is None:
+                            if _is_nondegenerate(Y, n, A, rest):
+                                raise AssertionError("missing face target")
                             continue
-                        before = sum(A.degrees[p] for p in full[:bp_tgt])
-                        adeg = _monomial_data(Y, n, A, None, rest)[0]
+                        b = full[bp]
+                        # |b| crosses the slots before bp and the value
+                        before = sum(A.degrees[p] for p in full[:bp]) - adeg
+                        odd = A.degrees[b] % 2
+                        if lam.denominator == 1:  # sum integral ones as int
+                            lam = lam.numerator
                         for m in range(module.dim):
-                            phid = module.degrees[m] - adeg
-                            sgn = 1
-                            if A.degrees[b] % 2 and before % 2:
-                                sgn = -sgn
-                            if A.degrees[b] % 2 and phid % 2:
-                                sgn = -sgn
-                            for q, c in module.act_left(b, m).items():
-                                val = f.mul(
-                                    sgn_face,
-                                    f.mul(f.coerce(sgn), f.mul(lam, c)),
-                                )
-                                if not f.is_zero(val):
-                                    out.set_differential_entry(
-                                        (n, rest, m), (lvl, u, q), val
-                                    )
-        for n in range(top + 1):
-            sgn_n = f.coerce(-1 if n % 2 else 1)
-            argset = self._arg_index[n]
-            for u in self.args[n]:
+                            odd_m = i + odd * (before + mdeg[m])
+                            sign = -1 if odd_m % 2 else 1
+                            for q, c in _constants(
+                                module, "_left_constants", module.act_left,
+                                b, m,
+                            ):
+                                add((n, rest, m), (lvl, u, q), sign * c * lam)
+        for n, table in enumerate(self.arg_degrees):
+            sign_n = -1 if n % 2 else 1
+            for u in table:
                 # d_M after phi
                 for m in range(module.dim):
                     for q, c in module.d(m).items():
-                        out.set_differential_entry(
-                            (n, u, m), (n, u, q), f.mul(sgn_n, c)
-                        )
+                        add((n, u, m), (n, u, q), sign_n * c)
                 # -(-1)^{|phi|_int} phi ∘ d, dualized (nothing when d = 0)
                 if not A.diff:
                     continue
                 for tgt, c in _internal_diff(A, None, None, u).items():
-                    if tgt not in argset:
+                    adeg = table.get(tgt)
+                    if adeg is None:
+                        if _is_nondegenerate(Y, n, A, tgt):
+                            raise AssertionError("missing internal target")
                         continue
-                    adeg = _monomial_data(Y, n, A, None, tgt)[0]
                     for m in range(module.dim):
-                        phid = module.degrees[m] - adeg
-                        sgn_phi = f.coerce(1 if phid % 2 else -1)
-                        val = f.mul(sgn_n, f.mul(sgn_phi, c))
-                        if not f.is_zero(val):
-                            out.set_differential_entry(
-                                (n, tgt, m), (n, u, m), val
-                            )
+                        sign = sign_n if (mdeg[m] - adeg) % 2 else -sign_n
+                        add((n, tgt, m), (n, u, m), sign * c)
+        f = A.coefficients.field
+        for (d, w), columns in blocks.items():
+            mat = out.diff[(d, w)] = SparseMatrix(
+                out.dim(d + 1, w), out.dim(d, w), f
+            )
+            for col, column in columns.items():
+                for row, v in column.items():
+                    column[row] = f.coerce(v)
+                for row in [row for row, v in column.items() if not v]:
+                    del column[row]
+                if column:
+                    mat.cols[col] = column
         # missing levels n > top only touch total degrees >= n + min_deg_m
         self.complex = out.freeze(
             window=(NEG_INF, top + min_deg_m),
@@ -419,42 +435,32 @@ def _iterated_face_setmap(Y, top, count, which):
     return tuple(comp)
 
 
-def _evaluate_pushed(data, fch_level, level_from, count, which, u_mono):
-    """Value in M of ((δ^which)^count f)(u): push the argument down through
-    the iterated face, let the basepoint factor act on the output.
+def _evaluate_pushed(data, by_arg, p, setmap, u_mono):
+    """Value in M of a level-p cochain, given as {arg: {m: coeff}}, on
+    the image of ``u_mono`` under the iterated face ``setmap``: push the
+    argument down, let the basepoint factor act on the output.
 
-    fch_level: {(p, arg, m): coeff} at the fixed level p = level_from-count.
     Returns {module_pos: coeff}.
     """
     Y, A, module = data.Y, data.A, data.module
     f = A.coefficients.field
-    p = level_from - count
-    setmap = _iterated_face_setmap(Y, level_from, count, which)
     bp = Y.basepoint[p]
     out = {}
-    image = apply_setmap(A, setmap, u_mono)
-    for w, lam in image.items():
+    for w, lam in apply_setmap(A, setmap, u_mono).items():
         full = _pad(w, Y.card(p), A.unit)
+        rest = full[:bp] + (A.unit,) + full[bp + 1:]
+        values = by_arg.get(rest)
+        if values is None:
+            continue
         b = full[bp]
-        rest = tuple(
-            v if s != bp else A.unit for s, v in enumerate(full)
-        )
-        before = sum(A.degrees[full[s]] for s in range(bp))
-        for (pp, arg, m), coeff in fch_level.items():
-            if arg != rest:
-                continue
-            phid = (
-                module.degrees[m] - _monomial_data(Y, pp, A, None, arg)[0]
-            )
-            sgn = 1
-            if A.degrees[b] % 2 and before % 2:
-                sgn = -sgn
-            if A.degrees[b] % 2 and phid % 2:
-                sgn = -sgn
+        # |b| crosses the slots before bp and the value
+        before = sum(A.degrees[x] for x in full[:bp])
+        before -= data.arg_degrees[p][rest]
+        odd = A.degrees[b] % 2
+        for m, coeff in values.items():
+            sgn = f.coerce(-1 if odd * (before + module.degrees[m]) % 2 else 1)
             for q, c in module.act_left(b, m).items():
-                dga._acc(
-                    out, q, f.mul(coeff, f.mul(f.coerce(sgn), f.mul(lam, c))), f
-                )
+                dga._acc(out, q, f.mul(coeff, f.mul(sgn, f.mul(lam, c))), f)
     return out
 
 
@@ -464,42 +470,54 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
     The module of the data must be the algebra itself (same basis), so
     that values multiply.  The Eilenberg-Zilber step sends f ⊗ g at
     bidegree (p, q) to (δ^last)^q f ⊗ (δ^0)^p g evaluated on the two halves
-    of a wedge argument; the basepoint slot collects a_0.
+    of a wedge argument; the basepoint slot collects a_0.  Each half is
+    pushed once per level of f and label of g: its value is kept for the
+    other wedge arguments that share it.
     """
     A = data_x.A
     if data_y.A is not A or data_wedge.A is not A:
         raise ValueError("wedge factors must share the algebra")
+    if any(d.module.labels != A.labels for d in (data_x, data_y, data_wedge)):
+        raise ValueError("wedge coefficients must be the algebra itself")
     if not (data_x.Y.is_pointed() and data_y.Y.is_pointed()):
         raise ValueError("wedge factors must be pointed")
     f = A.coefficients.field
-    W = data_wedge.Y
+    by_level_f = {}  # p -> {arg: {m: coeff}}
+    for (p, arg, m), c in fch.items():
+        by_level_f.setdefault(p, {}).setdefault(arg, {})[m] = c
+    pushed_f = {}  # (p, q) -> {x-half: (value of f, internal degree)}
     out = {}
-    for (glabel, gcoeff) in gch.items():
-        q, garg, gm = glabel
-        gdeg = (
-            data_y.module.degrees[gm]
-            - _monomial_data(data_y.Y, q, A, None, garg)[0]
-        )
-        gpart = {glabel: gcoeff}
-        by_level_f = {}
-        for (p, arg, m), c in fch.items():
-            by_level_f.setdefault(p, {})[(p, arg, m)] = c
+    for (q, garg, gm), gcoeff in gch.items():
+        gdeg = data_y.module.degrees[gm] - data_y.arg_degrees[q][garg]
+        gpart = {garg: {gm: gcoeff}}
         for p, fpart in by_level_f.items():
             n = p + q
             if n > data_wedge.top:
                 raise TruncationError("wedge product exceeds the window")
+            last = _iterated_face_setmap(data_x.Y, n, q, "last")
+            first = _iterated_face_setmap(data_y.Y, n, p, "first")
+            halves_f = pushed_f.setdefault((p, q), {})
+            halves_g = {}
             for warg in data_wedge.args[n]:
                 xfull, yfull = _split_wedge_arg(
-                    data_x.Y, data_y.Y, W, n, warg, A
+                    data_x.Y, data_y.Y, n, warg, A.unit
                 )
-                valF = _evaluate_pushed(data_x, fpart, n, q, "last", xfull)
+                if xfull not in halves_f:
+                    halves_f[xfull] = (
+                        _evaluate_pushed(data_x, fpart, p, last, xfull),
+                        sum(A.degrees[x] for x in xfull),
+                    )
+                valF, xdeg = halves_f[xfull]
                 if not valF:
                     continue
-                valG = _evaluate_pushed(data_y, gpart, n, p, "first", yfull)
+                if yfull not in halves_g:
+                    halves_g[yfull] = _evaluate_pushed(
+                        data_y, gpart, q, first, yfull
+                    )
+                valG = halves_g[yfull]
                 if not valG:
                     continue
                 # g crosses the x-half of the argument
-                xdeg = _monomial_data(data_x.Y, n, A, None, xfull)[0]
                 sgn = f.coerce(-1 if (gdeg * xdeg) % 2 else 1)
                 for mX, cf in valF.items():
                     for mY, cg in valG.items():
@@ -513,21 +531,10 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
     return out
 
 
-def _split_wedge_arg(X, Ysp, W, n, warg, A):
-    """Split a wedge argument into monomials over the factor slot sets."""
-    xfull = [A.unit] * X.card(n)
-    yfull = [A.unit] * Ysp.card(n)
-    pos = 1
-    bx = X.basepoint[n]
-    for s in range(X.card(n)):
-        if s == bx:
-            continue
-        xfull[s] = warg[pos]
-        pos += 1
-    by = Ysp.basepoint[n]
-    for s in range(Ysp.card(n)):
-        if s == by:
-            continue
-        yfull[s] = warg[pos]
-        pos += 1
-    return tuple(xfull), tuple(yfull)
+def _split_wedge_arg(X, Ysp, n, warg, unit):
+    """Split a wedge argument into monomials over the factor slot sets:
+    after the wedge basepoint come the non-basepoint slots of X, then
+    those of Y, each in order."""
+    cx, bx, by = X.card(n), X.basepoint[n], Ysp.basepoint[n]
+    xs, ys = warg[1:cx], warg[cx:]
+    return xs[:bx] + (unit,) + xs[bx:], ys[:by] + (unit,) + ys[by:]

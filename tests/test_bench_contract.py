@@ -19,6 +19,12 @@ WORKLOADS = [
 ]
 # basis size of the complexes each CLI workload builds
 BASIS = {"sphere3-hkr": 2782, "circle-trunc3": 3069}
+# basis size per level of the four cochain complexes wedge-cochains builds:
+# S¹, S¹∨S¹, (S¹∨S¹)∨S¹ and S¹∨(S¹∨S¹) over k[x]/x², to level 4
+COCHAIN_LEVEL_DIMS = [
+    [2, 2, 2, 2, 2], [2, 6, 18, 54, 162], [2, 14, 98, 686, 4802],
+    [2, 14, 98, 686, 4802],
+]
 
 
 def bench(workload, trace):
@@ -54,6 +60,11 @@ def test_traced_run_ends_in_a_result(workload):
         assert measured.split(":", 1)[1].strip() == (
             f"[{explained.split(':', 1)[1].strip()}]"
         )
+    if workload == "wedge-cochains":
+        (measured,) = [l for l in report if "measured level dims:" in l]
+        assert json.loads(measured.split(":", 1)[1]) == COCHAIN_LEVEL_DIMS
+        for name in ("products.cochain_build_s", "products.wedge_s"):
+            assert metrics[name]["value"] > 0
 
 
 def test_timed_run_ends_in_a_result():

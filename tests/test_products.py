@@ -1,13 +1,16 @@
 """Chain-level products: shuffle, cup, wedge; exactness of their axioms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from hoch import dga, simp
 from hoch import hochschild as hh
 from hoch import products as pr
+from hoch.homalg import ChainComplex, Coefficients
 from hoch.linalg import SubquotientSpace, kernel_basis
+from tests_support import koszul_algebra
 
 
 def add(field, a, b, sign=1):
@@ -357,3 +360,300 @@ def test_wedge_algebra_mismatch_rejected(QQ, trunc2, trunc3, wedge_setup):
     some = {next(iter(d1.complex.index)): f.one}
     with pytest.raises(ValueError, match="share the algebra"):
         pr.wedge_product(other, d2, dw, some, some)
+
+
+def test_wedge_rejects_module_coefficients(QQ, trunc3):
+    """The values of the two factors multiply in the algebra, so the
+    coefficients must be the algebra itself, not another module."""
+    k = dga.augmentation_module(trunc3)
+    c = simp.circle(3)
+    dk = pr.CochainComplexData(c, trunc3, k, window=(0, 2), top=3)
+    dw = pr.CochainComplexData(simp.wedge(c, c), trunc3, k, (0, 2), top=3)
+    some = {next(iter(dk.complex.index)): QQ.field.one}
+    with pytest.raises(ValueError, match="algebra itself"):
+        pr.wedge_product(dk, dk, dw, some, some)
+
+
+def test_cochain_face_target_missing_raises(QQ, trunc2, monkeypatch):
+    """A nondegenerate face image missing from the level below is a
+    broken basis, not a zero entry."""
+    real = pr._level_monomials
+
+    def drop_one(Y, n, *args, **kwargs):
+        monos = real(Y, n, *args, **kwargs)
+        return monos[1:] if n == 1 else monos
+
+    monkeypatch.setattr(pr, "_level_monomials", drop_one)
+    with pytest.raises(AssertionError, match="missing face target"):
+        pr.CochainComplexData(
+            simp.circle(4), trunc2, dga.algebra_as_bimodule(trunc2),
+            window=(0, 2), top=4,
+        )
+
+
+# -- reference constructions: the cochain coboundary set entry by entry with
+# field products, and the wedge product pushing every half anew ------------
+
+
+def _reference_cochain_complex(Y, A, module, top):
+    f = A.coefficients.field
+    args = [
+        hh._level_monomials(
+            Y, n, A, None, None, None, True, unit_slot=Y.basepoint[n]
+        )
+        for n in range(top + 1)
+    ]
+    out = ChainComplex(A.coefficients)
+    for n in range(top + 1):
+        for arg in args[n]:
+            adeg, _ = hh._monomial_data(Y, n, A, None, arg)
+            for m in range(module.dim):
+                out.add_element((n, arg, m), n + module.degrees[m] - adeg, 0)
+    arg_index = [set(a) for a in args]
+    for lvl in range(1, top + 1):
+        n = lvl - 1
+        bp_tgt = Y.basepoint[n]
+        argset = arg_index[n]
+        for i in range(lvl + 1):
+            setmap = tuple(Y.face_tab[lvl][i])
+            sgn_face = f.coerce(-1 if i % 2 else 1)
+            for u in args[lvl]:
+                for w, lam in dga.apply_setmap(A, setmap, u).items():
+                    full = hh._pad(w, Y.card(n), A.unit)
+                    b = full[bp_tgt]
+                    rest = tuple(
+                        p if s != bp_tgt else A.unit
+                        for s, p in enumerate(full)
+                    )
+                    if rest not in argset:
+                        continue
+                    before = sum(A.degrees[p] for p in full[:bp_tgt])
+                    adeg = hh._monomial_data(Y, n, A, None, rest)[0]
+                    for m in range(module.dim):
+                        phid = module.degrees[m] - adeg
+                        sgn = 1
+                        if A.degrees[b] % 2 and before % 2:
+                            sgn = -sgn
+                        if A.degrees[b] % 2 and phid % 2:
+                            sgn = -sgn
+                        for q, c in module.act_left(b, m).items():
+                            val = f.mul(
+                                sgn_face, f.mul(f.coerce(sgn), f.mul(lam, c))
+                            )
+                            if not f.is_zero(val):
+                                out.set_differential_entry(
+                                    (n, rest, m), (lvl, u, q), val
+                                )
+    for n in range(top + 1):
+        sgn_n = f.coerce(-1 if n % 2 else 1)
+        for u in args[n]:
+            for m in range(module.dim):
+                for q, c in module.d(m).items():
+                    out.set_differential_entry(
+                        (n, u, m), (n, u, q), f.mul(sgn_n, c)
+                    )
+            if not A.diff:
+                continue
+            for tgt, c in hh._internal_diff(A, None, None, u).items():
+                if tgt not in arg_index[n]:
+                    continue
+                adeg = hh._monomial_data(Y, n, A, None, tgt)[0]
+                for m in range(module.dim):
+                    phid = module.degrees[m] - adeg
+                    sgn_phi = f.coerce(1 if phid % 2 else -1)
+                    val = f.mul(sgn_n, f.mul(sgn_phi, c))
+                    if not f.is_zero(val):
+                        out.set_differential_entry(
+                            (n, tgt, m), (n, u, m), val
+                        )
+    return out
+
+
+def _reference_evaluate_pushed(data, fch_level, level_from, count, which,
+                               u_mono):
+    Y, A, module = data.Y, data.A, data.module
+    f = A.coefficients.field
+    p = level_from - count
+    setmap = pr._iterated_face_setmap(Y, level_from, count, which)
+    bp = Y.basepoint[p]
+    out = {}
+    for w, lam in dga.apply_setmap(A, setmap, u_mono).items():
+        full = hh._pad(w, Y.card(p), A.unit)
+        b = full[bp]
+        rest = tuple(v if s != bp else A.unit for s, v in enumerate(full))
+        before = sum(A.degrees[full[s]] for s in range(bp))
+        for (pp, arg, m), coeff in fch_level.items():
+            if arg != rest:
+                continue
+            adeg = hh._monomial_data(Y, pp, A, None, arg)[0]
+            phid = module.degrees[m] - adeg
+            sgn = 1
+            if A.degrees[b] % 2 and before % 2:
+                sgn = -sgn
+            if A.degrees[b] % 2 and phid % 2:
+                sgn = -sgn
+            for q, c in module.act_left(b, m).items():
+                val = f.mul(coeff, f.mul(f.coerce(sgn), f.mul(lam, c)))
+                dga._acc(out, q, val, f)
+    return out
+
+
+def _reference_split_wedge_arg(X, Ysp, n, warg, A):
+    xfull = [A.unit] * X.card(n)
+    yfull = [A.unit] * Ysp.card(n)
+    pos = 1
+    for Z, full in ((X, xfull), (Ysp, yfull)):
+        for s in range(Z.card(n)):
+            if s != Z.basepoint[n]:
+                full[s] = warg[pos]
+                pos += 1
+    return tuple(xfull), tuple(yfull)
+
+
+def _reference_wedge_product(data_x, data_y, data_wedge, fch, gch):
+    A = data_x.A
+    f = A.coefficients.field
+    out = {}
+    for glabel, gcoeff in gch.items():
+        q, garg, gm = glabel
+        gdeg = (
+            data_y.module.degrees[gm]
+            - hh._monomial_data(data_y.Y, q, A, None, garg)[0]
+        )
+        gpart = {glabel: gcoeff}
+        by_level_f = {}
+        for (p, arg, m), c in fch.items():
+            by_level_f.setdefault(p, {})[(p, arg, m)] = c
+        for p, fpart in by_level_f.items():
+            n = p + q
+            for warg in data_wedge.args[n]:
+                xfull, yfull = _reference_split_wedge_arg(
+                    data_x.Y, data_y.Y, n, warg, A
+                )
+                valF = _reference_evaluate_pushed(
+                    data_x, fpart, n, q, "last", xfull
+                )
+                if not valF:
+                    continue
+                valG = _reference_evaluate_pushed(
+                    data_y, gpart, n, p, "first", yfull
+                )
+                if not valG:
+                    continue
+                xdeg = hh._monomial_data(data_x.Y, n, A, None, xfull)[0]
+                sgn = f.coerce(-1 if (gdeg * xdeg) % 2 else 1)
+                for mX, cf in valF.items():
+                    for mY, cg in valG.items():
+                        for k, c in A.product(mX, mY).items():
+                            dga._acc(
+                                out, (n, warg, k),
+                                f.mul(f.mul(cf, cg), f.mul(sgn, c)), f,
+                            )
+    return out
+
+
+def _entries(complex_):
+    return {
+        (key, row, col): v
+        for key, mat in complex_.diff.items()
+        for row, col, v in mat.entries()
+    }
+
+
+FIELDS = {"Q": Coefficients(), "F7": Coefficients("prime-field", 7)}
+ALGEBRAS = {
+    "trunc2": lambda k: dga.truncated_polynomial(k, 2),
+    "trunc3": lambda k: dga.truncated_polynomial(k, 3),
+    "exterior": dga.exterior,
+    "koszul": koszul_algebra,
+}
+
+
+def _spaces(N=4):
+    c = simp.circle(N)
+    cc = simp.wedge(c, c)
+    return {
+        "circle": c,
+        "circle∨circle": cc,
+        "(circle∨circle)∨circle": simp.wedge(cc, c),
+        "circle∨(circle∨circle)": simp.wedge(c, cc),
+        "circle∨point": simp.wedge(c, simp.point(N)),
+        "sphere_small(2)": simp.sphere_small(2, N),
+    }
+
+
+# top level per space, lowered where the basis passes a few thousand
+TOPS = {
+    "circle": 4, "circle∨circle": 3, "(circle∨circle)∨circle": 3,
+    "circle∨(circle∨circle)": 3, "circle∨point": 4, "sphere_small(2)": 4,
+}
+LOWER = {
+    ("trunc3", "(circle∨circle)∨circle"): 2,
+    ("trunc3", "circle∨(circle∨circle)"): 2,
+    ("koszul", "circle∨circle"): 2,
+    ("koszul", "(circle∨circle)∨circle"): 1,
+    ("koszul", "circle∨(circle∨circle)"): 1,
+    ("koszul", "sphere_small(2)"): 3,
+}
+
+
+@pytest.mark.parametrize("space", sorted(TOPS))
+@pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_cochain_complex_matches_reference(field, algebra, space):
+    k = FIELDS[field]
+    A = ALGEBRAS[algebra](k)
+    Y = _spaces()[space]
+    top = LOWER.get((algebra, space), TOPS[space])
+    for module in (dga.algebra_as_bimodule(A), dga.augmentation_module(A)):
+        got = pr.CochainComplexData(Y, A, module, (0, top - 1), top)
+        C = got.complex
+        want = _reference_cochain_complex(Y, A, module, top)
+        assert C.blocks == want.blocks and C.index == want.index
+        entries = _entries(C)
+        assert entries == _entries(want)
+        if k.field.characteristic:
+            assert all(type(v) is int and 0 < v < 7 for v in entries.values())
+        else:
+            assert all(type(v) is Fraction for v in entries.values())
+        assert C.check_differential()[0]
+
+
+@pytest.mark.parametrize("pair", ["circle,circle", "point,circle",
+                                  "circle∨circle,circle"])
+@pytest.mark.parametrize("algebra", ["trunc2", "exterior"])
+def test_wedge_product_matches_reference(QQ, pair, algebra):
+    N = 4
+    A = ALGEBRAS[algebra](QQ)
+    m = dga.algebra_as_bimodule(A)
+    c = simp.circle(N)
+    X, Yc = {
+        "circle,circle": (c, c),
+        "point,circle": (simp.point(N), c),
+        "circle∨circle,circle": (simp.wedge(c, c), c),
+    }[pair]
+    top = 3 if pair == "circle∨circle,circle" else N
+    dx, dy, dw = (
+        pr.CochainComplexData(Z, A, m, (0, top - 1), top)
+        for Z in (X, Yc, simp.wedge(X, Yc))
+    )
+    f = QQ.field
+    rng = random.Random(31)
+
+    def rand_cochain(data, max_level):
+        labels = [lab for lab in data.complex.index if lab[0] <= max_level]
+        return {
+            lab: f.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
+            for lab in rng.sample(labels, min(len(labels), rng.randint(1, 4)))
+        }
+
+    levels, parities = set(), set()
+    for _ in range(12):
+        fch = rand_cochain(dx, top // 2)
+        gch = rand_cochain(dy, top - top // 2)
+        got = pr.wedge_product(dx, dy, dw, fch, gch)
+        assert got == _reference_wedge_product(dx, dy, dw, fch, gch)
+        levels |= {lab[0] for lab in fch} | {lab[0] for lab in gch}
+        parities |= {dx.complex.index[lab][0] % 2 for lab in fch}
+        parities |= {dy.complex.index[lab][0] % 2 for lab in gch}
+    assert len(levels) > 1 and parities == {0, 1}

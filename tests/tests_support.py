@@ -1,5 +1,6 @@
 """Shared helpers for the test-suite (kept out of the package)."""
 
+from hoch import dga
 from hoch.homalg import ChainComplex, ChainMap, SimplicialChainComplex
 
 _counter = [0]
@@ -31,4 +32,24 @@ def constant_simplicial(complex_, top_level):
             m.set_column(lab, [(pos, face_sum)])
     return SimplicialChainComplex(
         [complex_] * (top_level + 1), faces, exhausted=False
+    )
+
+
+def koszul_algebra(coefficients):
+    """(k[x]/x² ⊗ Λ(e), de = x): acyclic in positive weights, quasi-
+    isomorphic to Λ(z) with z = [xe]; exercises the nonzero-differential
+    code paths end to end."""
+    one = coefficients.field.one
+    basis = [("1", 0, 0), ("x", 0, 1), ("e", -1, 1), ("xe", -1, 2)]
+    mult = {
+        (0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one},
+        (0, 3): {3: one},
+        (1, 0): {1: one}, (2, 0): {2: one}, (3, 0): {3: one},
+        (1, 1): {}, (1, 2): {3: one}, (2, 1): {3: one},
+        (1, 3): {}, (3, 1): {}, (2, 2): {}, (2, 3): {}, (3, 2): {},
+        (3, 3): {},
+    }
+    return dga.DGAlgebra(
+        "koszul", coefficients, basis, mult, unit=0, diff={2: {1: one}},
+        commutative=True, augmentation={0: one}, weight_graded=True,
     )
