@@ -317,7 +317,6 @@ def validate_prefactorization(F):
                     # composite: first into the mids, then into w
                     pos = 0
                     mid_values = []
-                    ok = True
                     for v, fam in zip(mids, inners):
                         part = factors[pos : pos + len(fam)]
                         pos += len(fam)
@@ -614,7 +613,6 @@ def cech_complex(F, cover, truncation=2):
         )
     )
     coeff = F.coefficients
-    f = coeff.field
     levels = []
     level_basis = []
     for i in range(truncation + 1):
@@ -796,7 +794,6 @@ def _face_image(F, alpha, lab, s):
 
 
 def _augmentation_map(F, level0, basis0):
-    f = F.coefficients.field
     target = F.values[F.poset.union_id]
     amap = ChainMap(level0, target)
     for (alpha, lab) in basis0:

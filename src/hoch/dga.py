@@ -10,11 +10,14 @@ All structure constants are exact; an axiom audit runs at construction
 and fails fast.  Koszul signs are computed from the sorting permutation
 of the odd-degree factors involved (``koszul_sign``), never from ad-hoc
 parity formulas; even factors never change a sign.
+
+A map of slot sets acts on monomials through a program compiled once per
+setmap (``compile_setmap``); ``apply_setmap`` is its one-shot form.
 """
 
-from bisect import insort
 from fractions import Fraction
 from itertools import compress, product
+from operator import itemgetter, ne
 
 from .homalg import NEG_INF, ChainComplex, Coefficients
 from .linalg import SparseMatrix, rank
@@ -73,12 +76,6 @@ class DGAlgebra:
     def nonunit(self):
         return [i for i in range(self.dim) if i != self.unit]
 
-    def degree(self, i):
-        return self.degrees[i]
-
-    def weight(self, i):
-        return self.weights[i]
-
     def product(self, i, j):
         """Product of basis elements as {position: coeff}."""
         if (
@@ -100,7 +97,6 @@ class DGAlgebra:
         return self.augmentation.get(i, self.coefficients.field.zero)
 
     def _classify(self):
-        f = self.coefficients.field
         deg_ok = all(
             self.degrees[i] <= -1 for i in range(self.dim) if i != self.unit
         )
@@ -271,12 +267,6 @@ class DGModule:
     @property
     def dim(self):
         return len(self.basis)
-
-    def degree(self, i):
-        return self.degrees[i]
-
-    def weight(self, i):
-        return self.weights[i]
 
     def act_left(self, a, m):
         if self.left is None:
@@ -633,17 +623,12 @@ def algebra_as_bimodule(A, name=None):
         list(zip(A.labels, A.degrees, A.weights)),
         left,
         symmetric=A.commutative,
-        right=None if A.commutative else _right_from_mult(A),
+        right=None if A.commutative else {
+            ij: dict(out) for ij, out in A.mult.items()
+        },
         diff={i: dict(v) for i, v in A.diff.items()},
         pointed_element=A.unit,
     )
-
-
-def _right_from_mult(A):
-    right = {}
-    for (i, j), out in A.mult.items():
-        right[(i, j)] = dict(out)
-    return right
 
 
 def underlying_complex(X):
@@ -735,140 +720,178 @@ def koszul_sign(pairs):
     return sign
 
 
-def _constants(owner, table_name, compute, i, j):
-    """``compute(i, j)`` ({k: coeff}) as a tuple of (k, coeff) pairs, with
-    integral rationals stored as int.  Kept in a table on ``owner`` that
-    is made at first use and holds only the pairs met so far."""
+class _Table(dict):
+    """A dict that makes the entry of a missing key as ``fill(key)``."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _constants(owner, table_name, compute):
+    """The table on ``owner`` of ``compute(i, j)`` ({k: coeff}) as (k, coeff)
+    pairs under (i, j), integral rationals as int, filled as pairs are met."""
     table = owner.__dict__.get(table_name)
     if table is None:
-        table = owner.__dict__[table_name] = {}
-    entry = table.get((i, j))
-    if entry is None:
-        entry = table[i, j] = tuple(
+        table = owner.__dict__[table_name] = _Table(lambda key: tuple(
             (k, c.numerator)
-            if isinstance(c, Fraction) and c.denominator == 1
-            else (k, c)
-            for k, c in compute(i, j).items()
-        )
-    return entry
+            if isinstance(c, Fraction) and c.denominator == 1 else (k, c)
+            for k, c in compute(*key).items()
+        ))
+    return table
 
 
-def apply_setmap(A, setmap, monomial, module=None, module_slot_map=None):
-    """Push a monomial through a map of slot sets (Eq.-7 style).
+def _getter(slots):
+    """The entries of a tuple at ``slots``, as a tuple (also for one)."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
 
-    setmap: tuple, target slot index per source slot.  monomial: tuple of
-    A-basis positions per source slot, except that slot positions listed
-    in module_slot_map take module basis positions.  module_slot_map is
-    {source_slot: target_slot} for the (at most one) module slot; merging
-    into the module slot acts through the module structure.
 
-    Returns {target_monomial: coeff}, targets 0..max(setmap).  Only the
-    non-unit factors (and the module factor) are walked: they are grouped
-    by target slot in source order, and each group is folded left to
-    right through the structure constants.  The Koszul sign of the
-    regrouping is ``koszul_sign`` over the odd-degree factors alone, since
-    even factors never change it.  Coefficients are multiplied as plain
-    numbers (integral rationals as int) and coerced into the field once
-    per output term; terms that are zero after coercion are dropped.
+def compile_setmap(A, setmap, n_targets=None, module=None,
+                   module_slot_map=None):
+    """The program ``push`` of a map of slot sets (Eq.-7 style): for a
+    monomial (A-basis positions per source slot; the slot in
+    module_slot_map, {source: target} for at most one, holds a module
+    position and merges through the module), ``push(monomial)`` is its
+    image {target_monomial: coeff}, each target n_targets long (default
+    1 + max(setmap)).
 
-    >>> apply_setmap(exterior(), (1, 0), (1, 1))  # two odd factors swap
-    {(1, 1): Fraction(-1, 1)}
+    Compiled once: a representative source slot per target (the first of
+    its fibre, or a sentinel holding the unit), the other fibre slots in
+    target order with their constants, the module-slot fault, and whether
+    a Koszul sign can arise (only with an odd factor and a setmap that is
+    not order-preserving).  A run gathers the representatives and folds in
+    the non-unit (and module) factors at the merge slots, left to right.
+    Coefficients are plain numbers until one coercion per output term;
+    terms that are zero after it are dropped.
     """
-    unit = A.unit
-    # positions are ints, so with the unit at 0 the non-unit slots are
-    # exactly the truthy entries
-    flags = monomial if unit == 0 else map(unit.__ne__, monomial)
-    support = list(compress(range(len(setmap)), flags))
+    unit, k = A.unit, len(setmap)
+    if n_targets is None:
+        n_targets = 1 + max(setmap) if setmap else 0
+    fibres = [[] for _ in range(n_targets)]
+    for s, t in enumerate(setmap):
+        fibres[t].append(s)
     msrc = mtgt = tm = None
     if module_slot_map:
         (msrc, mtgt), = module_slot_map.items()
-        if msrc in range(len(setmap)):
+        if msrc in range(k):
             tm = setmap[msrc]
-            if monomial[msrc] == unit:
-                insort(support, msrc)
-    odd = [
-        ((setmap[s], s), d) for s in support
-        if (d := (module.degrees if s == msrc else A.degrees)[monomial[s]]) % 2
+    # A's product, the module's left and right actions, and whether the
+    # factor folded so far is an algebra element, which the unit passes
+    kinds = [(_constants(A, "_product_constants", A.product), True)]
+    if tm is not None:
+        kinds += [
+            (_constants(module, "_left_constants", module.act_left), True),
+            (_constants(module, "_right_constants", module.act_right), False),
+        ]
+    plan = [
+        (s, t, *kinds[0 if t != tm or s < msrc else 1 if s == msrc else 2])
+        for t, fibre in enumerate(fibres) for s in fibre[1:]
     ]
-    coeff = koszul_sign(odd) if len(odd) > 1 else 1
-    n_targets = 1 + max(setmap) if setmap else 0
-    # fold each target's group (the stable sort keeps source order within
-    # a target); a group with a single term lives in ``image`` with its
-    # coefficient folded into ``coeff``, the others (zero or several
-    # terms) in ``spread``
-    support.sort(key=setmap.__getitem__)
-    image = [unit] * n_targets
-    spread = []  # (target, [(coeff, position), ...]) in target order
-    t_prev = None
-    for s in support:
-        t = setmap[s]
-        p = monomial[s]
-        if t != t_prev:
-            image[t] = p
-            t_prev = t
-            single = True
-            continue
-        if t != tm or s < msrc:
-            owner, name, compute = A, "_product_constants", A.product
-        elif s == msrc:
-            owner, name, compute = module, "_left_constants", module.act_left
-        else:
-            owner, name, compute = module, "_right_constants", module.act_right
-        if single:
-            prod = _constants(owner, name, compute, image[t], p)
+    slots = [s for s, _, _, _ in plan]
+    gather = _getter([fibre[0] if fibre else k for fibre in fibres])
+    tail = () if all(fibres) else (unit,)
+    merge_values = _getter(slots)
+    # positions are ints, so with the unit at 0 the non-unit factors are
+    # exactly the truthy entries; the module factor always counts
+    units = tuple(None if s == msrc else unit for s in slots) if (
+        unit != 0 or msrc in slots) else None
+    degrees = [A.degrees] * k
+    if tm is not None:
+        degrees[msrc] = module.degrees
+    keys = [(t, s) for s, t in enumerate(setmap)]
+    signed = any(a > b for a, b in zip(setmap, setmap[1:])) and any(
+        d % 2 for degs in degrees for d in degs
+    )
+    fault = empty = None
+    if module_slot_map and tm != mtgt:
+        # the first target where the module factor is missing or
+        # misplaced decides: the image is 0 (when that target receives
+        # only units), or an error is raised at the first nonzero term
+        if 0 <= mtgt < n_targets and (tm is None or mtgt < tm):
+            fault, empty = "module slot received algebra factor", fibres[mtgt]
+        elif tm is not None:
+            fault = "algebra slot received module factor"
+    f = A.coefficients.field
+    # plain coefficient -> its field value, or None for zero
+    coerced = _Table(lambda c: None if f.is_zero(v := f.coerce(c)) else v)
+
+    def run(monomial):
+        coeff = koszul_sign([
+            (key, d) for key, degs, p in zip(keys, degrees, monomial)
+            if (d := degs[p]) % 2
+        ]) if signed else 1
+        image = list(gather(monomial + tail))
+        # a fold with one term stays in ``image`` and ``coeff``; the terms
+        # of the others (none or several) go to ``spread``, in target order
+        spread = {}
+        values = merge_values(monomial)
+        for s, t, table, algebra in compress(
+            plan, values if units is None else map(ne, values, units)
+        ):
+            p = monomial[s]
+            terms = spread.get(t)
+            if terms is not None:
+                terms[:] = [
+                    (c * e, q) for c, cur in terms for q, e in table[cur, p]
+                ]
+                continue
+            cur = image[t]
+            if algebra and cur == unit:
+                image[t] = p
+                continue
+            prod = table[cur, p]
             if len(prod) == 1:
                 (image[t], e), = prod
                 coeff *= e
             else:
-                spread.append((t, [(e, k) for k, e in prod]))
-                single = False
-        else:
-            terms = spread[-1][1]
-            terms[:] = [
-                (c * e, k)
-                for c, cur in terms
-                for k, e in _constants(owner, name, compute, cur, p)
-            ]
-    fault = None
-    if module_slot_map and tm != mtgt:
-        # the first target, in slot order, where the module factor is
-        # missing or misplaced decides: the image is 0, or an error is
-        # raised at the first nonzero term
-        if 0 <= mtgt < n_targets and (tm is None or mtgt < tm):
-            if not any(setmap[s] == mtgt for s in support):
-                return {}
-            fault = "module slot received algebra factor"
-        elif tm is not None:
-            fault = "algebra slot received module factor"
-    f = A.coefficients.field
-    if not spread:
-        c = f.coerce(coeff)
-        if f.is_zero(c):
+                spread[t] = [(e, q) for q, e in prod]
+        if empty is not None and all(monomial[s] == unit for s in empty):
             return {}
-        if fault:
-            raise ValueError(fault)
-        return {tuple(image): c}
-    out = {}
-    for combo in product(*(terms for _, terms in spread)):
-        c = coeff
-        for (t, _), (e, k) in zip(spread, combo):
-            image[t] = k
-            c *= e
-        c = f.coerce(c)
-        if f.is_zero(c):
-            continue
-        if fault:
-            raise ValueError(fault)
-        _acc(out, tuple(image), c, f)
-    return out
+        if not spread:
+            c = coerced[coeff]
+            if c is None:
+                return {}
+            if fault:
+                raise ValueError(fault)
+            return {tuple(image): c}
+        out = {}
+        for combo in product(*spread.values()):
+            c = coeff
+            for t, (e, q) in zip(spread, combo):
+                image[t] = q
+                c *= e
+            c = coerced[c]
+            if c is None:
+                continue
+            if fault:
+                raise ValueError(fault)
+            _acc(out, tuple(image), c, f)
+        return out
+
+    return run
+
+
+def apply_setmap(A, setmap, monomial, module=None, module_slot_map=None,
+                 n_targets=None):
+    """``compile_setmap`` for a single monomial.
+
+    >>> apply_setmap(exterior(), (1, 0), (1, 1))  # two odd factors swap
+    {(1, 1): Fraction(-1, 1)}
+    """
+    push = compile_setmap(A, setmap, n_targets, module, module_slot_map)
+    return push(monomial)
 
 
 def multiop(A, setmap, n_source, n_target):
-    """Matrix of f_*: A^{⊗S} -> A^{⊗T} on full monomial bases.
-
-    Intended for small slot counts (tests, explicit checks); the chain
-    builders apply ``apply_setmap`` per monomial instead.
-    """
+    """Matrix of f_*: A^{⊗S} -> A^{⊗T} on full monomial bases, for small
+    slot counts (tests, explicit checks): one ``compile_setmap`` program
+    run on every source monomial, as the chain builders run one per face."""
     f = A.coefficients.field
     if len(setmap) != n_source:
         raise ValueError("setmap length mismatch")
@@ -878,19 +901,8 @@ def multiop(A, setmap, n_source, n_target):
     tgt = list(product(range(A.dim), repeat=n_target))
     tpos = {m: i for i, m in enumerate(tgt)}
     mat = SparseMatrix(len(tgt), len(src), f)
-    padded = tuple(setmap)
+    push = compile_setmap(A, tuple(setmap), n_target)
     for col, mono in enumerate(src):
-        image = _pad_apply(A, padded, mono, n_target)
-        for m, c in image.items():
+        for m, c in push(mono).items():
             mat.add_to(tpos[m], col, c)
     return mat, src, tgt
-
-
-def _pad_apply(A, setmap, mono, n_target):
-    f = A.coefficients.field
-    image = apply_setmap(A, setmap, mono)
-    out = {}
-    for m, c in image.items():
-        full = tuple(list(m) + [A.unit] * (n_target - len(m)))
-        _acc(out, full, c, f)
-    return out

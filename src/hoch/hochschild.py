@@ -11,7 +11,8 @@ code paths.
 from itertools import compress
 
 from . import dga
-from .dga import apply_setmap
+# apply_setmap stays bound here for perfbench's tracer test (ROADMAP 7)
+from .dga import apply_setmap, compile_setmap  # noqa: F401
 from .homalg import (
     NEG_INF,
     POS_INF,
@@ -222,9 +223,9 @@ def _is_nondegenerate(Y, n, A, mono):
     if n == 0:
         return True
     # positions are ints, so with the unit at 0 the non-unit slots are
-    # exactly the truthy entries (as in ``apply_setmap``).  A module slot
-    # is the basepoint, which lies in no complement (it is degenerate-
-    # stable), so whatever it holds never decides.
+    # exactly the truthy entries (as in a ``dga.compile_setmap`` program).
+    # A module slot is the basepoint, which lies in no complement (it is
+    # degenerate-stable), so whatever it holds never decides.
     flags = mono if A.unit == 0 else map(A.unit.__ne__, mono)
     support = set(compress(range(len(mono)), flags))
     return not any(map(support.isdisjoint, Y.nondegenerate_complements(n)))
@@ -358,34 +359,25 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
     for n in range(1, len(levels)):
         index = levels[n - 1].index
         mmap = {Y.basepoint[n]: Y.basepoint[n - 1]} if module else None
-        # (odd r, setmap, unit padding of its image to the slots of Y_{n-1})
+        # (odd r, the program of face r onto the slots of Y_{n-1})
         faces_r = [
-            (r % 2, setmap, (A.unit,) * (Y.card(n - 1) - 1 - max(setmap)))
+            (r % 2, compile_setmap(A, setmap, Y.card(n - 1), module, mmap))
             for r, setmap in enumerate(map(tuple, Y.face_tab[n]))
         ]
         fmap = faces[n] = ChainMap(levels[n], levels[n - 1])
         for mono in levels[n].index:
             terms = []
-            for odd, setmap, pad in faces_r:
-                image = apply_setmap(
-                    A, setmap, mono, module=module, module_slot_map=mmap
-                )
-                for timg, v in image.items():
-                    hit = index.get(timg + pad)
+            for odd, push in faces_r:
+                for timg, v in push(mono).items():
+                    hit = index.get(timg)
                     if hit is not None:
                         terms.append((hit[2], -v if odd else v))
                     elif not normalized or _is_nondegenerate(
-                        Y, n - 1, A, timg + pad
+                        Y, n - 1, A, timg
                     ):
                         raise AssertionError("missing face target")
             fmap.set_column(mono, terms)
     return SimplicialChainComplex(levels, faces, exhausted)
-
-
-def _pad(mono, card, unit):
-    if len(mono) == card:
-        return mono
-    return tuple(list(mono) + [unit] * (card - len(mono)))
 
 
 def hochschild_chain(Y, A, window=(-6, 0), weights=None, cap=None):

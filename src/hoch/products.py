@@ -2,7 +2,7 @@
 higher cochains, and the cochain complexes they act on.
 
 Sign policy: every sign is produced by the explicit sorting permutations
-in dga.apply_setmap / dga.koszul_sign plus the fixed totalization signs;
+of dga.compile_setmap / dga.koszul_sign plus the fixed totalization signs;
 the exactness of unit/associativity/commutativity/Leibniz at chain level
 is enforced by the test battery.
 """
@@ -10,7 +10,7 @@ is enforced by the test battery.
 from itertools import combinations
 
 from . import dga
-from .dga import _constants, apply_setmap
+from .dga import _constants, apply_setmap, compile_setmap
 from .homalg import NEG_INF, POS_INF, ChainComplex
 from .linalg import SparseMatrix
 from .hochschild import (
@@ -19,7 +19,6 @@ from .hochschild import (
     _is_nondegenerate,
     _level_monomials,
     _monomial_data,
-    _pad,
 )
 
 
@@ -50,11 +49,10 @@ def _apply_degeneracies(Y, A, level, mono, indices):
     n = level
     for i in indices:
         setmap = tuple(Y.deg_tab[n][i])
-        image = apply_setmap(A, setmap, cur)
+        image = apply_setmap(A, setmap, cur, n_targets=Y.card(n + 1))
         if len(image) != 1:
             raise AssertionError("degeneracy image is not monomial")
         (cur, c), = image.items()
-        cur = _pad(cur, Y.card(n + 1), A.unit)
         coeff = f.mul(coeff, c)
         n += 1
     return cur, coeff
@@ -224,7 +222,6 @@ class ClassicalCochains:
             sgn_int = f.coerce(-1 if n % 2 else 1)
             for k, c in A.d(v).items():
                 dga._acc(out, (n, arg, k), f.mul(coeff, f.mul(sgn_int, c)), f)
-            run = 0
             sgn_phi = f.coerce(1 if fdeg % 2 else -1)
             for s, p in enumerate(arg):
                 # phi ∘ d on slot s: replace a_s by preimages under d
@@ -254,7 +251,6 @@ class ClassicalCochains:
         coeff) for (a_1 .. a_i a_{i+1} .. a_{n+1}) hitting the stored arg."""
         # produce arity n+1 arguments whose i-th merge gives ``arg``
         A = self.A
-        f = A.coefficients.field
         n = len(arg)
         res = []
         for a in self.nonunit:
@@ -355,14 +351,15 @@ class CochainComplexData:
         # the faces, dualized: a face image w of a level-lvl argument u
         # splits into its basepoint factor b, which acts on the value, and
         # the level-n argument ``rest``
+        left = _constants(module, "_left_constants", module.act_left)
         for lvl in range(1, top + 1):
             n = lvl - 1
             bp = Y.basepoint[n]
             below = self.arg_degrees[n]
             for i, setmap in enumerate(map(tuple, Y.face_tab[lvl])):
+                push = compile_setmap(A, setmap, Y.card(n))
                 for u in self.args[lvl]:
-                    for w, lam in apply_setmap(A, setmap, u).items():
-                        full = _pad(w, Y.card(n), A.unit)
+                    for full, lam in push(u).items():
                         rest = full[:bp] + (A.unit,) + full[bp + 1:]
                         adeg = below.get(rest)
                         if adeg is None:
@@ -378,10 +375,7 @@ class CochainComplexData:
                         for m in range(module.dim):
                             odd_m = i + odd * (before + mdeg[m])
                             sign = -1 if odd_m % 2 else 1
-                            for q, c in _constants(
-                                module, "_left_constants", module.act_left,
-                                b, m,
-                            ):
+                            for q, c in left[b, m]:
                                 add((n, rest, m), (lvl, u, q), sign * c * lam)
         for n, table in enumerate(self.arg_degrees):
             sign_n = -1 if n % 2 else 1
@@ -435,10 +429,10 @@ def _iterated_face_setmap(Y, top, count, which):
     return tuple(comp)
 
 
-def _evaluate_pushed(data, by_arg, p, setmap, u_mono):
+def _evaluate_pushed(data, by_arg, p, push, u_mono):
     """Value in M of a level-p cochain, given as {arg: {m: coeff}}, on
-    the image of ``u_mono`` under the iterated face ``setmap``: push the
-    argument down, let the basepoint factor act on the output.
+    the image of ``u_mono`` under the iterated face program ``push``: push
+    the argument down, let the basepoint factor act on the output.
 
     Returns {module_pos: coeff}.
     """
@@ -446,8 +440,7 @@ def _evaluate_pushed(data, by_arg, p, setmap, u_mono):
     f = A.coefficients.field
     bp = Y.basepoint[p]
     out = {}
-    for w, lam in apply_setmap(A, setmap, u_mono).items():
-        full = _pad(w, Y.card(p), A.unit)
+    for full, lam in push(u_mono).items():
         rest = full[:bp] + (A.unit,) + full[bp + 1:]
         values = by_arg.get(rest)
         if values is None:
@@ -485,7 +478,9 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
     by_level_f = {}  # p -> {arg: {m: coeff}}
     for (p, arg, m), c in fch.items():
         by_level_f.setdefault(p, {}).setdefault(arg, {})[m] = c
-    pushed_f = {}  # (p, q) -> {x-half: (value of f, internal degree)}
+    # (p, q) -> the programs of the iterated faces of both halves, and
+    # {x-half: (value of f, internal degree)}
+    pushed_f = {}
     out = {}
     for (q, garg, gm), gcoeff in gch.items():
         gdeg = data_y.module.degrees[gm] - data_y.arg_degrees[q][garg]
@@ -494,9 +489,13 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
             n = p + q
             if n > data_wedge.top:
                 raise TruncationError("wedge product exceeds the window")
-            last = _iterated_face_setmap(data_x.Y, n, q, "last")
-            first = _iterated_face_setmap(data_y.Y, n, p, "first")
-            halves_f = pushed_f.setdefault((p, q), {})
+            if (p, q) not in pushed_f:
+                last = _iterated_face_setmap(data_x.Y, n, q, "last")
+                first = _iterated_face_setmap(data_y.Y, n, p, "first")
+                pushed_f[p, q] = (compile_setmap(A, last, data_x.Y.card(p)),
+                                  compile_setmap(A, first, data_y.Y.card(q)),
+                                  {})
+            last, first, halves_f = pushed_f[p, q]
             halves_g = {}
             for warg in data_wedge.args[n]:
                 xfull, yfull = _split_wedge_arg(

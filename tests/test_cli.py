@@ -13,6 +13,7 @@ from hoch import cli
 from hoch import hochschild as hh
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BASE = {
     "schema": 1,
@@ -270,11 +271,16 @@ def test_bar_job_agrees_at_its_largest_block():
             assert cli.main([cmd, path, "--cap", str(cap)]) == code, (cmd, cap)
 
 
-def test_infeasible_job_builds_no_face(monkeypatch):
+def _no_faces(monkeypatch):
+    """Fail the test as soon as a face program is compiled or run."""
     def no_faces(*args, **kwargs):
         raise AssertionError("a face map was built")
 
-    monkeypatch.setattr(hh, "apply_setmap", no_faces)
+    monkeypatch.setattr(hh, "compile_setmap", no_faces)
+
+
+def test_infeasible_job_builds_no_face(monkeypatch):
+    _no_faces(monkeypatch)
     path = str(JOBS / "criterion05b_hkr_sphere3.json")  # largest block 945
     assert cli.main(["run", path, "--cap", "900"]) == 3
     assert cli.main(["explain", path, "--cap", "900"]) == 3
@@ -286,10 +292,7 @@ def test_infeasible_iterated_bar_builds_no_face(monkeypatch, capsys):
     largest = json.loads(capsys.readouterr().out)["max_block"]
     assert largest > 1
 
-    def no_faces(*args, **kwargs):
-        raise AssertionError("a face map was built")
-
-    monkeypatch.setattr(hh, "apply_setmap", no_faces)
+    _no_faces(monkeypatch)
     for cmd in ("run", "explain"):
         assert cli.main([cmd, path, "--cap", str(largest - 1)]) == 3, cmd
 
@@ -376,18 +379,42 @@ def test_cli_subprocess_smoke(tmp_path):
     assert '"verdict": "pass"' in proc.stdout
 
 
-@pytest.mark.parametrize(
-    "job",
-    sorted(
-        p.name
-        for p in JOBS.glob("*.json")
-        if p.name.startswith(("criterion", "extra"))
-    ),
+GOLDEN_JOBS = sorted(
+    p.name for p in JOBS.glob("*.json")
+    if p.name.startswith(("criterion", "extra"))
 )
-def test_golden_jobs_pass(job, capsys):
-    assert cli.main(["run", str(JOBS / job), "--format", "json"]) == 0
+
+
+def _snapshot(job, cmd, capsys):
+    """The JSON report of ``cmd`` on a golden job, without its timing
+    fields, and the stored snapshot it must equal (tests/golden)."""
+    assert cli.main([cmd, str(JOBS / job), "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
+    out.pop("timestamp", None)
+    out.pop("wall_time_s", None)
+    stored = GOLDEN / f"{Path(job).stem}.{cmd}.json"
+    return out, json.loads(stored.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("job", GOLDEN_JOBS)
+def test_golden_jobs_pass(job, capsys):
+    out, stored = _snapshot(job, "run", capsys)
     assert out["verdict"] == "pass"
+    assert out == stored
+
+
+@pytest.mark.parametrize("job", GOLDEN_JOBS)
+def test_golden_explain_matches_snapshot(job, capsys):
+    out, stored = _snapshot(job, "explain", capsys)
+    assert out == stored
+
+
+def test_every_golden_job_has_snapshots():
+    assert len(GOLDEN_JOBS) == 19
+    assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(
+        f"{Path(job).stem}.{cmd}.json"
+        for job in GOLDEN_JOBS for cmd in ("run", "explain")
+    )
 
 
 def test_every_acceptance_scenario_has_a_golden_file():

@@ -10,6 +10,7 @@ import pytest
 from hoch import dga, simp
 from hoch import hochschild as hh
 from hoch.hochschild import TruncationError
+from tests_support import count_compiles
 
 
 def scaling(A, c):
@@ -691,3 +692,10 @@ def test_is_nondegenerate_matches_reference(QQ, trunc3, space):
                     assert hh._is_nondegenerate(Y, n, A, mono) == want
                     verdicts[want] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+def test_build_compiles_one_program_per_face(monkeypatch, trunc3):
+    compiled = count_compiles(monkeypatch, hh)
+    scc = hh.build_simplicial_ch(simp.circle(8), trunc3, window=(-7, 0))
+    assert scc.top_level == 8
+    assert len(compiled) == sum(n + 1 for n in range(1, 9)) == 44

@@ -202,7 +202,7 @@ def _reference_simplicial_ch(Y, A, module, window, weights, normalized=True):
                     A, setmap, mono, module=module, module_slot_map=mmap
                 )
                 for timg, v in image.items():
-                    full = hh._pad(timg, Y.card(n - 1), A.unit)
+                    full = timg + (A.unit,) * (Y.card(n - 1) - len(timg))
                     if full in tgt.index:
                         fmap.set_entry(mono, full, v)
                     else:

@@ -10,7 +10,7 @@ from hoch import hochschild as hh
 from hoch import products as pr
 from hoch.homalg import ChainComplex, Coefficients
 from hoch.linalg import SubquotientSpace, kernel_basis
-from tests_support import koszul_algebra
+from tests_support import count_compiles, koszul_algebra
 
 
 def add(field, a, b, sign=1):
@@ -419,7 +419,7 @@ def _reference_cochain_complex(Y, A, module, top):
             sgn_face = f.coerce(-1 if i % 2 else 1)
             for u in args[lvl]:
                 for w, lam in dga.apply_setmap(A, setmap, u).items():
-                    full = hh._pad(w, Y.card(n), A.unit)
+                    full = w + (A.unit,) * (Y.card(n) - len(w))
                     b = full[bp_tgt]
                     rest = tuple(
                         p if s != bp_tgt else A.unit
@@ -478,7 +478,7 @@ def _reference_evaluate_pushed(data, fch_level, level_from, count, which,
     bp = Y.basepoint[p]
     out = {}
     for w, lam in dga.apply_setmap(A, setmap, u_mono).items():
-        full = hh._pad(w, Y.card(p), A.unit)
+        full = w + (A.unit,) * (Y.card(p) - len(w))
         b = full[bp]
         rest = tuple(v if s != bp else A.unit for s, v in enumerate(full))
         before = sum(A.degrees[full[s]] for s in range(bp))
@@ -657,3 +657,13 @@ def test_wedge_product_matches_reference(QQ, pair, algebra):
         parities |= {dx.complex.index[lab][0] % 2 for lab in fch}
         parities |= {dy.complex.index[lab][0] % 2 for lab in gch}
     assert len(levels) > 1 and parities == {0, 1}
+
+
+def test_cochain_build_compiles_one_program_per_face(monkeypatch, trunc2):
+    compiled = count_compiles(monkeypatch, pr)
+    circle = simp.circle(3)
+    pr.CochainComplexData(
+        simp.wedge(circle, circle), trunc2, dga.algebra_as_bimodule(trunc2),
+        (0, 2), 3,
+    )
+    assert len(compiled) == sum(n + 1 for n in range(1, 4)) == 9

@@ -53,3 +53,16 @@ def koszul_algebra(coefficients):
         "koszul", coefficients, basis, mult, unit=0, diff={2: {1: one}},
         commutative=True, augmentation={0: one}, weight_graded=True,
     )
+
+
+def count_compiles(monkeypatch, module):
+    """The setmaps compiled into programs through ``module``'s binding of
+    ``compile_setmap``, a list that grows as they are compiled."""
+    compiled = []
+
+    def counting(A, setmap, *args, **kwargs):
+        compiled.append(setmap)
+        return dga.compile_setmap(A, setmap, *args, **kwargs)
+
+    monkeypatch.setattr(module, "compile_setmap", counting)
+    return compiled
