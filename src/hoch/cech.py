@@ -295,11 +295,7 @@ def validate_prefactorization(F):
                     pf = tuple(family[i] for i in perm)
                     pl = tuple(factors[i] for i in perm)
                     sign = dga.koszul_sign([(i, degs[i]) for i in perm])
-                    got = F.rho(pf, pl, w)
-                    want = {
-                        k: f.mul(f.coerce(sign), c) for k, c in base.items()
-                    }
-                    if got != want:
+                    if F.rho(pf, pl, w) != dga._signed(base, sign < 0, f):
                         return False, ("symmetry", w, family, perm)
     # associativity square (nested families), inner families possibly empty
     for w in poset.opens:
@@ -321,11 +317,10 @@ def validate_prefactorization(F):
                         part = factors[pos : pos + len(fam)]
                         pos += len(fam)
                         mid_values.append(F.rho(fam, part, v))
-                    composite = {}
-                    for combo in _expand(mid_values):
-                        coeff, labs = combo
-                        for k, c in F.rho(mids, labs, w).items():
-                            dga._acc(composite, k, f.mul(coeff, c), f)
+                    composite = dga._compose(
+                        _expand(mid_values),
+                        lambda labs: F.rho(mids, labs, w), f,
+                    )
                     if direct != composite:
                         return False, ("associativity", w, mids, inners)
     return True, None
@@ -346,10 +341,9 @@ def _validate_precosheaf(F):
                 if not (poset.leq(v, w) and v != w):
                     continue
                 for lab in _labels(F.value(u)):
-                    once = {}
-                    for k, c in F.ext(u, v, lab).items():
-                        for k2, c2 in F.ext(v, w, k).items():
-                            dga._acc(once, k2, f.mul(c, c2), f)
+                    once = dga._compose(
+                        F.ext(u, v, lab), lambda k: F.ext(v, w, k), f
+                    )
                     if once != F.ext(u, w, lab):
                         return False, ("functoriality", u, v, w, lab)
     return True, None
@@ -383,15 +377,14 @@ def _pairwise_disjoint(poset, ids):
 
 
 def _expand(value_dicts):
-    """Pure-tensor expansion of a list of chains: (coeff, labels)."""
-    prods = [((), 1)]
+    """Pure-tensor expansion of a list of chains: {labels: coeff}."""
+    prods = {(): 1}
     for vd in value_dicts:
-        new = []
-        for labs, c in prods:
-            for k, v in vd.items():
-                new.append((labs + (k,), v if c == 1 else c * v))
-        prods = new
-    return [(c, labs) for labs, c in prods]
+        prods = {
+            labs + (k,): v if c == 1 else c * v
+            for labs, c in prods.items() for k, v in vd.items()
+        }
+    return prods
 
 
 # -- builders -----------------------------------------------------------------
@@ -459,11 +452,7 @@ def circle_arc_algebra(A, poset, orientation=1):
         )
         out = {A.labels[A.unit]: f.coerce(sign)}
         for _key, lab in sorted(keyed, key=lambda k: k[0]):
-            new = {}
-            for cur, c in out.items():
-                for k, v in A.product(A.position[cur], A.position[lab]).items():
-                    dga._acc(new, A.labels[k], f.mul(c, v), f)
-            out = new
+            out = _fold_algebra(A, out, lab, f)
         return out
 
     pointed = {u: {A.labels[A.unit]: f.one} for u in poset.opens}
@@ -514,39 +503,23 @@ def interval_stratified(Mr, A, Ml, poset):
             for i in keyed:
                 out = _fold_algebra(A, out, factors[i], f)
             return out
+        # a module factor at the end of the target starts the fold, else
+        # its distinguished element does
         if tkind == "r":
-            if kinds and kinds[keyed[0]] == "r":
-                cur = {Mr.labels[Mr.labels.index(factors[keyed[0]])]: f.coerce(sign)}
-                rest = keyed[1:]
-            else:
-                cur = {
-                    Mr.labels[Mr.pointed_element]: f.coerce(sign)
-                }
-                rest = keyed
-            for i in rest:
-                new = {}
-                for curlab, c in cur.items():
-                    mpos = Mr.labels.index(curlab)
-                    apos = A.position[factors[i]]
-                    for k, v in Mr.act_right(mpos, apos).items():
-                        dga._acc(new, Mr.labels[k], f.mul(c, v), f)
-                cur = new
+            start = bool(kinds) and kinds[keyed[0]] == "r"
+            lab = factors[keyed[0]] if start else Mr.labels[Mr.pointed_element]
+            cur = {lab: f.coerce(sign)}
+            for i in keyed[start:]:
+                apos = A.position[factors[i]]
+                cur = _fold(Mr, cur, lambda m: Mr.act_right(m, apos), f)
             return cur
         # target contains 1: fold from the right
-        if kinds and kinds[keyed[-1]] == "l":
-            cur = {Ml.labels[Ml.labels.index(factors[keyed[-1]])]: f.coerce(sign)}
-            rest = keyed[:-1]
-        else:
-            cur = {Ml.labels[Ml.pointed_element]: f.coerce(sign)}
-            rest = keyed
-        for i in reversed(rest):
-            new = {}
-            for curlab, c in cur.items():
-                mpos = Ml.labels.index(curlab)
-                apos = A.position[factors[i]]
-                for k, v in Ml.act_left(apos, mpos).items():
-                    dga._acc(new, Ml.labels[k], f.mul(c, v), f)
-            cur = new
+        start = bool(kinds) and kinds[keyed[-1]] == "l"
+        lab = factors[keyed[-1]] if start else Ml.labels[Ml.pointed_element]
+        cur = {lab: f.coerce(sign)}
+        for i in reversed(keyed[: len(keyed) - start]):
+            apos = A.position[factors[i]]
+            cur = _fold(Ml, cur, lambda m: Ml.act_left(apos, m), f)
         return cur
 
     pointed = {}
@@ -565,12 +538,22 @@ def interval_stratified(Mr, A, Ml, poset):
     return F
 
 
+def _fold(X, value, act, f):
+    """A value of X, {label: coeff}, with ``act`` (basis position of X ->
+    {position: coeff}) applied to each term."""
+    return dga._compose(
+        value,
+        lambda lab: {
+            X.labels[k]: c for k, c in act(X.labels.index(lab)).items()
+        },
+        f,
+    )
+
+
 def _fold_algebra(A, out, lab, f):
-    new = {}
-    for cur, c in out.items():
-        for k, v in A.product(A.position[cur], A.position[lab]).items():
-            dga._acc(new, A.labels[k], f.mul(c, v), f)
-    return new
+    """``out`` times ``lab`` in A, on labels."""
+    p = A.position[lab]
+    return _fold(A, out, lambda q: A.product(q, p), f)
 
 
 def interval_global_sections(F, window=(-6, 0)):

@@ -76,6 +76,21 @@ class DGAlgebra:
     def nonunit(self):
         return [i for i in range(self.dim) if i != self.unit]
 
+    def fits(self, *positions):
+        """Whether the product of these basis elements lies within the
+        materialized weights."""
+        bound = self.max_weight
+        return bound is None or sum(
+            map(self.weights.__getitem__, positions)
+        ) <= bound
+
+    def pairs(self):
+        """The (i, j) whose product is materialized, row by row."""
+        return [
+            (i, j) for i in range(self.dim) for j in range(self.dim)
+            if self.fits(i, j)
+        ]
+
     def product(self, i, j):
         """Product of basis elements as {position: coeff}."""
         if (
@@ -124,7 +139,7 @@ class DGAlgebra:
         f = self.coefficients.field
         one, zero = f.one, f.zero
         for (i, j), out in self.mult.items():
-            for k, c in out.items():
+            for k in out:
                 if self.degrees[k] != self.degrees[i] + self.degrees[j]:
                     raise ValueError(f"{self.name}: product not degree-additive")
                 if self.weights[k] != self.weights[i] + self.weights[j]:
@@ -134,87 +149,52 @@ class DGAlgebra:
                 i, self.unit
             ) != {i: one}:
                 raise ValueError(f"{self.name}: unit law fails at {i}")
-        bound = self.max_weight
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if bound is not None and self.weights[i] + self.weights[j] > bound:
+        pairs = self.pairs()
+        for i, j in pairs:
+            for k in range(self.dim):
+                if not self.fits(i, j, k):
                     continue
-                for k in range(self.dim):
-                    if (
-                        bound is not None
-                        and self.weights[i] + self.weights[j] + self.weights[k]
-                        > bound
-                    ):
-                        continue
-                    left = self._mul_vec(self.product(i, j), k, side="right")
-                    right = self._mul_vec(self.product(j, k), i, side="left")
-                    if left != right:
-                        raise ValueError(
-                            f"{self.name}: associativity fails at {(i, j, k)}"
-                        )
+                left = _compose(
+                    self.product(i, j), lambda t: self.product(t, k), f
+                )
+                right = _compose(
+                    self.product(j, k), lambda t: self.product(i, t), f
+                )
+                if left != right:
+                    raise ValueError(
+                        f"{self.name}: associativity fails at {(i, j, k)}"
+                    )
         if self.commutative:
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    if bound is not None and self.weights[i] + self.weights[j] > bound:
-                        continue
-                    sign = -1 if (self.degrees[i] * self.degrees[j]) % 2 else 1
-                    want = {
-                        k: f.mul(f.coerce(sign), c)
-                        for k, c in self.product(j, i).items()
-                    }
-                    if self.product(i, j) != want:
-                        raise ValueError(
-                            f"{self.name}: graded commutativity fails at {(i, j)}"
-                        )
+            for i, j in pairs:
+                parity = self.degrees[i] * self.degrees[j]
+                if self.product(i, j) != _signed(self.product(j, i), parity, f):
+                    raise ValueError(
+                        f"{self.name}: graded commutativity fails at {(i, j)}"
+                    )
         # Leibniz: d(ab) = d(a) b + (-1)^{|a|} a d(b)
+        for i, j in pairs:
+            lhs = _compose(self.product(i, j), self.d, f)
+            rhs = _compose(self.d(i), lambda t: self.product(t, j), f)
+            _compose(
+                _signed(self.d(j), self.degrees[i], f),
+                lambda t: self.product(i, t), f, rhs,
+            )
+            if lhs != rhs:
+                raise ValueError(f"{self.name}: Leibniz fails at {(i, j)}")
         for i in range(self.dim):
-            for j in range(self.dim):
-                if bound is not None and self.weights[i] + self.weights[j] > bound:
-                    continue
-                lhs = {}
-                for k, c in self.product(i, j).items():
-                    for t, e in self.d(k).items():
-                        _acc(lhs, t, f.mul(c, e), f)
-                rhs = {}
-                for t, e in self.d(i).items():
-                    for k, c in self.product(t, j).items():
-                        _acc(rhs, k, f.mul(e, c), f)
-                sign = f.coerce(-1 if self.degrees[i] % 2 else 1)
-                for t, e in self.d(j).items():
-                    for k, c in self.product(i, t).items():
-                        _acc(rhs, k, f.mul(sign, f.mul(e, c)), f)
-                if lhs != rhs:
-                    raise ValueError(f"{self.name}: Leibniz fails at {(i, j)}")
-        for i in range(self.dim):
-            acc = {}
-            for k, c in self.d(i).items():
-                for t, e in self.d(k).items():
-                    _acc(acc, t, f.mul(c, e), f)
-            if acc:
+            if _compose(self.d(i), self.d, f):
                 raise ValueError(f"{self.name}: d^2 != 0 at {i}")
         if self.augmentation is not None:
             if self.eps(self.unit) != one:
                 raise ValueError(f"{self.name}: augmentation misses the unit")
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    if bound is not None and self.weights[i] + self.weights[j] > bound:
-                        continue
-                    prod_eps = zero
-                    for k, c in self.product(i, j).items():
-                        prod_eps = f.add(prod_eps, f.mul(c, self.eps(k)))
-                    if prod_eps != f.mul(self.eps(i), self.eps(j)):
-                        raise ValueError(
-                            f"{self.name}: augmentation not multiplicative"
-                        )
-
-    def _mul_vec(self, vec, k, side):
-        f = self.coefficients.field
-        out = {}
-        for t, c in vec.items():
-            pair = (t, k) if side == "right" else (k, t)
-            for s, e in self.mult.get(pair, {}).items():
-                _acc(out, s, f.mul(c, e), f)
-        return out
+            for i, j in pairs:
+                prod_eps = zero
+                for k, c in self.product(i, j).items():
+                    prod_eps = f.add(prod_eps, f.mul(c, self.eps(k)))
+                if prod_eps != f.mul(self.eps(i), self.eps(j)):
+                    raise ValueError(
+                        f"{self.name}: augmentation not multiplicative"
+                    )
 
     def __repr__(self):
         return f"DGAlgebra({self.name}, dim={self.dim})"
@@ -226,6 +206,34 @@ def _acc(store, key, value, field):
         store.pop(key, None)
     else:
         store[key] = acc
+
+
+def _compose(vec, images, field, out=None):
+    """Sum of c * images(k) over the terms {k: c} of ``vec``, added into
+    ``out`` (a new dict by default), which is returned; zero sums are
+    dropped.  Every axiom audit and structure-map fold is one of these.
+
+    >>> from hoch.linalg import QQ
+    >>> square = {0: {0: QQ.one}, 1: {2: QQ.one}, 2: {}}  # x^k -> x^2k
+    >>> _compose({0: QQ.one, 1: QQ.coerce(3)}, square.get, QQ)
+    {0: Fraction(1, 1), 2: Fraction(3, 1)}
+    >>> _compose({1: QQ.one}, square.get, QQ, {2: QQ.coerce(-1)})
+    {}
+    """
+    if out is None:
+        out = {}
+    mul = field.mul
+    for k, c in vec.items():
+        for t, e in images(k).items():
+            _acc(out, t, mul(c, e), field)
+    return out
+
+
+def _signed(vec, parity, field):
+    """(-1)^parity * vec, as a new dict."""
+    if parity % 2:
+        return {k: field.neg(c) for k, c in vec.items()}
+    return dict(vec)
 
 
 class DGModule:
@@ -278,11 +286,11 @@ class DGModule:
             return self._right.get((m, a), {})
         if not self.symmetric:
             raise ValueError(f"{self.name}: no right action")
-        f = self.coefficients.field
-        sign = f.coerce(
-            -1 if (self.algebra.degrees[a] * self.degrees[m]) % 2 else 1
+        return _signed(
+            self.act_left(a, m),
+            self.algebra.degrees[a] * self.degrees[m],
+            self.coefficients.field,
         )
-        return {k: f.mul(sign, c) for k, c in self.act_left(a, m).items()}
 
     def d(self, m):
         return self.diff.get(m, {})
@@ -302,72 +310,45 @@ class DGModule:
                 raise ValueError(f"{self.name}: unit does not act as identity")
             if has_right and self.act_right(m, uA) != {m: f.one}:
                 raise ValueError(f"{self.name}: unit right action fails")
-        bound = A.max_weight
-        for a in range(A.dim):
-            for b in range(A.dim):
-                if bound is not None and A.weights[a] + A.weights[b] > bound:
-                    continue
-                for m in range(self.dim):
-                    if has_left:
-                        lhs = {}
-                        for k, c in A.product(a, b).items():
-                            for t, e in self.act_left(k, m).items():
-                                _acc(lhs, t, f.mul(c, e), f)
-                        rhs = {}
-                        for t, c in self.act_left(b, m).items():
-                            for s, e in self.act_left(a, t).items():
-                                _acc(rhs, s, f.mul(c, e), f)
-                        if lhs != rhs:
-                            raise ValueError(
-                                f"{self.name}: left module axiom fails "
-                                f"{(a, b, m)}"
-                            )
-                    if has_left and has_right:
-                        # (a m) b = a (m b)
-                        lhs = {}
-                        for t, c in self.act_left(a, m).items():
-                            for s, e in self.act_right(t, b).items():
-                                _acc(lhs, s, f.mul(c, e), f)
-                        rhs = {}
-                        for t, c in self.act_right(m, b).items():
-                            for s, e in self.act_left(a, t).items():
-                                _acc(rhs, s, f.mul(c, e), f)
-                        if lhs != rhs:
-                            raise ValueError(
-                                f"{self.name}: bimodule compatibility fails"
-                            )
-                    if has_right:
-                        # m (a b) = (m a) b
-                        lhs = {}
-                        for k, c in A.product(a, b).items():
-                            for t, e in self.act_right(m, k).items():
-                                _acc(lhs, t, f.mul(c, e), f)
-                        rhs = {}
-                        for t, c in self.act_right(m, a).items():
-                            for s, e in self.act_right(t, b).items():
-                                _acc(rhs, s, f.mul(c, e), f)
-                        if lhs != rhs:
-                            raise ValueError(
-                                f"{self.name}: right module axiom fails "
-                                f"{(a, b, m)}"
-                            )
+        for a, b in A.pairs():
+            for m in range(self.dim):
+                if has_left and _compose(
+                    A.product(a, b), lambda k: self.act_left(k, m), f
+                ) != _compose(
+                    self.act_left(b, m), lambda t: self.act_left(a, t), f
+                ):
+                    raise ValueError(
+                        f"{self.name}: left module axiom fails {(a, b, m)}"
+                    )
+                # (a m) b = a (m b)
+                if has_left and has_right and _compose(
+                    self.act_left(a, m), lambda t: self.act_right(t, b), f
+                ) != _compose(
+                    self.act_right(m, b), lambda t: self.act_left(a, t), f
+                ):
+                    raise ValueError(
+                        f"{self.name}: bimodule compatibility fails"
+                    )
+                # m (a b) = (m a) b
+                if has_right and _compose(
+                    A.product(a, b), lambda k: self.act_right(m, k), f
+                ) != _compose(
+                    self.act_right(m, a), lambda t: self.act_right(t, b), f
+                ):
+                    raise ValueError(
+                        f"{self.name}: right module axiom fails {(a, b, m)}"
+                    )
         if not has_left:
             return
         # Leibniz: d(a m) = d(a) m + (-1)^{|a|} a d(m)
         for a in range(A.dim):
             for m in range(self.dim):
-                lhs = {}
-                for t, c in self.act_left(a, m).items():
-                    for s, e in self.d(t).items():
-                        _acc(lhs, s, f.mul(c, e), f)
-                rhs = {}
-                for t, c in A.d(a).items():
-                    for s, e in self.act_left(t, m).items():
-                        _acc(rhs, s, f.mul(c, e), f)
-                sign = f.coerce(-1 if A.degrees[a] % 2 else 1)
-                for t, c in self.d(m).items():
-                    for s, e in self.act_left(a, t).items():
-                        _acc(rhs, s, f.mul(sign, f.mul(c, e)), f)
+                lhs = _compose(self.act_left(a, m), self.d, f)
+                rhs = _compose(A.d(a), lambda t: self.act_left(t, m), f)
+                _compose(
+                    _signed(self.d(m), A.degrees[a], f),
+                    lambda t: self.act_left(a, t), f, rhs,
+                )
                 if lhs != rhs:
                     raise ValueError(f"{self.name}: module Leibniz fails")
 
@@ -395,32 +376,20 @@ class AlgebraAutomorphism:
                     raise ValueError("automorphism must preserve (degree, weight)")
         if self.apply(A.unit) != {A.unit: f.one}:
             raise ValueError("automorphism must fix the unit")
-        bound = A.max_weight
+        for i, j in A.pairs():
+            # sigma(i j) = sigma(i) sigma(j)
+            if _compose(A.product(i, j), self.apply, f) != _compose(
+                self.apply(i),
+                lambda t: _compose(
+                    self.apply(j), lambda s: A.product(t, s), f
+                ),
+                f,
+            ):
+                raise ValueError("automorphism is not multiplicative")
         for i in range(A.dim):
-            for j in range(A.dim):
-                if bound is not None and A.weights[i] + A.weights[j] > bound:
-                    continue
-                lhs = {}
-                for k, c in A.product(i, j).items():
-                    for t, e in self.apply(k).items():
-                        _acc(lhs, t, f.mul(c, e), f)
-                rhs = {}
-                for t, c in self.apply(i).items():
-                    for s, e in self.apply(j).items():
-                        for k, g in A.product(t, s).items():
-                            _acc(rhs, k, f.mul(f.mul(c, e), g), f)
-                if lhs != rhs:
-                    raise ValueError("automorphism is not multiplicative")
-        for i in range(A.dim):
-            lhs = {}
-            for k, c in A.d(i).items():
-                for t, e in self.apply(k).items():
-                    _acc(lhs, t, f.mul(c, e), f)
-            rhs = {}
-            for t, c in self.apply(i).items():
-                for s, e in A.d(t).items():
-                    _acc(rhs, s, f.mul(c, e), f)
-            if lhs != rhs:
+            if _compose(A.d(i), self.apply, f) != _compose(
+                self.apply(i), A.d, f
+            ):
                 raise ValueError("automorphism is not a chain map")
         mat = SparseMatrix(A.dim, A.dim, f)
         for i, img in self.images.items():
@@ -516,67 +485,50 @@ def tensor_algebra(A, B, name=None):
     if A.coefficients != B.coefficients:
         raise ValueError("coefficient mismatch")
     f = A.coefficients.field
-    basis = []
-    for i in range(A.dim):
-        for j in range(B.dim):
-            basis.append(
-                (
-                    (A.labels[i], B.labels[j]),
-                    A.degrees[i] + B.degrees[j],
-                    A.weights[i] + B.weights[j],
-                )
-            )
+    pairs = list(product(range(A.dim), range(B.dim)))
+    basis = [
+        (
+            (A.labels[i], B.labels[j]),
+            A.degrees[i] + B.degrees[j],
+            A.weights[i] + B.weights[j],
+        )
+        for i, j in pairs
+    ]
     dimB = B.dim
     pos = lambda i, j: i * dimB + j
-
-    def wt(p):
-        return basis[p][2]
-
-    bound = None
-    if A.max_weight is not None or B.max_weight is not None:
-        bound = min(
-            x for x in (A.max_weight, B.max_weight) if x is not None
-        )
+    bound = min(
+        (x for x in (A.max_weight, B.max_weight) if x is not None),
+        default=None,
+    )
     mult = {}
-    for i1 in range(A.dim):
-        for j1 in range(B.dim):
-            for i2 in range(A.dim):
-                for j2 in range(B.dim):
-                    p, q = pos(i1, j1), pos(i2, j2)
-                    if bound is not None and wt(p) + wt(q) > bound:
-                        continue
-                    sign = f.coerce(
-                        -1 if (B.degrees[j1] * A.degrees[i2]) % 2 else 1
-                    )
-                    out = {}
-                    for ka, ca in A.product(i1, i2).items():
-                        for kb, cb in B.product(j1, j2).items():
-                            _acc(
-                                out,
-                                pos(ka, kb),
-                                f.mul(sign, f.mul(ca, cb)),
-                                f,
-                            )
-                    mult[(p, q)] = out
+    for (i1, j1), (i2, j2) in product(pairs, repeat=2):
+        p, q = pos(i1, j1), pos(i2, j2)
+        if bound is not None and basis[p][2] + basis[q][2] > bound:
+            continue
+        mult[(p, q)] = _compose(
+            _signed(A.product(i1, i2), B.degrees[j1] * A.degrees[i2], f),
+            lambda ka: {
+                pos(ka, kb): cb for kb, cb in B.product(j1, j2).items()
+            },
+            f,
+        )
     aug = None
     if A.augmentation is not None and B.augmentation is not None:
         aug = {}
-        for i in range(A.dim):
-            for j in range(B.dim):
-                v = f.mul(A.eps(i), B.eps(j))
-                if not f.is_zero(v):
-                    aug[pos(i, j)] = v
+        for i, j in pairs:
+            v = f.mul(A.eps(i), B.eps(j))
+            if not f.is_zero(v):
+                aug[pos(i, j)] = v
+    # d(a ⊗ b) = da ⊗ b + (-1)^{|a|} a ⊗ db
     diff = {}
-    for i in range(A.dim):
-        for j in range(B.dim):
-            out = {}
-            for k, c in A.d(i).items():
-                _acc(out, pos(k, j), c, f)
-            sign = f.coerce(-1 if A.degrees[i] % 2 else 1)
-            for k, c in B.d(j).items():
-                _acc(out, pos(i, k), f.mul(sign, c), f)
-            if out:
-                diff[pos(i, j)] = out
+    for i, j in pairs:
+        out = _compose(A.d(i), lambda k: {pos(k, j): f.one}, f)
+        _compose(
+            _signed(B.d(j), A.degrees[i], f),
+            lambda k: {pos(i, k): f.one}, f, out,
+        )
+        if out:
+            diff[pos(i, j)] = out
     return DGAlgebra(
         name or f"{A.name}⊗{B.name}",
         A.coefficients,
@@ -596,8 +548,7 @@ def opposite(A, name=None):
     f = A.coefficients.field
     mult = {}
     for (i, j), out in A.mult.items():
-        sign = f.coerce(-1 if (A.degrees[i] * A.degrees[j]) % 2 else 1)
-        mult[(j, i)] = {k: f.mul(sign, c) for k, c in out.items()}
+        mult[(j, i)] = _signed(out, A.degrees[i] * A.degrees[j], f)
     return DGAlgebra(
         name or f"{A.name}^op",
         A.coefficients,
@@ -668,22 +619,13 @@ def twisted_bimodule(A, sigma, name=None):
     f = A.coefficients.field
     left = {}
     right = {}
-    for a in range(A.dim):
-        for m in range(A.dim):
-            if (
-                A.max_weight is not None
-                and A.weights[a] + A.weights[m] > A.max_weight
-            ):
-                continue
-            out = A.product(a, m)
-            if out:
-                left[(a, m)] = dict(out)
-            tw = {}
-            for t, c in sigma.apply(a).items():
-                for k, e in A.product(m, t).items():
-                    _acc(tw, k, f.mul(c, e), f)
-            if tw:
-                right[(m, a)] = tw
+    for a, m in A.pairs():
+        out = A.product(a, m)
+        if out:
+            left[(a, m)] = dict(out)
+        tw = _compose(sigma.apply(a), lambda t: A.product(m, t), f)
+        if tw:
+            right[(m, a)] = tw
     return DGModule(
         name or f"{A.name}^twisted",
         A,

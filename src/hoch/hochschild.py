@@ -201,6 +201,9 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
                 picks.pop()
 
     search(0, 0, 0, (1 << len(comps)) - 1)
+    # ``search`` refers to itself through its closure; breaking that cycle
+    # frees the search state on return instead of at the next collection
+    del search
     monos.sort()  # monomials are distinct, so their keys are never compared
     return monos
 
@@ -654,33 +657,28 @@ def enveloping_modules(A):
     E = dga.tensor_algebra(A, dga.opposite(A), name=f"{A.name}^e")
     dimB = A.dim
     pos = lambda i, j: i * dimB + j
-    # left action: (a ⊗ b^op) · m = (-1)^{|b||m|} a m b
+    deg = A.degrees
     left = {}
     right = {}
     for i in range(A.dim):
         for j in range(A.dim):
             e = pos(i, j)
             for m in range(A.dim):
-                sgn = f.coerce(-1 if (A.degrees[j] * A.degrees[m]) % 2 else 1)
-                outv = {}
-                for t, c in A.product(m, j).items():
-                    for s, cc in A.product(i, t).items():
-                        dga._acc(outv, s, f.mul(f.mul(c, cc), sgn), f)
-                if outv:
-                    left[(e, m)] = outv
+                # left action: (a ⊗ b^op) · m = (-1)^{|b||m|} a m b
+                image = dga._compose(
+                    dga._signed(A.product(m, j), deg[j] * deg[m], f),
+                    lambda t: A.product(i, t), f,
+                )
+                if image:
+                    left[(e, m)] = image
                 # right action: m · (a ⊗ b^op) = (-1)^{|b||m| + |a||b|} b m a
                 # (the unique sign making the right-module axiom hold)
-                sgn2 = f.coerce(
-                    -1
-                    if (A.degrees[j] * (A.degrees[m] + A.degrees[i])) % 2
-                    else 1
+                image = dga._compose(
+                    dga._signed(A.product(m, i), deg[j] * (deg[m] + deg[i]), f),
+                    lambda t: A.product(j, t), f,
                 )
-                outv2 = {}
-                for t, c in A.product(m, i).items():
-                    for s, cc in A.product(j, t).items():
-                        dga._acc(outv2, s, f.mul(f.mul(c, cc), sgn2), f)
-                if outv2:
-                    right[(m, e)] = outv2
+                if image:
+                    right[(m, e)] = image
     basis = list(zip(A.labels, A.degrees, A.weights))
     mod_r = dga.DGModule(
         f"{A.name} (right over envelope)", E, basis, left=None, right=right,

@@ -237,11 +237,7 @@ class ChainComplex:
 
     def betti(self, window, weights=None):
         """Betti numbers per degree (weights summed), zeros included."""
-        table = self.homology_dims(window, weights)
-        out = {d: 0 for d in range(window[0], window[1] + 1)}
-        for (d, _w), n in table.items():
-            out[d] += n
-        return out
+        return per_degree(self.homology_dims(window, weights), window)
 
     def euler_per_weight(self):
         """Alternating sum of chain dimensions per weight (full support)."""
@@ -252,6 +248,15 @@ class ChainComplex:
 
     def max_block_dim(self):
         return max((len(b) for b in self.blocks.values()), default=0)
+
+
+def per_degree(table, window):
+    """A {(degree, weight): dim} table summed over weights, per degree of
+    the window, zeros included."""
+    out = {d: 0 for d in range(window[0], window[1] + 1)}
+    for (d, _w), n in table.items():
+        out[d] += n
+    return out
 
 
 class ChainMap:

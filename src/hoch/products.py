@@ -10,7 +10,7 @@ is enforced by the test battery.
 from itertools import combinations
 
 from . import dga
-from .dga import _constants, apply_setmap, compile_setmap
+from .dga import _Table, _constants, apply_setmap, compile_setmap
 from .homalg import NEG_INF, POS_INF, ChainComplex
 from .linalg import SparseMatrix
 from .hochschild import (
@@ -319,16 +319,16 @@ class CochainComplexData:
                 f"{Y.name} materialized to level {Y.top_level}, need {top}"
             )
         self.top = top
-        self.args = [
-            _level_monomials(
-                Y, n, A, None, None, None, True, unit_slot=Y.basepoint[n]
-            )
+        self.arg_degrees = [
+            {
+                arg: adeg for arg, (adeg, _) in _level_monomials(
+                    Y, n, A, None, None, None, True,
+                    unit_slot=Y.basepoint[n], keyed=True,
+                )
+            }
             for n in range(top + 1)
         ]
-        self.arg_degrees = [
-            {arg: _monomial_data(Y, n, A, None, arg)[0] for arg in args}
-            for n, args in enumerate(self.args)
-        ]
+        self.args = [list(table) for table in self.arg_degrees]
         out = ChainComplex(A.coefficients)
         for n, table in enumerate(self.arg_degrees):
             for arg, adeg in table.items():
@@ -481,6 +481,11 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
     # (p, q) -> the programs of the iterated faces of both halves, and
     # {x-half: (value of f, internal degree)}
     pushed_f = {}
+    # n -> [(wedge argument, x-half, y-half)] of level n, split once
+    splits = _Table(lambda n: [
+        (warg, *_split_wedge_arg(data_x.Y, data_y.Y, n, warg, A.unit))
+        for warg in data_wedge.args[n]
+    ])
     out = {}
     for (q, garg, gm), gcoeff in gch.items():
         gdeg = data_y.module.degrees[gm] - data_y.arg_degrees[q][garg]
@@ -497,10 +502,7 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
                                   {})
             last, first, halves_f = pushed_f[p, q]
             halves_g = {}
-            for warg in data_wedge.args[n]:
-                xfull, yfull = _split_wedge_arg(
-                    data_x.Y, data_y.Y, n, warg, A.unit
-                )
+            for warg, xfull, yfull in splits[n]:
                 if xfull not in halves_f:
                     halves_f[xfull] = (
                         _evaluate_pushed(data_x, fpart, p, last, xfull),

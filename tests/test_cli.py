@@ -379,6 +379,27 @@ def test_cli_subprocess_smoke(tmp_path):
     assert '"verdict": "pass"' in proc.stdout
 
 
+def test_importing_the_cli_leaves_cech_unloaded():
+    # cech is imported by the cech and excision-check tasks alone
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hoch.cli; print('hoch.cech' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cover_error_is_a_schema_error(tmp_path, capsys):
+    raw = json.loads((JOBS / "criterion10_cosheaf_cech.json").read_text())
+    raw["cover"]["arcs"] = [["0", "3/5"]]  # an arc longer than half a turn
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("schema error: ")
+
+
 GOLDEN_JOBS = sorted(
     p.name for p in JOBS.glob("*.json")
     if p.name.startswith(("criterion", "extra"))
