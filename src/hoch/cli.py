@@ -13,7 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import dga, hochschild as hh, products, simp
+from . import dga, hochschild as hh, simp
 from .dga import AlgebraClassError
 from .homalg import Coefficients, WindowError, per_degree
 from .hochschild import InfeasibleError, TruncationError
@@ -470,6 +470,8 @@ def _cone_gluing_dims(coefficients):
 
 
 def _cup_table(A, spec):
+    from . import products
+
     f = A.coefficients.field
     cc = products.ClassicalCochains(A, 4)
     basis = []
@@ -497,6 +499,8 @@ def _cup_table(A, spec):
 
 
 def _shuffle_check(H, spec):
+    from . import products
+
     f = H.algebra.coefficients.field
     C = H.complex
     rng = random.Random(spec.get("seed", 0))

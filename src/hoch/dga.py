@@ -485,7 +485,15 @@ def tensor_algebra(A, B, name=None):
     if A.coefficients != B.coefficients:
         raise ValueError("coefficient mismatch")
     f = A.coefficients.field
-    pairs = list(product(range(A.dim), range(B.dim)))
+    bound = min(
+        (x for x in (A.max_weight, B.max_weight) if x is not None),
+        default=None,
+    )
+    # the pairs within the bound passed on as max_weight, row by row
+    pairs = [
+        (i, j) for i, j in product(range(A.dim), range(B.dim))
+        if bound is None or A.weights[i] + B.weights[j] <= bound
+    ]
     basis = [
         (
             (A.labels[i], B.labels[j]),
@@ -494,12 +502,8 @@ def tensor_algebra(A, B, name=None):
         )
         for i, j in pairs
     ]
-    dimB = B.dim
-    pos = lambda i, j: i * dimB + j
-    bound = min(
-        (x for x in (A.max_weight, B.max_weight) if x is not None),
-        default=None,
-    )
+    index = {ij: p for p, ij in enumerate(pairs)}
+    pos = lambda i, j: index[i, j]
     mult = {}
     for (i1, j1), (i2, j2) in product(pairs, repeat=2):
         p, q = pos(i1, j1), pos(i2, j2)
@@ -636,6 +640,36 @@ def twisted_bimodule(A, sigma, name=None):
         diff={i: dict(v) for i, v in A.diff.items()},
         pointed_element=A.unit,
     )
+
+
+def outer_bimodule(Ml, Mr):
+    """M_l ⊗ M_r as an A-bimodule: A acts on M_l from the left and on M_r
+    from the right, d(l ⊗ r) = dl ⊗ r + (-1)^{|l|} l ⊗ dr.  Its Hochschild
+    complex is the two-sided Bar complex of (M_r, A, M_l)."""
+    A = Ml.algebra
+    if Mr.algebra is not A:
+        raise ValueError(
+            f"{Ml.name} and {Mr.name} are modules over different algebras"
+        )
+    f = A.coefficients.field
+    pos = lambda l, r: l * Mr.dim + r
+    left, right, diff, basis = {}, {}, {}, []
+    for l, r in product(range(Ml.dim), range(Mr.dim)):
+        basis.append(((Ml.labels[l], Mr.labels[r]),
+                      Ml.degrees[l] + Mr.degrees[r],
+                      Ml.weights[l] + Mr.weights[r]))
+        for a in range(A.dim):
+            if image := Ml.act_left(a, l):
+                left[a, pos(l, r)] = {pos(k, r): c for k, c in image.items()}
+            if image := Mr.act_right(r, a):
+                right[pos(l, r), a] = {pos(l, k): c for k, c in image.items()}
+        out = _compose(Ml.d(l), lambda k: {pos(k, r): f.one}, f)
+        _compose(_signed(Mr.d(r), Ml.degrees[l], f),
+                 lambda k: {pos(l, k): f.one}, f, out)
+        if out:
+            diff[pos(l, r)] = out
+    return DGModule(f"{Ml.name}⊗{Mr.name}", A, basis, left, right=right,
+                    symmetric=False, diff=diff)
 
 
 # -- monomials and induced maps (Eq.-7 machinery) ---------------------------

@@ -8,7 +8,7 @@ truncated polynomial algebras) live here too, on deliberately separate
 code paths.
 """
 
-from itertools import compress
+from itertools import compress, product
 
 from . import dga
 # apply_setmap stays bound here for perfbench's tracer test (ROADMAP 7)
@@ -66,8 +66,9 @@ class HochschildComplex:
 
 
 def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
-                     unit_slot=None, keyed=False):
-    """Monomials at level n: tuples of basis positions per slot of Y_n.
+                     unit_slot=None):
+    """Monomials at level n, each as ``(monomial, (internal degree,
+    weight))``: a monomial is a tuple of basis positions per slot of Y_n.
 
     The basepoint slot (when a module is given) carries module positions.
     Normalized: the non-unit algebra support must meet every degeneracy-
@@ -96,8 +97,6 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
     so this never rejects a job whose total blocks all fit.  Without a
     module, ``unit_slot`` is left out of the search like the basepoint
     slot of a module, and kept unit (the basepoint of a cochain argument).
-    With ``keyed``, each monomial comes as ``(monomial, (internal degree,
-    weight))``, in the same order.
     """
     card = Y.card(n)
     if module is not None and Y.basepoint is None:
@@ -160,7 +159,7 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
                 continue
             if mpos is not None:
                 mono[bp] = mpos
-            monos.append((tuple(mono), key) if keyed else tuple(mono))
+            monos.append((tuple(mono), key))
             if cap is not None:
                 count = counts[key] = counts.get(key, 0) + 1
                 if count > cap:
@@ -318,7 +317,7 @@ def build_levels(Y, A, module=None, window=(-6, 0), weights=None,
         lo = None if min_int is None else min_int + n
         c = ChainComplex(A.coefficients)
         for mono, (d, w) in _level_monomials(
-            Y, n, A, module, weights, lo, normalized, cap=cap, keyed=True
+            Y, n, A, module, weights, lo, normalized, cap=cap
         ):
             c.add_element(mono, d, w)
         for (d, w), block in c.blocks.items():
@@ -449,16 +448,7 @@ def classical_hochschild(A, module, window=(-6, 0)):
     out = ChainComplex(A.coefficients)
     levels = []
     for n in range(top + 1):
-        monos = []
-
-        def build(prefix):
-            if len(prefix) == n:
-                monos.append(tuple(prefix))
-                return
-            for p in nonunit:
-                build(prefix + [p])
-
-        build([])
+        monos = list(product(nonunit, repeat=n))
         level = []
         for m in range(module.dim):
             for mono in monos:
@@ -471,9 +461,9 @@ def classical_hochschild(A, module, window=(-6, 0)):
                 level.append(label)
         levels.append(level)
     for n in range(top + 1):
-        for (lvl, m, mono) in levels[n]:
-            src = (lvl, m, mono)
-            sign_n = f.coerce(-1 if n % 2 else 1)
+        sign_n = f.coerce(-1 if n % 2 else 1)
+        for src in levels[n]:
+            _, m, mono = src
             # internal differential
             run = module.degrees[m]
             for q, c in module.d(m).items():
@@ -503,11 +493,11 @@ def classical_hochschild(A, module, window=(-6, 0)):
                         continue
                     t = mono[: r - 1] + (q,) + mono[r + 1 :]
                     _add_if(out, src, (n - 1, m, t), f.mul(sgn, c), f)
-            # d_n: a_n moves to the front and acts on the left
+            # d_n: a_n moves to the front past the rest, of degree
+            # run - |a_n|, and acts on the left
             last = mono[-1]
-            crossed = module.degrees[m] + sum(A.degrees[p] for p in mono[:-1])
-            sgn = f.coerce(-1 if (A.degrees[last] * crossed) % 2 else 1)
-            sgn = f.mul(sgn, f.coerce(-1 if n % 2 else 1))
+            crossed = A.degrees[last] * (run - A.degrees[last])
+            sgn = f.coerce(-1 if (crossed + n) % 2 else 1)
             for q, c in module.act_left(last, m).items():
                 _add_if(out, src, (n - 1, q, mono[:-1]), f.mul(sgn, c), f)
     return out.freeze(window=(lo - 1, POS_INF), support=(NEG_INF, 0))
@@ -574,81 +564,14 @@ def periodic_resolution_dims(truncation, twist_scalar, window=(-6, 0),
 
 def two_sided_bar(right_module, A, left_module, window=(-6, 0)):
     """Bar(M_r, A, M_l) = ⊕ M_r ⊗ Ā^{⊗n} ⊗ M_l, reduced, total degree
-    -n + internal, internal differential signed (-1)^n."""
-    f = A.coefficients.field
-    lo = window[0]
-    top = max(0, 1 - lo)
-    nonunit = A.nonunit()
-    out = ChainComplex(A.coefficients)
-    levels = []
-    for n in range(top + 1):
-        monos = [()]
-        for _ in range(n):
-            monos = [m + (p,) for m in monos for p in nonunit]
-        level = []
-        for mr in range(right_module.dim):
-            for ml in range(left_module.dim):
-                for mono in monos:
-                    deg = (
-                        right_module.degrees[mr]
-                        + left_module.degrees[ml]
-                        + sum(A.degrees[p] for p in mono)
-                    )
-                    if deg - n < lo - 1:
-                        continue
-                    wt = (
-                        right_module.weights[mr]
-                        + left_module.weights[ml]
-                        + sum(A.weights[p] for p in mono)
-                    )
-                    label = (n, mr, mono, ml)
-                    out.add_element(label, deg - n, wt)
-                    level.append(label)
-        levels.append(level)
-    for n in range(top + 1):
-        for (lvl, mr, mono, ml) in levels[n]:
-            src = (lvl, mr, mono, ml)
-            sign_n = f.coerce(-1 if n % 2 else 1)
-            run = right_module.degrees[mr]
-            for q, c in right_module.d(mr).items():
-                _add_if(out, src, (n, q, mono, ml), f.mul(sign_n, c), f)
-            for s, p in enumerate(mono):
-                sgn = f.coerce(-1 if run % 2 else 1)
-                for q, c in A.d(p).items():
-                    if q == A.unit:
-                        continue
-                    t = list(mono)
-                    t[s] = q
-                    _add_if(
-                        out, src, (n, mr, tuple(t), ml),
-                        f.mul(sign_n, f.mul(sgn, c)), f,
-                    )
-                run += A.degrees[p]
-            sgn = f.coerce(-1 if run % 2 else 1)
-            for q, c in left_module.d(ml).items():
-                _add_if(
-                    out, src, (n, mr, mono, q),
-                    f.mul(sign_n, f.mul(sgn, c)), f,
-                )
-            if n == 0:
-                continue
-            # d_0: right action on M_r
-            for q, c in right_module.act_right(mr, mono[0]).items():
-                _add_if(out, src, (n - 1, q, mono[1:], ml), c, f)
-            for r in range(1, n):
-                sgn = f.coerce(-1 if r % 2 else 1)
-                for q, c in A.product(mono[r - 1], mono[r]).items():
-                    if q == A.unit:
-                        continue
-                    t = mono[: r - 1] + (q,) + mono[r + 1 :]
-                    _add_if(out, src, (n - 1, mr, t, ml), f.mul(sgn, c), f)
-            # d_n: left action on M_l
-            sgn = f.coerce(-1 if n % 2 else 1)
-            for q, c in left_module.act_left(mono[-1], ml).items():
-                _add_if(
-                    out, src, (n - 1, mr, mono[:-1], q), f.mul(sgn, c), f
-                )
-    return out.freeze(window=(lo - 1, POS_INF), support=(NEG_INF, 0))
+    -n + internal, built as the Hochschild complex of the bimodule
+    M_l ⊗ M_r: excision glues the ends of the interval carrying
+    (M_r, A, M_l) into the marked point of a circle carrying M_l ⊗ M_r, so
+    M_r ⊗^L_A M_l ≅ HH(A, M_l ⊗ M_r).  Moving M_l to the front, with its
+    Koszul sign, turns the left action on M_l into the classical d_n."""
+    return classical_hochschild(
+        A, dga.outer_bimodule(left_module, right_module), window
+    )
 
 
 def enveloping_modules(A):

@@ -7,7 +7,7 @@ the exactness of unit/associativity/commutativity/Leibniz at chain level
 is enforced by the test battery.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from . import dga
 from .dga import _Table, _constants, apply_setmap, compile_setmap
@@ -154,12 +154,9 @@ class ClassicalCochains:
         self.A = A
         self.top = top
         self.nonunit = A.nonunit()
-        self.args = []
-        for n in range(top + 1):
-            monos = [()]
-            for _ in range(n):
-                monos = [m + (p,) for m in monos for p in self.nonunit]
-            self.args.append(monos)
+        self.args = [
+            list(product(self.nonunit, repeat=n)) for n in range(top + 1)
+        ]
 
     def internal_degree(self, n, value_pos, arg):
         A = self.A
@@ -303,6 +300,11 @@ class CochainComplexData:
     def __init__(self, Y, A, module, window=(0, 4), top=None):
         if not Y.is_pointed():
             raise ValueError("cochains require a pointed space")
+        # the faces act on the value through the left action alone
+        if not module.symmetric:
+            raise ValueError(
+                "simplicial module coefficients require a symmetric bimodule"
+            )
         if A.max_weight is not None:
             raise TruncationError(
                 "cochains need a finite-dimensional algebra"
@@ -322,8 +324,7 @@ class CochainComplexData:
         self.arg_degrees = [
             {
                 arg: adeg for arg, (adeg, _) in _level_monomials(
-                    Y, n, A, None, None, None, True,
-                    unit_slot=Y.basepoint[n], keyed=True,
+                    Y, n, A, None, None, None, True, unit_slot=Y.basepoint[n]
                 )
             }
             for n in range(top + 1)

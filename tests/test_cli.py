@@ -380,15 +380,17 @@ def test_cli_subprocess_smoke(tmp_path):
 
 
 def test_importing_the_cli_leaves_cech_unloaded():
-    # cech is imported by the cech and excision-check tasks alone
+    # cech is imported by the cech and excision-check tasks alone, and
+    # products by the cup-table and shuffle-check tasks alone
+    lazy = ("hoch.cech", "hoch.products")
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, hoch.cli; print('hoch.cech' in sys.modules)"],
+         f"import sys, hoch.cli; print([m in sys.modules for m in {lazy}])"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"
 
 
 def test_cover_error_is_a_schema_error(tmp_path, capsys):

@@ -97,6 +97,17 @@ def test_tensor_algebra_audited(QQ, trunc2, exterior):
     assert EL.dim == 4  # audit ran at construction (Koszul signs included)
 
 
+def test_tensor_algebra_keeps_the_pairs_within_its_bound(exterior):
+    # exterior ⊗ k[x] through weight 4 drops x ⊗ x^4 (weight 5), so its
+    # own unit audit never multiplies past the bound it passes on
+    E = dga.tensor_algebra(exterior, dga.polynomial(max_weight=4))
+    assert E.dim == 9 and E.max_weight == 4
+    assert max(E.weights) == 4
+    assert E.product(E.position["x", "1"], E.position["1", "x^3"]) == {
+        E.position["x", "x^3"]: 1
+    }
+
+
 def test_augmentation_module(QQ, exterior):
     k = dga.augmentation_module(exterior)
     assert k.dim == 1

@@ -9,8 +9,9 @@ import pytest
 
 from hoch import dga, simp
 from hoch import hochschild as hh
+from hoch.homalg import NEG_INF, POS_INF, ChainComplex, Coefficients
 from hoch.hochschild import TruncationError
-from tests_support import count_compiles
+from tests_support import count_compiles, koszul_algebra
 
 
 def scaling(A, c):
@@ -226,6 +227,158 @@ def test_enveloping_trivial_algebra(QQ):
     )
     E = hh.hh_via_enveloping(k_alg, window=(-3, 0))
     assert E.betti((-3, 0)) == {0: 1, -1: 0, -2: 0, -3: 0}
+
+
+# -- the two-sided Bar complex against its hand-written builder ---------------
+
+
+def _reference_two_sided_bar(right_module, A, left_module, window=(-6, 0)):
+    """Bar(M_r, A, M_l) = ⊕ M_r ⊗ Ā^{⊗n} ⊗ M_l built slot by slot: labels
+    (n, m_r, word, m_l), the internal differential signed (-1)^n, d_0 the
+    right action on M_r, middle merges, d_n the left action on M_l."""
+    f = A.coefficients.field
+    lo = window[0]
+    top = max(0, 1 - lo)
+    nonunit = A.nonunit()
+    out = ChainComplex(A.coefficients)
+
+    def add_if(src, tgt, val):
+        if not f.is_zero(val) and tgt in out.index:
+            out.set_differential_entry(src, tgt, val)
+
+    levels = []
+    for n in range(top + 1):
+        monos = [()]
+        for _ in range(n):
+            monos = [m + (p,) for m in monos for p in nonunit]
+        level = []
+        for mr in range(right_module.dim):
+            for ml in range(left_module.dim):
+                for mono in monos:
+                    deg = (
+                        right_module.degrees[mr]
+                        + left_module.degrees[ml]
+                        + sum(A.degrees[p] for p in mono)
+                    )
+                    if deg - n < lo - 1:
+                        continue
+                    wt = (
+                        right_module.weights[mr]
+                        + left_module.weights[ml]
+                        + sum(A.weights[p] for p in mono)
+                    )
+                    label = (n, mr, mono, ml)
+                    out.add_element(label, deg - n, wt)
+                    level.append(label)
+        levels.append(level)
+    for n in range(top + 1):
+        for (lvl, mr, mono, ml) in levels[n]:
+            src = (lvl, mr, mono, ml)
+            sign_n = f.coerce(-1 if n % 2 else 1)
+            run = right_module.degrees[mr]
+            for q, c in right_module.d(mr).items():
+                add_if(src, (n, q, mono, ml), f.mul(sign_n, c))
+            for s, p in enumerate(mono):
+                sgn = f.coerce(-1 if run % 2 else 1)
+                for q, c in A.d(p).items():
+                    if q == A.unit:
+                        continue
+                    t = list(mono)
+                    t[s] = q
+                    add_if(src, (n, mr, tuple(t), ml),
+                           f.mul(sign_n, f.mul(sgn, c)))
+                run += A.degrees[p]
+            sgn = f.coerce(-1 if run % 2 else 1)
+            for q, c in left_module.d(ml).items():
+                add_if(src, (n, mr, mono, q), f.mul(sign_n, f.mul(sgn, c)))
+            if n == 0:
+                continue
+            # d_0: right action on M_r
+            for q, c in right_module.act_right(mr, mono[0]).items():
+                add_if(src, (n - 1, q, mono[1:], ml), c)
+            for r in range(1, n):
+                sgn = f.coerce(-1 if r % 2 else 1)
+                for q, c in A.product(mono[r - 1], mono[r]).items():
+                    if q == A.unit:
+                        continue
+                    t = mono[: r - 1] + (q,) + mono[r + 1 :]
+                    add_if(src, (n - 1, mr, t, ml), f.mul(sgn, c))
+            # d_n: left action on M_l
+            sgn = f.coerce(-1 if n % 2 else 1)
+            for q, c in left_module.act_left(mono[-1], ml).items():
+                add_if(src, (n - 1, mr, mono[:-1], q), f.mul(sgn, c))
+    return out.freeze(window=(lo - 1, POS_INF), support=(NEG_INF, 0))
+
+
+def _short_words(coefficients):
+    """k<x, y> modulo the words of length >= 3, |x| = |y| = 0: a non-
+    commutative algebra with weight the word length."""
+    words = ["", "x", "y", "xx", "xy", "yx", "yy"]
+    one = coefficients.field.one
+    mult = {
+        (i, j): {words.index(u + v): one} if len(u + v) < 3 else {}
+        for i, u in enumerate(words) for j, v in enumerate(words)
+    }
+    return dga.DGAlgebra(
+        "k<x,y>/(len>=3)", coefficients,
+        [(w or "1", 0, len(w)) for w in words], mult, unit=0,
+        commutative=False, augmentation={0: one}, weight_graded=True,
+    )
+
+
+BAR_ALGEBRAS = {
+    "exterior(-1)": lambda c: dga.exterior(c),
+    "exterior(-3)": lambda c: dga.exterior(c, generator_degree=-3),
+    "k[x]/x^2": lambda c: dga.truncated_polynomial(c, 2),
+    "k[x]/x^3": lambda c: dga.truncated_polynomial(c, 3),
+    "k[x]/x^3, |x|=-2": lambda c: dga.truncated_polynomial(
+        c, 3, generator_degree=-2
+    ),
+    "k<x,y>/(len>=3)": _short_words,
+    "koszul": koszul_algebra,  # the one with a differential
+}
+
+BAR_FIELDS = {
+    "Q": Coefficients(),
+    **{f"F{p}": Coefficients("prime-field", p) for p in (2, 3, 5, 7)},
+}
+
+
+def _bar_summary(complex_, window):
+    return (
+        complex_.homology_dims(window),
+        {key: len(block) for key, block in complex_.blocks.items()},
+    )
+
+
+@pytest.mark.parametrize("field", sorted(BAR_FIELDS))
+@pytest.mark.parametrize("algebra", sorted(BAR_ALGEBRAS))
+def test_two_sided_bar_matches_reference(algebra, field):
+    # the same Betti table per (degree, weight) and the same block sizes
+    # as the slot-by-slot builder, for every pair of k and A as M_r, M_l
+    A = BAR_ALGEBRAS[algebra](BAR_FIELDS[field])
+    window = (-2, 0) if A.dim > 3 else (-4, 0)
+    k, bimodule = dga.augmentation_module(A), dga.algebra_as_bimodule(A)
+    for mr, ml in product((k, bimodule), repeat=2):
+        got = hh.two_sided_bar(mr, A, ml, window)
+        want = _reference_two_sided_bar(mr, A, ml, window)
+        assert _bar_summary(got, window) == _bar_summary(want, window), (
+            mr.name, ml.name
+        )
+    if A.commutative and A.dim <= 3:
+        window = (-2, 0)
+        got = hh.hh_via_enveloping(A, window)
+        want = _reference_two_sided_bar(*hh.enveloping_modules(A), window)
+        assert _bar_summary(got, window) == _bar_summary(want, window)
+
+
+def test_outer_bimodule_rejects_factors_over_different_algebras(
+    QQ, exterior, trunc2
+):
+    with pytest.raises(ValueError, match="over different algebras"):
+        dga.outer_bimodule(
+            dga.augmentation_module(exterior), dga.augmentation_module(trunc2)
+        )
 
 
 def test_iterated_bar(QQ, exterior, trunc2):
@@ -502,6 +655,11 @@ def _brute_monomials(Y, n, A, module, weights, min_int, normalized):
     return sorted(out)
 
 
+def _monomials(*args, **kwargs):
+    """``hh._level_monomials`` without the (degree, weight) keys."""
+    return [mono for mono, _key in hh._level_monomials(*args, **kwargs)]
+
+
 ENUMERATION_SPACES = {
     "interval": lambda: simp.interval(6),
     "circle": lambda: simp.circle(6),
@@ -532,7 +690,7 @@ def test_level_monomials_match_brute_force(QQ, exterior, trunc3, space):
                 for n in range(Y.top_level + 1):
                     if A.dim ** Y.card(n) > 3000:
                         break  # the brute force stops at a small top level
-                    got = hh._level_monomials(
+                    got = _monomials(
                         Y, n, A, module, weights, min_int, normalized
                     )
                     want = _brute_monomials(
@@ -554,22 +712,20 @@ def test_enumeration_cap_boundary(Y, A, weights):
     # counted after the module slot is expanded
     n = Y.top_level
     for module in (None, dga.algebra_as_bimodule(A)):
-        monos = hh._level_monomials(Y, n, A, module, weights, None, True)
+        keyed = hh._level_monomials(Y, n, A, module, weights, None, True)
+        monos = [mono for mono, _key in keyed]
         blocks = Counter(
             hh._monomial_data(Y, n, A, module, mono) for mono in monos
         )
-        # the keyed enumeration carries the same (degree, weight) per slot
-        keyed = hh._level_monomials(Y, n, A, module, weights, None, True,
-                                    keyed=True)
-        assert [mono for mono, _key in keyed] == monos
+        # each monomial comes with its (internal degree, weight)
         assert all(
             key == hh._monomial_data(Y, n, A, module, mono)
             for mono, key in keyed
         )
         m = max(blocks.values())
         assert 1 < m < len(monos)
-        assert hh._level_monomials(Y, n, A, module, weights, None, True,
-                                   cap=m) == monos
+        assert _monomials(Y, n, A, module, weights, None, True,
+                          cap=m) == monos
         with pytest.raises(hh.InfeasibleError):
             hh._level_monomials(Y, n, A, module, weights, None, True,
                                 cap=m - 1)
@@ -609,9 +765,9 @@ def test_unit_slot_matches_filtered_enumeration(exterior, trunc2, space,
     for A in (exterior, trunc2):
         for n in range(5):
             bp = Y.basepoint[n]
-            full = hh._level_monomials(Y, n, A, None, weights, None, True)
+            full = _monomials(Y, n, A, None, weights, None, True)
             want = [m for m in full if m[bp] == A.unit]
-            got = hh._level_monomials(
+            got = _monomials(
                 Y, n, A, None, weights, None, True, unit_slot=bp
             )
             assert got == want, (A.name, n)

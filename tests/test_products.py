@@ -374,6 +374,18 @@ def test_wedge_rejects_module_coefficients(QQ, trunc3):
         pr.wedge_product(dk, dk, dw, some, some)
 
 
+def test_cochains_refuse_a_genuine_bimodule(QQ, trunc2):
+    """The faces act on a cochain's value through the left action alone,
+    so a right action that differs from it would be ignored: k[x]/x^2
+    twisted by x -> -x has HH^0 spanned by x, not of the untwisted
+    dimension 2."""
+    f = QQ.field
+    flip = dga.AlgebraAutomorphism(trunc2, {0: {0: f.one}, 1: {1: -f.one}})
+    twisted = dga.twisted_bimodule(trunc2, flip)
+    with pytest.raises(ValueError, match="require a symmetric bimodule"):
+        pr.CochainComplexData(simp.circle(7), trunc2, twisted, (0, 4))
+
+
 def test_cochain_face_target_missing_raises(QQ, trunc2, monkeypatch):
     """A nondegenerate face image missing from the level below is a
     broken basis, not a zero entry."""
@@ -398,9 +410,9 @@ def test_cochain_face_target_missing_raises(QQ, trunc2, monkeypatch):
 def _reference_cochain_complex(Y, A, module, top):
     f = A.coefficients.field
     args = [
-        hh._level_monomials(
+        [arg for arg, _key in hh._level_monomials(
             Y, n, A, None, None, None, True, unit_slot=Y.basepoint[n]
-        )
+        )]
         for n in range(top + 1)
     ]
     out = ChainComplex(A.coefficients)
