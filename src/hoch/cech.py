@@ -9,9 +9,20 @@ through Bar complexes.  The tensor-regime machinery (axioms, Čech
 assembly) is validated exhaustively on the 1-dimensional instances:
 arcs on a circle carrying an algebra, and the stratified interval
 carrying a bimodule pair.
+
+A cosheaf is a prefactorization algebra in the coproduct regime, and its
+Čech complex is the tensor-regime one with ⊕ for ⊗ over the combos of a
+tuple, so both regimes share one builder.  A level-i basis element is
+(alpha, parts), parts a tuple of (combo, label) pairs; degree, internal
+differential, faces and augmentation are written once over the parts.
+The regime is read in three places only: the level basis (one part per
+combo, or one part), the pointed unit for face targets no part hits
+(tensor only), and ``PrefactorizationData`` with its validators (a
+coproduct structure map is the extension map of its one open).
 """
 
 from fractions import Fraction
+from itertools import permutations
 from itertools import product as iproduct
 
 from . import dga, simp
@@ -110,33 +121,31 @@ def circle_arc_poset(arcs):
     for (_, l) in arcs:
         if not (0 < l < Fraction(1, 2)):
             raise CoverError("arcs must be shorter than a half-circle")
-    named = {}
+    poset, poset.arc_data = _closed_poset(
+        "circle", arcs, _arc_intersection, lambda a: f"arc({a[0]},{a[1]})"
+    )
+    return poset
 
-    def _name(a):
-        return f"arc({a[0]},{a[1]})"
 
-    work = list(arcs)
-    for a in work:
-        named[_name(a)] = a
-    changed = True
-    while changed:
-        changed = False
+def _closed_poset(ambient, descs, meet, name):
+    """(poset, {id: description}) of the opens ``descs`` closed under
+    ``meet``.  Descriptions are normalized and each open is named by its
+    description, so two spellings of one open give one id."""
+    named = {name(d): d for d in descs}
+    grown = True
+    while grown:
         items = list(named.values())
-        for a in items:
-            for b in items:
-                c = _arc_intersection(a, b)
-                if c is not None and _name(c) not in named:
-                    named[_name(c)] = c
-                    changed = True
+        meets = {name(c): c for a in items for b in items
+                 if (c := meet(a, b)) is not None}
+        grown = not meets.keys() <= named.keys()
+        named.update(meets)
     ids = sorted(named)
     inter = {}
     for i in ids:
         for j in ids:
-            c = _arc_intersection(named[i], named[j])
-            inter[(i, j)] = _name(c) if c is not None else None
-    poset = OpenPoset("circle", ids, inter)
-    poset.arc_data = named
-    return poset
+            c = meet(named[i], named[j])
+            inter[(i, j)] = name(c) if c is not None else None
+    return OpenPoset(ambient, ids, inter), named
 
 
 def _arc_intersection(a, b):
@@ -155,37 +164,19 @@ def _arc_intersection(a, b):
 
 def interval_poset(opens):
     """Stratified-interval poset; opens are ('r', s) = [0, s),
-    ('m', t, u) = (t, u) or ('l', t) = (t, 1], rational endpoints."""
-    descs = {}
-    for o in opens:
-        descs[_iname(o)] = _inorm(o)
-    changed = True
-    while changed:
-        changed = False
-        items = list(descs.values())
-        for a in items:
-            for b in items:
-                c = _interval_intersection(a, b)
-                if c is not None and _iname(c) not in descs:
-                    descs[_iname(c)] = c
-                    changed = True
-    ids = sorted(descs)
-    inter = {}
-    for i in ids:
-        for j in ids:
-            c = _interval_intersection(descs[i], descs[j])
-            inter[(i, j)] = _iname(c) if c is not None else None
-    poset = OpenPoset("interval", ids, inter)
-    poset.interval_data = descs
+    ('m', t, u) = (t, u) or ('l', t) = (t, 1], rational endpoints.
+
+    >>> interval_poset([("r", "6/10"), ("l", "2/5")]).opens
+    ['(2/5,1]', '(2/5,3/5)', '[0,3/5)']
+    """
+    poset, poset.interval_data = _closed_poset(
+        "interval", [_inorm(o) for o in opens], _interval_intersection, _iname
+    )
     return poset
 
 
 def _inorm(o):
-    if o[0] == "r":
-        return ("r", Fraction(o[1]))
-    if o[0] == "l":
-        return ("l", Fraction(o[1]))
-    return ("m", Fraction(o[1]), Fraction(o[2]))
+    return (o[0],) + tuple(map(Fraction, o[1:]))
 
 
 def _iname(o):
@@ -259,7 +250,12 @@ class PrefactorizationData:
         return self.values[u]
 
     def rho(self, family, factors, target):
-        """Structure map on a pure tensor, any family order (tensor mode)."""
+        """Structure map on a pure tensor, any family order; in coproduct
+        mode a family is one open and rho is its extension map."""
+        if self.mode == "coproduct":
+            if len(family) != 1:
+                raise ValueError("a coproduct structure map takes one open")
+            return self.ext(family[0], target, factors[0])
         if len(family) == 0:
             return dict(self.pointed[target])
         return self.rho_raw(family, factors, target)
@@ -271,20 +267,19 @@ def validate_prefactorization(F):
     three opens, inner families of up to two); (ok, witness)."""
     poset = F.poset
     f = F.coefficients.field
-    if F.mode == "coproduct":
-        return _validate_precosheaf(F)
     # identity: rho_{U,U} = id
     for u in poset.opens:
         for lab in _labels(F.value(u)):
-            got = F.rho((u,), (lab,), u)
-            if got != {lab: f.one}:
+            if F.rho((u,), (lab,), u) != {lab: f.one}:
                 return False, ("identity", u, lab)
+    if F.mode == "coproduct":
+        return _validate_precosheaf(F)
     # symmetry under permutations with Koszul signs
     for w in poset.opens:
         for family in poset.disjoint_families(inside=w, max_size=3):
             if len(family) < 2:
                 continue
-            perms = _permutations(len(family))
+            perms = list(permutations(range(len(family))))
             for factors in _factor_tuples(F, family):
                 base = F.rho(family, factors, w)
                 degs = [
@@ -327,12 +322,9 @@ def validate_prefactorization(F):
 
 
 def _validate_precosheaf(F):
+    """Functoriality of the extension maps along U ⊂ V ⊂ W."""
     poset = F.poset
     f = F.coefficients.field
-    for u in poset.opens:
-        for lab in _labels(F.value(u)):
-            if F.ext(u, u, lab) != {lab: f.one}:
-                return False, ("identity", u, lab)
     for u in poset.opens:
         for v in poset.opens:
             if not (poset.leq(u, v) and u != v):
@@ -355,12 +347,6 @@ def _labels(complex_):
 
 def _label_degree(complex_, lab):
     return complex_.index[lab][0]
-
-
-def _permutations(n):
-    from itertools import permutations
-
-    return list(permutations(range(n)))
 
 
 def _factor_tuples(F, family):
@@ -390,40 +376,29 @@ def _expand(value_dicts):
 # -- builders -----------------------------------------------------------------
 
 
+def _k_values(poset, coefficients):
+    """U ↦ k (the label "1" in degree 0) on every open, and the chain 1."""
+    coefficients = coefficients or Coefficients()
+    c = ChainComplex(coefficients)
+    c.add_element("1", 0, 0)
+    k = c.freeze(support=(0, 0))
+    return {u: k for u in poset.opens}, {"1": coefficients.field.one}
+
+
 def trivial_prefactorization(poset, coefficients=None):
     """U ↦ k with multiplication as structure maps (tensor mode)."""
-    coefficients = coefficients or Coefficients()
-    f = coefficients.field
-    values = {}
-    for u in poset.opens:
-        c = ChainComplex(coefficients)
-        c.add_element("1", 0, 0)
-        values[u] = c.freeze(support=(0, 0))
-
-    def rho_raw(family, factors, target):
-        return {"1": f.one}
-
-    pointed = {u: {"1": f.one} for u in poset.opens}
+    values, one = _k_values(poset, coefficients)
     return PrefactorizationData(
-        "trivial", poset, values, "tensor", rho_raw, pointed
+        "trivial", poset, values, "tensor", lambda *_: dict(one),
+        {u: one for u in poset.opens},
     )
 
 
 def constant_precosheaf(poset, coefficients=None):
     """U ↦ k with identity extension maps (coproduct/cosheaf mode)."""
-    coefficients = coefficients or Coefficients()
-    f = coefficients.field
-    values = {}
-    for u in poset.opens:
-        c = ChainComplex(coefficients)
-        c.add_element("1", 0, 0)
-        values[u] = c.freeze(support=(0, 0))
-
-    def ext(u, v, lab):
-        return {"1": f.one}
-
+    values, one = _k_values(poset, coefficients)
     return PrefactorizationData(
-        "constant-Q", poset, values, "coproduct", ext=ext
+        "constant-Q", poset, values, "coproduct", ext=lambda *_: dict(one)
     )
 
 
@@ -581,7 +556,13 @@ class CechComplex:
 
 def cech_complex(F, cover, truncation=2):
     """Čech complex over PU^{i+1} tuples (adjacent-distinct, i.e. the
-    normalized total complex), faces discard one collection."""
+    normalized total complex), faces discard one collection.
+
+    A level-i basis element is (alpha, parts): parts is a tuple of
+    (combo, label) pairs, a combo being a tuple (U_0..U_i) ∈ Πα_j with
+    nonempty intersection and the label one of F(U_0 ∩ … ∩ U_i).  The
+    tensor regime has one part per combo of alpha, the coproduct regime
+    exactly one part; everything past the basis is written once."""
     poset = F.poset
     for u in cover:
         for v in cover:
@@ -589,11 +570,8 @@ def cech_complex(F, cover, truncation=2):
             if w is not None and w not in cover:
                 raise CoverError("sub-cover is not intersection-closed")
     PU = sorted(
-        set(
-            fam
-            for fam in poset.disjoint_families(max_size=3)
-            if all(u in cover for u in fam)
-        )
+        fam for fam in poset.disjoint_families(max_size=3)
+        if all(u in cover for u in fam)
     )
     coeff = F.coefficients
     levels = []
@@ -601,31 +579,28 @@ def cech_complex(F, cover, truncation=2):
     for i in range(truncation + 1):
         tuples = _adjacent_distinct(PU, i + 1)
         c = ChainComplex(coeff)
-        basis = []
-        for alpha in tuples:
-            for lab in _family_tensor_basis(F, alpha):
-                basis.append((alpha, lab))
-        for (alpha, lab) in basis:
-            deg, wt = _family_label_degree(F, alpha, lab)
-            c.add_element((alpha, lab), deg, wt)
-        for (alpha, lab) in basis:
-            for tgt, v in _family_internal_diff(F, alpha, lab).items():
-                c.set_differential_entry((alpha, lab), (alpha, tgt), v)
+        basis = [(alpha, parts) for alpha in tuples
+                 for parts in _level_basis(F, alpha)]
+        for (alpha, parts) in basis:
+            c.add_element((alpha, parts), *_family_label_degree(F, parts))
+        for (alpha, parts) in basis:
+            for tgt, v in _family_internal_diff(F, parts).items():
+                c.set_differential_entry((alpha, parts), (alpha, tgt), v)
         levels.append(c.freeze(support=(NEG_INF, POS_INF)))
         level_basis.append(basis)
     faces = {}  # i -> the alternating face sum, one column per element
     for i in range(1, truncation + 1):
         index = levels[i - 1].index
         fmap = faces[i] = ChainMap(levels[i], levels[i - 1])
-        for (alpha, lab) in level_basis[i]:
+        for (alpha, parts) in level_basis[i]:
             terms = []
             for s in range(i + 1):
                 beta = alpha[:s] + alpha[s + 1 :]
                 if any(beta[j] == beta[j + 1] for j in range(len(beta) - 1)):
                     continue  # degenerate target is zero in the quotient
-                for tlab, v in _face_image(F, alpha, lab, s).items():
-                    terms.append((index[(beta, tlab)][2], -v if s % 2 else v))
-            fmap.set_column((alpha, lab), terms)
+                for tgt, v in _face_image(F, alpha, parts, s).items():
+                    terms.append((index[(beta, tgt)][2], -v if s % 2 else v))
+            fmap.set_column((alpha, parts), terms)
     scc = SimplicialChainComplex(levels, faces, exhausted=False)
     tot = total_complex(scc)
     augmentation = None
@@ -635,166 +610,108 @@ def cech_complex(F, cover, truncation=2):
 
 
 def _adjacent_distinct(PU, length):
-    out = []
-
-    def rec(cur):
-        if len(cur) == length:
-            out.append(tuple(cur))
-            return
-        for fam in PU:
-            if cur and cur[-1] == fam:
-                continue
-            cur.append(fam)
-            rec(cur)
-            cur.pop()
-
-    rec([])
-    return out
+    return [
+        t for t in iproduct(PU, repeat=length)
+        if all(a != b for a, b in zip(t, t[1:]))
+    ]
 
 
 def _combos(F, alpha):
     """Tuples (U_0..U_i) ∈ Πα_j with nonempty intersection, sorted."""
     out = []
     for combo in iproduct(*alpha):
-        inter = F.poset.family_intersection(list(combo))
+        inter = F.poset.family_intersection(combo)
         if inter is not None:
             out.append((combo, inter))
     return out
 
 
-def _family_tensor_basis(F, alpha):
-    combos = _combos(F, alpha)
+def _level_basis(F, alpha):
+    """The parts tuples of F(alpha): ⊗ over the combos of alpha in the
+    tensor regime, ⊕ in the coproduct regime."""
+    pools = [[(combo, lab) for lab in _labels(F.value(inter))]
+             for combo, inter in _combos(F, alpha)]
     if F.mode == "coproduct":
-        out = []
-        for combo, inter in combos:
-            for lab in _labels(F.value(inter)):
-                out.append(("sum", combo, lab))
-        return out
-    pools = []
-    for combo, inter in combos:
-        pools.append([(combo, lab) for lab in _labels(F.value(inter))])
-    return [("tens",) + tuple(t) for t in iproduct(*pools)]
+        return [(part,) for pool in pools for part in pool]
+    return list(iproduct(*pools))
 
 
-def _family_label_degree(F, alpha, lab):
-    if lab[0] == "sum":
-        _, combo, l = lab
-        inter = F.poset.family_intersection(list(combo))
-        d, w, _ = F.value(inter).index[l]
-        return d, w
-    deg = 0
-    wt = 0
-    for combo, l in lab[1:]:
-        inter = F.poset.family_intersection(list(combo))
-        d, w, _ = F.value(inter).index[l]
-        deg += d
-        wt += w
-    return deg, wt
+def _unhit_targets(F, beta):
+    """{combo: []} for the target combos of a face that receive the
+    pointed element when no part lands there: every combo of beta in the
+    tensor regime, none in the coproduct regime."""
+    if F.mode == "coproduct":
+        return {}
+    return {combo: [] for combo, _inter in _combos(F, beta)}
 
 
-def _family_internal_diff(F, alpha, lab):
+def _part_index(F, part):
+    """(degree, weight, position) of a part's label in its value."""
+    combo, lab = part
+    return F.value(F.poset.family_intersection(combo)).index[lab]
+
+
+def _rho_parts(F, parts, target):
+    """F.rho on the tensor of the parts' labels, from their opens."""
+    meet = F.poset.family_intersection
+    return F.rho(tuple(meet(c) for c, _ in parts),
+                 tuple(lab for _, lab in parts), target)
+
+
+def _family_label_degree(F, parts):
+    degs = [_part_index(F, part) for part in parts]
+    return sum(d for d, _, _ in degs), sum(w for _, w, _ in degs)
+
+
+def _family_internal_diff(F, parts):
+    """Leibniz over the parts, with the Koszul sign of the parts passed."""
     f = F.coefficients.field
     out = {}
-    if lab[0] == "sum":
-        _, combo, l = lab
-        inter = F.poset.family_intersection(list(combo))
-        for tgt, v in F.value(inter).d_apply({l: f.one}).items():
-            out[("sum", combo, tgt)] = v
-        return out
-    parts = lab[1:]
     run = 0
     for idx, (combo, l) in enumerate(parts):
-        inter = F.poset.family_intersection(list(combo))
-        cx = F.value(inter)
-        d_img = cx.d_apply({l: f.one})
-        if d_img:
-            sign = f.coerce(-1 if run % 2 else 1)
-            for tgt, v in d_img.items():
-                new = list(parts)
-                new[idx] = (combo, tgt)
-                dga._acc(out, ("tens",) + tuple(new), f.mul(sign, v), f)
+        cx = F.value(F.poset.family_intersection(combo))
+        sign = f.coerce(-1 if run % 2 else 1)
+        for tgt, v in cx.d_apply({l: f.one}).items():
+            new = parts[:idx] + ((combo, tgt),) + parts[idx + 1 :]
+            dga._acc(out, new, f.mul(sign, v), f)
         run += cx.index[l][0]
     return out
 
 
 def _face_image(F, alpha, lab, s):
-    """∂_s on a basis vector of F(alpha): discard collection s, regroup,
-    apply structure maps per target combo."""
+    """∂_s on a basis vector (parts ``lab``) of F(alpha): discard
+    collection s, regroup the parts by target combo with the Koszul sign,
+    apply F.rho per group."""
     f = F.coefficients.field
-    poset = F.poset
-    beta = alpha[:s] + alpha[s + 1 :]
-    if F.mode == "coproduct":
-        _, combo, l = lab
-        tcombo = combo[:s] + combo[s + 1 :]
-        src_open = poset.family_intersection(list(combo))
-        tgt_open = poset.family_intersection(list(tcombo))
-        out = {}
-        for k, v in F.ext(src_open, tgt_open, l).items():
-            out[("sum", tcombo, k)] = v
-        return out
-    parts = list(lab[1:])
-    groups = {}
-    for idx, (combo, l) in enumerate(parts):
-        tcombo = combo[:s] + combo[s + 1 :]
-        groups.setdefault(tcombo, []).append((idx, combo, l))
-    # target combos not hit by any source factor receive the pointed element
-    for combo, _inter in _combos(F, beta):
-        groups.setdefault(combo, [])
-    # Koszul sign: regroup the tensor factors by target combo
+    groups = _unhit_targets(F, alpha[:s] + alpha[s + 1 :])
+    for combo, l in lab:
+        groups.setdefault(combo[:s] + combo[s + 1 :], []).append((combo, l))
     sign = dga.koszul_sign([
-        (combo[:s] + combo[s + 1 :],
-         F.value(poset.family_intersection(list(combo))).index[l][0])
-        for combo, l in parts
+        (combo[:s] + combo[s + 1 :], _part_index(F, (combo, l))[0])
+        for combo, l in lab
     ])
-    results = [(f.coerce(sign), {})]
+    results = [(f.coerce(sign), ())]
     for tcombo in sorted(groups):
-        members = groups[tcombo]
-        tgt_open = poset.family_intersection(list(tcombo))
-        family = []
-        factors = []
-        for (_idx, combo, l) in members:
-            src_open = poset.family_intersection(list(combo))
-            family.append(src_open)
-            factors.append(l)
-        image = F.rho(tuple(family), tuple(factors), tgt_open)
-        new = []
-        for coeff, assign in results:
-            for k, v in image.items():
-                a2 = dict(assign)
-                a2[tcombo] = k
-                new.append((f.mul(coeff, v), a2))
-        results = new
+        image = _rho_parts(
+            F, groups[tcombo], F.poset.family_intersection(tcombo)
+        )
+        results = [
+            (f.mul(coeff, v), parts + ((tcombo, k),))
+            for coeff, parts in results for k, v in image.items()
+        ]
     out = {}
-    for coeff, assign in results:
-        if f.is_zero(coeff):
-            continue
-        new_parts = []
-        for combo, inter in _combos(F, beta):
-            new_parts.append((combo, assign[combo]))
-        key = ("tens",) + tuple(new_parts)
-        dga._acc(out, key, coeff, f)
+    for coeff, parts in results:
+        if not f.is_zero(coeff):
+            dga._acc(out, parts, coeff, f)
     return out
 
 
 def _augmentation_map(F, level0, basis0):
     target = F.values[F.poset.union_id]
     amap = ChainMap(level0, target)
-    for (alpha, lab) in basis0:
-        if F.mode == "coproduct":
-            _, combo, l = lab
-            src = F.poset.family_intersection(list(combo))
-            for k, v in F.ext(src, F.poset.union_id, l).items():
-                amap.set_entry((alpha, lab), k, v)
-        else:
-            parts = lab[1:]
-            family = []
-            factors = []
-            for combo, l in parts:
-                family.append(F.poset.family_intersection(list(combo)))
-                factors.append(l)
-            for k, v in F.rho(tuple(family), tuple(factors),
-                              F.poset.union_id).items():
-                amap.set_entry((alpha, lab), k, v)
+    for (alpha, parts) in basis0:
+        for k, v in _rho_parts(F, parts, F.poset.union_id).items():
+            amap.set_entry((alpha, parts), k, v)
     return amap
 
 

@@ -575,7 +575,16 @@ def two_sided_bar(right_module, A, left_module, window=(-6, 0)):
 
 
 def enveloping_modules(A):
-    """(A as right A⊗A^op-module, A⊗A^op, A as left A⊗A^op-module)."""
+    """(A as right A⊗A^op-module, A⊗A^op, A as left A⊗A^op-module).
+
+    The classical Bar complex has no weight truncation, so an algebra
+    materialized per weight only (``max_weight``) is refused."""
+    if A.max_weight is not None:
+        raise dga.AlgebraClassError(
+            f"{A.name}: the enveloping algebra needs every product, but "
+            f"{A.name} is materialized per weight only (through weight "
+            f"{A.max_weight})"
+        )
     f = A.coefficients.field
     E = dga.tensor_algebra(A, dga.opposite(A), name=f"{A.name}^e")
     dimB = A.dim

@@ -6,6 +6,7 @@ import pytest
 
 from hoch import cech, dga
 from hoch.cech import CoverError
+from hoch.homalg import Coefficients
 
 THREE_ARCS = [
     (Fraction(0), Fraction(2, 5)),
@@ -164,6 +165,24 @@ def test_cech_two_interval_cover_contractible(QQ):
     assert C.betti((-1, 0)) == {0: 1, -1: 0}
 
 
+def test_interval_poset_names_normalized_opens(QQ):
+    # "6/10" and "3/5" spell one endpoint: one open, one id, one complex
+    spellings = [[("r", "6/10"), ("l", "2/5")], [("r", "3/5"), ("l", "2/5")]]
+    posets = [cech.interval_poset(opens) for opens in spellings]
+    assert posets[0].opens == posets[1].opens == [
+        "(2/5,1]", "(2/5,3/5)", "[0,3/5)"
+    ]
+    totals = [
+        cech.cech_complex(cech.constant_precosheaf(ip, QQ), ip.opens, 2).total
+        for ip in posets
+    ]
+    assert totals[0].blocks == totals[1].blocks
+    assert max(map(len, totals[0].blocks.values())) == 12
+    for key in totals[1].diff:
+        assert (sorted(totals[0].d_matrix(*key).entries())
+                == sorted(totals[1].d_matrix(*key).entries()))
+
+
 def test_cech_subcover_must_be_closed(arc_poset, QQ):
     F = cech.constant_precosheaf(arc_poset, QQ)
     arcs_only = [u for u in arc_poset.opens
@@ -188,6 +207,65 @@ def test_cech_augmentation_chain_map(QQ):
     C = cech.cech_complex(F, poset.opens, truncation=2)
     assert C.augmentation is not None
     assert C.augmentation.is_chain_map()
+
+
+AUG_ARCS = [(0, Fraction(9, 20)), (Fraction(1, 20), Fraction(1, 10)),
+            (Fraction(1, 10), Fraction(1, 10)), (Fraction(1, 4), Fraction(1, 10))]
+
+
+def _augmented_faces(C):
+    """ε∘∂₁ on the level-1 elements, read off the total differential, and
+    the number of level-1 elements."""
+    T, eps = C.total, C.augmentation
+    f = T.coefficients.field
+    eps_of = {}
+    for key, mat in eps.blocks.items():
+        for row, col, v in mat.entries():
+            src, tgt = eps.source.blocks[key][col], eps.target.blocks[key][row]
+            eps_of.setdefault(src, {})[tgt] = v
+    out = {}
+    for (d, w), block in T.blocks.items():
+        targets = T.blocks.get((d + 1, w), [])
+        for row, col, v in T.d_matrix(d, w).entries():
+            (n, src), (m, tgt) = block[col], targets[row]
+            if (n, m) == (1, 0):
+                for k, e in eps_of.get(tgt, {}).items():
+                    dga._acc(out, (src, k), f.mul(v, e), f)
+    level1 = sum(n == 1 for block in T.blocks.values() for n, _ in block)
+    return out, level1
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_augmentation_kills_the_faces_in_both_regimes(p):
+    k = Coefficients() if p is None else Coefficients("prime-field", p)
+    poset = cech.circle_arc_poset(AUG_ARCS)
+    poset.union_id = "arc(0,9/20)"
+    data = [
+        cech.constant_precosheaf(poset, k),
+        cech.trivial_prefactorization(poset, k),
+        cech.circle_arc_algebra(dga.exterior(k), poset),
+        cech.circle_arc_algebra(dga.truncated_polynomial(k, 2), poset),
+    ]
+    for F in data:
+        C = cech.cech_complex(F, poset.opens, truncation=1)
+        assert C.augmentation.is_chain_map()
+        assert C.augmentation.blocks  # ε is not zero
+        composite, level1 = _augmented_faces(C)
+        assert composite == {}, F.name
+        assert 56 <= level1 <= 130, (F.name, level1)
+
+
+def test_coproduct_rho_is_the_extension_map(QQ):
+    poset = cech.circle_arc_poset(AUG_ARCS)
+    F = cech.constant_precosheaf(poset, QQ)
+    pairs = [(u, v) for u in poset.opens for v in poset.opens
+             if poset.leq(u, v)]
+    assert len(pairs) > len(poset.opens)
+    for u, v in pairs:
+        assert F.rho((u,), ("1",), v) == F.ext(u, v, "1") == {"1": 1}
+    u, v = next(f for f in poset.disjoint_families() if len(f) == 2)
+    with pytest.raises(ValueError, match="one open"):
+        F.rho((u, v), ("1", "1"), "arc(0,9/20)")
 
 
 def test_interval_stratified(QQ, trunc2):

@@ -402,6 +402,18 @@ def test_cover_error_is_a_schema_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("schema error: ")
 
 
+def test_excision_check_refuses_a_per_weight_algebra(tmp_path, capsys):
+    raw = json.loads((JOBS / "criterion04a_excision_trunc.json").read_text())
+    raw["algebra"] = {"name": "polynomial"}
+    raw["weights"] = [1, 2]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: k[x]: the enveloping algebra")
+    assert "materialized per weight" in err
+
+
 GOLDEN_JOBS = sorted(
     p.name for p in JOBS.glob("*.json")
     if p.name.startswith(("criterion", "extra"))

@@ -2,11 +2,11 @@
 
 import doctest
 
-from hoch import dga, homalg, hochschild, linalg
+from hoch import cech, dga, homalg, hochschild, linalg
 
 
 def test_doctests():
-    for mod in (dga, homalg, hochschild, linalg):
+    for mod in (cech, dga, homalg, hochschild, linalg):
         result = doctest.testmod(mod)
         assert result.failed == 0, mod.__name__
         assert result.attempted >= 1, mod.__name__

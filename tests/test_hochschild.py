@@ -219,6 +219,16 @@ def test_hh_via_enveloping(QQ, exterior, trunc2):
     assert env.betti((-5, 0)) == circ.betti((-5, 0))
 
 
+def test_enveloping_refuses_a_per_weight_algebra(QQ):
+    # the classical Bar path has no weight truncation: refuse up front
+    # rather than multiply past the materialized bound
+    A = dga.polynomial(QQ, max_weight=2)
+    for build in (hh.enveloping_modules, hh.hh_via_enveloping):
+        with pytest.raises(dga.AlgebraClassError,
+                           match="materialized per weight"):
+            build(A)
+
+
 def test_enveloping_trivial_algebra(QQ):
     one = QQ.field.one
     k_alg = dga.DGAlgebra(

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -357,6 +358,210 @@ def test_total_complex_matches_reference_with_a_differential(koszul_dga):
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 
+# -- reference Čech builder: one branch per regime, one ChainMap per face ---
+
+
+def _reference_labels(cx):
+    return [lab for block in cx.blocks.values() for lab in block]
+
+
+def _reference_combos(F, alpha):
+    out = []
+    for combo in product(*alpha):
+        inter = F.poset.family_intersection(list(combo))
+        if inter is not None:
+            out.append((combo, inter))
+    return out
+
+
+def _reference_family_tensor_basis(F, alpha):
+    combos = _reference_combos(F, alpha)
+    if F.mode == "coproduct":
+        out = []
+        for combo, inter in combos:
+            for lab in _reference_labels(F.value(inter)):
+                out.append(("sum", combo, lab))
+        return out
+    pools = []
+    for combo, inter in combos:
+        pools.append([(combo, lab) for lab in _reference_labels(F.value(inter))])
+    return [("tens",) + tuple(t) for t in product(*pools)]
+
+
+def _reference_family_label_degree(F, lab):
+    if lab[0] == "sum":
+        _, combo, l = lab
+        inter = F.poset.family_intersection(list(combo))
+        d, w, _ = F.value(inter).index[l]
+        return d, w
+    deg = 0
+    wt = 0
+    for combo, l in lab[1:]:
+        inter = F.poset.family_intersection(list(combo))
+        d, w, _ = F.value(inter).index[l]
+        deg += d
+        wt += w
+    return deg, wt
+
+
+def _reference_family_internal_diff(F, lab):
+    f = F.coefficients.field
+    out = {}
+    if lab[0] == "sum":
+        _, combo, l = lab
+        inter = F.poset.family_intersection(list(combo))
+        for tgt, v in F.value(inter).d_apply({l: f.one}).items():
+            out[("sum", combo, tgt)] = v
+        return out
+    parts = lab[1:]
+    run = 0
+    for idx, (combo, l) in enumerate(parts):
+        inter = F.poset.family_intersection(list(combo))
+        cx = F.value(inter)
+        d_img = cx.d_apply({l: f.one})
+        if d_img:
+            sign = f.coerce(-1 if run % 2 else 1)
+            for tgt, v in d_img.items():
+                new = list(parts)
+                new[idx] = (combo, tgt)
+                dga._acc(out, ("tens",) + tuple(new), f.mul(sign, v), f)
+        run += cx.index[l][0]
+    return out
+
+
+def _reference_face_image(F, alpha, lab, s):
+    f = F.coefficients.field
+    poset = F.poset
+    beta = alpha[:s] + alpha[s + 1 :]
+    if F.mode == "coproduct":
+        _, combo, l = lab
+        tcombo = combo[:s] + combo[s + 1 :]
+        src_open = poset.family_intersection(list(combo))
+        tgt_open = poset.family_intersection(list(tcombo))
+        out = {}
+        for k, v in F.ext(src_open, tgt_open, l).items():
+            out[("sum", tcombo, k)] = v
+        return out
+    parts = list(lab[1:])
+    groups = {}
+    for idx, (combo, l) in enumerate(parts):
+        tcombo = combo[:s] + combo[s + 1 :]
+        groups.setdefault(tcombo, []).append((idx, combo, l))
+    for combo, _inter in _reference_combos(F, beta):
+        groups.setdefault(combo, [])
+    sign = dga.koszul_sign([
+        (combo[:s] + combo[s + 1 :],
+         F.value(poset.family_intersection(list(combo))).index[l][0])
+        for combo, l in parts
+    ])
+    results = [(f.coerce(sign), {})]
+    for tcombo in sorted(groups):
+        members = groups[tcombo]
+        tgt_open = poset.family_intersection(list(tcombo))
+        family = []
+        factors = []
+        for (_idx, combo, l) in members:
+            family.append(poset.family_intersection(list(combo)))
+            factors.append(l)
+        image = F.rho(tuple(family), tuple(factors), tgt_open)
+        new = []
+        for coeff, assign in results:
+            for k, v in image.items():
+                a2 = dict(assign)
+                a2[tcombo] = k
+                new.append((f.mul(coeff, v), a2))
+        results = new
+    out = {}
+    for coeff, assign in results:
+        if f.is_zero(coeff):
+            continue
+        new_parts = []
+        for combo, inter in _reference_combos(F, beta):
+            new_parts.append((combo, assign[combo]))
+        dga._acc(out, ("tens",) + tuple(new_parts), coeff, f)
+    return out
+
+
+def _reference_augmentation(F, basis0):
+    """{(source label, target label): coeff} of ε on level 0."""
+    out = {}
+    for (alpha, lab) in basis0:
+        if F.mode == "coproduct":
+            _, combo, l = lab
+            src = F.poset.family_intersection(list(combo))
+            image = F.ext(src, F.poset.union_id, l)
+        else:
+            family = []
+            factors = []
+            for combo, l in lab[1:]:
+                family.append(F.poset.family_intersection(list(combo)))
+                factors.append(l)
+            image = F.rho(tuple(family), tuple(factors), F.poset.union_id)
+        for k, v in image.items():
+            out[((alpha, _parts(lab)), k)] = v
+    return out
+
+
+def _parts(lab):
+    """The label bijection ("sum", c, l) ↦ ((c, l),), ("tens", *p) ↦ p."""
+    return ((lab[1], lab[2]),) if lab[0] == "sum" else lab[1:]
+
+
+def _reference_cech(F, cover, truncation):
+    """The reference levels (labels through ``_parts``) and one ChainMap
+    per face (i, s), filled entry by entry."""
+    PU = sorted(
+        fam for fam in F.poset.disjoint_families(max_size=3)
+        if all(u in cover for u in fam)
+    )
+    levels, bases = [], []
+    for i in range(truncation + 1):
+        c = ChainComplex(F.coefficients)
+        basis = [
+            (alpha, lab)
+            for alpha in product(PU, repeat=i + 1)
+            if all(alpha[j] != alpha[j + 1] for j in range(i))
+            for lab in _reference_family_tensor_basis(F, alpha)
+        ]
+        for (alpha, lab) in basis:
+            c.add_element((alpha, _parts(lab)),
+                          *_reference_family_label_degree(F, lab))
+        for (alpha, lab) in basis:
+            for tgt, v in _reference_family_internal_diff(F, lab).items():
+                c.set_differential_entry(
+                    (alpha, _parts(lab)), (alpha, _parts(tgt)), v
+                )
+        levels.append(c.freeze(support=(NEG_INF, POS_INF)))
+        bases.append(basis)
+    faces = {}
+    for i in range(1, truncation + 1):
+        for s in range(i + 1):
+            fmap = faces[(i, s)] = ChainMap(levels[i], levels[i - 1])
+            for (alpha, lab) in bases[i]:
+                beta = alpha[:s] + alpha[s + 1 :]
+                if any(beta[j] == beta[j + 1] for j in range(i - 1)):
+                    continue
+                for tlab, v in _reference_face_image(F, alpha, lab, s).items():
+                    fmap.set_entry((alpha, _parts(lab)), (beta, _parts(tlab)),
+                                   v)
+    ref = SimpleNamespace(levels=levels, faces=faces, exhausted=False,
+                          top_level=truncation)
+    return ref, bases[0]
+
+
+def _assert_same_cech(C, F, truncation):
+    ref, basis0 = _reference_cech(F, C.cover, truncation)
+    _assert_same_total(C.total, _reference_total_complex(ref))
+    if C.augmentation is None:
+        return
+    got = {}
+    src, tgt = C.augmentation.source, C.augmentation.target
+    for (d, w), mat in C.augmentation.blocks.items():
+        for row, col, v in mat.entries():
+            got[(src.blocks[(d, w)][col], tgt.blocks[(d, w)][row])] = v
+    assert got == _reference_augmentation(F, basis0)
+
+
 @pytest.mark.parametrize(
     "job", ["criterion10_cosheaf_cech.json", "extra_tensor_cech.json"]
 )
@@ -376,21 +581,56 @@ def test_cech_total_matches_reference(job, monkeypatch):
     monkeypatch.setattr(cech, "cech_complex", keep_precosheaf)
     monkeypatch.setattr(cech, "total_complex", keep_simplicial)
     C = cli._run_cech(spec, cli.parse_coefficients(spec))
-    F, levels = kept["F"], kept["scc"].levels
-    # reference Čech assembly: one ChainMap per face (i, s)
-    faces = {}
-    for i in range(1, len(levels)):
-        for s in range(i + 1):
-            fmap = faces[(i, s)] = ChainMap(levels[i], levels[i - 1])
-            for (alpha, lab) in levels[i].index:
-                beta = alpha[:s] + alpha[s + 1 :]
-                if any(beta[j] == beta[j + 1] for j in range(len(beta) - 1)):
-                    continue
-                for tlab, v in cech._face_image(F, alpha, lab, s).items():
-                    fmap.set_entry((alpha, lab), (beta, tlab), v)
-    ref = SimpleNamespace(levels=levels, faces=faces, exhausted=False,
-                          top_level=len(levels) - 1)
-    _assert_same_total(C.total, _reference_total_complex(ref))
+    truncation = spec["cover"]["truncation"]
+    ref, _ = _reference_cech(kept["F"], C.cover, truncation)
+    levels = kept["scc"].levels
+    assert [l.blocks for l in levels] == [l.blocks for l in ref.levels]
+    _assert_same_cech(C, kept["F"], truncation)
+
+
+F3 = Coefficients("prime-field", 3)
+AUG_ARCS = [(0, Fraction(9, 20)), (Fraction(1, 20), Fraction(1, 10)),
+            (Fraction(1, 10), Fraction(1, 10)), (Fraction(1, 4), Fraction(1, 10))]
+STRATA = [("r", Fraction(2, 5)), ("m", Fraction(1, 4), Fraction(3, 4)),
+          ("l", Fraction(3, 5))]
+
+
+def _arc_poset():
+    poset = cech.circle_arc_poset(AUG_ARCS)
+    poset.union_id = "arc(0,9/20)"
+    return poset
+
+
+def _stratified_exterior(k):
+    E = dga.exterior(k)
+    m = dga.algebra_as_bimodule(E)
+    return cech.interval_stratified(m, E, m, cech.interval_poset(STRATA))
+
+
+# name -> coefficients -> prefactorization data
+CECH_CASES = {
+    "constant-Q": lambda k: cech.constant_precosheaf(_arc_poset(), k),
+    "trivial": lambda k: cech.trivial_prefactorization(_arc_poset(), k),
+    "arcs-trunc2": lambda k: cech.circle_arc_algebra(
+        dga.truncated_polynomial(k, 2), _arc_poset()),
+    "arcs-exterior": lambda k: cech.circle_arc_algebra(
+        dga.exterior(k), _arc_poset()),
+    "arcs-exterior-reversed": lambda k: cech.circle_arc_algebra(
+        dga.exterior(k), _arc_poset(), orientation=-1),
+    "interval-exterior": _stratified_exterior,
+    "interval-constant-Q": lambda k: cech.constant_precosheaf(
+        cech.interval_poset(STRATA), k),
+}
+
+
+@pytest.mark.parametrize("truncation", [1, 2])
+@pytest.mark.parametrize("k", [Coefficients(), F3, F7], ids=["Q", "F3", "F7"])
+@pytest.mark.parametrize("case", sorted(CECH_CASES))
+def test_cech_matches_reference(case, k, truncation):
+    F = CECH_CASES[case](k)
+    C = cech.cech_complex(F, F.poset.opens, truncation)
+    assert (C.augmentation is None) == (F.poset.ambient == "interval")
+    _assert_same_cech(C, F, truncation)
 
 
 def test_point_retract_via_total(QQ, exterior):
