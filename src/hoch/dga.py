@@ -745,6 +745,13 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
     the non-unit (and module) factors at the merge slots, left to right.
     Coefficients are plain numbers until one coercion per output term;
     terms that are zero after it are dropped.
+
+    A fold that is zero ends the run with ``{}``, except when a later fold
+    could still raise: past its materialized weight (``A.max_weight``) a
+    product raises AlgebraClassError, and a module without a left (or
+    right) action raises on it.  There the run goes on to the folds of
+    the later targets, as the generic fold does, and their error wins
+    over the zero.
     """
     unit, k = A.unit, len(setmap)
     if n_targets is None:
@@ -793,6 +800,13 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
             fault, empty = "module slot received algebra factor", fibres[mtgt]
         elif tm is not None:
             fault = "algebra slot received module factor"
+    # a zero fold ends the run, unless a later fold may still raise: a
+    # product past A's materialized weight, or a missing module action
+    stop = A.max_weight is None and (
+        tm is None
+        or module.left is not None
+        and (module.symmetric or module._right is not None)
+    )
     f = A.coefficients.field
     # plain coefficient -> its field value, or None for zero
     coerced = _Table(lambda c: None if f.is_zero(v := f.coerce(c)) else v)
@@ -825,8 +839,10 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
             if len(prod) == 1:
                 (image[t], e), = prod
                 coeff *= e
-            else:
+            elif prod or not stop:
                 spread[t] = [(e, q) for q, e in prod]
+            else:
+                return {}
         if empty is not None and all(monomial[s] == unit for s in empty):
             return {}
         if not spread:

@@ -8,7 +8,9 @@ truncated polynomial algebras) live here too, on deliberately separate
 code paths.
 """
 
+from functools import reduce
 from itertools import compress, product
+from operator import or_
 
 from . import dga
 # apply_setmap stays bound here for perfbench's tracer test (ROADMAP 7)
@@ -233,6 +235,37 @@ def _is_nondegenerate(Y, n, A, mono):
     return not any(map(support.isdisjoint, Y.nondegenerate_complements(n)))
 
 
+def _face_gates(Y, n, A, skip=True):
+    """``(gates, met)``: face r of Y_n is pushed on a level-n monomial only
+    when ``met(monomial)`` has every bit of ``gates[r]``.
+
+    The masks of ``Y.face_masks(n)`` are numbered across the faces:
+    ``gates[r]`` has the bits of face r's masks, and ``met`` gives the bits
+    of the masks that the monomial's non-unit slots meet.  The non-unit
+    slots of the image under d_r lie in d_r(support), so that image is
+    degenerate when the support misses one of r's masks, and the normalized
+    complex drops it.  Without ``skip``, or when no face of the level has a
+    mask, every gate is 0 and no support is looked at.
+    """
+    per_face = Y.face_masks(n) if skip else ()
+    gates, k = [], 0
+    for masks in per_face:
+        gates.append((1 << k + len(masks)) - (1 << k))
+        k += len(masks)
+    if not k:
+        return (0,) * (n + 1), lambda mono: 0
+    numbered = [m for masks in per_face for m in masks]
+    # slot -> the bits of the masks it lies in; a module slot is the
+    # basepoint, which lies in no mask
+    hits = [sum(1 << i for i, m in enumerate(numbered) if m >> s & 1)
+            for s in range(Y.card(n))]
+    unit = A.unit
+    # with the unit at 0 the non-unit slots are the truthy entries
+    return gates, lambda mono: reduce(or_, compress(
+        hits, mono if unit == 0 else map(unit.__ne__, mono)
+    ), 0)
+
+
 def _internal_diff(A, module, bp, mono):
     """Slotwise differential with Koszul signs; {target_mono: coeff}."""
     f = A.coefficients.field
@@ -350,6 +383,11 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
     the faces induced by Y, set one source column at a time.  A target
     missing from the level below must be degenerate (never, unnormalized).
 
+    Normalized, a face whose image is provably degenerate is not pushed
+    (``_face_gates``), unless a fold could pass A's materialized weight:
+    the push then still raises AlgebraClassError as it would unskipped.
+    Every image that is pushed lands or is checked to be degenerate.
+
     Module coefficients must be symmetric bimodules here: the Eq.-7
     source-order merges only exercise one side of the action.  Genuine
     bimodules over the circle go through the classical complex instead.
@@ -357,19 +395,31 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
     levels, exhausted, _blocks = build_levels(
         Y, A, module, window, weights, normalized, cap
     )
+    # A's non-unit weights are >= 1 when it has a materialized weight, so
+    # a fold passes it only if the algebra part of a total weight can
+    low = min(module.weights, default=0) if module else 0
+    skip = normalized and (A.max_weight is None
+                           or max(weights) - min(low, 0) <= A.max_weight)
     faces = {}
     for n in range(1, len(levels)):
         index = levels[n - 1].index
         mmap = {Y.basepoint[n]: Y.basepoint[n - 1]} if module else None
-        # (odd r, the program of face r onto the slots of Y_{n-1})
+        gates, met = _face_gates(Y, n, A, skip)
+        # (gate of face r, odd r, the program of r onto the slots of Y_{n-1})
         faces_r = [
-            (r % 2, compile_setmap(A, setmap, Y.card(n - 1), module, mmap))
-            for r, setmap in enumerate(map(tuple, Y.face_tab[n]))
+            (gate, r % 2,
+             compile_setmap(A, setmap, Y.card(n - 1), module, mmap))
+            for r, (gate, setmap) in enumerate(
+                zip(gates, map(tuple, Y.face_tab[n]))
+            )
         ]
         fmap = faces[n] = ChainMap(levels[n], levels[n - 1])
         for mono in levels[n].index:
+            covered = met(mono)
             terms = []
-            for odd, push in faces_r:
+            for gate, odd, push in faces_r:
+                if covered & gate != gate:
+                    continue
                 for timg, v in push(mono).items():
                     hit = index.get(timg)
                     if hit is not None:

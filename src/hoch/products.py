@@ -10,13 +10,14 @@ is enforced by the test battery.
 from itertools import combinations, product
 
 from . import dga
-from .dga import _Table, _constants, apply_setmap, compile_setmap
+from .dga import _constants, apply_setmap, compile_setmap
 from .homalg import NEG_INF, POS_INF, ChainComplex
 from .linalg import SparseMatrix
 from .hochschild import (
     TruncationError,
     _internal_diff,
     _is_nondegenerate,
+    _face_gates,
     _level_monomials,
     _monomial_data,
 )
@@ -293,8 +294,10 @@ class CochainComplexData:
 
     The coboundary is summed as plain numbers into one {column: {row:
     value}} dict per block, keyed by positions, and coerced into the field
-    once per entry.  A face or internal-differential image missing from
-    the level below must be degenerate.
+    once per entry.  A face whose image is provably degenerate is not
+    pushed (``hochschild._face_gates``, the rule of the chain builder);
+    a face or internal-differential image missing from the level below
+    must be degenerate.
     """
 
     def __init__(self, Y, A, module, window=(0, 4), top=None):
@@ -312,6 +315,9 @@ class CochainComplexData:
         self.Y = Y
         self.A = A
         self.module = module
+        # wedge_product's iterated-face programs and argument halves, kept
+        # per pair of factor spaces (see _wedge_programs, _wedge_halves)
+        self._wedge_memo = {}
         mdeg = module.degrees
         min_deg_m = min(mdeg, default=0)
         if top is None:
@@ -357,9 +363,12 @@ class CochainComplexData:
             n = lvl - 1
             bp = Y.basepoint[n]
             below = self.arg_degrees[n]
+            gates, met = _face_gates(Y, lvl, A)
             for i, setmap in enumerate(map(tuple, Y.face_tab[lvl])):
                 push = compile_setmap(A, setmap, Y.card(n))
                 for u in self.args[lvl]:
+                    if met(u) & gates[i] != gates[i]:
+                        continue
                     for full, lam in push(u).items():
                         rest = full[:bp] + (A.unit,) + full[bp + 1:]
                         adeg = below.get(rest)
@@ -466,7 +475,8 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
     bidegree (p, q) to (δ^last)^q f ⊗ (δ^0)^p g evaluated on the two halves
     of a wedge argument; the basepoint slot collects a_0.  Each half is
     pushed once per level of f and label of g: its value is kept for the
-    other wedge arguments that share it.
+    other wedge arguments that share it.  The halves of the arguments and
+    the face programs are kept on ``data_wedge`` for later calls.
     """
     A = data_x.A
     if data_y.A is not A or data_wedge.A is not A:
@@ -479,14 +489,8 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
     by_level_f = {}  # p -> {arg: {m: coeff}}
     for (p, arg, m), c in fch.items():
         by_level_f.setdefault(p, {}).setdefault(arg, {})[m] = c
-    # (p, q) -> the programs of the iterated faces of both halves, and
-    # {x-half: (value of f, internal degree)}
+    # (p, q) -> {position of an x-half: (value of f, internal degree)}
     pushed_f = {}
-    # n -> [(wedge argument, x-half, y-half)] of level n, split once
-    splits = _Table(lambda n: [
-        (warg, *_split_wedge_arg(data_x.Y, data_y.Y, n, warg, A.unit))
-        for warg in data_wedge.args[n]
-    ])
     out = {}
     for (q, garg, gm), gcoeff in gch.items():
         gdeg = data_y.module.degrees[gm] - data_y.arg_degrees[q][garg]
@@ -495,28 +499,24 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
             n = p + q
             if n > data_wedge.top:
                 raise TruncationError("wedge product exceeds the window")
-            if (p, q) not in pushed_f:
-                last = _iterated_face_setmap(data_x.Y, n, q, "last")
-                first = _iterated_face_setmap(data_y.Y, n, p, "first")
-                pushed_f[p, q] = (compile_setmap(A, last, data_x.Y.card(p)),
-                                  compile_setmap(A, first, data_y.Y.card(q)),
-                                  {})
-            last, first, halves_f = pushed_f[p, q]
+            last, first = _wedge_programs(data_x.Y, data_y.Y, data_wedge, p, q)
+            xs, ys, xi, yi = _wedge_halves(data_x.Y, data_y.Y, data_wedge, n)
+            halves_f = pushed_f.setdefault((p, q), {})
             halves_g = {}
-            for warg, xfull, yfull in splits[n]:
-                if xfull not in halves_f:
-                    halves_f[xfull] = (
-                        _evaluate_pushed(data_x, fpart, p, last, xfull),
-                        sum(A.degrees[x] for x in xfull),
+            for warg, i, j in zip(data_wedge.args[n], xi, yi):
+                if i not in halves_f:
+                    halves_f[i] = (
+                        _evaluate_pushed(data_x, fpart, p, last, xs[i]),
+                        sum(A.degrees[x] for x in xs[i]),
                     )
-                valF, xdeg = halves_f[xfull]
+                valF, xdeg = halves_f[i]
                 if not valF:
                     continue
-                if yfull not in halves_g:
-                    halves_g[yfull] = _evaluate_pushed(
-                        data_y, gpart, q, first, yfull
+                if j not in halves_g:
+                    halves_g[j] = _evaluate_pushed(
+                        data_y, gpart, q, first, ys[j]
                     )
-                valG = halves_g[yfull]
+                valG = halves_g[j]
                 if not valG:
                     continue
                 # g crosses the x-half of the argument
@@ -531,6 +531,40 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
                                 f,
                             )
     return out
+
+
+def _wedge_programs(X, Ysp, data_wedge, p, q):
+    """The programs of (δ^last)^q onto X_p and (δ^0)^p onto Y_q, from level
+    p + q of X ∨ Y: compiled once per factor spaces and (p, q)."""
+    key = (X, Ysp, p, q)
+    programs = data_wedge._wedge_memo.get(key)
+    if programs is None:
+        A, n = data_wedge.A, p + q
+        programs = data_wedge._wedge_memo[key] = (
+            compile_setmap(A, _iterated_face_setmap(X, n, q, "last"),
+                           X.card(p)),
+            compile_setmap(A, _iterated_face_setmap(Ysp, n, p, "first"),
+                           Ysp.card(q)),
+        )
+    return programs
+
+
+def _wedge_halves(X, Ysp, data_wedge, n):
+    """The distinct x-halves and y-halves of the level-n wedge arguments,
+    and per argument, in order, the positions of its two halves among
+    them (two lists): split once per factor spaces and level."""
+    key = (X, Ysp, n)
+    halves = data_wedge._wedge_memo.get(key)
+    if halves is None:
+        unit = data_wedge.A.unit
+        xs, ys = {}, {}  # half -> its position
+        xi, yi = [], []
+        for warg in data_wedge.args[n]:
+            x, y = _split_wedge_arg(X, Ysp, n, warg, unit)
+            xi.append(xs.setdefault(x, len(xs)))
+            yi.append(ys.setdefault(y, len(ys)))
+        halves = data_wedge._wedge_memo[key] = (list(xs), list(ys), xi, yi)
+    return halves
 
 
 def _split_wedge_arg(X, Ysp, n, warg, unit):

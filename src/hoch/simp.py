@@ -31,6 +31,7 @@ class SimplicialSet:
         # k non-unit slots die above level c*k.  None = no certificate.
         self.hitcap_coeff = hitcap_coeff
         self._complements = {}  # level -> nondegenerate_complements, lazily
+        self._face_masks = {}  # level -> face_masks, lazily
 
     @property
     def top_level(self):
@@ -64,6 +65,28 @@ class SimplicialSet:
             )
             self._complements[n] = comps
         return comps
+
+    def face_masks(self, n):
+        """For level n >= 1, one tuple per face r of int bitmasks over the
+        slots of Y_n: for each level-(n-1) complement c, the slots s with
+        d_r(s) in c.  A support S has a nondegenerate image d_r(S) only if
+        S meets every mask of r.  A mask that contains a level-n complement
+        is left out, since a nondegenerate level-n support meets it
+        already; so is a repeated one.  Kept per level, like the
+        complements."""
+        masks = self._face_masks.get(n)
+        if masks is None:
+            here = [_bits(c) for c in self.nondegenerate_complements(n)]
+            below = self.nondegenerate_complements(n - 1)
+            masks = []
+            for tab in self.face_tab[n]:
+                pulled = (_bits(s for s, t in enumerate(tab) if t in c)
+                          for c in below)
+                masks.append(tuple(dict.fromkeys(
+                    m for m in pulled if all(h & ~m for h in here)
+                )))
+            masks = self._face_masks[n] = tuple(masks)
+        return masks
 
     def validate(self):
         """Exhaustively check all simplicial identities up to the top level.
@@ -155,6 +178,10 @@ class SimplicialSet:
             },
             sort_keys=True,
         )
+
+
+def _bits(slots):
+    return sum(1 << s for s in slots)
 
 
 class NondegeneracyTable:

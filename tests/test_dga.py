@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from hoch import dga, simp
+from hoch import hochschild as hh
 from hoch.dga import AlgebraClassError
 from hoch.homalg import Coefficients
 
@@ -477,6 +478,26 @@ def test_apply_setmap_matches_reference_hypothesis(data):
     assert _outcome(dga.apply_setmap, *args) == _outcome(
         _reference_apply_setmap, *args
     )
+
+
+def test_zero_fold_leaves_a_later_error_standing():
+    """A zero fold ends a run only where no later fold can raise: here the
+    module factor kills target 0 (x acts as 0 on k), and target 1 then
+    multiplies past the materialized weight, or needs the left action of
+    a module that has none."""
+    F5 = Coefficients("prime-field", 5)
+    A = dga.polynomial(F5, max_weight=3)
+    with pytest.raises(AlgebraClassError,
+                       match="product exceeds materialized weight 3"):
+        dga.apply_setmap(A, (0, 0, 1, 1), (0, 1, 2, 2),
+                         dga.augmentation_module(A), {0: 0})
+    T = dga.truncated_polynomial(Coefficients(), 2)
+    right_only, E, _left = hh.enveloping_modules(T)
+    x = E.labels.index(("1", "x^1"))  # x·x = 0 in the envelope
+    args = (E, (0, 0, 1, 1), (x, x, x, 0), right_only, {3: 1})
+    assert _outcome(dga.apply_setmap, *args) == _outcome(
+        _reference_apply_setmap, *args
+    ) == (ValueError, "k[x]/x^2 (right over envelope): no left action")
 
 
 def test_apply_setmap_fp_drops_terms_zero_after_reduction():

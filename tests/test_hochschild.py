@@ -1,17 +1,19 @@
 """Hochschild complexes, Bar constructions, oracles, HKR predictions."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from hoch import dga, simp
+from hoch import cli, dga, simp
 from hoch import hochschild as hh
 from hoch.homalg import NEG_INF, POS_INF, ChainComplex, Coefficients
 from hoch.hochschild import TruncationError
-from tests_support import count_compiles, koszul_algebra
+from tests_support import count_compiles, count_runs, koszul_algebra
 
 
 def scaling(A, c):
@@ -865,3 +867,42 @@ def test_build_compiles_one_program_per_face(monkeypatch, trunc3):
     scc = hh.build_simplicial_ch(simp.circle(8), trunc3, window=(-7, 0))
     assert scc.top_level == 8
     assert len(compiled) == sum(n + 1 for n in range(1, 9)) == 44
+
+
+def test_build_pushes_no_provably_degenerate_face(monkeypatch, trunc3):
+    """The golden sphere-3 HKR job pushes 12,684 monomials through its face
+    programs: the 10,000 others would land on degenerate images.  Over the
+    circle no face image is provably degenerate, so every face is pushed."""
+    pushed = count_runs(monkeypatch, hh)
+    job = Path(__file__).resolve().parent.parent / "jobs"
+    spec = cli.load_jobspec(json.loads(
+        (job / "criterion05b_hkr_sphere3.json").read_text()
+    ))
+    assert cli.run_job(spec)["betti"]
+    assert len(pushed) == 12684
+    pushed.clear()
+    scc = hh.build_simplicial_ch(simp.circle(8), trunc3, window=(-7, 0))
+    assert len(pushed) == sum(
+        (n + 1) * len(scc.levels[n].index) for n in range(1, 9)
+    ) == 12288
+
+
+def test_face_gates_read_the_unit_wherever_it_sits(QQ, monkeypatch):
+    """Λ(x) with the unit at position 1 gives the same sphere complex as
+    with the unit at 0: the gates of the faces read the non-unit slots
+    through the unit's position, and every pushed image lands."""
+    checked = []
+    monkeypatch.setattr(hh, "_is_nondegenerate",
+                        lambda *args: checked.append(args))
+    Y = simp.sphere_small(2, 6)
+    assert any(any(Y.face_masks(n)) for n in range(1, 7))
+    unit_first, unit_last = dga.exterior(QQ), _exterior_unit_last(QQ)
+    window = (-5, 0)
+    first = hh.hochschild_chain(Y, unit_first, window)
+    last = hh.hochschild_chain(Y, unit_last, window)
+    assert checked == []
+    assert first.betti(window) == last.betti(window)
+    assert [len(l) for l in first.levels] == [len(l) for l in last.levels]
+    assert [sum(1 for _ in m.entries()) for m in first.complex.diff.values()
+            ] == [sum(1 for _ in m.entries())
+                  for m in last.complex.diff.values()]

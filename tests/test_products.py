@@ -1,6 +1,8 @@
 """Chain-level products: shuffle, cup, wedge; exactness of their axioms."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -679,3 +681,31 @@ def test_cochain_build_compiles_one_program_per_face(monkeypatch, trunc2):
         (0, 2), 3,
     )
     assert len(compiled) == sum(n + 1 for n in range(1, 4)) == 9
+
+
+def test_wedge_product_splits_and_compiles_once(monkeypatch, QQ, trunc2):
+    """Later calls on the same wedge reuse its argument halves and face
+    programs, kept on the wedge's data without a reference cycle, so the
+    data is freed as soon as it is dropped."""
+    m = dga.algebra_as_bimodule(trunc2)
+    c = simp.circle(4)
+    dc, dw = (pr.CochainComplexData(Z, trunc2, m, (0, 3), 4)
+              for Z in (c, simp.wedge(c, c)))
+    fch = {lab: QQ.field.one for lab in list(dc.complex.index)[:6]}
+    compiled = count_compiles(monkeypatch, pr)
+    first = pr.wedge_product(dc, dc, dw, fch, fch)
+    programs = len(compiled)
+    halves = pr._wedge_halves(c, c, dw, 2)
+    assert programs and first
+    assert pr.wedge_product(dc, dc, dw, fch, fch) == first
+    assert len(compiled) == programs
+    assert pr._wedge_halves(c, c, dw, 2) is halves
+    xs, ys, xi, yi = halves
+    assert len(xi) == len(yi) == len(dw.args[2]) > len(xs)
+    gc.disable()
+    try:
+        alive = weakref.ref(dw)
+        del dw
+        assert alive() is None
+    finally:
+        gc.enable()

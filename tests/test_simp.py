@@ -1,6 +1,7 @@
 """Simplicial sets: builders, identities, cardinalities, normal forms."""
 
 import json
+import random
 from math import comb
 
 import pytest
@@ -163,3 +164,54 @@ def test_json_export_roundtrip():
     ]
     assert doc["faces"][1] is not None
     assert doc["basepoint"] == X.basepoint
+
+
+def _meets_all(support, complements):
+    return all(support & c for c in complements)
+
+
+def test_face_masks_decide_degenerate_face_images():
+    """For a support meeting every level-n complement, d_r(support) meets
+    every level-(n-1) complement exactly when the support meets every
+    mask of face r: random supports on the builders with masks, and every
+    support on the small levels."""
+    rng = random.Random(7)
+    spaces = [simp.sphere_small(2, 6), simp.sphere_small(3, 7),
+              simp.sphere_standard(2, 5), simp.surface(1, 4),
+              simp.product(simp.circle(4), simp.sphere_small(2, 4))]
+    for X in spaces:
+        for n in range(1, X.top_level + 1):
+            here = [sum(1 << s for s in c)
+                    for c in X.nondegenerate_complements(n)]
+            below = [sum(1 << s for s in c)
+                     for c in X.nondegenerate_complements(n - 1)]
+            card = X.card(n)
+            supports = (range(1 << card) if card <= 10 else
+                        [rng.getrandbits(card) for _ in range(2000)])
+            for support in supports:
+                if not _meets_all(support, here):
+                    continue
+                for r, masks in enumerate(X.face_masks(n)):
+                    image = sum(1 << t for t in {
+                        X.face(n, r, s) for s in range(card)
+                        if support >> s & 1
+                    })
+                    assert _meets_all(support, masks) == _meets_all(
+                        image, below
+                    ), (X.name, n, r, support)
+
+
+def test_face_masks_of_circles_and_their_wedges_are_empty():
+    """Every nonzero face image over these spaces is nondegenerate, so no
+    support is ever computed for them."""
+    c = simp.circle(4)
+    two = simp.wedge(c, c)
+    for X in (simp.circle(8), simp.torus(3), two, simp.wedge(two, c),
+              simp.wedge(c, two)):
+        for n in range(1, X.top_level + 1):
+            assert X.face_masks(n) == ((),) * (n + 1), (X.name, n)
+    masks = simp.sphere_small(3, 9).face_masks
+    assert [len(masks(n)[0]) for n in range(1, 10)] == [
+        0, 0, 1, 1, 4, 5, 6, 7, 8,
+    ]
+    assert masks(3) == ((0,),) * 4  # level 2 holds no nondegenerate slot

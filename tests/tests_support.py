@@ -66,3 +66,21 @@ def count_compiles(monkeypatch, module):
 
     monkeypatch.setattr(module, "compile_setmap", counting)
     return compiled
+
+
+def count_runs(monkeypatch, module):
+    """The monomials pushed through programs compiled through ``module``'s
+    binding of ``compile_setmap``, a list that grows as the programs run."""
+    pushed = []
+
+    def compiling(*args, **kwargs):
+        push = dga.compile_setmap(*args, **kwargs)
+
+        def counting(monomial):
+            pushed.append(monomial)
+            return push(monomial)
+
+        return counting
+
+    monkeypatch.setattr(module, "compile_setmap", compiling)
+    return pushed
