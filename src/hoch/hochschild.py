@@ -398,8 +398,10 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
     # A's non-unit weights are >= 1 when it has a materialized weight, so
     # a fold passes it only if the algebra part of a total weight can
     low = min(module.weights, default=0) if module else 0
-    skip = normalized and (A.max_weight is None
-                           or max(weights) - min(low, 0) <= A.max_weight)
+    skip = normalized and (
+        A.max_weight is None
+        or max(weights, default=0) - min(low, 0) <= A.max_weight
+    )
     faces = {}
     for n in range(1, len(levels)):
         index = levels[n - 1].index

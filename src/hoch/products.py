@@ -364,10 +364,13 @@ class CochainComplexData:
             bp = Y.basepoint[n]
             below = self.arg_degrees[n]
             gates, met = _face_gates(Y, lvl, A)
+            args = self.args[lvl]
+            covered = list(map(met, args))
             for i, setmap in enumerate(map(tuple, Y.face_tab[lvl])):
                 push = compile_setmap(A, setmap, Y.card(n))
-                for u in self.args[lvl]:
-                    if met(u) & gates[i] != gates[i]:
+                gate = gates[i]
+                for u, cov in zip(args, covered):
+                    if cov & gate != gate:
                         continue
                     for full, lam in push(u).items():
                         rest = full[:bp] + (A.unit,) + full[bp + 1:]

@@ -887,6 +887,21 @@ def test_build_pushes_no_provably_degenerate_face(monkeypatch, trunc3):
     ) == 12288
 
 
+def test_build_pushes_every_face_when_a_fold_can_pass_max_weight():
+    """Over sphere_small(4), k[x] materialized through weight 1 has one
+    weight-2 chain in the window: x ⊗ x at level 4, whose every face image
+    is provably degenerate.  Each face still folds x·x, past weight 1, so
+    the build raises as it does with every face pushed."""
+    Y, A = simp.sphere_small(4, 5), dga.polynomial(max_weight=1)
+    levels, _, _ = hh.build_levels(Y, A, None, (-3, 0), [2], True)
+    (mono,) = levels[4].index
+    gates, met = hh._face_gates(Y, 4, A)
+    assert all(met(mono) & gate != gate for gate in gates)
+    with pytest.raises(dga.AlgebraClassError,
+                       match="product exceeds materialized weight 1"):
+        hh.build_simplicial_ch(Y, A, window=(-3, 0), weights=[2])
+
+
 def test_face_gates_read_the_unit_wherever_it_sits(QQ, monkeypatch):
     """Λ(x) with the unit at position 1 gives the same sphere complex as
     with the unit at 0: the gates of the faces read the non-unit slots
