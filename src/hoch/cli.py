@@ -87,6 +87,9 @@ def load_jobspec(obj):
             isinstance(w, int) and w >= 0 for w in weights
         ):
             raise SchemaError("weights must be a list of non-negative ints")
+        if not weights:
+            # an empty list would select no chain at all
+            raise SchemaError("weights must name at least one weight")
     cap = obj.get("cap", 20000)
     if not isinstance(cap, int) or cap <= 0:
         raise SchemaError("cap must be a positive int")

@@ -407,10 +407,10 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
         index = levels[n - 1].index
         mmap = {Y.basepoint[n]: Y.basepoint[n - 1]} if module else None
         gates, met = _face_gates(Y, n, A, skip)
-        # (gate of face r, odd r, the program of r onto the slots of Y_{n-1})
+        # (gate of face r, the program of (-1)^r d_r onto Y_{n-1}'s slots)
         faces_r = [
-            (gate, r % 2,
-             compile_setmap(A, setmap, Y.card(n - 1), module, mmap))
+            (gate, compile_setmap(A, setmap, Y.card(n - 1), module, mmap,
+                                  -1 if r % 2 else 1))
             for r, (gate, setmap) in enumerate(
                 zip(gates, map(tuple, Y.face_tab[n]))
             )
@@ -419,13 +419,13 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
         for mono in levels[n].index:
             covered = met(mono)
             terms = []
-            for gate, odd, push in faces_r:
+            for gate, push in faces_r:
                 if covered & gate != gate:
                     continue
                 for timg, v in push(mono).items():
                     hit = index.get(timg)
                     if hit is not None:
-                        terms.append((hit[2], -v if odd else v))
+                        terms.append((hit[2], v))
                     elif not normalized or _is_nondegenerate(
                         Y, n - 1, A, timg
                     ):

@@ -358,7 +358,7 @@ class CochainComplexData:
         # the faces, dualized: a face image w of a level-lvl argument u
         # splits into its basepoint factor b, which acts on the value, and
         # the level-n argument ``rest``
-        left = _constants(module, "_left_constants", module.act_left)
+        left = _constants(module, "act_left")
         for lvl in range(1, top + 1):
             n = lvl - 1
             bp = Y.basepoint[n]
@@ -479,7 +479,8 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
     of a wedge argument; the basepoint slot collects a_0.  Each half is
     pushed once per level of f and label of g: its value is kept for the
     other wedge arguments that share it.  The halves of the arguments and
-    the face programs are kept on ``data_wedge`` for later calls.
+    the face programs are kept on ``data_wedge`` for later calls; the
+    programs' memos are emptied when the call ends.
     """
     A = data_x.A
     if data_y.A is not A or data_wedge.A is not A:
@@ -533,6 +534,12 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
                                 f.mul(f.mul(cf, cg), f.mul(sgn, c)),
                                 f,
                             )
+    # the memos of the kept programs hold this call's merge keys only, so
+    # that they cost no memory between calls
+    for p, q in pushed_f:
+        for push in _wedge_programs(data_x.Y, data_y.Y, data_wedge, p, q):
+            if push.memo is not None:
+                push.memo.clear()
     return out
 
 

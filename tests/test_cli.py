@@ -341,6 +341,18 @@ def test_space_below_the_required_level_is_a_schema_error(tmp_path):
         assert cli.main([cmd, str(path)]) == 2
 
 
+def test_empty_weights_are_refused_by_run_and_explain(tmp_path, capsys):
+    raw = json.loads((JOBS / "criterion05b_hkr_sphere3.json").read_text())
+    raw["weights"] = []
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "schema error: weights must name at least one weight\n"
+        )
+
+
 def test_malformed_json_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1,12 +1,13 @@
 """Algebra presentations, audits, modules, and the induced-map machinery."""
 
+import gc
 from fractions import Fraction
 from itertools import product as iproduct
 from random import Random
 
 import pytest
 
-from hoch import dga, simp
+from hoch import cli, dga, simp
 from hoch import hochschild as hh
 from hoch.dga import AlgebraClassError
 from hoch.homalg import Coefficients
@@ -500,19 +501,23 @@ def test_zero_fold_leaves_a_later_error_standing():
     ) == (ValueError, "k[x]/x^2 (right over envelope): no left action")
 
 
-def test_apply_setmap_fp_drops_terms_zero_after_reduction():
-    # structure constants given unreduced over F_3: x·x = 3z ≡ 0,
-    # x·y = y·x = 4z ≡ z, y·y = -z ≡ 2z; declared non-commutative, since
-    # the audit's commutativity check compares them with reduced values
+def _unreduced_algebra():
+    """Structure constants given unreduced over F_3: x·x = 3z ≡ 0,
+    x·y = y·x = 4z ≡ z, y·y = -z ≡ 2z; declared non-commutative, since
+    the audit's commutativity check compares them with reduced values."""
     F3 = Coefficients("prime-field", 3)
     basis = [("1", 0, 0), ("x", 0, 1), ("y", 0, 1), ("z", 0, 2)]
     mult = {(0, i): {i: 1} for i in range(4)}
     mult.update({(i, 0): {i: 1} for i in range(4)})
     mult.update({(1, 1): {3: 3}, (1, 2): {3: 4}, (2, 1): {3: 4},
                  (2, 2): {3: -1}})
-    A = dga.DGAlgebra("unreduced", F3, basis, mult, unit=0,
-                      commutative=False, augmentation={0: 1},
-                      weight_graded=True)
+    return dga.DGAlgebra("unreduced", F3, basis, mult, unit=0,
+                         commutative=False, augmentation={0: 1},
+                         weight_graded=True)
+
+
+def test_apply_setmap_fp_drops_terms_zero_after_reduction():
+    A = _unreduced_algebra()
     assert dga.apply_setmap(A, (0, 0), (1, 1)) == {}
     assert dga.apply_setmap(A, (0, 1, 0), (1, 2, 1)) == {}
     assert dga.apply_setmap(A, (0, 0), (1, 2)) == {(3,): 1}
@@ -601,3 +606,258 @@ def test_programs_match_reference_on_real_faces():
     # exterior factors swapped by the circle's wrap face (and the other
     # non-monotone faces) took the Koszul sign
     assert signed
+
+
+# -- memoized programs against the fold of every run --------------------------
+
+
+def _reference_compile_setmap(A, setmap, n_targets=None, module=None,
+                              module_slot_map=None):
+    """The face program that folds every run anew: its coefficient starts
+    at the Koszul sign, the representatives are gathered into a full image
+    and the merging factors folded into it, and a zero fold ends the run
+    only where no later fold can raise."""
+    unit, k = A.unit, len(setmap)
+    if n_targets is None:
+        n_targets = 1 + max(setmap) if setmap else 0
+    fibres = [[] for _ in range(n_targets)]
+    for s, t in enumerate(setmap):
+        fibres[t].append(s)
+    msrc = mtgt = tm = None
+    if module_slot_map:
+        (msrc, mtgt), = module_slot_map.items()
+        if msrc in range(k):
+            tm = setmap[msrc]
+    kinds = [(dga._constants(A, "product"), True)]
+    if tm is not None:
+        kinds += [
+            (dga._constants(module, "act_left"), True),
+            (dga._constants(module, "act_right"), False),
+        ]
+    plan = [
+        (s, t, *kinds[0 if t != tm or s < msrc else 1 if s == msrc else 2])
+        for t, fibre in enumerate(fibres) for s in fibre[1:]
+    ]
+    gather = dga._getter([fibre[0] if fibre else k for fibre in fibres])
+    tail = () if all(fibres) else (unit,)
+    degrees = [A.degrees] * k
+    if tm is not None:
+        degrees[msrc] = module.degrees
+    keys = [(t, s) for s, t in enumerate(setmap)]
+    signed = any(a > b for a, b in zip(setmap, setmap[1:])) and any(
+        d % 2 for degs in degrees for d in degs
+    )
+    fault = empty = None
+    if module_slot_map and tm != mtgt:
+        if 0 <= mtgt < n_targets and (tm is None or mtgt < tm):
+            fault, empty = "module slot received algebra factor", fibres[mtgt]
+        elif tm is not None:
+            fault = "algebra slot received module factor"
+    stop = A.max_weight is None and (
+        tm is None
+        or module.left is not None
+        and (module.symmetric or module._right is not None)
+    )
+    f = A.coefficients.field
+    coerced = dga._Table(
+        lambda c: None if f.is_zero(v := f.coerce(c)) else v
+    )
+
+    def run(monomial):
+        coeff = dga.koszul_sign([
+            (key, d) for key, degs, p in zip(keys, degrees, monomial)
+            if (d := degs[p]) % 2
+        ]) if signed else 1
+        image = list(gather(monomial + tail))
+        spread = {}
+        for s, t, table, algebra in plan:
+            p = monomial[s]
+            if p == unit and s != msrc:
+                continue
+            terms = spread.get(t)
+            if terms is not None:
+                terms[:] = [
+                    (c * e, q) for c, cur in terms for q, e in table[cur, p]
+                ]
+                continue
+            cur = image[t]
+            if algebra and cur == unit:
+                image[t] = p
+                continue
+            prod = table[cur, p]
+            if len(prod) == 1:
+                (image[t], e), = prod
+                coeff *= e
+            elif prod or not stop:
+                spread[t] = [(e, q) for q, e in prod]
+            else:
+                return {}
+        if empty is not None and all(monomial[s] == unit for s in empty):
+            return {}
+        if not spread:
+            c = coerced[coeff]
+            if c is None:
+                return {}
+            if fault:
+                raise ValueError(fault)
+            return {tuple(image): c}
+        out = {}
+        for combo in iproduct(*spread.values()):
+            c = coeff
+            for t, (e, q) in zip(spread, combo):
+                image[t] = q
+                c *= e
+            c = coerced[c]
+            if c is None:
+                continue
+            if fault:
+                raise ValueError(fault)
+            dga._acc(out, tuple(image), c, f)
+        return out
+
+    return run
+
+
+def _program_cases():
+    """(A, setmap, n_targets, module, module_slot_map, sign, monomials):
+    every face of three spaces over k[x]/x² and k[x]/x³ over Q, F_2 and
+    F_3 with alternating face signs, and every setmap {0..k-1} -> {0..m-1},
+    k, m <= 3, over Λ(x), the unreduced F_3 algebra, the two-term algebra
+    and, with each source slot sent to each target, k[x]/x³ over itself
+    and over k; on every monomial of each."""
+    spaces = [simp.circle(4), simp.wedge(simp.circle(3), simp.circle(3)),
+              simp.sphere_small(2, 4)]
+    fields = [Coefficients(), Coefficients("prime-field", 2),
+              Coefficients("prime-field", 3)]
+    for field in fields:
+        for N in (2, 3):
+            A = dga.truncated_polynomial(field, N)
+            for Y in spaces:
+                for n in range(1, Y.top_level + 1):
+                    monos = list(iproduct(range(A.dim), repeat=Y.card(n)))
+                    for r, setmap in enumerate(Y.face_tab[n]):
+                        yield (A, tuple(setmap), Y.card(n - 1), None, None,
+                               -1 if r % 2 else 1, monos)
+    trunc3 = dga.truncated_polynomial(Coefficients(), 3)
+    small = [(A, None) for A in (
+        dga.exterior(Coefficients()), _unreduced_algebra(),
+        _two_term_algebra(Coefficients("prime-field", 5)),
+    )] + [(trunc3, dga.algebra_as_bimodule(trunc3)),
+          (trunc3, dga.augmentation_module(trunc3))]
+    for A, module in small:
+        for k in range(4):
+            for m in range(1, 4):
+                for i, setmap in enumerate(iproduct(range(m), repeat=k)):
+                    runs = {}
+                    for _, _, mono, _, slot_map in _calls(A, module, setmap):
+                        key = tuple(slot_map.items()) if slot_map else None
+                        runs.setdefault(key, (slot_map, []))[1].append(mono)
+                    for slot_map, monos in runs.values():
+                        yield (A, setmap, m, module, slot_map,
+                               -1 if i % 2 else 1, monos)
+
+
+def test_programs_match_the_reference_fold_on_every_monomial():
+    """A program that keeps a memo gives, on every monomial, the image the
+    fold of every run gives, with the sign multiplied in: the same terms
+    in the same order, the same value types, the same errors."""
+    seen, cases, runs, hits = set(), 0, 0, 0
+    negative = vanished = False
+    for A, setmap, n, module, slot_map, sign, monos in _program_cases():
+        f = A.coefficients.field
+        push = dga.compile_setmap(A, setmap, n, module, slot_map, sign)
+        ref = _reference_compile_setmap(A, setmap, n, module, slot_map)
+
+        def want(mono):
+            return {w: c if sign > 0 else f.neg(c)
+                    for w, c in ref(mono).items()}
+
+        for mono in monos:
+            got = _outcome(push, mono)
+            assert got == _outcome(want, mono), (A.name, setmap, mono)
+            if isinstance(got[1], str):
+                seen.add(got[1])
+            elif A.name == "exterior(-1)" and got[0]:
+                negative |= got[0][0][1] * sign < 0
+        assert push.memo is not None
+        runs += len(monos)
+        hits += len(monos) - len(push.memo)
+        vanished |= A.name == "unreduced" and None in push.memo.values()
+        cases += 1
+    assert cases > 500 and runs > 50000 and hits > runs // 2
+    assert {"module slot received algebra factor",
+            "algebra slot received module factor"} <= seen
+    assert negative and vanished
+
+
+def _count_lookups(monkeypatch):
+    """The structure-constant lookups of the programs compiled from now
+    on, a list that grows as they run."""
+    lookups = []
+    constants = dga._constants
+
+    class Counting(dga._Table):
+        def __getitem__(self, key):
+            lookups.append(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(
+        dga, "_constants",
+        lambda owner, method: Counting(constants(owner, method).fill),
+    )
+    return lookups
+
+
+def test_a_repeated_merge_key_is_folded_once(monkeypatch, trunc3):
+    """Slots 0 and 1 merge into target 0 and slot 2 is lone: the runs that
+    share the merging factors (x, x) fold them once, as do the runs that
+    share (x², x), whose product is zero."""
+    lookups = _count_lookups(monkeypatch)
+    push = dga.compile_setmap(trunc3, (0, 0, 1), 2)
+    for lone in range(3):
+        assert push((1, 1, lone)) == {(2, lone): 1}
+        assert push((2, 1, lone)) == {}
+    assert lookups == [(1, 1), (2, 1)]
+    assert dict(push.memo) == {(1, 1): (((2,), 1),), (2, 1): None}
+
+
+def test_a_program_over_a_materialized_algebra_keeps_no_memo(monkeypatch):
+    """With k[x] materialized through weight 3 the program keeps no memo
+    (such merge keys repeat little), so every run folds its merging
+    factors: the same pair is looked up on every run, and a product past
+    the weight raises each time."""
+    lookups = _count_lookups(monkeypatch)
+    push = dga.compile_setmap(dga.polynomial(max_weight=3), (0, 0, 1), 2)
+    assert push.memo is None
+    for lone in range(3):
+        assert push((1, 1, lone)) == {(2, lone): 1}
+    assert lookups == [(1, 1)] * 3
+    for _ in range(2):
+        with pytest.raises(AlgebraClassError):
+            push((3, 1, 0))
+
+
+def test_a_job_leaves_no_hoch_object_to_the_cyclic_collector():
+    """One job of the circle-trunc3 benchmark workload (homology of
+    k[x]/x³ on the circle, window [-8, 0]) frees every hoch object it made
+    by reference counting: its algebra, the structure-constant tables and
+    the memos of its face programs form no reference cycle."""
+    spec = cli.load_jobspec({
+        "schema": 1, "task": "homology",
+        "algebra": {"name": "truncated-polynomial", "truncation": 3},
+        "space": {"name": "circle"}, "window": [-8, 0],
+    })
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert cli.run_job(spec)["betti"]
+        gc.collect()
+        # instances of hoch classes and hoch functions alike
+        left = [
+            o for o in gc.garbage
+            if str(getattr(o, "__module__", "")).startswith("hoch")
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []

@@ -686,7 +686,8 @@ def test_cochain_build_compiles_one_program_per_face(monkeypatch, trunc2):
 def test_wedge_product_splits_and_compiles_once(monkeypatch, QQ, trunc2):
     """Later calls on the same wedge reuse its argument halves and face
     programs, kept on the wedge's data without a reference cycle, so the
-    data is freed as soon as it is dropped."""
+    data is freed as soon as it is dropped; each call leaves the kept
+    programs' memos empty."""
     m = dga.algebra_as_bimodule(trunc2)
     c = simp.circle(4)
     dc, dw = (pr.CochainComplexData(Z, trunc2, m, (0, 3), 4)
@@ -702,6 +703,9 @@ def test_wedge_product_splits_and_compiles_once(monkeypatch, QQ, trunc2):
     assert pr._wedge_halves(c, c, dw, 2) is halves
     xs, ys, xi, yi = halves
     assert len(xi) == len(yi) == len(dw.args[2]) > len(xs)
+    kept = [push for key, pair in dw._wedge_memo.items() if len(key) == 4
+            for push in pair]
+    assert kept and all(push.memo == {} for push in kept)
     gc.disable()
     try:
         alive = weakref.ref(dw)
