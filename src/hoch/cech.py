@@ -718,13 +718,13 @@ def _augmentation_map(F, level0, basis0):
 # -- excision report -----------------------------------------------------------
 
 
-def excision_report(A, window=(-5, 0)):
+def excision_report(A, window=(-5, 0), cap=None):
     """The computable shadow of excision over the circle: Betti of
-    A ⊗^L_{A⊗A^op} A versus CH_{S^1}(A)."""
-    env = hh_via_enveloping(A, window)
+    A ⊗^L_{A⊗A^op} A versus CH_{S^1}(A), both held to ``cap`` first."""
+    env = hh_via_enveloping(A, window, cap)
     lo = window[0]
     Y = simp.circle(max(0, 1 - lo) + 1)
-    circ = hochschild_chain(Y, A, window)
+    circ = hochschild_chain(Y, A, window, cap=cap)
     left = env.betti(window)
     right = circ.betti(window)
     return {

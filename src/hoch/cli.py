@@ -244,8 +244,8 @@ def _build(spec, coefficients):
         )
     else:
         sigma = _scaling_automorphism(A, _twist_scalar(spec))
-        C = hh.twisted_hochschild(A, sigma, window)
-    return A, C, hh.check_cap(C, cap)
+        C = hh.twisted_hochschild(A, sigma, window, cap)
+    return A, C, C.max_block_dim()
 
 
 def _twist_scalar(spec):
@@ -315,7 +315,7 @@ def run_job(spec):
         from . import cech
 
         A = build_algebra(spec["algebra"], coefficients, weights)
-        report = cech.excision_report(A, window)
+        report = cech.excision_report(A, window, spec["cap"])
         betti_table = {(d, 0): v for d, v in report["enveloping"].items() if v}
         deltas.append(
             _delta("circle_vs_enveloping", report["circle"],

@@ -13,7 +13,7 @@ from itertools import compress, product
 from operator import or_
 
 from . import dga
-# apply_setmap stays bound here for perfbench's tracer test (ROADMAP 7)
+# apply_setmap stays bound here for perfbench's tracer test (ROADMAP item 8)
 from .dga import apply_setmap, compile_setmap  # noqa: F401
 from .homalg import (
     NEG_INF,
@@ -36,10 +36,10 @@ class InfeasibleError(RuntimeError):
 
 
 def check_cap(complex_, cap):
-    """The largest (degree, weight) block of a built complex; raises
-    InfeasibleError when it exceeds ``cap``."""
+    """The largest (degree, weight) block of a complex; raises
+    InfeasibleError when it exceeds ``cap`` (if given)."""
     size = complex_.max_block_dim()
-    if size > cap:
+    if cap is not None and size > cap:
         raise InfeasibleError(
             f"largest (degree, weight) block has dimension {size} > cap {cap}"
         )
@@ -114,11 +114,6 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
     nonunit = [
         (p, A.weights[p], A.degrees[p]) for p in range(A.dim) if p != A.unit
     ]
-    if A.max_weight is not None and weights is None:
-        raise dga.AlgebraClassError(
-            f"{A.name}: weights must be specified for a per-weight-"
-            "materialized algebra"
-        )
 
     # the basepoint slot never helps covering (it is degenerate-stable)
     if bp is not None:
@@ -330,10 +325,19 @@ def build_levels(Y, A, module=None, window=(-6, 0), weights=None,
     total complex is larger: within a level by the enumeration, and after
     each level's basis, before its internal differential.  No face map is
     built here, so an infeasible job stops before the expensive work.
+    Weights whose algebra part can pass A's materialized weight raise
+    AlgebraClassError before any basis: a face could fold past it.
     """
     if module is not None and not module.symmetric:
         raise ValueError(
             "simplicial module coefficients require a symmetric bimodule"
+        )
+    low = min(module.weights, default=0) if module is not None else 0
+    heaviest = max(weights or [0]) - min(low, 0)
+    if A.max_weight is not None and heaviest > A.max_weight:
+        raise dga.AlgebraClassError(
+            f"{A.name}: weight {heaviest} exceeds materialized weight "
+            f"{A.max_weight}"
         )
     top_level, exhausted = required_level(Y, A, window, weights)
     if top_level > Y.top_level:
@@ -384,9 +388,8 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
     missing from the level below must be degenerate (never, unnormalized).
 
     Normalized, a face whose image is provably degenerate is not pushed
-    (``_face_gates``), unless a fold could pass A's materialized weight:
-    the push then still raises AlgebraClassError as it would unskipped.
-    Every image that is pushed lands or is checked to be degenerate.
+    (``_face_gates``).  Every image that is pushed lands or is checked to
+    be degenerate.
 
     Module coefficients must be symmetric bimodules here: the Eq.-7
     source-order merges only exercise one side of the action.  Genuine
@@ -395,18 +398,11 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
     levels, exhausted, _blocks = build_levels(
         Y, A, module, window, weights, normalized, cap
     )
-    # A's non-unit weights are >= 1 when it has a materialized weight, so
-    # a fold passes it only if the algebra part of a total weight can
-    low = min(module.weights, default=0) if module else 0
-    skip = normalized and (
-        A.max_weight is None
-        or max(weights, default=0) - min(low, 0) <= A.max_weight
-    )
     faces = {}
     for n in range(1, len(levels)):
         index = levels[n - 1].index
         mmap = {Y.basepoint[n]: Y.basepoint[n - 1]} if module else None
-        gates, met = _face_gates(Y, n, A, skip)
+        gates, met = _face_gates(Y, n, A, normalized)
         # (gate of face r, the program of (-1)^r d_r onto Y_{n-1}'s slots)
         faces_r = [
             (gate, compile_setmap(A, setmap, Y.card(n - 1), module, mmap,
@@ -446,7 +442,7 @@ def hochschild_chain_with_coeff(Y, A, module, window=(-6, 0), weights=None,
 
     M must be a symmetric bimodule for a general pointed space; the circle
     admits genuine bimodules through the classical complex, whose blocks
-    are held to ``cap`` once it is built.
+    are held to ``cap`` before its faces (see ``classical_hochschild``).
     """
     if not Y.is_pointed():
         raise ValueError("module coefficients require a pointed space")
@@ -456,9 +452,7 @@ def hochschild_chain_with_coeff(Y, A, module, window=(-6, 0), weights=None,
                 "genuine bimodule coefficients are only supported over the "
                 "circle"
             )
-        classical = classical_hochschild(A, module, window)
-        if cap is not None:
-            check_cap(classical, cap)
+        classical = classical_hochschild(A, module, window, cap)
         return HochschildComplex(Y, A, module, classical, [])
     return _chain(Y, A, module, window, weights, cap)
 
@@ -486,12 +480,13 @@ def hochschild_cochain(Y, A, module, window=(0, 4)):
 # (deliberately independent of the simplicial machinery above)
 
 
-def classical_hochschild(A, module, window=(-6, 0)):
+def classical_hochschild(A, module, window=(-6, 0), cap=None):
     """The textbook Hochschild complex M ⊗ Ā^{⊗n}, normalized.
 
     Faces: d_0 = m·a_1, middle merges, d_n moves a_n to the front with its
     Koszul sign and acts on the left.  Total degree of level n is the
     internal degree minus n; the internal differential carries (-1)^n.
+    ``cap`` holds its (degree, weight) blocks before any face is set.
     """
     f = A.coefficients.field
     lo = window[0]
@@ -512,6 +507,7 @@ def classical_hochschild(A, module, window=(-6, 0)):
                 out.add_element(label, deg - n, wt)
                 level.append(label)
         levels.append(level)
+    check_cap(out, cap)
     for n in range(top + 1):
         sign_n = f.coerce(-1 if n % 2 else 1)
         for src in levels[n]:
@@ -562,9 +558,9 @@ def _add_if(co, src, tgt, val, f):
         co.set_differential_entry(src, tgt, val)
 
 
-def twisted_hochschild(B, mon, window=(-6, 0)):
+def twisted_hochschild(B, mon, window=(-6, 0), cap=None):
     """HH(B, B twisted by mon) via the classical complex."""
-    return classical_hochschild(B, dga.twisted_bimodule(B, mon), window)
+    return classical_hochschild(B, dga.twisted_bimodule(B, mon), window, cap)
 
 
 def periodic_resolution_dims(truncation, twist_scalar, window=(-6, 0),
@@ -614,7 +610,7 @@ def periodic_resolution_dims(truncation, twist_scalar, window=(-6, 0),
 # -- Bar constructions -------------------------------------------------------
 
 
-def two_sided_bar(right_module, A, left_module, window=(-6, 0)):
+def two_sided_bar(right_module, A, left_module, window=(-6, 0), cap=None):
     """Bar(M_r, A, M_l) = ⊕ M_r ⊗ Ā^{⊗n} ⊗ M_l, reduced, total degree
     -n + internal, built as the Hochschild complex of the bimodule
     M_l ⊗ M_r: excision glues the ends of the interval carrying
@@ -622,7 +618,7 @@ def two_sided_bar(right_module, A, left_module, window=(-6, 0)):
     M_r ⊗^L_A M_l ≅ HH(A, M_l ⊗ M_r).  Moving M_l to the front, with its
     Koszul sign, turns the left action on M_l into the classical d_n."""
     return classical_hochschild(
-        A, dga.outer_bimodule(left_module, right_module), window
+        A, dga.outer_bimodule(left_module, right_module), window, cap
     )
 
 
@@ -677,10 +673,10 @@ def enveloping_modules(A):
     return mod_r, E, mod_l
 
 
-def hh_via_enveloping(A, window=(-6, 0)):
+def hh_via_enveloping(A, window=(-6, 0), cap=None):
     """A ⊗^L_{A⊗A^op} A computed as the two-sided Bar complex."""
     mod_r, E, mod_l = enveloping_modules(A)
-    return two_sided_bar(mod_r, E, mod_l, window)
+    return two_sided_bar(mod_r, E, mod_l, window, cap)
 
 
 def iterated_bar(A, i, window=(-6, 0), weights=None, cap=None):
@@ -691,7 +687,9 @@ def iterated_bar(A, i, window=(-6, 0), weights=None, cap=None):
     if A.augmentation is None:
         raise ValueError("iterated Bar needs an augmented algebra")
     if i == 0:
-        return dga.underlying_complex(A)
+        C = dga.underlying_complex(A)
+        check_cap(C, cap)
+        return C
     k_mod = dga.augmentation_module(A)
     Y = simp.sphere_small(i, _sphere_level(A, i, window, weights))
     hc = hochschild_chain_with_coeff(Y, A, k_mod, window, weights, cap=cap)

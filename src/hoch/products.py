@@ -10,7 +10,8 @@ is enforced by the test battery.
 from itertools import combinations, product
 
 from . import dga
-from .dga import _constants, apply_setmap, compile_setmap
+# apply_setmap stays bound here for perfbench's tracer test (ROADMAP item 8)
+from .dga import _constants, apply_setmap, compile_setmap  # noqa: F401
 from .homalg import NEG_INF, POS_INF, ChainComplex
 from .linalg import SparseMatrix
 from .hochschild import (
@@ -28,69 +29,40 @@ from .hochschild import (
 
 def _shuffles(p, q):
     """(mu, nu, sign): mu the p rising positions, nu the q rising positions,
-    sign of the associated permutation of {0..p+q-1}."""
-    universe = list(range(p + q))
+    sign of the permutation mu + nu of {0..p+q-1}, whose inversions number
+    the sum of mu_i - i.
+
+    >>> list(_shuffles(1, 2))
+    [((0,), (1, 2), 1), ((1,), (0, 2), -1), ((2,), (0, 1), 1)]
+    """
+    universe = range(p + q)
     for mu in combinations(universe, p):
         nu = tuple(x for x in universe if x not in mu)
-        perm = list(mu) + list(nu)
-        sign = 1
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        yield mu, nu, sign
+        yield mu, nu, -1 if (sum(mu) - p * (p - 1) // 2) % 2 else 1
 
 
-def _apply_degeneracies(Y, A, level, mono, indices):
-    """Apply s_{i_k} ... s_{i_1} (innermost first) to a monomial; the result
-    is ±(single monomial) at level + len(indices)."""
-    f = A.coefficients.field
-    coeff = f.one
-    cur = mono
-    n = level
-    for i in indices:
-        setmap = tuple(Y.deg_tab[n][i])
-        image = apply_setmap(A, setmap, cur, n_targets=Y.card(n + 1))
-        if len(image) != 1:
-            raise AssertionError("degeneracy image is not monomial")
-        (cur, c), = image.items()
-        coeff = f.mul(coeff, c)
-        n += 1
-    return cur, coeff
+def _composite(tables, card):
+    """The slot map of a composite of simplicial maps, each given by its
+    table (the position of the image of each slot), applied in order to
+    ``card`` slots.
 
-
-def _slotwise_product(A, m1, m2):
-    """(a_1⊗..⊗a_k)·(b_1⊗..⊗b_k): interleave Koszul sign, then slot
-    products; returns {monomial: coeff}."""
-    f = A.coefficients.field
-    sign = 1
-    for s in range(len(m1)):
-        if A.degrees[m2[s]] % 2 == 0:
-            continue
-        for t in range(s + 1, len(m1)):
-            if A.degrees[m1[t]] % 2:
-                sign = -sign
-    results = [(f.coerce(sign), ())]
-    for s in range(len(m1)):
-        prods = A.product(m1[s], m2[s])
-        new = []
-        for c, prefix in results:
-            for k, e in prods.items():
-                new.append((f.mul(c, e), prefix + (k,)))
-        results = new
-        if not results:
-            break
-    out = {}
-    for c, mono in results:
-        dga._acc(out, mono, c, f)
-    return out
+    >>> _composite([(0, 0, 1), (1, 0)], 3)
+    (1, 1, 0)
+    """
+    comp = range(card)
+    for tab in tables:
+        comp = [tab[s] for s in comp]
+    return tuple(comp)
 
 
 def shuffle_product(H, u, v):
     """Chain-level shuffle product on CH_Y(A); u, v: {(level, mono): coeff}.
 
     Requires a commutative algebra; the result is reduced into the
-    normalized basis of H (degenerate summands vanish).
+    normalized basis of H (degenerate summands vanish).  A shuffle (mu,
+    nu) of (p, q) is one program on the slots of u then v, compiled once
+    per call: the degeneracies s_nu on u's slots and s_mu on v's, onto
+    level p + q, so each target slot folds a factor of u with one of v.
     """
     A = H.algebra
     if not A.commutative:
@@ -100,6 +72,18 @@ def shuffle_product(H, u, v):
     Y = H.space
     f = A.coefficients.field
     index = H.complex.index
+
+    def degeneracies(n, indices):  # s_{i_k} ... s_{i_1} on Y_n's slots
+        return _composite(
+            [Y.deg_tab[n + k][i] for k, i in enumerate(indices)], Y.card(n)
+        )
+
+    # (p, q) -> the program of each shuffle (mu, nu) of (p, q), signed by it
+    programs = dga._Table(lambda pq: [
+        compile_setmap(A, degeneracies(pq[0], nu) + degeneracies(pq[1], mu),
+                       Y.card(sum(pq)), sign=sgn)
+        for mu, nu, sgn in _shuffles(*pq)
+    ])
     out = {}
     for (p, monoU), cu in u.items():
         for (q, monoV), cv in v.items():
@@ -113,23 +97,18 @@ def shuffle_product(H, u, v):
             int_u = _monomial_data(Y, p, A, None, monoU)[0]
             if (q * int_u) % 2:
                 base = f.neg(base)
-            for mu, nu, sgn in _shuffles(p, q):
-                m1, c1 = _apply_degeneracies(Y, A, p, monoU, nu)
-                m2, c2 = _apply_degeneracies(Y, A, q, monoV, mu)
-                coeff = f.mul(base, f.mul(f.coerce(sgn), f.mul(c1, c2)))
-                for mono, c in _slotwise_product(A, m1, m2).items():
+            for push in programs[p, q]:
+                for mono, c in push(monoU + monoV).items():
                     label = (p + q, mono)
-                    total = f.mul(coeff, c)
+                    total = f.mul(base, c)
                     if f.is_zero(total):
                         continue
                     if label in index:
                         dga._acc(out, label, total, f)
-                    else:
-                        if _is_nondegenerate(Y, p + q, A, mono):
-                            raise TruncationError(
-                                "shuffle product leaves the materialized "
-                                "window"
-                            )
+                    elif _is_nondegenerate(Y, p + q, A, mono):
+                        raise TruncationError(
+                            "shuffle product leaves the materialized window"
+                        )
     return out
 
 
@@ -432,16 +411,6 @@ class CochainComplexData:
         return self.complex.d_apply(element)
 
 
-def _iterated_face_setmap(Y, top, count, which):
-    """Composite of ``count`` last (or first) faces from level ``top``."""
-    comp = list(range(Y.card(top)))
-    for lvl in range(top, top - count, -1):
-        idx = lvl if which == "last" else 0
-        tab = Y.face_tab[lvl][idx]
-        comp = [tab[s] for s in comp]
-    return tuple(comp)
-
-
 def _evaluate_pushed(data, by_arg, p, push, u_mono):
     """Value in M of a level-p cochain, given as {arg: {m: coeff}}, on
     the image of ``u_mono`` under the iterated face program ``push``: push
@@ -551,10 +520,12 @@ def _wedge_programs(X, Ysp, data_wedge, p, q):
     if programs is None:
         A, n = data_wedge.A, p + q
         programs = data_wedge._wedge_memo[key] = (
-            compile_setmap(A, _iterated_face_setmap(X, n, q, "last"),
-                           X.card(p)),
-            compile_setmap(A, _iterated_face_setmap(Ysp, n, p, "first"),
-                           Ysp.card(q)),
+            compile_setmap(A, _composite(
+                [X.face_tab[lvl][lvl] for lvl in range(n, p, -1)], X.card(n)
+            ), X.card(p)),
+            compile_setmap(A, _composite(
+                [Ysp.face_tab[lvl][0] for lvl in range(n, q, -1)], Ysp.card(n)
+            ), Ysp.card(q)),
         )
     return programs
 

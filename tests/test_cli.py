@@ -297,6 +297,65 @@ def test_infeasible_iterated_bar_builds_no_face(monkeypatch, capsys):
         assert cli.main([cmd, path, "--cap", str(largest - 1)]) == 3, cmd
 
 
+def _no_classical_faces(monkeypatch):
+    """Fail the test as soon as a face of a classical complex is set."""
+    def no_faces(*args):
+        raise AssertionError("a classical face was set")
+
+    monkeypatch.setattr(hh, "_add_if", no_faces)
+
+
+def test_infeasible_excision_check_builds_no_face(tmp_path, monkeypatch,
+                                                  capsys):
+    # k[x]/x^3 in [-4, 0]: the enveloping Bar complex has a block of
+    # 46,996 elements, refused under the default cap once its basis is
+    # laid out, before any face
+    raw = json.loads((JOBS / "criterion04a_excision_trunc.json").read_text())
+    raw.update(algebra={"name": "truncated-polynomial", "truncation": 3},
+               window=[-4, 0])
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))
+    _no_faces(monkeypatch)
+    _no_classical_faces(monkeypatch)
+    assert cli.main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "infeasible: largest (degree, weight) block has dimension 46996 > "
+        "cap 20000\n"
+    )
+
+
+def test_infeasible_twisted_hh_builds_no_face(tmp_path, monkeypatch, capsys):
+    raw = json.loads((JOBS / "criterion08a_twisted.json").read_text())
+    raw["algebra"]["truncation"] = 4
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["explain", str(path), "--format", "json"]) == 0
+    largest = json.loads(capsys.readouterr().out)["max_block"]
+    assert largest > 1
+
+    _no_classical_faces(monkeypatch)
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, str(path), "--cap", str(largest - 1)]) == 3, cmd
+
+
+@pytest.mark.parametrize("space", [
+    {"name": "sphere-small", "d": 4}, {"name": "circle"},
+    {"name": "interval"}, {"name": "torus"},
+])
+def test_run_and_explain_refuse_a_weight_past_max_weight(tmp_path, capsys,
+                                                         space):
+    # k[x] materialized through weight 1 cannot fold the weight-2 chains
+    raw = dict(BASE, space=space, window=[-3, 0], weights=[2],
+               algebra={"name": "polynomial", "max_weight": 1})
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, str(path)]) == 2, cmd
+        assert capsys.readouterr().err == (
+            "schema error: k[x]: weight 2 exceeds materialized weight 1\n"
+        )
+
+
 def test_bar_ignores_the_space_in_both_commands():
     raw = {
         "schema": 1,

@@ -2,11 +2,11 @@
 
 import doctest
 
-from hoch import cech, dga, homalg, hochschild, linalg
+from hoch import cech, dga, homalg, hochschild, linalg, products
 
 
 def test_doctests():
-    for mod in (cech, dga, homalg, hochschild, linalg):
+    for mod in (cech, dga, homalg, hochschild, linalg, products):
         result = doctest.testmod(mod)
         assert result.failed == 0, mod.__name__
         assert result.attempted >= 1, mod.__name__

@@ -887,19 +887,31 @@ def test_build_pushes_no_provably_degenerate_face(monkeypatch, trunc3):
     ) == 12288
 
 
-def test_build_pushes_every_face_when_a_fold_can_pass_max_weight():
-    """Over sphere_small(4), k[x] materialized through weight 1 has one
-    weight-2 chain in the window: x ⊗ x at level 4, whose every face image
-    is provably degenerate.  Each face still folds x·x, past weight 1, so
-    the build raises as it does with every face pushed."""
+def test_build_refuses_a_weight_past_max_weight_before_any_basis(
+        monkeypatch):
+    """Over sphere_small(4), k[x] materialized through weight 1 with
+    weights [2] has one chain in the window, x ⊗ x at level 4: every face
+    image of it is provably degenerate, yet each face would fold x·x past
+    weight 1.  The level build refuses the job before it enumerates a
+    basis, so the face gates never see a fold that could raise."""
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a basis was enumerated")
+
+    monkeypatch.setattr(hh, "_level_monomials", no_basis)
     Y, A = simp.sphere_small(4, 5), dga.polynomial(max_weight=1)
-    levels, _, _ = hh.build_levels(Y, A, None, (-3, 0), [2], True)
-    (mono,) = levels[4].index
-    gates, met = hh._face_gates(Y, 4, A)
-    assert all(met(mono) & gate != gate for gate in gates)
+    for build in (hh.build_levels, hh.build_simplicial_ch):
+        with pytest.raises(dga.AlgebraClassError,
+                           match="weight 2 exceeds materialized weight 1"):
+            build(Y, A, window=(-3, 0), weights=[2])
+    # a module element of weight -1 leaves weight 2 to the algebra slots of
+    # a weight-1 chain, such as m ⊗ x ⊗ x on the circle
+    one = A.coefficients.field.one
+    M = dga.DGModule("shifted", A, [("m", 0, -1), ("n", 0, 0)], {
+        (0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one},
+    })
     with pytest.raises(dga.AlgebraClassError,
-                       match="product exceeds materialized weight 1"):
-        hh.build_simplicial_ch(Y, A, window=(-3, 0), weights=[2])
+                       match="weight 2 exceeds materialized weight 1"):
+        hh.build_levels(simp.circle(4), A, M, window=(-3, 0), weights=[1])
 
 
 def test_face_gates_read_the_unit_wherever_it_sits(QQ, monkeypatch):

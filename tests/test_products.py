@@ -1,13 +1,16 @@
 """Chain-level products: shuffle, cup, wedge; exactness of their axioms."""
 
 import gc
+import json
 import random
 import weakref
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from hoch import dga, simp
+from hoch import cli, dga, simp
 from hoch import hochschild as hh
 from hoch import products as pr
 from hoch.homalg import ChainComplex, Coefficients
@@ -120,6 +123,187 @@ def test_shuffle_requires_commutative(QQ, trunc2):
     H = hh.hochschild_chain(simp.circle(5), nc, window=(-3, 0))
     with pytest.raises(ValueError):
         pr.shuffle_product(H, pr.unit_chain(H), pr.unit_chain(H))
+
+
+def _reference_shuffles(p, q):
+    """(mu, nu, sign), the sign counted by inversions of mu + nu."""
+    universe = list(range(p + q))
+    for mu in combinations(universe, p):
+        nu = tuple(x for x in universe if x not in mu)
+        perm = list(mu) + list(nu)
+        sign = 1
+        for i in range(len(perm)):
+            for j in range(i + 1, len(perm)):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        yield mu, nu, sign
+
+
+def test_shuffle_signs_match_the_inversion_count():
+    for p in range(6):
+        for q in range(6):
+            assert list(pr._shuffles(p, q)) == list(_reference_shuffles(p, q))
+
+
+def _reference_apply_degeneracies(Y, A, level, mono, indices):
+    """s_{i_k} ... s_{i_1} (innermost first) on a monomial, one one-shot
+    setmap per degeneracy: ±(single monomial) at level + len(indices)."""
+    f = A.coefficients.field
+    coeff, cur, n = f.one, mono, level
+    for i in indices:
+        image = dga.apply_setmap(A, tuple(Y.deg_tab[n][i]), cur,
+                                 n_targets=Y.card(n + 1))
+        (cur, c), = image.items()
+        coeff = f.mul(coeff, c)
+        n += 1
+    return cur, coeff
+
+
+def _reference_slotwise_product(A, m1, m2):
+    """(a_1⊗..⊗a_k)·(b_1⊗..⊗b_k): the interleave Koszul sign, then the
+    slot products; {monomial: coeff}."""
+    f = A.coefficients.field
+    sign = 1
+    for s in range(len(m1)):
+        if A.degrees[m2[s]] % 2 == 0:
+            continue
+        for t in range(s + 1, len(m1)):
+            if A.degrees[m1[t]] % 2:
+                sign = -sign
+    results = [(f.coerce(sign), ())]
+    for s in range(len(m1)):
+        prods = A.product(m1[s], m2[s])
+        results = [(f.mul(c, e), prefix + (k,))
+                   for c, prefix in results for k, e in prods.items()]
+        if not results:
+            break
+    out = {}
+    for c, mono in results:
+        dga._acc(out, mono, c, f)
+    return out
+
+
+def _reference_shuffle_product(H, u, v):
+    """The shuffle product with each degeneracy applied by a one-shot
+    setmap and a hand-written slotwise product."""
+    A, Y = H.algebra, H.space
+    f = A.coefficients.field
+    index = H.complex.index
+    out = {}
+    for (p, monoU), cu in u.items():
+        for (q, monoV), cv in v.items():
+            if p + q > len(H.levels) - 1:
+                raise hh.TruncationError(
+                    "shuffle target level exceeds the materialized window"
+                )
+            base = f.mul(cu, cv)
+            int_u = hh._monomial_data(Y, p, A, None, monoU)[0]
+            if (q * int_u) % 2:
+                base = f.neg(base)
+            for mu, nu, sgn in _reference_shuffles(p, q):
+                m1, c1 = _reference_apply_degeneracies(Y, A, p, monoU, nu)
+                m2, c2 = _reference_apply_degeneracies(Y, A, q, monoV, mu)
+                coeff = f.mul(base, f.mul(f.coerce(sgn), f.mul(c1, c2)))
+                for mono, c in _reference_slotwise_product(A, m1, m2).items():
+                    label = (p + q, mono)
+                    total = f.mul(coeff, c)
+                    if f.is_zero(total):
+                        continue
+                    if label in index:
+                        dga._acc(out, label, total, f)
+                    elif hh._is_nondegenerate(Y, p + q, A, mono):
+                        raise hh.TruncationError(
+                            "shuffle product leaves the materialized window"
+                        )
+    return out
+
+
+def _outcome(product, *args):
+    """A product's value, or the type and message of its error."""
+    try:
+        return product(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+SHUFFLE_ALGEBRAS = {
+    "exterior": lambda: dga.exterior(Coefficients()),
+    "exterior F3": lambda: dga.exterior(Coefficients("prime-field", 3)),
+    "exterior |x|=-3": lambda: dga.exterior(Coefficients(), -3),
+    "trunc3": lambda: dga.truncated_polynomial(Coefficients(), 3),
+    "polynomial": lambda: dga.polynomial(Coefficients(), max_weight=3),
+    "exterior⊗trunc2": lambda: dga.tensor_algebra(
+        dga.exterior(Coefficients()),
+        dga.truncated_polynomial(Coefficients(), 2),
+    ),
+}
+SHUFFLE_SPACES = {
+    "circle": (lambda: simp.circle(6), (-5, 0)),
+    "torus": (lambda: simp.torus(4), (-3, 0)),
+    "sphere_small(2)": (lambda: simp.sphere_small(2, 6), (-5, 0)),
+    "sphere_standard(2)": (lambda: simp.sphere_standard(2, 4), (-3, 0)),
+}
+
+
+@pytest.mark.parametrize("space", sorted(SHUFFLE_SPACES))
+@pytest.mark.parametrize("algebra", sorted(SHUFFLE_ALGEBRAS))
+def test_shuffle_product_matches_reference(algebra, space):
+    """17 seeded products per case, 408 in all, equal to the reference
+    exactly, errors included: a product past the top level or out of the
+    complex raises TruncationError in both, and one past k[x]'s
+    materialized weight AlgebraClassError."""
+    A = SHUFFLE_ALGEBRAS[algebra]()
+    build, window = SHUFFLE_SPACES[space]
+    H = hh.hochschild_chain(build(), A, window, weights=[0, 1, 2, 3])
+    f = A.coefficients.field
+    top = len(H.levels) - 1
+    by_class = {}  # (level, weight, degree) -> labels
+    for lab, (d, w, _) in sorted(H.complex.index.items()):
+        by_class.setdefault((lab[0], w, d), []).append(lab)
+    classes = sorted(by_class)
+    lowest = min(d for _, _, d in classes)
+    rng = random.Random(f"{algebra}/{space}")
+
+    def chain(*picked):
+        labels = [lab for c in picked for lab in by_class[c]]
+        return {lab: f.coerce(rng.choice([-2, -1, 1, 3]))
+                for lab in rng.sample(labels, min(len(labels), 2))}
+
+    pairs = []
+    for k in range(16):
+        cu = rng.choice(classes)
+        # three pairs in four stay in the complex; the fourth may leave it
+        fits = [c for c in classes if k % 4 == 0 or (
+            cu[0] + c[0] <= top and cu[1] + c[1] <= 3
+            and cu[2] + c[2] >= lowest
+        )]
+        pairs.append((chain(cu), chain(rng.choice(fits), rng.choice(fits))))
+    # the square of a heaviest level-0 element: zero, or past k[x]'s
+    # materialized weight
+    heaviest = chain(max((c for c in classes if c[0] == 0),
+                         key=lambda c: c[1]))
+    pairs.append((heaviest, heaviest))
+    nonzero = 0
+    for u, v in pairs:
+        got = _outcome(pr.shuffle_product, H, u, v)
+        assert got == _outcome(_reference_shuffle_product, H, u, v)
+        nonzero += isinstance(got, dict) and bool(got)
+    assert nonzero >= 4
+
+
+def test_shuffle_check_job_makes_no_one_shot_setmap_call(monkeypatch):
+    """A shuffle-check job runs its degeneracies and slot products through
+    compiled programs alone."""
+    def one_shot(*args, **kwargs):
+        raise AssertionError("apply_setmap was called")
+
+    for module in (dga, hh, pr):
+        monkeypatch.setattr(module, "apply_setmap", one_shot)
+    path = Path(__file__).resolve().parent.parent / "jobs"
+    spec = cli.load_jobspec(json.loads(
+        (path / "criterion11a_shuffle_check.json").read_text()
+    ))
+    assert cli.run_job(spec)["verdict"] == "pass"
 
 
 # -- classical cochains and cup ------------------------------------------------
@@ -488,7 +672,12 @@ def _reference_evaluate_pushed(data, fch_level, level_from, count, which,
     Y, A, module = data.Y, data.A, data.module
     f = A.coefficients.field
     p = level_from - count
-    setmap = pr._iterated_face_setmap(Y, level_from, count, which)
+    # the composite of ``count`` last (or first) faces from level_from
+    setmap = list(range(Y.card(level_from)))
+    for lvl in range(level_from, p, -1):
+        face = Y.face_tab[lvl][lvl if which == "last" else 0]
+        setmap = [face[s] for s in setmap]
+    setmap = tuple(setmap)
     bp = Y.basepoint[p]
     out = {}
     for w, lam in dga.apply_setmap(A, setmap, u_mono).items():
