@@ -35,7 +35,14 @@ from .homalg import (
     SimplicialChainComplex,
     total_complex,
 )
-from .hochschild import hh_via_enveloping, hochschild_chain, two_sided_bar
+from .hochschild import (
+    build_levels,
+    classical_basis,
+    enveloping_modules,
+    hh_via_enveloping,
+    hochschild_chain,
+    two_sided_bar,
+)
 
 
 class CoverError(ValueError):
@@ -413,14 +420,15 @@ def circle_arc_algebra(A, poset, orientation=1):
     f = A.coefficients.field
     values = {u: dga.underlying_complex(A) for u in poset.opens}
     arc = poset.arc_data
+    # (open, target) -> the start of the open measured from the start of
+    # the target arc, in the direction of the orientation
+    position = dga._Table(
+        lambda ut: orientation * ((arc[ut[0]][0] - arc[ut[1]][0]) % 1)
+    )
 
     def rho_raw(family, factors, target):
-        # positions measured from the start of the target arc, in the
-        # direction of the orientation
-        t0 = arc[target][0]
         keyed = [
-            (orientation * ((arc[u][0] - t0) % 1), lab)
-            for u, lab in zip(family, factors)
+            (position[u, target], lab) for u, lab in zip(family, factors)
         ]
         sign = dga.koszul_sign(
             [(key, A.degrees[A.position[lab]]) for key, lab in keyed]
@@ -718,12 +726,23 @@ def _augmentation_map(F, level0, basis0):
 # -- excision report -----------------------------------------------------------
 
 
+def excision_layout(A, window=(-5, 0), cap=None):
+    """Lay out the bases of both complexes of ``excision_report``, and no
+    face: InfeasibleError when a (degree, weight) block of either exceeds
+    ``cap``.  Returns the circle that carries CH_{S^1}(A)."""
+    mod_r, E, mod_l = enveloping_modules(A)
+    classical_basis(E, dga.outer_bimodule(mod_l, mod_r), window, cap)
+    Y = simp.circle(max(0, 1 - window[0]) + 1)
+    build_levels(Y, A, None, window, cap=cap)
+    return Y
+
+
 def excision_report(A, window=(-5, 0), cap=None):
     """The computable shadow of excision over the circle: Betti of
-    A ⊗^L_{A⊗A^op} A versus CH_{S^1}(A), both held to ``cap`` first."""
+    A ⊗^L_{A⊗A^op} A versus CH_{S^1}(A), both held to ``cap`` before any
+    face (``excision_layout``)."""
+    Y = excision_layout(A, window, cap)
     env = hh_via_enveloping(A, window, cap)
-    lo = window[0]
-    Y = simp.circle(max(0, 1 - lo) + 1)
     circ = hochschild_chain(Y, A, window, cap=cap)
     left = env.betti(window)
     right = circ.betti(window)

@@ -551,11 +551,20 @@ def explain_job(spec):
     exhausts the complex, the level dims, the cap and the largest block.
     The complexes of BUILT_TASKS, and the classical complex of a genuine
     bimodule over the circle, are built as ``run`` builds them and
-    reported by their largest block alone.
+    reported by their largest block alone.  An ``excision-check`` lays out
+    the bases of its two complexes under the cap, as ``run`` does first,
+    and is otherwise only noted.
     """
     task, window, weights, cap = (
         spec["task"], spec["window"], spec["weights"], spec["cap"]
     )
+    if task == "excision-check":
+        from . import cech
+
+        cech.excision_layout(
+            build_algebra(spec["algebra"], parse_coefficients(spec), weights),
+            window, cap,
+        )
     if task not in CHAIN_TASKS + BUILT_TASKS:
         return {"job": _echo(spec), "note": "explain supports chain tasks"}
     coefficients = parse_coefficients(spec)
@@ -565,7 +574,7 @@ def explain_job(spec):
     if task in BUILT_TASKS or module is not None and not module.symmetric:
         report["max_block"] = _build(spec, coefficients)[2]
         return report
-    levels, exhausted, blocks = hh.build_levels(
+    levels, exhausted, blocks, _supports = hh.build_levels(
         Y, A, module, window, weights, cap=cap
     )
     report.update(

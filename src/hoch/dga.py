@@ -17,8 +17,8 @@ setmap (``compile_setmap``); ``apply_setmap`` is its one-shot form.
 
 import weakref
 from fractions import Fraction
-from itertools import compress, product
-from operator import itemgetter, ne
+from itertools import product
+from operator import itemgetter
 
 from .homalg import NEG_INF, ChainComplex, Coefficients
 from .linalg import SparseMatrix, rank
@@ -734,50 +734,78 @@ def _getter(slots):
     return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
 
 
+def _support(monomial, unit, keep=None):
+    """The support of a monomial: the (slot, position) pairs of its
+    non-unit slots and of slot ``keep`` (a module slot), in slot order.
+
+    >>> _support((0, 2, 0, 1), 0)
+    ((1, 2), (3, 1))
+    """
+    return tuple(
+        (s, p) for s, p in enumerate(monomial) if p != unit or s == keep
+    )
+
+
+def _whole(support, card, unit):
+    """The monomial on ``card`` slots with this support, units elsewhere."""
+    mono = [unit] * card
+    for s, p in support:
+        mono[s] = p
+    return tuple(mono)
+
+
 def compile_setmap(A, setmap, n_targets=None, module=None,
                    module_slot_map=None, sign=1):
     """The program ``push`` of a map of slot sets (Eq.-7 style): for a
     monomial (A-basis positions per source slot; the slot in
     module_slot_map, {source: target} for at most one, holds a module
-    position and merges through the module), ``push(monomial)`` is its
-    image {target_monomial: coeff}, each target n_targets long (default
-    1 + max(setmap)), every coefficient multiplied by ``sign`` (the face
-    sign of a chain differential, say).
+    position and merges through the module), ``push`` gives its image
+    {target: coeff} on n_targets slots (default 1 + max(setmap)), every
+    coefficient multiplied by ``sign`` (the face sign of a chain
+    differential, say).
 
-    Compiled once: the merging targets (a fibre of two or more slots),
-    the merge steps (their later slots) with the structure constants each
-    uses (A's product, or the module's left or right action), the
-    module-slot fault, and whether a Koszul sign can arise (only with an
-    odd factor and a setmap that is not order-preserving).
+    Compiled once: each source slot's target and the structure constants
+    of its merge there (A's product, or the module's left or right
+    action), the module-slot fault, and whether a Koszul sign can arise
+    (only with an odd factor and a setmap that is not order-preserving).
 
-    One fold body multiplies the non-unit (and module) factors of each
-    merging fibre into its first factor, left to right.  Its outcome is
-    zero (None) or the merged values with their plain coefficients (several
-    when a constant has several terms; terms and sums that vanish in the
-    field dropped).  A run multiplies each by ``sign`` and its monomial's
-    Koszul sign, coerces it into the field once, and raises the module-slot
-    fault on every outcome that is not zero.
+    A fold multiplies the non-unit (and module) factors that reach a
+    target into the first of them, in source order, target by target.
+    Its outcome is zero (None) or the merged values with their plain
+    coefficients (several when a constant has several terms; terms and
+    sums that vanish in the field dropped).  A run multiplies each by
+    ``sign`` and its monomial's Koszul sign, coerces it into the field
+    once, and raises the module-slot fault on every outcome that is not
+    zero.  A zero merge ends the fold with the outcome zero (``stop``),
+    unless a later merge could still raise: past ``A.max_weight`` a
+    product raises AlgebraClassError, and a module without a left (or
+    right) action raises on it.  There the fold goes on, and the error
+    wins over the zero.
 
-    A zero merge ends the fold with the outcome zero (``stop``), unless a
-    later merge could still raise: past ``A.max_weight`` a product raises
-    AlgebraClassError, and a module without a left (or right) action
-    raises on it.  There the fold goes on, and the error wins over the zero.
+    Where ``stop`` holds, ``push`` takes and gives whole monomials, and
+    ``push.memo`` keeps one outcome per merge key (the factors at the
+    slots of the fibres with two or more), at most dim A (or the module's
+    dim) to the power of those slots.  The outcome is determined by the
+    key: a run applies the signs after it, a coefficient that vanishes
+    mod p vanishes under either sign, distinct merged values give distinct
+    images, and a fold that raises leaves no outcome, so it raises again
+    on the next run.  A later run on a key costs a lookup and the assembly
+    of its image.  On the circle-trunc3 workload (k[x]/x³ on the circle)
+    27,648 runs meet 252 keys, 19,203 of the runs zero.
 
-    The outcome is determined by the merge key (the factors at the
-    merging slots): a run applies the signs after it, a coefficient that
-    vanishes mod p vanishes under either sign, distinct merged values give
-    distinct images, and a fold that raises leaves no outcome, so it
-    raises again on the next run.  Where ``stop`` holds, ``push.memo``
-    keeps one outcome per key, at most dim A (or the module's dim) to the
-    power of the merging slots, and a later run on a key costs a lookup
-    and the assembly of its image.  On the circle-trunc3 workload (k[x]/x³
-    on the circle) 27,648 runs meet 252 keys, 19,203 of the runs zero.
-    Elsewhere ``push.memo`` is None and the fold reads the monomial and
-    gives whole images, for the keys of a materialized algebra repeat
-    little: on the sphere-3 HKR job (k[x] through weight 3) 12,684 runs
-    meet 7,904 keys of up to 50 slots.  A memo there raised the peak
-    memory of that job by 1.0 MiB and its time by 10 %; reading keys
-    without a memo cost 3 to 11 % of its time.
+    Elsewhere ``push.memo`` is None and ``push`` folds supports
+    (``_support``, the module slot always in it) into supports.  A
+    monomial of weight w over a weight-graded algebra has at most w
+    non-unit slots, however many slots its level has: on the sphere-3 HKR
+    job (k[x] through weight 3) levels 7-9 have 36, 57 and 85 slots, and
+    every monomial at most 3 non-unit ones.  So a run reads and writes
+    those alone, and a support whose factors all reach distinct targets
+    folds nothing.  No memo is kept there, for such keys repeat little
+    (that job's 12,684 runs meet 7,904 keys).
+
+    >>> push = compile_setmap(polynomial(max_weight=3), (0, 0, 1), 2)
+    >>> push(((0, 1), (1, 2)))  # x ⊗ x² ⊗ 1 -> x³ ⊗ 1
+    {((0, 3),): Fraction(1, 1)}
     """
     unit, k = A.unit, len(setmap)
     if n_targets is None:
@@ -790,11 +818,6 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
         (msrc, mtgt), = module_slot_map.items()
         if msrc in range(k):
             tm = setmap[msrc]
-    # the merging targets (whose fibre has two or more slots), and the
-    # merge steps: the later slots of their fibres, with their targets
-    merging = [t for t, fibre in enumerate(fibres) if len(fibre) > 1]
-    steps = [(s, t) for t in merging for s in fibres[t][1:]]
-    tail = () if all(fibres) else (unit,)
     # a zero merge ends the fold, unless a later merge may still raise: a
     # product past A's materialized weight, or a missing module action
     stop = A.max_weight is None and (
@@ -802,44 +825,16 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
         or module.left is not None
         and (module.symmetric or module._right is not None)
     )
-    if stop:
-        # the fold reads a merge key (the first slots of the merging
-        # fibres, then the merge steps' slots) and gives the merged values,
-        # then the sentinel unit when a fibre is empty; a run assembles
-        # its image from its monomial and them
-        key_slots = [fibres[t][0] for t in merging] + [s for s, _ in steps]
-        merge_key = _getter(key_slots)
-        start = list(range(len(merging))) + [len(key_slots)] * len(tail)
-        read = range(len(merging), len(key_slots))
-        into = {t: j for j, t in enumerate(merging)}
-        assemble = _getter([
-            k + into[t] if t in into else fibre[0] if fibre else
-            k + len(merging) for t, fibre in enumerate(fibres)
-        ])
-    else:
-        # the fold reads the monomial and gives whole images
-        start = [fibre[0] if fibre else k for fibre in fibres]
-        read = [s for s, _ in steps]
-        into = range(n_targets)
-        merge_key = assemble = None
-    first, read_values = _getter(start), _getter(read)
-    # A's product, the module's left and right actions, and whether the
-    # factor folded so far is an algebra element, which the unit passes
-    kinds = [(_constants(A, "product"), True)]
+    # per source slot, the constants of its merge into the factor folded
+    # so far: A's product, or the module's left or right action
+    kinds = [_constants(A, "product")]
     if tm is not None:
-        kinds += [
-            (_constants(module, "act_left"), True),
-            (_constants(module, "act_right"), False),
-        ]
-    plan = [
-        (i, into[t],
-         *kinds[0 if t != tm or s < msrc else 1 if s == msrc else 2])
-        for i, (s, t) in zip(read, steps)
+        kinds += [_constants(module, "act_left"),
+                  _constants(module, "act_right")]
+    merges = [
+        kinds[0 if t != tm or s < msrc else 1 if s == msrc else 2]
+        for s, t in enumerate(setmap)
     ]
-    # positions are ints, so with the unit at 0 the non-unit factors are
-    # exactly the truthy entries; the module factor always counts
-    units = tuple(None if s == msrc else unit for s, _ in steps) if (
-        unit != 0 or any(s == msrc for s, _ in steps)) else None
     degrees = [A.degrees] * k
     if tm is not None:
         degrees[msrc] = module.degrees
@@ -853,60 +848,59 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
         # misplaced decides: the image is 0 (when that target receives
         # only units), or an error is raised at the first nonzero term
         if 0 <= mtgt < n_targets and (tm is None or mtgt < tm):
-            fault, empty = "module slot received algebra factor", fibres[mtgt]
+            fault = "module slot received algebra factor"
+            empty = set(fibres[mtgt])
         elif tm is not None:
             fault = "algebra slot received module factor"
     f = A.coefficients.field
     # plain coefficient -> its field value, or None for zero
     coerced = _Table(lambda c: None if f.is_zero(v := f.coerce(c)) else v)
 
-    def fold(key):
-        """The outcome of a merge key (a monomial, without the memo): None
-        (zero), or its (merged values, plain coefficient) pairs."""
-        merged = list(first(key + tail))
-        coeff = 1
+    def fold(cells, freeze):
+        """The outcome of the factors ``cells``, (target, slot, position)
+        sorted by target then slot: None (zero), or the merged values,
+        frozen by ``freeze``, with their plain coefficients.  The first
+        factor to reach a target starts its fold."""
+        merged, coeff = {}, 1
         # a merge with one term stays in ``merged`` and ``coeff``; the
         # terms of the others (none or several) go to ``spread``
         spread = {}
-        values = read_values(key)
-        for i, j, table, algebra in compress(
-            plan, values if units is None else map(ne, values, units)
-        ):
-            p = key[i]
-            terms = spread.get(j)
+        for t, s, p in cells:
+            table = merges[s]
+            terms = spread.get(t)
             if terms is not None:
                 terms[:] = [
                     (c * e, q) for c, cur in terms for q, e in table[cur, p]
                 ]
                 continue
-            cur = merged[j]
-            if algebra and cur == unit:
-                merged[j] = p
+            cur = merged.get(t)
+            if cur is None:
+                merged[t] = p
                 continue
             prod = table[cur, p]
             if len(prod) == 1:
-                (merged[j], e), = prod
+                (merged[t], e), = prod
                 coeff *= e
             elif prod or not stop:
-                spread[j] = [(e, q) for q, e in prod]
+                spread[t] = [(e, q) for q, e in prod]
             else:
                 return None
         if not spread:
             return None if coerced[coeff] is None else (
-                (tuple(merged), coeff),
+                (freeze(merged), coeff),
             )
         # plain sums per merged values; a term or a sum that is zero in
         # the field is dropped, as the field sum would drop it
         out, nonzero = {}, False
         for combo in product(*spread.values()):
             c = coeff
-            for j, (e, q) in zip(spread, combo):
-                merged[j] = q
+            for t, (e, q) in zip(spread, combo):
+                merged[t] = q
                 c *= e
             if coerced[c] is None:
                 continue
             nonzero = True
-            at = tuple(merged)
+            at = freeze(merged)
             c += out.get(at, 0)
             if coerced[c] is None:
                 del out[at]
@@ -914,12 +908,64 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
                 out[at] = c
         return tuple(out.items()) if nonzero else None
 
-    memo = _Table(fold) if stop else None
+    def items(merged):
+        return tuple(merged.items())
+
+    def fold_support(support):
+        merged = {}
+        for s, p in support:
+            t = setmap[s]
+            if t in merged:
+                # a fibre merges two factors: fold them target by target
+                outcome = fold(
+                    sorted([(setmap[s], s, p) for s, p in support]), items
+                )
+                break
+            merged[t] = p
+        else:
+            image = tuple(sorted(merged.items()))
+            if plain:
+                return {image: scaled}
+            outcome = ((image, 1),)
+        if outcome is None or empty is not None and empty.isdisjoint(
+            s for s, _ in support
+        ):
+            return {}
+        if fault:
+            raise ValueError(fault)
+        c = sign * koszul_sign([
+            (orders[s], d) for s, p in support if (d := degrees[s][p]) % 2
+        ]) if signed else sign
+        return {image: coerced[c * e] for image, e in outcome}
+
+    if not stop:
+        # no fold, no fault and no Koszul sign: the image of a support
+        # whose factors all reach distinct targets is coefficient ``sign``
+        plain, scaled = not (signed or fault), coerced[sign]
+        fold_support.memo, fold_support.owners = None, (A, module)
+        return fold_support
+
+    # a merge key is the factors at the slots of the merging fibres; its
+    # outcome holds their merged values, then the sentinel unit when a
+    # fibre is empty, and a run assembles its image from its monomial and
+    # them
+    merging = [t for t, fibre in enumerate(fibres) if len(fibre) > 1]
+    key_cells = [(t, s) for t in merging for s in fibres[t]]
+    merge_key = _getter([s for _, s in key_cells])
+    tail = () if all(fibres) else (unit,)
+    into = {t: j for j, t in enumerate(merging)}
+    assemble = _getter([
+        k + into[t] if t in into else fibre[0] if fibre else
+        k + len(merging) for t, fibre in enumerate(fibres)
+    ])
+    memo = _Table(lambda key: fold(
+        [(t, s, p) for (t, s), p in zip(key_cells, key)
+         if p != unit or s == msrc],
+        lambda merged: tuple([merged.get(t, unit) for t in merging]) + tail,
+    ))
 
     def run(monomial):
-        outcome = fold(monomial) if memo is None else memo[
-            merge_key(monomial)
-        ]
+        outcome = memo[merge_key(monomial)]
         if outcome is None or empty is not None and all(
             monomial[s] == unit for s in empty
         ):
@@ -932,23 +978,37 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
         ]) if signed else sign
         out = {}
         for merged, e in outcome:
-            image = merged if assemble is None else assemble(monomial + merged)
-            out[image] = coerced[c * e]
+            out[assemble(monomial + merged)] = coerced[c * e]
         return out
 
     run.memo, run.owners = memo, (A, module)
     return run
 
 
+def _on_monomials(push, n_targets, unit, keep=None):
+    """A program of ``compile_setmap`` run on whole monomials: a support
+    program gets each monomial's support (slot ``keep`` always in it) and
+    gives whole images on ``n_targets`` slots."""
+    if push.memo is not None:
+        return push
+    return lambda monomial: {
+        _whole(image, n_targets, unit): c
+        for image, c in push(_support(monomial, unit, keep)).items()
+    }
+
+
 def apply_setmap(A, setmap, monomial, module=None, module_slot_map=None,
                  n_targets=None):
-    """``compile_setmap`` for a single monomial.
+    """``compile_setmap`` for a single monomial, whole in and out.
 
     >>> apply_setmap(exterior(), (1, 0), (1, 1))  # two odd factors swap
     {(1, 1): Fraction(-1, 1)}
     """
+    if n_targets is None:
+        n_targets = 1 + max(setmap) if setmap else 0
     push = compile_setmap(A, setmap, n_targets, module, module_slot_map)
-    return push(monomial)
+    keep = next(iter(module_slot_map), None) if module_slot_map else None
+    return _on_monomials(push, n_targets, A.unit, keep)(monomial)
 
 
 def multiop(A, setmap, n_source, n_target):
@@ -964,7 +1024,9 @@ def multiop(A, setmap, n_source, n_target):
     tgt = list(product(range(A.dim), repeat=n_target))
     tpos = {m: i for i, m in enumerate(tgt)}
     mat = SparseMatrix(len(tgt), len(src), f)
-    push = compile_setmap(A, tuple(setmap), n_target)
+    push = _on_monomials(
+        compile_setmap(A, tuple(setmap), n_target), n_target, A.unit
+    )
     for col, mono in enumerate(src):
         for m, c in push(mono).items():
             mat.add_to(tpos[m], col, c)

@@ -8,6 +8,7 @@ truncated polynomial algebras) live here too, on deliberately separate
 code paths.
 """
 
+from bisect import bisect_left
 from functools import reduce
 from itertools import compress, product
 from operator import or_
@@ -70,7 +71,9 @@ class HochschildComplex:
 def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
                      unit_slot=None):
     """Monomials at level n, each as ``(monomial, (internal degree,
-    weight))``: a monomial is a tuple of basis positions per slot of Y_n.
+    weight), support)``: a monomial is a tuple of basis positions per slot
+    of Y_n, and its support the (slot, position) pairs of its non-unit
+    slots and its module slot, in slot order (``dga._support``).
 
     The basepoint slot (when a module is given) carries module positions.
     Normalized: the non-unit algebra support must meet every degeneracy-
@@ -136,27 +139,36 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
     if max_wt is not None and nonunit and all(w >= 1 for _, w, _ in nonunit):
         min_w = min(w for _, w, _ in nonunit)
     n_slots = len(algebra_slots)
-    # (position, weight, degree) of the basepoint slot's module element
+    # per slot index, its (slot, position) pair with the weight and degree
+    # of each non-unit position: the supports of the level share the pairs
+    choices = [[((s, p), w, d) for p, w, d in nonunit] for s in algebra_slots]
+    # ((slot, position), weight, degree) of the basepoint slot's module
+    # element
     module_terms = [(None, 0, 0)] if module is None else [
-        (m, module.weights[m], module.degrees[m]) for m in range(module.dim)
+        ((bp, m), module.weights[m], module.degrees[m])
+        for m in range(module.dim)
     ]
     monos = []
     counts = {}  # (internal degree, weight) -> monomials so far
     picks = []  # (slot, position) of the non-unit slots chosen so far
+    mono = [A.unit] * card  # their monomial
 
     def record(wt, deg):
-        mono = [A.unit] * card
-        for s, p in picks:
-            mono[s] = p
-        for mpos, mw, md in module_terms:
+        sup = tuple(picks)
+        if module is not None:
+            # the picks lie in slot order; the module slot goes among them
+            cut = bisect_left(picks, (bp,))
+            head, rest = sup[:cut], sup[cut:]
+        for mpair, mw, md in module_terms:
             key = (deg + md, wt + mw)
             if wt_set is not None and key[1] not in wt_set:
                 continue
             if min_int is not None and key[0] < min_int:
                 continue
-            if mpos is not None:
-                mono[bp] = mpos
-            monos.append((tuple(mono), key))
+            if mpair is not None:
+                mono[bp] = mpair[1]
+                sup = head + (mpair,) + rest
+            monos.append((tuple(mono), key, sup))
             if cap is not None:
                 count = counts[key] = counts.get(key, 0) + 1
                 if count > cap:
@@ -184,17 +196,18 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
                 ]
         for i in nxt:
             rest = uncovered & ~covers[i]
-            slot = algebra_slots[i]
-            for p, pw, pd in nonunit:
+            for pair, pw, pd in choices[i]:
                 w2 = wt + pw
                 d2 = deg + pd
                 if max_wt is not None and w2 > max_wt:
                     continue
                 if min_int is not None and d2 < min_int:
                     continue
-                picks.append((slot, p))
+                picks.append(pair)
+                mono[pair[0]] = pair[1]
                 search(i + 1, w2, d2, rest)
                 picks.pop()
+            mono[algebra_slots[i]] = A.unit
 
     search(0, 0, 0, (1 << len(comps)) - 1)
     # ``search`` refers to itself through its closure; breaking that cycle
@@ -230,35 +243,33 @@ def _is_nondegenerate(Y, n, A, mono):
     return not any(map(support.isdisjoint, Y.nondegenerate_complements(n)))
 
 
-def _face_gates(Y, n, A, skip=True):
+def _face_gates(Y, n, skip=True):
     """``(gates, met)``: face r of Y_n is pushed on a level-n monomial only
-    when ``met(monomial)`` has every bit of ``gates[r]``.
+    when ``met(support)``, for its support, has every bit of ``gates[r]``.
 
     The masks of ``Y.face_masks(n)`` are numbered across the faces:
     ``gates[r]`` has the bits of face r's masks, and ``met`` gives the bits
     of the masks that the monomial's non-unit slots meet.  The non-unit
     slots of the image under d_r lie in d_r(support), so that image is
     degenerate when the support misses one of r's masks, and the normalized
-    complex drops it.  Without ``skip``, or when no face of the level has a
-    mask, every gate is 0 and no support is looked at.
+    complex drops it.  Without ``skip``, at level 0, or when no face of the
+    level has a mask, every gate is 0 and no support is looked at.
     """
-    per_face = Y.face_masks(n) if skip else ()
+    per_face = Y.face_masks(n) if skip and n else ()
     gates, k = [], 0
     for masks in per_face:
         gates.append((1 << k + len(masks)) - (1 << k))
         k += len(masks)
     if not k:
-        return (0,) * (n + 1), lambda mono: 0
+        return (0,) * (n + 1), lambda support: 0
     numbered = [m for masks in per_face for m in masks]
     # slot -> the bits of the masks it lies in; a module slot is the
     # basepoint, which lies in no mask
     hits = [sum(1 << i for i, m in enumerate(numbered) if m >> s & 1)
             for s in range(Y.card(n))]
-    unit = A.unit
-    # with the unit at 0 the non-unit slots are the truthy entries
-    return gates, lambda mono: reduce(or_, compress(
-        hits, mono if unit == 0 else map(unit.__ne__, mono)
-    ), 0)
+    return gates, lambda support: reduce(
+        or_, [hits[s] for s, _ in support], 0
+    )
 
 
 def _internal_diff(A, module, bp, mono):
@@ -315,11 +326,13 @@ def build_levels(Y, A, module=None, window=(-6, 0), weights=None,
     """The level complexes of n -> A^{⊗Y_n} (module at the basepoint):
     their bases and internal differentials, and no faces.
 
-    Returns ``(levels, exhausted, blocks)``: ``levels[n]`` is the frozen
-    level-n ChainComplex, labelled by monomials in sorted order;
-    ``exhausted`` says the complex vanishes above the top level; and
+    Returns ``(levels, exhausted, blocks, supports)``: ``levels[n]`` is
+    the frozen level-n ChainComplex, labelled by monomials in sorted order;
+    ``exhausted`` says the complex vanishes above the top level;
     ``blocks`` maps each (degree, weight) block of the total complex to its
-    dimension, the sum over n of the level-n blocks at (degree + n, weight).
+    dimension, the sum over n of the level-n blocks at (degree + n,
+    weight); and ``supports[n]`` lists the supports of level n's labels
+    (see ``_level_monomials``) in the same order.
 
     With a ``cap``, InfeasibleError is raised as soon as one block of the
     total complex is larger: within a level by the enumeration, and after
@@ -348,15 +361,16 @@ def build_levels(Y, A, module=None, window=(-6, 0), weights=None,
     min_int = None if exhausted else window[0] - 1
     # a zero differential (of the algebra and the module) adds no entries
     has_diff = bool(A.diff or (module is not None and module.diff))
-    levels = []
-    blocks = {}
+    levels, blocks, supports = [], {}, []
     for n in range(top_level + 1):
         lo = None if min_int is None else min_int + n
         c = ChainComplex(A.coefficients)
-        for mono, (d, w) in _level_monomials(
-            Y, n, A, module, weights, lo, normalized, cap=cap
-        ):
+        keyed = _level_monomials(Y, n, A, module, weights, lo, normalized,
+                                 cap=cap)
+        for mono, (d, w), _ in keyed:
             c.add_element(mono, d, w)
+        supports.append([sup for _, _, sup in keyed])
+        del keyed
         for (d, w), block in c.blocks.items():
             key = (d - n, w)
             size = blocks[key] = blocks.get(key, 0) + len(block)
@@ -377,7 +391,7 @@ def build_levels(Y, A, module=None, window=(-6, 0), weights=None,
                     ):
                         raise AssertionError("missing internal target")
         levels.append(c.freeze(support=(NEG_INF, 0)))
-    return levels, exhausted, blocks
+    return levels, exhausted, blocks, supports
 
 
 def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
@@ -389,20 +403,22 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
 
     Normalized, a face whose image is provably degenerate is not pushed
     (``_face_gates``).  Every image that is pushed lands or is checked to
-    be degenerate.
+    be degenerate.  A program that folds supports (``dga.compile_setmap``
+    over a materialized algebra, say) runs on the supports of
+    ``build_levels``, and its images are looked up by support.
 
     Module coefficients must be symmetric bimodules here: the Eq.-7
     source-order merges only exercise one side of the action.  Genuine
     bimodules over the circle go through the classical complex instead.
     """
-    levels, exhausted, _blocks = build_levels(
+    levels, exhausted, _blocks, supports = build_levels(
         Y, A, module, window, weights, normalized, cap
     )
     faces = {}
     for n in range(1, len(levels)):
         index = levels[n - 1].index
         mmap = {Y.basepoint[n]: Y.basepoint[n - 1]} if module else None
-        gates, met = _face_gates(Y, n, A, normalized)
+        gates, met = _face_gates(Y, n, normalized)
         # (gate of face r, the program of (-1)^r d_r onto Y_{n-1}'s slots)
         faces_r = [
             (gate, compile_setmap(A, setmap, Y.card(n - 1), module, mmap,
@@ -411,19 +427,25 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
                 zip(gates, map(tuple, Y.face_tab[n]))
             )
         ]
+        sparse = faces_r[0][1].memo is None
+        if sparse:
+            # level n - 1's support -> its index entry, for this level only
+            index = dict(zip(supports[n - 1], index.values()))
+        supports[n - 1] = None
         fmap = faces[n] = ChainMap(levels[n], levels[n - 1])
-        for mono in levels[n].index:
-            covered = met(mono)
+        for mono, sup in zip(levels[n].index, supports[n]):
+            covered = met(sup)
             terms = []
             for gate, push in faces_r:
                 if covered & gate != gate:
                     continue
-                for timg, v in push(mono).items():
+                for timg, v in push(sup if sparse else mono).items():
                     hit = index.get(timg)
                     if hit is not None:
                         terms.append((hit[2], v))
                     elif not normalized or _is_nondegenerate(
-                        Y, n - 1, A, timg
+                        Y, n - 1, A, dga._whole(timg, Y.card(n - 1), A.unit)
+                        if sparse else timg
                     ):
                         raise AssertionError("missing face target")
             fmap.set_column(mono, terms)
@@ -486,29 +508,13 @@ def classical_hochschild(A, module, window=(-6, 0), cap=None):
     Faces: d_0 = m·a_1, middle merges, d_n moves a_n to the front with its
     Koszul sign and acts on the left.  Total degree of level n is the
     internal degree minus n; the internal differential carries (-1)^n.
-    ``cap`` holds its (degree, weight) blocks before any face is set.
+    ``cap`` holds its (degree, weight) blocks before any face is set
+    (``classical_basis``).
     """
     f = A.coefficients.field
     lo = window[0]
-    top = max(0, 1 - lo)
-    nonunit = A.nonunit()
-    out = ChainComplex(A.coefficients)
-    levels = []
-    for n in range(top + 1):
-        monos = list(product(nonunit, repeat=n))
-        level = []
-        for m in range(module.dim):
-            for mono in monos:
-                deg = module.degrees[m] + sum(A.degrees[p] for p in mono)
-                wt = module.weights[m] + sum(A.weights[p] for p in mono)
-                if deg - n < lo - 1:
-                    continue
-                label = (n, m, mono)
-                out.add_element(label, deg - n, wt)
-                level.append(label)
-        levels.append(level)
-    check_cap(out, cap)
-    for n in range(top + 1):
+    out, levels = classical_basis(A, module, window, cap)
+    for n in range(len(levels)):
         sign_n = f.coerce(-1 if n % 2 else 1)
         for src in levels[n]:
             _, m, mono = src
@@ -549,6 +555,31 @@ def classical_hochschild(A, module, window=(-6, 0), cap=None):
             for q, c in module.act_left(last, m).items():
                 _add_if(out, src, (n - 1, q, mono[:-1]), f.mul(sgn, c), f)
     return out.freeze(window=(lo - 1, POS_INF), support=(NEG_INF, 0))
+
+
+def classical_basis(A, module, window=(-6, 0), cap=None):
+    """The basis of ``classical_hochschild``'s complex, laid out with no
+    entry, and its labels per level: InfeasibleError when a (degree,
+    weight) block exceeds ``cap``."""
+    lo = window[0]
+    nonunit = A.nonunit()
+    out = ChainComplex(A.coefficients)
+    levels = []
+    for n in range(max(0, 1 - lo) + 1):
+        monos = list(product(nonunit, repeat=n))
+        level = []
+        for m in range(module.dim):
+            for mono in monos:
+                deg = module.degrees[m] + sum(A.degrees[p] for p in mono)
+                wt = module.weights[m] + sum(A.weights[p] for p in mono)
+                if deg - n < lo - 1:
+                    continue
+                label = (n, m, mono)
+                out.add_element(label, deg - n, wt)
+                level.append(label)
+        levels.append(level)
+    check_cap(out, cap)
+    return out, levels
 
 
 def _add_if(co, src, tgt, val, f):

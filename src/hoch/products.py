@@ -78,10 +78,13 @@ def shuffle_product(H, u, v):
             [Y.deg_tab[n + k][i] for k, i in enumerate(indices)], Y.card(n)
         )
 
-    # (p, q) -> the program of each shuffle (mu, nu) of (p, q), signed by it
+    # (p, q) -> the program of each shuffle (mu, nu) of (p, q), signed by
+    # it, on whole monomials
     programs = dga._Table(lambda pq: [
-        compile_setmap(A, degeneracies(pq[0], nu) + degeneracies(pq[1], mu),
-                       Y.card(sum(pq)), sign=sgn)
+        dga._on_monomials(compile_setmap(
+            A, degeneracies(pq[0], nu) + degeneracies(pq[1], mu),
+            Y.card(sum(pq)), sign=sgn,
+        ), Y.card(sum(pq)), A.unit)
         for mu, nu, sgn in _shuffles(*pq)
     ])
     out = {}
@@ -306,14 +309,16 @@ class CochainComplexData:
                 f"{Y.name} materialized to level {Y.top_level}, need {top}"
             )
         self.top = top
-        self.arg_degrees = [
-            {
-                arg: adeg for arg, (adeg, _) in _level_monomials(
-                    Y, n, A, None, None, None, True, unit_slot=Y.basepoint[n]
-                )
-            }
-            for n in range(top + 1)
-        ]
+        # the arguments of each level with their internal degrees, the
+        # gates of its faces, and per argument the bits of the face masks
+        # its support meets (hochschild._face_gates)
+        self.arg_degrees, gated = [], []
+        for n in range(top + 1):
+            keyed = _level_monomials(Y, n, A, None, None, None, True,
+                                     unit_slot=Y.basepoint[n])
+            self.arg_degrees.append({arg: adeg for arg, (adeg, _), _ in keyed})
+            gates, met = _face_gates(Y, n)
+            gated.append((gates, [met(sup) for _, _, sup in keyed]))
         self.args = [list(table) for table in self.arg_degrees]
         out = ChainComplex(A.coefficients)
         for n, table in enumerate(self.arg_degrees):
@@ -342,9 +347,8 @@ class CochainComplexData:
             n = lvl - 1
             bp = Y.basepoint[n]
             below = self.arg_degrees[n]
-            gates, met = _face_gates(Y, lvl, A)
+            gates, covered = gated[lvl]
             args = self.args[lvl]
-            covered = list(map(met, args))
             for i, setmap in enumerate(map(tuple, Y.face_tab[lvl])):
                 push = compile_setmap(A, setmap, Y.card(n))
                 gate = gates[i]

@@ -317,11 +317,12 @@ def test_infeasible_excision_check_builds_no_face(tmp_path, monkeypatch,
     path.write_text(json.dumps(raw))
     _no_faces(monkeypatch)
     _no_classical_faces(monkeypatch)
-    assert cli.main(["run", str(path)]) == 3
-    assert capsys.readouterr().err == (
-        "infeasible: largest (degree, weight) block has dimension 46996 > "
-        "cap 20000\n"
-    )
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, str(path)]) == 3, cmd
+        assert capsys.readouterr().err == (
+            "infeasible: largest (degree, weight) block has dimension 46996 "
+            "> cap 20000\n"
+        )
 
 
 def test_infeasible_twisted_hh_builds_no_face(tmp_path, monkeypatch, capsys):

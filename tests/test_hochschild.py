@@ -668,8 +668,9 @@ def _brute_monomials(Y, n, A, module, weights, min_int, normalized):
 
 
 def _monomials(*args, **kwargs):
-    """``hh._level_monomials`` without the (degree, weight) keys."""
-    return [mono for mono, _key in hh._level_monomials(*args, **kwargs)]
+    """``hh._level_monomials`` without the (degree, weight) keys and the
+    supports."""
+    return [mono for mono, _key, _sup in hh._level_monomials(*args, **kwargs)]
 
 
 ENUMERATION_SPACES = {
@@ -725,14 +726,17 @@ def test_enumeration_cap_boundary(Y, A, weights):
     n = Y.top_level
     for module in (None, dga.algebra_as_bimodule(A)):
         keyed = hh._level_monomials(Y, n, A, module, weights, None, True)
-        monos = [mono for mono, _key in keyed]
+        monos = [mono for mono, _key, _sup in keyed]
         blocks = Counter(
             hh._monomial_data(Y, n, A, module, mono) for mono in monos
         )
-        # each monomial comes with its (internal degree, weight)
+        # each monomial comes with its (internal degree, weight) and its
+        # support, the module slot always in it
+        keep = None if module is None else Y.basepoint[n]
         assert all(
             key == hh._monomial_data(Y, n, A, module, mono)
-            for mono, key in keyed
+            and sup == dga._support(mono, A.unit, keep)
+            for mono, key, sup in keyed
         )
         m = max(blocks.values())
         assert 1 < m < len(monos)
@@ -749,7 +753,9 @@ def test_build_levels_caps_the_total_blocks(exterior, trunc2):
     # holds it before any face is built
     E = dga.tensor_algebra(exterior, trunc2)
     Y = simp.circle(5)
-    levels, _exhausted, blocks = hh.build_levels(Y, E, None, (-3, 0))
+    levels, _exhausted, blocks, _supports = hh.build_levels(
+        Y, E, None, (-3, 0)
+    )
     total = hh.hochschild_chain(Y, E, (-3, 0)).complex
     assert blocks == {key: len(b) for key, b in total.blocks.items()}
     largest = max(blocks.values())
@@ -790,18 +796,24 @@ def test_unit_slot_matches_filtered_enumeration(exterior, trunc2, space,
 @pytest.mark.parametrize("normalized", [True, False])
 def test_missing_face_target_is_an_error(trunc3, normalized, monkeypatch):
     # x ⊗ x in level 1 of the circle is the face of a level-2 monomial in
-    # both bases; a level that lost it leaves that face no target
+    # both bases; a level that lost it leaves that face no target, whether
+    # the programs fold whole monomials (k[x]/x³) or supports (k[x]
+    # through weight 2)
     real_build_levels = hh.build_levels
 
     def drop_x_x(*args, **kwargs):
-        levels, exhausted, blocks = real_build_levels(*args, **kwargs)
-        del levels[1].index[(1, 1)]
-        return levels, exhausted, blocks
+        levels, exhausted, blocks, supports = real_build_levels(
+            *args, **kwargs
+        )
+        at = list(levels[1].index).index((1, 1))
+        del levels[1].index[(1, 1)], supports[1][at]
+        return levels, exhausted, blocks, supports
 
     monkeypatch.setattr(hh, "build_levels", drop_x_x)
-    with pytest.raises(AssertionError, match="missing face target"):
-        hh.build_simplicial_ch(simp.circle(4), trunc3, None, (-2, 0), None,
-                               normalized)
+    for A, weights in ((trunc3, None), (dga.polynomial(max_weight=2), [1, 2])):
+        with pytest.raises(AssertionError, match="missing face target"):
+            hh.build_simplicial_ch(simp.circle(4), A, None, (-2, 0), weights,
+                                   normalized)
 
 
 def _reference_is_nondegenerate(Y, n, A, module, mono):

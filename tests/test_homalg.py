@@ -186,7 +186,7 @@ def test_constant_simplicial_total(QQ):
 def _reference_simplicial_ch(Y, A, module, window, weights, normalized=True):
     """Reference builder: the levels of ``build_levels`` and one ChainMap
     per face (n, r), filled entry by entry."""
-    levels, exhausted, _blocks = hh.build_levels(
+    levels, exhausted, _blocks, _supports = hh.build_levels(
         Y, A, module, window, weights, normalized
     )
     faces = {}
@@ -301,6 +301,10 @@ REFERENCE_CASES = {
     "sphere3-polynomial": lambda: (
         simp.sphere_small(3, 6), dga.polynomial(max_weight=2), None,
         (-4, 0), [1, 2], True),
+    # the sphere3-hkr benchmark workload (golden job criterion05b)
+    "sphere3-hkr": lambda: (
+        simp.sphere_small(3, 9), dga.polynomial(max_weight=3), None,
+        (-10, 0), [1, 2, 3], True),
     "circle-trunc3": lambda: (
         simp.circle(6), dga.truncated_polynomial(truncation=3), None,
         (-4, 0), None, True),

@@ -596,7 +596,7 @@ def test_cochain_face_target_missing_raises(QQ, trunc2, monkeypatch):
 def _reference_cochain_complex(Y, A, module, top):
     f = A.coefficients.field
     args = [
-        [arg for arg, _key in hh._level_monomials(
+        [arg for arg, _key, _sup in hh._level_monomials(
             Y, n, A, None, None, None, True, unit_slot=Y.basepoint[n]
         )]
         for n in range(top + 1)

@@ -80,6 +80,7 @@ def count_runs(monkeypatch, module):
             pushed.append(monomial)
             return push(monomial)
 
+        counting.memo = push.memo  # whole monomials, or supports when None
         return counting
 
     monkeypatch.setattr(module, "compile_setmap", compiling)
