@@ -583,7 +583,6 @@ def cech_complex(F, cover, truncation=2):
     )
     coeff = F.coefficients
     levels = []
-    level_basis = []
     for i in range(truncation + 1):
         tuples = _adjacent_distinct(PU, i + 1)
         c = ChainComplex(coeff)
@@ -595,12 +594,11 @@ def cech_complex(F, cover, truncation=2):
             for tgt, v in _family_internal_diff(F, parts).items():
                 c.set_differential_entry((alpha, parts), (alpha, tgt), v)
         levels.append(c.freeze(support=(NEG_INF, POS_INF)))
-        level_basis.append(basis)
     faces = {}  # i -> the alternating face sum, one column per element
     for i in range(1, truncation + 1):
         index = levels[i - 1].index
         fmap = faces[i] = ChainMap(levels[i], levels[i - 1])
-        for (alpha, parts) in level_basis[i]:
+        for (alpha, parts), entry in levels[i].index.items():
             terms = []
             for s in range(i + 1):
                 beta = alpha[:s] + alpha[s + 1 :]
@@ -608,12 +606,12 @@ def cech_complex(F, cover, truncation=2):
                     continue  # degenerate target is zero in the quotient
                 for tgt, v in _face_image(F, alpha, parts, s).items():
                     terms.append((index[(beta, tgt)][2], -v if s % 2 else v))
-            fmap.set_column((alpha, parts), terms)
+            fmap.set_column(entry, terms)
     scc = SimplicialChainComplex(levels, faces, exhausted=False)
     tot = total_complex(scc)
     augmentation = None
     if F.poset.union_id is not None and F.poset.union_id in F.values:
-        augmentation = _augmentation_map(F, levels[0], level_basis[0])
+        augmentation = _augmentation_map(F, levels[0])
     return CechComplex(tuple(cover), tot, truncation, augmentation)
 
 
@@ -714,10 +712,10 @@ def _face_image(F, alpha, lab, s):
     return out
 
 
-def _augmentation_map(F, level0, basis0):
+def _augmentation_map(F, level0):
     target = F.values[F.poset.union_id]
     amap = ChainMap(level0, target)
-    for (alpha, parts) in basis0:
+    for (alpha, parts) in level0.index:
         for k, v in _rho_parts(F, parts, F.poset.union_id).items():
             amap.set_entry((alpha, parts), k, v)
     return amap

@@ -186,17 +186,13 @@ def build_space(desc, level):
 
 
 def space_level_for(spec, A, space_desc):
-    lo = spec["window"][0]
+    """The spec's level of the space, or the level that the builder reads
+    (``hochschild.required_level``)."""
     level = space_desc.get("level")
     if level is not None:
         return level
-    weights = spec["weights"]
-    n_deg = max(0, 1 - lo) + 1
-    if weights is not None and A.weight_graded:
-        probe = build_space(space_desc, 0)
-        if probe.hitcap_coeff is not None:
-            return min(n_deg, probe.hitcap_coeff * (max(weights) if weights else 0))
-    return n_deg
+    probe = build_space(space_desc, 0)
+    return hh.required_level(probe, A, spec["window"], spec["weights"])[0]
 
 
 def _chain_inputs(spec, coefficients):

@@ -12,7 +12,8 @@ of the odd-degree factors involved (``koszul_sign``), never from ad-hoc
 parity formulas; even factors never change a sign.
 
 A map of slot sets acts on monomials through a program compiled once per
-setmap (``compile_setmap``); ``apply_setmap`` is its one-shot form.
+setmap (``compile_setmap``); ``apply_setmap`` is its one-shot form.  With
+module coefficients the map is pointed: it keeps the module slot in place.
 """
 
 import weakref
@@ -196,9 +197,23 @@ class DGAlgebra:
                     raise ValueError(
                         f"{self.name}: augmentation not multiplicative"
                     )
+        _audit_grading(self)
 
     def __repr__(self):
         return f"DGAlgebra({self.name}, dim={self.dim})"
+
+
+def _audit_grading(X):
+    """The last audit of an algebra or module: its differential raises the
+    degree by 1 and keeps the weight."""
+    degrees, weights = X.degrees, X.weights
+    for i, out in X.diff.items():
+        for k in out:
+            if (degrees[k], weights[k]) != (degrees[i] + 1, weights[i]):
+                raise ValueError(
+                    f"{X.name}: differential must raise the degree by 1 and "
+                    f"keep the weight at {i}"
+                )
 
 
 def _acc(store, key, value, field):
@@ -300,7 +315,7 @@ class DGModule:
         """Unit, associativity and Leibniz for the left action, when there
         is one; unit and associativity for the right action, when there is
         one (a right table, or a symmetric module); compatibility when
-        there are both."""
+        there are both; then the grading of the differential."""
         A = self.algebra
         f = self.coefficients.field
         uA = A.unit
@@ -339,10 +354,8 @@ class DGModule:
                     raise ValueError(
                         f"{self.name}: right module axiom fails {(a, b, m)}"
                     )
-        if not has_left:
-            return
         # Leibniz: d(a m) = d(a) m + (-1)^{|a|} a d(m)
-        for a in range(A.dim):
+        for a in range(A.dim if has_left else 0):
             for m in range(self.dim):
                 lhs = _compose(self.act_left(a, m), self.d, f)
                 rhs = _compose(A.d(a), lambda t: self.act_left(t, m), f)
@@ -352,6 +365,7 @@ class DGModule:
                 )
                 if lhs != rhs:
                     raise ValueError(f"{self.name}: module Leibniz fails")
+        _audit_grading(self)
 
     def __repr__(self):
         return f"DGModule({self.name}, dim={self.dim})"
@@ -754,58 +768,64 @@ def _whole(support, card, unit):
     return tuple(mono)
 
 
-def compile_setmap(A, setmap, n_targets=None, module=None,
-                   module_slot_map=None, sign=1):
+def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
+                   sign=1):
     """The program ``push`` of a map of slot sets (Eq.-7 style): for a
-    monomial (A-basis positions per source slot; the slot in
-    module_slot_map, {source: target} for at most one, holds a module
-    position and merges through the module), ``push`` gives its image
-    {target: coeff} on n_targets slots (default 1 + max(setmap)), every
-    coefficient multiplied by ``sign`` (the face sign of a chain
-    differential, say).
+    monomial (A-basis positions per source slot; with a ``module``, slot
+    ``module_slot`` holds a module position and merges through the
+    module), ``push`` gives its image {target: coeff} on n_targets slots
+    (default 1 + max(setmap)), every coefficient multiplied by ``sign``
+    (the face sign of a chain differential, say).
+
+    The map must be pointed: it keeps the module slot in place
+    (``setmap[module_slot] == module_slot``), as a face or degeneracy
+    keeps the basepoint, or ValueError is raised here.
 
     Compiled once: each source slot's target and the structure constants
     of its merge there (A's product, or the module's left or right
-    action), the module-slot fault, and whether a Koszul sign can arise
-    (only with an odd factor and a setmap that is not order-preserving).
+    action), and whether a Koszul sign can arise (only with an odd factor
+    and a setmap that is not order-preserving).
 
     A fold multiplies the non-unit (and module) factors that reach a
-    target into the first of them, in source order, target by target.
+    target into the first of them, in source order, target by target,
+    and always runs to its end, so an error (a product past
+    ``A.max_weight``, a module action that is missing) wins over a zero.
     Its outcome is zero (None) or the merged values with their plain
     coefficients (several when a constant has several terms; terms and
     sums that vanish in the field dropped).  A run multiplies each by
-    ``sign`` and its monomial's Koszul sign, coerces it into the field
-    once, and raises the module-slot fault on every outcome that is not
-    zero.  A zero merge ends the fold with the outcome zero (``stop``),
-    unless a later merge could still raise: past ``A.max_weight`` a
-    product raises AlgebraClassError, and a module without a left (or
-    right) action raises on it.  There the fold goes on, and the error
-    wins over the zero.
+    ``sign`` and its monomial's Koszul sign and coerces it into the field
+    once.
 
-    Where ``stop`` holds, ``push`` takes and gives whole monomials, and
-    ``push.memo`` keeps one outcome per merge key (the factors at the
-    slots of the fibres with two or more), at most dim A (or the module's
-    dim) to the power of those slots.  The outcome is determined by the
-    key: a run applies the signs after it, a coefficient that vanishes
-    mod p vanishes under either sign, distinct merged values give distinct
-    images, and a fold that raises leaves no outcome, so it raises again
-    on the next run.  A later run on a key costs a lookup and the assembly
-    of its image.  On the circle-trunc3 workload (k[x]/x³ on the circle)
-    27,648 runs meet 252 keys, 19,203 of the runs zero.
+    Over an algebra with no ``max_weight``, ``push`` takes and gives whole
+    monomials, and ``push.memo`` keeps one outcome per merge key (the
+    factors at the slots of the fibres with two or more), at most dim A
+    (or the module's dim) to the power of those slots.  The outcome is
+    determined by the key: a run applies the signs after it, a
+    coefficient that vanishes mod p vanishes under either sign, distinct
+    merged values give distinct images, and a fold that raises leaves no
+    outcome, so it raises again on the next run.  A later run on a key
+    costs a lookup and the assembly of its image.  On the circle-trunc3
+    workload (k[x]/x³ on the circle) 27,648 runs meet 252 keys, 19,203 of
+    the runs zero.
 
-    Elsewhere ``push.memo`` is None and ``push`` folds supports
-    (``_support``, the module slot always in it) into supports.  A
-    monomial of weight w over a weight-graded algebra has at most w
-    non-unit slots, however many slots its level has: on the sphere-3 HKR
-    job (k[x] through weight 3) levels 7-9 have 36, 57 and 85 slots, and
-    every monomial at most 3 non-unit ones.  So a run reads and writes
-    those alone, and a support whose factors all reach distinct targets
-    folds nothing.  No memo is kept there, for such keys repeat little
-    (that job's 12,684 runs meet 7,904 keys).
+    Over an algebra with a ``max_weight``, ``push.memo`` is None and
+    ``push`` folds supports (``_support``, the module slot always in it)
+    into supports.  A monomial of weight w over a weight-graded algebra
+    has at most w non-unit slots, however many slots its level has: on the
+    sphere-3 HKR job (k[x] through weight 3) levels 7-9 have 36, 57 and 85
+    slots, and every monomial at most 3 non-unit ones.  So a run reads and
+    writes those alone, and a support whose factors all reach distinct
+    targets folds nothing.  No memo is kept there, for such keys repeat
+    little (that job's 12,684 runs meet 7,904 keys).
 
-    >>> push = compile_setmap(polynomial(max_weight=3), (0, 0, 1), 2)
+    >>> A = polynomial(max_weight=3)
+    >>> push = compile_setmap(A, (0, 0, 1), 2)
     >>> push(((0, 1), (1, 2)))  # x ⊗ x² ⊗ 1 -> x³ ⊗ 1
     {((0, 3),): Fraction(1, 1)}
+    >>> compile_setmap(A, (1, 0), 2, augmentation_module(A), 0)
+    Traceback (most recent call last):
+    ...
+    ValueError: setmap (1, 0) does not keep the module slot 0 in place
     """
     unit, k = A.unit, len(setmap)
     if n_targets is None:
@@ -813,45 +833,30 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
     fibres = [[] for _ in range(n_targets)]
     for s, t in enumerate(setmap):
         fibres[t].append(s)
-    msrc = mtgt = tm = None
-    if module_slot_map:
-        (msrc, mtgt), = module_slot_map.items()
-        if msrc in range(k):
-            tm = setmap[msrc]
-    # a zero merge ends the fold, unless a later merge may still raise: a
-    # product past A's materialized weight, or a missing module action
-    stop = A.max_weight is None and (
-        tm is None
-        or module.left is not None
-        and (module.symmetric or module._right is not None)
-    )
+    msrc = None
+    if module is not None:
+        if module_slot not in range(k) or setmap[module_slot] != module_slot:
+            raise ValueError(
+                f"setmap {setmap} does not keep the module slot "
+                f"{module_slot} in place"
+            )
+        msrc = module_slot
     # per source slot, the constants of its merge into the factor folded
     # so far: A's product, or the module's left or right action
     kinds = [_constants(A, "product")]
-    if tm is not None:
+    degrees = [A.degrees] * k
+    if module is not None:
         kinds += [_constants(module, "act_left"),
                   _constants(module, "act_right")]
+        degrees[msrc] = module.degrees
     merges = [
-        kinds[0 if t != tm or s < msrc else 1 if s == msrc else 2]
+        kinds[0 if t != msrc or s < msrc else 1 if s == msrc else 2]
         for s, t in enumerate(setmap)
     ]
-    degrees = [A.degrees] * k
-    if tm is not None:
-        degrees[msrc] = module.degrees
     orders = [(t, s) for s, t in enumerate(setmap)]
     signed = any(a > b for a, b in zip(setmap, setmap[1:])) and any(
         d % 2 for degs in degrees for d in degs
     )
-    fault = empty = None
-    if module_slot_map and tm != mtgt:
-        # the first target where the module factor is missing or
-        # misplaced decides: the image is 0 (when that target receives
-        # only units), or an error is raised at the first nonzero term
-        if 0 <= mtgt < n_targets and (tm is None or mtgt < tm):
-            fault = "module slot received algebra factor"
-            empty = set(fibres[mtgt])
-        elif tm is not None:
-            fault = "algebra slot received module factor"
     f = A.coefficients.field
     # plain coefficient -> its field value, or None for zero
     coerced = _Table(lambda c: None if f.is_zero(v := f.coerce(c)) else v)
@@ -881,10 +886,8 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
             if len(prod) == 1:
                 (merged[t], e), = prod
                 coeff *= e
-            elif prod or not stop:
-                spread[t] = [(e, q) for q, e in prod]
             else:
-                return None
+                spread[t] = [(e, q) for q, e in prod]
         if not spread:
             return None if coerced[coeff] is None else (
                 (freeze(merged), coeff),
@@ -911,6 +914,10 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
     def items(merged):
         return tuple(merged.items())
 
+    # no fold and no Koszul sign: the image of a support whose factors
+    # all reach distinct targets is coefficient ``sign``
+    plain, scaled = not signed, coerced[sign]
+
     def fold_support(support):
         merged = {}
         for s, p in support:
@@ -920,6 +927,8 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
                 outcome = fold(
                     sorted([(setmap[s], s, p) for s, p in support]), items
                 )
+                if outcome is None:
+                    return {}
                 break
             merged[t] = p
         else:
@@ -927,21 +936,12 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
             if plain:
                 return {image: scaled}
             outcome = ((image, 1),)
-        if outcome is None or empty is not None and empty.isdisjoint(
-            s for s, _ in support
-        ):
-            return {}
-        if fault:
-            raise ValueError(fault)
         c = sign * koszul_sign([
             (orders[s], d) for s, p in support if (d := degrees[s][p]) % 2
         ]) if signed else sign
         return {image: coerced[c * e] for image, e in outcome}
 
-    if not stop:
-        # no fold, no fault and no Koszul sign: the image of a support
-        # whose factors all reach distinct targets is coefficient ``sign``
-        plain, scaled = not (signed or fault), coerced[sign]
+    if A.max_weight is not None:
         fold_support.memo, fold_support.owners = None, (A, module)
         return fold_support
 
@@ -966,12 +966,8 @@ def compile_setmap(A, setmap, n_targets=None, module=None,
 
     def run(monomial):
         outcome = memo[merge_key(monomial)]
-        if outcome is None or empty is not None and all(
-            monomial[s] == unit for s in empty
-        ):
+        if outcome is None:
             return {}
-        if fault:
-            raise ValueError(fault)
         c = sign * koszul_sign([
             (order, d) for order, degs, p in zip(orders, degrees, monomial)
             if (d := degs[p]) % 2
@@ -997,7 +993,7 @@ def _on_monomials(push, n_targets, unit, keep=None):
     }
 
 
-def apply_setmap(A, setmap, monomial, module=None, module_slot_map=None,
+def apply_setmap(A, setmap, monomial, module=None, module_slot=None,
                  n_targets=None):
     """``compile_setmap`` for a single monomial, whole in and out.
 
@@ -1006,9 +1002,8 @@ def apply_setmap(A, setmap, monomial, module=None, module_slot_map=None,
     """
     if n_targets is None:
         n_targets = 1 + max(setmap) if setmap else 0
-    push = compile_setmap(A, setmap, n_targets, module, module_slot_map)
-    keep = next(iter(module_slot_map), None) if module_slot_map else None
-    return _on_monomials(push, n_targets, A.unit, keep)(monomial)
+    push = compile_setmap(A, setmap, n_targets, module, module_slot)
+    return _on_monomials(push, n_targets, A.unit, module_slot)(monomial)
 
 
 def multiop(A, setmap, n_source, n_target):

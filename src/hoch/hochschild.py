@@ -217,20 +217,6 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
     return monos
 
 
-def _monomial_data(Y, n, A, module, mono):
-    bp = Y.basepoint[n] if module is not None else None
-    deg = 0
-    wt = 0
-    for s, p in enumerate(mono):
-        if s == bp:
-            deg += module.degrees[p]
-            wt += module.weights[p]
-        else:
-            deg += A.degrees[p]
-            wt += A.weights[p]
-    return deg, wt
-
-
 def _is_nondegenerate(Y, n, A, mono):
     if n == 0:
         return True
@@ -385,10 +371,9 @@ def build_levels(Y, A, module=None, window=(-6, 0), weights=None,
                 for tgt, v in _internal_diff(A, module, bp, mono).items():
                     if tgt in c.index:
                         c.set_differential_entry(mono, tgt, v)
-                    elif _is_nondegenerate(Y, n, A, tgt) and (
-                        lo is None or _monomial_data(Y, n, A, module, tgt)[0]
-                        >= lo
-                    ):
+                    elif _is_nondegenerate(Y, n, A, tgt):
+                        # d raises the internal degree (audited), so a
+                        # nondegenerate target lies within the budget
                         raise AssertionError("missing internal target")
         levels.append(c.freeze(support=(NEG_INF, 0)))
     return levels, exhausted, blocks, supports
@@ -403,9 +388,9 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
 
     Normalized, a face whose image is provably degenerate is not pushed
     (``_face_gates``).  Every image that is pushed lands or is checked to
-    be degenerate.  A program that folds supports (``dga.compile_setmap``
-    over a materialized algebra, say) runs on the supports of
-    ``build_levels``, and its images are looked up by support.
+    be degenerate.  Over an algebra with a ``max_weight`` the programs
+    (``dga.compile_setmap``) fold supports: they run on the supports of
+    ``build_levels``, and their images are looked up by support.
 
     Module coefficients must be symmetric bimodules here: the Eq.-7
     source-order merges only exercise one side of the action.  Genuine
@@ -415,25 +400,25 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
         Y, A, module, window, weights, normalized, cap
     )
     faces = {}
+    sparse = A.max_weight is not None
     for n in range(1, len(levels)):
         index = levels[n - 1].index
-        mmap = {Y.basepoint[n]: Y.basepoint[n - 1]} if module else None
+        bp = Y.basepoint[n] if module is not None else None
         gates, met = _face_gates(Y, n, normalized)
         # (gate of face r, the program of (-1)^r d_r onto Y_{n-1}'s slots)
         faces_r = [
-            (gate, compile_setmap(A, setmap, Y.card(n - 1), module, mmap,
+            (gate, compile_setmap(A, setmap, Y.card(n - 1), module, bp,
                                   -1 if r % 2 else 1))
             for r, (gate, setmap) in enumerate(
                 zip(gates, map(tuple, Y.face_tab[n]))
             )
         ]
-        sparse = faces_r[0][1].memo is None
         if sparse:
             # level n - 1's support -> its index entry, for this level only
             index = dict(zip(supports[n - 1], index.values()))
         supports[n - 1] = None
         fmap = faces[n] = ChainMap(levels[n], levels[n - 1])
-        for mono, sup in zip(levels[n].index, supports[n]):
+        for (mono, entry), sup in zip(levels[n].index.items(), supports[n]):
             covered = met(sup)
             terms = []
             for gate, push in faces_r:
@@ -448,7 +433,7 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
                         if sparse else timg
                     ):
                         raise AssertionError("missing face target")
-            fmap.set_column(mono, terms)
+            fmap.set_column(entry, terms)
     return SimplicialChainComplex(levels, faces, exhausted)
 
 
@@ -722,15 +707,10 @@ def iterated_bar(A, i, window=(-6, 0), weights=None, cap=None):
         check_cap(C, cap)
         return C
     k_mod = dga.augmentation_module(A)
-    Y = simp.sphere_small(i, _sphere_level(A, i, window, weights))
+    level = required_level(simp.sphere_small(i, 0), A, window, weights)[0]
+    Y = simp.sphere_small(i, level)
     hc = hochschild_chain_with_coeff(Y, A, k_mod, window, weights, cap=cap)
     return hc.complex
-
-
-def _sphere_level(A, i, window, weights):
-    if weights is not None and A.weight_graded:
-        return min(max(0, 1 - window[0]), i * (max(weights) if weights else 0))
-    return max(0, 1 - window[0])
 
 
 # -- HKR predictions ---------------------------------------------------------

@@ -286,11 +286,12 @@ class ChainMap:
             self.blocks[key] = mat
         mat.add_to(tp, sp, coeff)
 
-    def set_column(self, source_label, terms):
-        """Set the image of a source element at once from ``(row, coeff)``
-        terms, rows in its target block: summed as plain numbers, reduced
-        mod p, zeros dropped."""
-        sd, sw, sp = self.source.index[source_label]
+    def set_column(self, entry, terms):
+        """Set the image of a source element, given by its index entry
+        (degree, weight, position), at once from ``(row, coeff)`` terms,
+        rows in its target block: summed as plain numbers, reduced mod p,
+        zeros dropped."""
+        sd, sw, sp = entry
         column = {}
         for row, v in terms:
             column[row] = column[row] + v if row in column else v

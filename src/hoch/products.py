@@ -20,7 +20,6 @@ from .hochschild import (
     _is_nondegenerate,
     _face_gates,
     _level_monomials,
-    _monomial_data,
 )
 
 
@@ -96,9 +95,8 @@ def shuffle_product(H, u, v):
                 )
             base = f.mul(cu, cv)
             # bigraded interchange: the simplicial degree of v crosses the
-            # internal degree of u
-            int_u = _monomial_data(Y, p, A, None, monoU)[0]
-            if (q * int_u) % 2:
+            # internal degree of u, its total degree plus p
+            if q * (index[p, monoU][0] + p) % 2:
                 base = f.neg(base)
             for push in programs[p, q]:
                 for mono, c in push(monoU + monoV).items():
@@ -511,8 +509,7 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
     # that they cost no memory between calls
     for p, q in pushed_f:
         for push in _wedge_programs(data_x.Y, data_y.Y, data_wedge, p, q):
-            if push.memo is not None:
-                push.memo.clear()
+            push.memo.clear()
     return out
 
 

@@ -131,6 +131,21 @@ CASES = {
         lambda: algebra(augmentation={0: ONE, 1: ONE}),
         "T: augmentation not multiplicative",
     ),
+    # x and y in degree 0, square-zero, d x = y: every axiom holds, but d
+    # keeps the degree
+    "differential grading": (
+        lambda: algebra(
+            basis=[("1", 0, 0), ("x", 0, 1), ("y", 0, 1)],
+            mult={
+                **{(0, i): {i: ONE} for i in range(3)},
+                **{(i, 0): {i: ONE} for i in range(1, 3)},
+                **{(i, j): {} for i in (1, 2) for j in (1, 2)},
+            },
+            diff={1: {2: ONE}},
+        ),
+        "T: differential must raise the degree by 1 and keep the weight "
+        "at 1",
+    ),
     # -- DGAlgebra: accessors ---------------------------------------------
     "materialized weight": (
         lambda: dga.polynomial(QQ, max_weight=3).product(2, 2),
@@ -170,6 +185,20 @@ CASES = {
     "module Leibniz": (
         lambda: two_dim_module({(1, 0): {1: ONE}}, diff={0: {0: ONE}}),
         "M: module Leibniz fails",
+    ),
+    # x acts as 0, so d m0 = m1 satisfies Leibniz, yet keeps the degree
+    "module differential grading": (
+        lambda: two_dim_module({}, diff={0: {1: ONE}}),
+        "M: differential must raise the degree by 1 and keep the weight "
+        "at 0",
+    ),
+    # a right module has no Leibniz check, but its grading is audited
+    "right module differential grading": (
+        lambda: module(trunc(2), None, basis=(("m0", 0, 0), ("m1", 0, 1)),
+                       right={(m, 0): {m: ONE} for m in range(2)},
+                       diff={0: {1: ONE}}),
+        "M: differential must raise the degree by 1 and keep the weight "
+        "at 0",
     ),
     "no left action": (
         lambda: one_dim_module([ONE], "right").act_left(0, 0),

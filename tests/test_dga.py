@@ -193,14 +193,27 @@ def test_multiop_functoriality_exhaustive(QQ, exterior):
 def test_apply_setmap_module_slot(QQ, trunc2):
     m = dga.algebra_as_bimodule(trunc2)
     # merge an algebra slot into the module slot: x . x^m
-    out = dga.apply_setmap(
-        trunc2, (0, 0), (1, 1), module=m, module_slot_map={0: 0}
-    )
+    out = dga.apply_setmap(trunc2, (0, 0), (1, 1), module=m, module_slot=0)
     assert out == {}  # x·x = 0 in the module
-    out2 = dga.apply_setmap(
-        trunc2, (0, 0), (0, 1), module=m, module_slot_map={0: 0}
-    )
+    out2 = dga.apply_setmap(trunc2, (0, 0), (0, 1), module=m, module_slot=0)
     assert out2 == {(1,): QQ.field.one}
+
+
+@pytest.mark.parametrize("setmap, slot", [
+    ((1, 0), 0),  # the module slot moves
+    ((0, 0, 1), 1),  # it merges into another slot
+    ((0, 1), 2),  # it is not a source slot
+    ((0, 1), None),  # a module with no module slot
+])
+def test_a_map_that_moves_the_module_slot_is_refused(trunc2, setmap, slot):
+    """Module coefficients sit at the basepoint, and only pointed maps act
+    on them: a slot map that does not keep the module slot in place is
+    refused when it is compiled, whatever the monomial."""
+    m = dga.algebra_as_bimodule(trunc2)
+    with pytest.raises(ValueError, match="keep the module slot"):
+        dga.compile_setmap(trunc2, setmap, module=m, module_slot=slot)
+    with pytest.raises(ValueError, match="keep the module slot"):
+        dga.apply_setmap(trunc2, setmap, (0,) * len(setmap), m, slot)
 
 
 def test_koszul_sign():
@@ -274,14 +287,13 @@ def test_multiop_functoriality_hypothesis(QQ, ns, nm, nt, data):
 
 
 def _reference_apply_setmap(A, setmap, monomial, module=None,
-                            module_slot_map=None):
-    """The generic fold: every source slot is walked, the Koszul sign is
-    taken over all non-unit factors, every fold step is multiplied in the
-    field and the output tuple is rebuilt slot by slot."""
+                            module_slot=None):
+    """The generic fold on a pointed map (the module, when given, in a
+    slot the map keeps in place): every source slot is walked, the Koszul
+    sign is taken over all non-unit factors, every fold step is multiplied
+    in the field and the output tuple is rebuilt slot by slot."""
     f = A.coefficients.field
-    module_src = None
-    if module_slot_map:
-        (module_src, module_tgt), = module_slot_map.items()
+    module_src = module_slot if module is not None else None
     n_targets = 1 + max(setmap) if setmap else 0
     factors = []  # (source_slot, degree, kind, basis_pos)
     for s, t in enumerate(setmap):
@@ -323,23 +335,9 @@ def _reference_apply_setmap(A, setmap, monomial, module=None,
         results = out
     final = {}
     for c, mono in results:
-        if f.is_zero(c):
-            continue
-        tgt = []
-        for t in range(n_targets):
-            if module_slot_map and t == module_tgt:
-                kind, p = mono.get(t, (None, None))
-                if kind is None:
-                    break  # the module slot must receive the module factor
-                if kind != "m":
-                    raise ValueError("module slot received algebra factor")
-            else:
-                kind, p = mono.get(t, ("a", A.unit))
-                if kind != "a":
-                    raise ValueError("algebra slot received module factor")
-            tgt.append(p)
-        else:
-            dga._acc(final, tuple(tgt), c, f)
+        if not f.is_zero(c):
+            tgt = tuple(mono.get(t, ("a", A.unit))[1] for t in range(n_targets))
+            dga._acc(final, tgt, c, f)
     return final
 
 
@@ -420,17 +418,18 @@ ORACLE_CASES = {  # field -> [(algebra, modules)]
 
 def _calls(A, module, setmap):
     """Every monomial on the slots of ``setmap``, with the module (when
-    given) in each source slot, sent to each target slot."""
-    k, m = len(setmap), 1 + max(setmap, default=0)
+    given) in each source slot that the setmap keeps in place."""
+    k = len(setmap)
     if module is None:
         for mono in iproduct(range(A.dim), repeat=k):
             yield A, setmap, mono, None, None
         return
     for s in range(k):
+        if setmap[s] != s:
+            continue
         ranges = [range(module.dim if i == s else A.dim) for i in range(k)]
-        for t in range(m):
-            for mono in iproduct(*ranges):
-                yield A, setmap, mono, module, {s: t}
+        for mono in iproduct(*ranges):
+            yield A, setmap, mono, module, s
 
 
 @pytest.mark.parametrize("field", sorted(ORACLE_FIELDS))
@@ -451,12 +450,8 @@ def test_apply_setmap_matches_reference_exhaustive(field):
                                 seen.add(got[1])
                             calls += 1
     assert calls > 10000
-    # the past-the-weight error and both module-slot errors were met
-    assert {
-        "k[x]: product exceeds materialized weight 3",
-        "module slot received algebra factor",
-        "algebra slot received module factor",
-    } <= seen
+    # the past-the-weight error was met
+    assert "k[x]: product exceeds materialized weight 3" in seen
 
 
 @settings(max_examples=300, deadline=None)
@@ -468,39 +463,50 @@ def test_apply_setmap_matches_reference_hypothesis(data):
     k = data.draw(st.integers(0, 6))
     m = data.draw(st.integers(1, 6))
     setmap = tuple(data.draw(st.integers(0, m - 1)) for _ in range(k))
-    slot_map = None
-    if module is not None and k:
-        slot_map = {data.draw(st.integers(0, k - 1)):
-                    data.draw(st.integers(0, m - 1))}
+    # the module sits in a slot the setmap keeps in place, if it has one
+    kept = [s for s in range(k) if setmap[s] == s]
+    slot = None
+    if module is not None and kept:
+        slot = data.draw(st.sampled_from(kept))
+    else:
+        module = None
     mono = tuple(
-        data.draw(st.integers(0, (module if slot_map and s in slot_map
-                                  else A).dim - 1))
+        data.draw(st.integers(0, (module if s == slot else A).dim - 1))
         for s in range(k)
     )
-    args = (A, setmap, mono, module, slot_map)
+    args = (A, setmap, mono, module, slot)
     assert _outcome(dga.apply_setmap, *args) == _outcome(
         _reference_apply_setmap, *args
     )
 
 
 def test_zero_fold_leaves_a_later_error_standing():
-    """A zero fold ends a run only where no later fold can raise: here the
-    module factor kills target 0 (x acts as 0 on k), and target 1 then
-    multiplies past the materialized weight, or needs the left action of
-    a module that has none."""
+    """Every fold runs to its end, so a zero at one target leaves an error
+    at a later one standing: here target 0 is zero (x acts as 0 on k, or
+    x·x = 0), and target 1 then multiplies past the materialized weight,
+    or needs the left action of a module that has none.  The second is a
+    memo program, which keeps no outcome for a fold that raises, so it
+    raises again on the next run."""
     F5 = Coefficients("prime-field", 5)
     A = dga.polynomial(F5, max_weight=3)
     with pytest.raises(AlgebraClassError,
                        match="product exceeds materialized weight 3"):
         dga.apply_setmap(A, (0, 0, 1, 1), (0, 1, 2, 2),
-                         dga.augmentation_module(A), {0: 0})
+                         dga.augmentation_module(A), 0)
     T = dga.truncated_polynomial(Coefficients(), 2)
     right_only, E, _left = hh.enveloping_modules(T)
     x = E.labels.index(("1", "x^1"))  # x·x = 0 in the envelope
-    args = (E, (0, 0, 1, 1), (x, x, x, 0), right_only, {3: 1})
+    # slot 0 acts on the module in slot 1 from the left
+    args = (E, (1, 1, 0, 0), (x, 0, x, x), right_only, 1)
+    error = (ValueError, "k[x]/x^2 (right over envelope): no left action")
     assert _outcome(dga.apply_setmap, *args) == _outcome(
         _reference_apply_setmap, *args
-    ) == (ValueError, "k[x]/x^2 (right over envelope): no left action")
+    ) == error
+    push = dga.compile_setmap(E, (1, 1, 0, 0), 2, right_only, 1)
+    assert push.memo is not None
+    for _ in range(2):
+        assert _outcome(push, (x, 0, x, x)) == error
+    assert push.memo == {}
 
 
 def _unreduced_algebra():
@@ -570,16 +576,13 @@ def test_programs_match_reference_on_real_faces():
                 for Y in spaces:
                     for setmap, n, m in _real_setmaps(Y):
                         bp = Y.basepoint[n]
-                        slot_map = None if module is None else {
-                            bp: Y.basepoint[m]
-                        }
                         push = dga.compile_setmap(
-                            A, setmap, Y.card(m), module, slot_map
+                            A, setmap, Y.card(m), module, bp
                         )
                         for _ in range(3):
                             mono = tuple(
                                 rng.randrange(module.dim)
-                                if slot_map and s == bp
+                                if module is not None and s == bp
                                 else rng.choice((A.unit, rng.randrange(A.dim)))
                                 for s in range(Y.card(n))
                             )
@@ -588,7 +591,7 @@ def test_programs_match_reference_on_real_faces():
                                 lambda mono: {
                                     w + (A.unit,) * (Y.card(m) - len(w)): c
                                     for w, c in _reference_apply_setmap(
-                                        A, setmap, mono, module, slot_map
+                                        A, setmap, mono, module, bp
                                     ).items()
                                 },
                                 mono,
@@ -614,22 +617,19 @@ def test_programs_match_reference_on_real_faces():
 
 
 def _reference_compile_setmap(A, setmap, n_targets=None, module=None,
-                              module_slot_map=None):
-    """The face program that folds every run anew: its coefficient starts
-    at the Koszul sign, the representatives are gathered into a full image
-    and the merging factors folded into it, and a zero fold ends the run
-    only where no later fold can raise."""
+                              module_slot=None):
+    """The face program of a pointed map that folds every run anew: its
+    coefficient starts at the Koszul sign, the representatives are
+    gathered into a full image and the merging factors folded into it."""
     unit, k = A.unit, len(setmap)
     if n_targets is None:
         n_targets = 1 + max(setmap) if setmap else 0
     fibres = [[] for _ in range(n_targets)]
     for s, t in enumerate(setmap):
         fibres[t].append(s)
-    msrc = mtgt = tm = None
-    if module_slot_map:
-        (msrc, mtgt), = module_slot_map.items()
-        if msrc in range(k):
-            tm = setmap[msrc]
+    msrc = tm = None
+    if module is not None:
+        msrc = tm = module_slot
     kinds = [(dga._constants(A, "product"), True)]
     if tm is not None:
         kinds += [
@@ -648,17 +648,6 @@ def _reference_compile_setmap(A, setmap, n_targets=None, module=None,
     keys = [(t, s) for s, t in enumerate(setmap)]
     signed = any(a > b for a, b in zip(setmap, setmap[1:])) and any(
         d % 2 for degs in degrees for d in degs
-    )
-    fault = empty = None
-    if module_slot_map and tm != mtgt:
-        if 0 <= mtgt < n_targets and (tm is None or mtgt < tm):
-            fault, empty = "module slot received algebra factor", fibres[mtgt]
-        elif tm is not None:
-            fault = "algebra slot received module factor"
-    stop = A.max_weight is None and (
-        tm is None
-        or module.left is not None
-        and (module.symmetric or module._right is not None)
     )
     f = A.coefficients.field
     coerced = dga._Table(
@@ -690,19 +679,11 @@ def _reference_compile_setmap(A, setmap, n_targets=None, module=None,
             if len(prod) == 1:
                 (image[t], e), = prod
                 coeff *= e
-            elif prod or not stop:
-                spread[t] = [(e, q) for q, e in prod]
             else:
-                return {}
-        if empty is not None and all(monomial[s] == unit for s in empty):
-            return {}
+                spread[t] = [(e, q) for q, e in prod]
         if not spread:
             c = coerced[coeff]
-            if c is None:
-                return {}
-            if fault:
-                raise ValueError(fault)
-            return {tuple(image): c}
+            return {} if c is None else {tuple(image): c}
         out = {}
         for combo in iproduct(*spread.values()):
             c = coeff
@@ -710,23 +691,21 @@ def _reference_compile_setmap(A, setmap, n_targets=None, module=None,
                 image[t] = q
                 c *= e
             c = coerced[c]
-            if c is None:
-                continue
-            if fault:
-                raise ValueError(fault)
-            dga._acc(out, tuple(image), c, f)
+            if c is not None:
+                dga._acc(out, tuple(image), c, f)
         return out
 
     return run
 
 
 def _program_cases():
-    """(A, setmap, n_targets, module, module_slot_map, sign, monomials):
-    every face of three spaces over k[x]/x² and k[x]/x³ over Q, F_2 and
-    F_3 with alternating face signs, and every setmap {0..k-1} -> {0..m-1},
+    """(A, setmap, n_targets, module, module_slot, sign, monomials): every
+    face of three spaces over k[x]/x² and k[x]/x³ over Q, F_2 and F_3
+    with alternating face signs, and every setmap {0..k-1} -> {0..m-1},
     k, m <= 3, over Λ(x), the unreduced F_3 algebra, the two-term algebra
-    and, with each source slot sent to each target, k[x]/x³ over itself
-    and over k; on every monomial of each."""
+    and, with the module in each slot the setmap keeps in place, k[x]/x³
+    over k, over itself and over itself twisted on the right; on every
+    monomial of each."""
     spaces = [simp.circle(4), simp.wedge(simp.circle(3), simp.circle(3)),
               simp.sphere_small(2, 4)]
     fields = [Coefficients(), Coefficients("prime-field", 2),
@@ -744,18 +723,16 @@ def _program_cases():
     small = [(A, None) for A in (
         dga.exterior(Coefficients()), _unreduced_algebra(),
         _two_term_algebra(Coefficients("prime-field", 5)),
-    )] + [(trunc3, dga.algebra_as_bimodule(trunc3)),
-          (trunc3, dga.augmentation_module(trunc3))]
+    )] + [(trunc3, module) for module in _oracle_modules(trunc3)[1:]]
     for A, module in small:
         for k in range(4):
             for m in range(1, 4):
                 for i, setmap in enumerate(iproduct(range(m), repeat=k)):
                     runs = {}
-                    for _, _, mono, _, slot_map in _calls(A, module, setmap):
-                        key = tuple(slot_map.items()) if slot_map else None
-                        runs.setdefault(key, (slot_map, []))[1].append(mono)
-                    for slot_map, monos in runs.values():
-                        yield (A, setmap, m, module, slot_map,
+                    for _, _, mono, _, slot in _calls(A, module, setmap):
+                        runs.setdefault(slot, []).append(mono)
+                    for slot, monos in runs.items():
+                        yield (A, setmap, m, module, slot,
                                -1 if i % 2 else 1, monos)
 
 
@@ -765,10 +742,10 @@ def test_programs_match_the_reference_fold_on_every_monomial():
     in the same order, the same value types, the same errors."""
     seen, cases, runs, hits = set(), 0, 0, 0
     negative = vanished = False
-    for A, setmap, n, module, slot_map, sign, monos in _program_cases():
+    for A, setmap, n, module, slot, sign, monos in _program_cases():
         f = A.coefficients.field
-        push = dga.compile_setmap(A, setmap, n, module, slot_map, sign)
-        ref = _reference_compile_setmap(A, setmap, n, module, slot_map)
+        push = dga.compile_setmap(A, setmap, n, module, slot, sign)
+        ref = _reference_compile_setmap(A, setmap, n, module, slot)
 
         def want(mono):
             return {w: c if sign > 0 else f.neg(c)
@@ -787,8 +764,6 @@ def test_programs_match_the_reference_fold_on_every_monomial():
         vanished |= A.name == "unreduced" and None in push.memo.values()
         cases += 1
     assert cases > 500 and runs > 50000 and hits > runs // 2
-    assert {"module slot received algebra factor",
-            "algebra slot received module factor"} <= seen
     assert negative and vanished
 
 
@@ -844,22 +819,20 @@ def test_a_program_over_a_materialized_algebra_keeps_no_memo(monkeypatch):
 
 
 def _reference_dense_program(A, setmap, n_targets=None, module=None,
-                             module_slot_map=None, sign=1):
-    """The program that folded whole monomials where no memo is kept (a
-    materialized algebra, or a module without an action), before programs
-    folded supports: it reads every merge step of the monomial, target by
-    target, and gives images on every target slot."""
+                             module_slot=None, sign=1):
+    """The program of a pointed map that folded whole monomials over a
+    materialized algebra, before programs folded supports: it reads every
+    merge step of the monomial, target by target, and gives images on
+    every target slot."""
     unit, k = A.unit, len(setmap)
     if n_targets is None:
         n_targets = 1 + max(setmap) if setmap else 0
     fibres = [[] for _ in range(n_targets)]
     for s, t in enumerate(setmap):
         fibres[t].append(s)
-    msrc = mtgt = tm = None
-    if module_slot_map:
-        (msrc, mtgt), = module_slot_map.items()
-        if msrc in range(k):
-            tm = setmap[msrc]
+    msrc = tm = None
+    if module is not None:
+        msrc = tm = module_slot
     merging = [t for t, fibre in enumerate(fibres) if len(fibre) > 1]
     steps = [(s, t) for t in merging for s in fibres[t][1:]]
     tail = () if all(fibres) else (unit,)
@@ -883,12 +856,6 @@ def _reference_dense_program(A, setmap, n_targets=None, module=None,
     signed = any(a > b for a, b in zip(setmap, setmap[1:])) and any(
         d % 2 for degs in degrees for d in degs
     )
-    fault = empty = None
-    if module_slot_map and tm != mtgt:
-        if 0 <= mtgt < n_targets and (tm is None or mtgt < tm):
-            fault, empty = "module slot received algebra factor", fibres[mtgt]
-        elif tm is not None:
-            fault = "algebra slot received module factor"
     f = A.coefficients.field
     coerced = dga._Table(
         lambda c: None if f.is_zero(v := f.coerce(c)) else v
@@ -940,12 +907,8 @@ def _reference_dense_program(A, setmap, n_targets=None, module=None,
 
     def run(monomial):
         outcome = fold(monomial)
-        if outcome is None or empty is not None and all(
-            monomial[s] == unit for s in empty
-        ):
+        if outcome is None:
             return {}
-        if fault:
-            raise ValueError(fault)
         c = sign * dga.koszul_sign([
             (order, d) for order, degs, p in zip(orders, degrees, monomial)
             if (d := degs[p]) % 2
@@ -986,18 +949,13 @@ def test_support_programs_match_the_dense_fold():
             for Y in spaces:
                 for i, (setmap, n, m) in enumerate(_real_setmaps(Y)):
                     bp, sign = Y.basepoint[n], -1 if i % 2 else 1
-                    slot_map = None if module is None else {
-                        bp: Y.basepoint[m]
-                    }
                     push = dga.compile_setmap(A, setmap, Y.card(m), module,
-                                              slot_map, sign)
+                                              bp, sign)
                     ref = _reference_dense_program(A, setmap, Y.card(m),
-                                                   module, slot_map, sign)
+                                                   module, bp, sign)
                     assert push.memo is None
-                    # the module slots of source and target, kept in supports
-                    keep, kept = (None, None) if module is None else (
-                        bp, Y.basepoint[m]
-                    )
+                    # the module slot, kept in place and in the supports
+                    keep = None if module is None else bp
                     free = [s for s in range(Y.card(n)) if s != keep]
                     for _ in range(4):
                         mono = [A.unit] * Y.card(n)
@@ -1009,7 +967,7 @@ def test_support_programs_match_the_dense_fold():
                         mono = tuple(mono)
                         got = _outcome(push, dga._support(mono, A.unit, keep))
                         want = _outcome(lambda mono: {
-                            dga._support(w, A.unit, kept): c
+                            dga._support(w, A.unit, keep): c
                             for w, c in ref(mono).items()
                         }, mono)
                         assert got == want, (A.name, Y.name, setmap, mono)

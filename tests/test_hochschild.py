@@ -13,7 +13,9 @@ from hoch import cli, dga, simp
 from hoch import hochschild as hh
 from hoch.homalg import NEG_INF, POS_INF, ChainComplex, Coefficients
 from hoch.hochschild import TruncationError
-from tests_support import count_compiles, count_runs, koszul_algebra
+from tests_support import (
+    count_compiles, count_runs, internal_key, koszul_algebra,
+)
 
 
 def scaling(A, c):
@@ -728,13 +730,13 @@ def test_enumeration_cap_boundary(Y, A, weights):
         keyed = hh._level_monomials(Y, n, A, module, weights, None, True)
         monos = [mono for mono, _key, _sup in keyed]
         blocks = Counter(
-            hh._monomial_data(Y, n, A, module, mono) for mono in monos
+            internal_key(Y, n, A, module, mono) for mono in monos
         )
         # each monomial comes with its (internal degree, weight) and its
         # support, the module slot always in it
         keep = None if module is None else Y.basepoint[n]
         assert all(
-            key == hh._monomial_data(Y, n, A, module, mono)
+            key == internal_key(Y, n, A, module, mono)
             and sup == dga._support(mono, A.unit, keep)
             for mono, key, sup in keyed
         )

@@ -192,15 +192,13 @@ def _reference_simplicial_ch(Y, A, module, window, weights, normalized=True):
     faces = {}
     for n in range(1, len(levels)):
         src, tgt = levels[n], levels[n - 1]
-        mmap = None
-        if module is not None:
-            mmap = {Y.basepoint[n]: Y.basepoint[n - 1]}
         for r in range(n + 1):
             setmap = tuple(Y.face_tab[n][r])
             fmap = ChainMap(src, tgt)
             for mono in src.index:
                 image = dga.apply_setmap(
-                    A, setmap, mono, module=module, module_slot_map=mmap
+                    A, setmap, mono, module=module,
+                    module_slot=Y.basepoint[n] if module else None,
                 )
                 for timg, v in image.items():
                     full = timg + (A.unit,) * (Y.card(n - 1) - len(timg))

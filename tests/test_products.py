@@ -15,7 +15,7 @@ from hoch import hochschild as hh
 from hoch import products as pr
 from hoch.homalg import ChainComplex, Coefficients
 from hoch.linalg import SubquotientSpace, kernel_basis
-from tests_support import count_compiles, koszul_algebra
+from tests_support import count_compiles, internal_key, koszul_algebra
 
 
 def add(field, a, b, sign=1):
@@ -197,7 +197,7 @@ def _reference_shuffle_product(H, u, v):
                     "shuffle target level exceeds the materialized window"
                 )
             base = f.mul(cu, cv)
-            int_u = hh._monomial_data(Y, p, A, None, monoU)[0]
+            int_u = internal_key(Y, p, A, None, monoU)[0]
             if (q * int_u) % 2:
                 base = f.neg(base)
             for mu, nu, sgn in _reference_shuffles(p, q):
@@ -604,7 +604,7 @@ def _reference_cochain_complex(Y, A, module, top):
     out = ChainComplex(A.coefficients)
     for n in range(top + 1):
         for arg in args[n]:
-            adeg, _ = hh._monomial_data(Y, n, A, None, arg)
+            adeg, _ = internal_key(Y, n, A, None, arg)
             for m in range(module.dim):
                 out.add_element((n, arg, m), n + module.degrees[m] - adeg, 0)
     arg_index = [set(a) for a in args]
@@ -626,7 +626,7 @@ def _reference_cochain_complex(Y, A, module, top):
                     if rest not in argset:
                         continue
                     before = sum(A.degrees[p] for p in full[:bp_tgt])
-                    adeg = hh._monomial_data(Y, n, A, None, rest)[0]
+                    adeg = internal_key(Y, n, A, None, rest)[0]
                     for m in range(module.dim):
                         phid = module.degrees[m] - adeg
                         sgn = 1
@@ -655,7 +655,7 @@ def _reference_cochain_complex(Y, A, module, top):
             for tgt, c in hh._internal_diff(A, None, None, u).items():
                 if tgt not in arg_index[n]:
                     continue
-                adeg = hh._monomial_data(Y, n, A, None, tgt)[0]
+                adeg = internal_key(Y, n, A, None, tgt)[0]
                 for m in range(module.dim):
                     phid = module.degrees[m] - adeg
                     sgn_phi = f.coerce(1 if phid % 2 else -1)
@@ -688,7 +688,7 @@ def _reference_evaluate_pushed(data, fch_level, level_from, count, which,
         for (pp, arg, m), coeff in fch_level.items():
             if arg != rest:
                 continue
-            adeg = hh._monomial_data(Y, pp, A, None, arg)[0]
+            adeg = internal_key(Y, pp, A, None, arg)[0]
             phid = module.degrees[m] - adeg
             sgn = 1
             if A.degrees[b] % 2 and before % 2:
@@ -721,7 +721,7 @@ def _reference_wedge_product(data_x, data_y, data_wedge, fch, gch):
         q, garg, gm = glabel
         gdeg = (
             data_y.module.degrees[gm]
-            - hh._monomial_data(data_y.Y, q, A, None, garg)[0]
+            - internal_key(data_y.Y, q, A, None, garg)[0]
         )
         gpart = {glabel: gcoeff}
         by_level_f = {}
@@ -743,7 +743,7 @@ def _reference_wedge_product(data_x, data_y, data_wedge, fch, gch):
                 )
                 if not valG:
                     continue
-                xdeg = hh._monomial_data(data_x.Y, n, A, None, xfull)[0]
+                xdeg = internal_key(data_x.Y, n, A, None, xfull)[0]
                 sgn = f.coerce(-1 if (gdeg * xdeg) % 2 else 1)
                 for mX, cf in valF.items():
                     for mY, cg in valG.items():

@@ -28,11 +28,23 @@ def constant_simplicial(complex_, top_level):
     for n in range(1, top_level + 1):
         m = faces[n] = ChainMap(complex_, complex_)
         face_sum = sum((-1) ** r for r in range(n + 1)) * one
-        for lab, (_d, _w, pos) in complex_.index.items():
-            m.set_column(lab, [(pos, face_sum)])
+        for entry in complex_.index.values():
+            m.set_column(entry, [(entry[2], face_sum)])
     return SimplicialChainComplex(
         [complex_] * (top_level + 1), faces, exhausted=False
     )
+
+
+def internal_key(Y, n, A, module, mono):
+    """(internal degree, weight) of a level-n monomial of Y, the module
+    (when given) at the basepoint: the sums over its slots."""
+    bp = Y.basepoint[n] if module is not None else None
+    deg = wt = 0
+    for s, p in enumerate(mono):
+        X = module if s == bp else A
+        deg += X.degrees[p]
+        wt += X.weights[p]
+    return deg, wt
 
 
 def koszul_algebra(coefficients):
