@@ -769,7 +769,7 @@ def _whole(support, card, unit):
 
 
 def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
-                   sign=1):
+                   sign=1, coerce=True):
     """The program ``push`` of a map of slot sets (Eq.-7 style): for a
     monomial (A-basis positions per source slot; with a ``module``, slot
     ``module_slot`` holds a module position and merges through the
@@ -794,7 +794,7 @@ def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
     coefficients (several when a constant has several terms; terms and
     sums that vanish in the field dropped).  A run multiplies each by
     ``sign`` and its monomial's Koszul sign and coerces it into the field
-    once.
+    once (without ``coerce``: keeps it plain, for a caller that sums first).
 
     Over an algebra with no ``max_weight``, ``push`` takes and gives whole
     monomials, and ``push.memo`` keeps one outcome per merge key (the
@@ -860,6 +860,7 @@ def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
     f = A.coefficients.field
     # plain coefficient -> its field value, or None for zero
     coerced = _Table(lambda c: None if f.is_zero(v := f.coerce(c)) else v)
+    give = coerced if coerce else _Table(lambda c: c)  # a run's values
 
     def fold(cells, freeze):
         """The outcome of the factors ``cells``, (target, slot, position)
@@ -916,7 +917,7 @@ def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
 
     # no fold and no Koszul sign: the image of a support whose factors
     # all reach distinct targets is coefficient ``sign``
-    plain, scaled = not signed, coerced[sign]
+    plain, scaled = not signed, give[sign]
 
     def fold_support(support):
         merged = {}
@@ -939,7 +940,7 @@ def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
         c = sign * koszul_sign([
             (orders[s], d) for s, p in support if (d := degrees[s][p]) % 2
         ]) if signed else sign
-        return {image: coerced[c * e] for image, e in outcome}
+        return {image: give[c * e] for image, e in outcome}
 
     if A.max_weight is not None:
         fold_support.memo, fold_support.owners = None, (A, module)
@@ -974,7 +975,7 @@ def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
         ]) if signed else sign
         out = {}
         for merged, e in outcome:
-            out[assemble(monomial + merged)] = coerced[c * e]
+            out[assemble(monomial + merged)] = give[c * e]
         return out
 
     run.memo, run.owners = memo, (A, module)

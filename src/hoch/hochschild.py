@@ -69,11 +69,12 @@ class HochschildComplex:
 
 
 def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
-                     unit_slot=None):
+                     unit_slot=None, supports=True):
     """Monomials at level n, each as ``(monomial, (internal degree,
     weight), support)``: a monomial is a tuple of basis positions per slot
     of Y_n, and its support the (slot, position) pairs of its non-unit
-    slots and its module slot, in slot order (``dga._support``).
+    slots and its module slot, in slot order (``dga._support``), or None
+    without ``supports``.
 
     The basepoint slot (when a module is given) carries module positions.
     Normalized: the non-unit algebra support must meet every degeneracy-
@@ -154,8 +155,8 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
     mono = [A.unit] * card  # their monomial
 
     def record(wt, deg):
-        sup = tuple(picks)
-        if module is not None:
+        sup = tuple(picks) if supports else None
+        if supports and module is not None:
             # the picks lie in slot order; the module slot goes among them
             cut = bisect_left(picks, (bp,))
             head, rest = sup[:cut], sup[cut:]
@@ -167,7 +168,7 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
                 continue
             if mpair is not None:
                 mono[bp] = mpair[1]
-                sup = head + (mpair,) + rest
+                sup = head + (mpair,) + rest if supports else None
             monos.append((tuple(mono), key, sup))
             if cap is not None:
                 count = counts[key] = counts.get(key, 0) + 1
@@ -318,7 +319,8 @@ def build_levels(Y, A, module=None, window=(-6, 0), weights=None,
     ``blocks`` maps each (degree, weight) block of the total complex to its
     dimension, the sum over n of the level-n blocks at (degree + n,
     weight); and ``supports[n]`` lists the supports of level n's labels
-    (see ``_level_monomials``) in the same order.
+    (see ``_level_monomials``) in the same order, each None unless the
+    programs fold supports or a face of level n has masks.
 
     With a ``cap``, InfeasibleError is raised as soon as one block of the
     total complex is larger: within a level by the enumeration, and after
@@ -352,7 +354,8 @@ def build_levels(Y, A, module=None, window=(-6, 0), weights=None,
         lo = None if min_int is None else min_int + n
         c = ChainComplex(A.coefficients)
         keyed = _level_monomials(Y, n, A, module, weights, lo, normalized,
-                                 cap=cap)
+                                 cap=cap, supports=A.max_weight is not None
+                                 or any(_face_gates(Y, n, normalized)[0]))
         for mono, (d, w), _ in keyed:
             c.add_element(mono, d, w)
         supports.append([sup for _, _, sup in keyed])

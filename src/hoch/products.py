@@ -7,7 +7,7 @@ the exactness of unit/associativity/commutativity/Leibniz at chain level
 is enforced by the test battery.
 """
 
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 from . import dga
 # apply_setmap stays bound here for perfbench's tracer test (ROADMAP item 8)
@@ -272,12 +272,12 @@ class CochainComplexData:
     element; weights are collapsed to 0.  ``arg_degrees[n]`` maps each
     level-n argument, in sorted order, to its internal degree.
 
-    The coboundary is summed as plain numbers into one {column: {row:
-    value}} dict per block, keyed by positions, and coerced into the field
-    once per entry.  A face whose image is provably degenerate is not
-    pushed (``hochschild._face_gates``, the rule of the chain builder);
-    a face or internal-differential image missing from the level below
-    must be degenerate.
+    The labels of each level are laid out in one pass.  The coboundary is
+    summed as plain numbers, by position, into one {column: {row: value}}
+    dict per block, and each distinct sum is coerced once.  A face whose
+    image is provably degenerate is not pushed (``hochschild._face_gates``,
+    the rule of the chain builder); a face or internal-differential image
+    missing from the level below must be degenerate.
     """
 
     def __init__(self, Y, A, module, window=(0, 4), top=None):
@@ -289,9 +289,7 @@ class CochainComplexData:
                 "simplicial module coefficients require a symmetric bimodule"
             )
         if A.max_weight is not None:
-            raise TruncationError(
-                "cochains need a finite-dimensional algebra"
-            )
+            raise TruncationError("cochains need a finite-dimensional algebra")
         self.Y = Y
         self.A = A
         self.module = module
@@ -307,99 +305,113 @@ class CochainComplexData:
                 f"{Y.name} materialized to level {Y.top_level}, need {top}"
             )
         self.top = top
-        # the arguments of each level with their internal degrees, the
-        # gates of its faces, and per argument the bits of the face masks
-        # its support meets (hochschild._face_gates)
-        self.arg_degrees, gated = [], []
-        for n in range(top + 1):
-            keyed = _level_monomials(Y, n, A, None, None, None, True,
-                                     unit_slot=Y.basepoint[n])
-            self.arg_degrees.append({arg: adeg for arg, (adeg, _), _ in keyed})
-            gates, met = _face_gates(Y, n)
-            gated.append((gates, [met(sup) for _, _, sup in keyed]))
-        self.args = [list(table) for table in self.arg_degrees]
         out = ChainComplex(A.coefficients)
-        for n, table in enumerate(self.arg_degrees):
-            for arg, adeg in table.items():
-                for m in range(module.dim):
-                    out.add_element((n, arg, m), n + mdeg[m] - adeg, 0)
-        index = out.index
-        blocks = {}  # (degree, weight) -> {column: {row: plain number}}
+        index, blocks = out.index, out.blocks
+        cols = {}  # degree -> {column: {row: plain number}} of its block
+        # per level: the arguments with their internal degrees; per
+        # argument the index entries of its labels (n, arg, m), m in
+        # order; the gates of the faces and, where a face has masks, per
+        # argument the bits of the masks its support meets
+        # (hochschild._face_gates)
+        self.arg_degrees, at, gated = [], [], []
+        for n in range(top + 1):
+            gates, met = _face_gates(Y, n)
+            keyed = _level_monomials(Y, n, A, None, None, None, True,
+                                     unit_slot=Y.basepoint[n],
+                                     supports=any(gates))
+            self.arg_degrees.append({arg: adeg for arg, (adeg, _), _ in keyed})
+            gated.append((gates, [met(sup) for _, _, sup in keyed]
+                           if any(gates) else repeat(0)))
+            # internal degree -> the degree and block of each m
+            shapes = dga._Table(lambda adeg: [
+                (d, blocks.setdefault((d, 0), []), cols.setdefault(d, {}))
+                for d in [n + dm - adeg for dm in mdeg]
+            ])
+            at.append(spots := {})
+            for arg, (adeg, _), _ in keyed:
+                here = spots[arg] = []
+                for m, (d, block, _) in enumerate(shapes[adeg]):
+                    label = n, arg, m
+                    here.append(entry := (d, 0, len(block)))
+                    index[label] = entry
+                    block.append(label)
+        self.args = [list(table) for table in self.arg_degrees]
 
-        def add(source, target, value):
-            sd, sw, col = index[source]
-            td, tw, row = index[target]
-            if td != sd + 1 or tw != sw:
-                raise ValueError(
-                    f"coboundary entry {source!r} -> {target!r} must raise "
-                    "the degree by 1 and preserve the weight"
-                )
-            column = blocks.setdefault((sd, sw), {}).setdefault(col, {})
-            column[row] = column.get(row, 0) + value
+        def add(source, target, value):  # by the labels' index entries
+            column = cols[source[0]].setdefault(source[2], {})
+            column[target[2]] = column.get(target[2], 0) + value
 
         # the faces, dualized: a face image w of a level-lvl argument u
         # splits into its basepoint factor b, which acts on the value, and
         # the level-n argument ``rest``
         left = _constants(module, "act_left")
+        unit, degrees = A.unit, A.degrees
         for lvl in range(1, top + 1):
             n = lvl - 1
             bp = Y.basepoint[n]
-            below = self.arg_degrees[n]
+            below, below_deg = at[n], self.arg_degrees[n]
             gates, covered = gated[lvl]
-            args = self.args[lvl]
-            for i, setmap in enumerate(map(tuple, Y.face_tab[lvl])):
-                push = compile_setmap(A, setmap, Y.card(n))
-                gate = gates[i]
-                for u, cov in zip(args, covered):
+            for i, (gate, setmap) in enumerate(zip(gates, Y.face_tab[lvl])):
+                push = compile_setmap(A, tuple(setmap), Y.card(n),
+                                      coerce=False)
+                for (u, rows), cov in zip(at[lvl].items(), covered):
                     if cov & gate != gate:
                         continue
                     for full, lam in push(u).items():
-                        rest = full[:bp] + (A.unit,) + full[bp + 1:]
-                        adeg = below.get(rest)
-                        if adeg is None:
+                        rest = full[:bp] + (unit,) + full[bp + 1:]
+                        spots = below.get(rest)
+                        if spots is None:
                             if _is_nondegenerate(Y, n, A, rest):
                                 raise AssertionError("missing face target")
                             continue
                         b = full[bp]
+                        odd = degrees[b] % 2
                         # |b| crosses the slots before bp and the value
-                        before = sum(A.degrees[p] for p in full[:bp]) - adeg
-                        odd = A.degrees[b] % 2
-                        if lam.denominator == 1:  # sum integral ones as int
-                            lam = lam.numerator
-                        for m in range(module.dim):
-                            odd_m = i + odd * (before + mdeg[m])
-                            sign = -1 if odd_m % 2 else 1
+                        cross = i + (odd and sum(
+                            degrees[x] for x in full[:bp]) - below_deg[rest])
+                        for m, (sd, _, col) in enumerate(spots):
+                            v = -lam if (cross + odd * mdeg[m]) % 2 else lam
+                            columns = cols[sd]
                             for q, c in left[b, m]:
-                                add((n, rest, m), (lvl, u, q), sign * c * lam)
-        for n, table in enumerate(self.arg_degrees):
+                                td, _, row = rows[q]
+                                if td != sd + 1:  # a misgraded action
+                                    raise ValueError(
+                                        f"coboundary entry {(n, rest, m)!r}"
+                                        f" -> {(lvl, u, q)!r} must raise the"
+                                        " degree by 1 and preserve the weight")
+                                column = columns.setdefault(col, {})
+                                column[row] = column.get(row, 0) + c * v
+        # the differentials of M and A raise the degree by 1 (audited)
+        for n, level in enumerate(at):
             sign_n = -1 if n % 2 else 1
-            for u in table:
+            for u, spots in level.items():
                 # d_M after phi
-                for m in range(module.dim):
+                for m in range(module.dim if module.diff else 0):
                     for q, c in module.d(m).items():
-                        add((n, u, m), (n, u, q), sign_n * c)
+                        add(spots[m], spots[q], sign_n * c)
                 # -(-1)^{|phi|_int} phi ∘ d, dualized (nothing when d = 0)
                 if not A.diff:
                     continue
                 for tgt, c in _internal_diff(A, None, None, u).items():
-                    adeg = table.get(tgt)
-                    if adeg is None:
+                    if tgt not in level:
                         if _is_nondegenerate(Y, n, A, tgt):
                             raise AssertionError("missing internal target")
                         continue
+                    adeg = self.arg_degrees[n][tgt]
                     for m in range(module.dim):
                         sign = sign_n if (mdeg[m] - adeg) % 2 else -sign_n
-                        add((n, tgt, m), (n, u, m), sign * c)
+                        add(level[tgt][m], spots[m], sign * c)
         f = A.coefficients.field
-        for (d, w), columns in blocks.items():
-            mat = out.diff[(d, w)] = SparseMatrix(
-                out.dim(d + 1, w), out.dim(d, w), f
+        coerced = dga._Table(lambda v: f.coerce(v) or None)  # 0 -> None
+        for d, columns in cols.items():
+            if not columns:
+                continue
+            mat = out.diff[(d, 0)] = SparseMatrix(
+                out.dim(d + 1, 0), out.dim(d, 0), f
             )
             for col, column in columns.items():
-                for row, v in column.items():
-                    column[row] = f.coerce(v)
-                for row in [row for row, v in column.items() if not v]:
-                    del column[row]
+                column = {row: x for row, v in column.items()
+                          if (x := coerced[v]) is not None}
                 if column:
                     mat.cols[col] = column
         # missing levels n > top only touch total degrees >= n + min_deg_m
@@ -414,15 +426,14 @@ class CochainComplexData:
 
 
 def _evaluate_pushed(data, by_arg, p, push, u_mono):
-    """Value in M of a level-p cochain, given as {arg: {m: coeff}}, on
-    the image of ``u_mono`` under the iterated face program ``push``: push
-    the argument down, let the basepoint factor act on the output.
-
-    Returns {module_pos: coeff}.
-    """
+    """Value in M, {module_pos: coeff}, of a level-p cochain, given as
+    {arg: {m: coeff}}, on the image of ``u_mono`` under the iterated face
+    program ``push`` (which gives plain coefficients): push the argument
+    down, let the basepoint factor act on the output."""
     Y, A, module = data.Y, data.A, data.module
     f = A.coefficients.field
     bp = Y.basepoint[p]
+    left = _constants(module, "act_left")
     out = {}
     for full, lam in push(u_mono).items():
         rest = full[:bp] + (A.unit,) + full[bp + 1:]
@@ -430,14 +441,14 @@ def _evaluate_pushed(data, by_arg, p, push, u_mono):
         if values is None:
             continue
         b = full[bp]
-        # |b| crosses the slots before bp and the value
-        before = sum(A.degrees[x] for x in full[:bp])
-        before -= data.arg_degrees[p][rest]
         odd = A.degrees[b] % 2
+        # |b| crosses the slots before bp and the value
+        before = odd and sum(A.degrees[x] for x in full[:bp]) - \
+            data.arg_degrees[p][rest]
         for m, coeff in values.items():
-            sgn = f.coerce(-1 if odd * (before + module.degrees[m]) % 2 else 1)
-            for q, c in module.act_left(b, m).items():
-                dga._acc(out, q, f.mul(coeff, f.mul(sgn, f.mul(lam, c))), f)
+            v = -lam if odd * (before + module.degrees[m]) % 2 else lam
+            for q, c in left[b, m]:
+                dga._acc(out, q, f.mul(coeff, v * c), f)
     return out
 
 
@@ -448,9 +459,10 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
     that values multiply.  The Eilenberg-Zilber step sends f ⊗ g at
     bidegree (p, q) to (δ^last)^q f ⊗ (δ^0)^p g evaluated on the two halves
     of a wedge argument; the basepoint slot collects a_0.  Each half is
-    pushed once per level of f and label of g: its value is kept for the
-    other wedge arguments that share it.  The halves of the arguments and
-    the face programs are kept on ``data_wedge`` for later calls; the
+    pushed once per level of f and label of g and its value kept for the
+    other wedge arguments that share it; only the arguments on whose
+    x-half f does not vanish are visited.  The arguments indexed by x-half
+    and the face programs are kept on ``data_wedge`` for later calls; the
     programs' memos are emptied when the call ends.
     """
     A = data_x.A
@@ -461,11 +473,13 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
     if not (data_x.Y.is_pointed() and data_y.Y.is_pointed()):
         raise ValueError("wedge factors must be pointed")
     f = A.coefficients.field
+    times = _constants(A, "product")
     by_level_f = {}  # p -> {arg: {m: coeff}}
     for (p, arg, m), c in fch.items():
         by_level_f.setdefault(p, {}).setdefault(arg, {})[m] = c
-    # (p, q) -> {position of an x-half: (value of f, internal degree)}
-    pushed_f = {}
+    # (p, q) -> per x-half on which f does not vanish: (value of f,
+    # internal degree, [(wedge argument, its y-half)])
+    live_f = {}
     out = {}
     for (q, garg, gm), gcoeff in gch.items():
         gdeg = data_y.module.degrees[gm] - data_y.arg_degrees[q][garg]
@@ -475,39 +489,29 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
             if n > data_wedge.top:
                 raise TruncationError("wedge product exceeds the window")
             last, first = _wedge_programs(data_x.Y, data_y.Y, data_wedge, p, q)
-            xs, ys, xi, yi = _wedge_halves(data_x.Y, data_y.Y, data_wedge, n)
-            halves_f = pushed_f.setdefault((p, q), {})
+            if (p, q) not in live_f:
+                live_f[p, q] = [
+                    (valF, sum(A.degrees[x] for x in half), args)
+                    for half, args in _wedge_halves(
+                        data_x.Y, data_y.Y, data_wedge, n).items()
+                    if (valF := _evaluate_pushed(data_x, fpart, p, last, half))
+                ]
             halves_g = {}
-            for warg, i, j in zip(data_wedge.args[n], xi, yi):
-                if i not in halves_f:
-                    halves_f[i] = (
-                        _evaluate_pushed(data_x, fpart, p, last, xs[i]),
-                        sum(A.degrees[x] for x in xs[i]),
-                    )
-                valF, xdeg = halves_f[i]
-                if not valF:
-                    continue
-                if j not in halves_g:
-                    halves_g[j] = _evaluate_pushed(
-                        data_y, gpart, q, first, ys[j]
-                    )
-                valG = halves_g[j]
-                if not valG:
-                    continue
-                # g crosses the x-half of the argument
-                sgn = f.coerce(-1 if (gdeg * xdeg) % 2 else 1)
-                for mX, cf in valF.items():
-                    for mY, cg in valG.items():
-                        for k, c in A.product(mX, mY).items():
-                            dga._acc(
-                                out,
-                                (n, warg, k),
-                                f.mul(f.mul(cf, cg), f.mul(sgn, c)),
-                                f,
-                            )
+            for valF, xdeg, args in live_f[p, q]:
+                odd = gdeg * xdeg % 2  # g crosses the x-half of the argument
+                for warg, y in args:
+                    if y not in halves_g:
+                        halves_g[y] = _evaluate_pushed(data_y, gpart, q,
+                                                       first, y)
+                    for mX, cf in valF.items():
+                        for mY, cg in halves_g[y].items():
+                            cfg = f.mul(cf, cg)
+                            for k, c in times[mX, mY]:
+                                dga._acc(out, (n, warg, k),
+                                         f.mul(cfg, -c if odd else c), f)
     # the memos of the kept programs hold this call's merge keys only, so
     # that they cost no memory between calls
-    for p, q in pushed_f:
+    for p, q in live_f:
         for push in _wedge_programs(data_x.Y, data_y.Y, data_wedge, p, q):
             push.memo.clear()
     return out
@@ -523,36 +527,28 @@ def _wedge_programs(X, Ysp, data_wedge, p, q):
         programs = data_wedge._wedge_memo[key] = (
             compile_setmap(A, _composite(
                 [X.face_tab[lvl][lvl] for lvl in range(n, p, -1)], X.card(n)
-            ), X.card(p)),
+            ), X.card(p), coerce=False),
             compile_setmap(A, _composite(
                 [Ysp.face_tab[lvl][0] for lvl in range(n, q, -1)], Ysp.card(n)
-            ), Ysp.card(q)),
+            ), Ysp.card(q), coerce=False),
         )
     return programs
 
 
 def _wedge_halves(X, Ysp, data_wedge, n):
-    """The distinct x-halves and y-halves of the level-n wedge arguments,
-    and per argument, in order, the positions of its two halves among
-    them (two lists): split once per factor spaces and level."""
+    """The level-n wedge arguments indexed by x-half, {x-half: [(argument,
+    its y-half)]} with the arguments in order: split once per factor spaces
+    and level.  After the wedge basepoint come the non-basepoint slots of
+    X, then those of Y, each in order."""
     key = (X, Ysp, n)
-    halves = data_wedge._wedge_memo.get(key)
-    if halves is None:
-        unit = data_wedge.A.unit
-        xs, ys = {}, {}  # half -> its position
-        xi, yi = [], []
+    by_x = data_wedge._wedge_memo.get(key)
+    if by_x is None:
+        by_x = data_wedge._wedge_memo[key] = {}
+        cx, bx, by = X.card(n), X.basepoint[n], Ysp.basepoint[n]
+        unit = (data_wedge.A.unit,)
         for warg in data_wedge.args[n]:
-            x, y = _split_wedge_arg(X, Ysp, n, warg, unit)
-            xi.append(xs.setdefault(x, len(xs)))
-            yi.append(ys.setdefault(y, len(ys)))
-        halves = data_wedge._wedge_memo[key] = (list(xs), list(ys), xi, yi)
-    return halves
-
-
-def _split_wedge_arg(X, Ysp, n, warg, unit):
-    """Split a wedge argument into monomials over the factor slot sets:
-    after the wedge basepoint come the non-basepoint slots of X, then
-    those of Y, each in order."""
-    cx, bx, by = X.card(n), X.basepoint[n], Ysp.basepoint[n]
-    xs, ys = warg[1:cx], warg[cx:]
-    return xs[:bx] + (unit,) + xs[bx:], ys[:by] + (unit,) + ys[by:]
+            xs, ys = warg[1:cx], warg[cx:]
+            by_x.setdefault(xs[:bx] + unit + xs[bx:], []).append(
+                (warg, ys[:by] + unit + ys[by:])
+            )
+    return by_x

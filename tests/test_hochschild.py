@@ -749,6 +749,31 @@ def test_enumeration_cap_boundary(Y, A, weights):
                                 cap=m - 1)
 
 
+@pytest.mark.parametrize("Y, A, weights, read", [
+    # whole-monomial programs, no face masks: nothing reads a support
+    (simp.circle(6), dga.truncated_polynomial(truncation=3), None, "none"),
+    # support programs read every level's
+    (simp.circle(5), dga.polynomial(max_weight=3), [1, 2, 3], "all"),
+    # whole-monomial programs; face masks from level 2 up
+    (simp.sphere_small(2, 6), dga.exterior(), None, "some"),
+])
+def test_build_levels_keeps_supports_only_where_read(Y, A, weights, read):
+    levels, _exhausted, _blocks, supports = hh.build_levels(
+        Y, A, None, (-5, 0), weights
+    )
+    reads = [A.max_weight is not None or any(hh._face_gates(Y, n)[0])
+             for n in range(len(levels))]
+    assert {"none": not any(reads), "all": all(reads),
+            "some": any(reads) and not all(reads)}[read]
+    for level, sups, kept in zip(levels, supports, reads):
+        if kept:
+            assert sups == [dga._support(m, A.unit) for m in level.index]
+        else:
+            assert sups == [None] * len(level.index)
+    assert all(sum(len(s) for s, r in zip(supports, reads) if r == kept)
+               for kept in set(reads))
+
+
 def test_build_levels_caps_the_total_blocks(exterior, trunc2):
     # with an odd and an even generator of weight 1, one total block draws
     # on several levels and is larger than every level block; the cap

@@ -5,7 +5,7 @@ import json
 import random
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -800,6 +800,12 @@ LOWER = {
 }
 
 
+# checked at top 4 as well: the size of the wedge-cochains benchmark
+BENCH_SIZE = {
+    ("trunc2", "(circle∨circle)∨circle"), ("trunc2", "circle∨(circle∨circle)"),
+}
+
+
 @pytest.mark.parametrize("space", sorted(TOPS))
 @pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
 @pytest.mark.parametrize("field", sorted(FIELDS))
@@ -807,8 +813,11 @@ def test_cochain_complex_matches_reference(field, algebra, space):
     k = FIELDS[field]
     A = ALGEBRAS[algebra](k)
     Y = _spaces()[space]
-    top = LOWER.get((algebra, space), TOPS[space])
-    for module in (dga.algebra_as_bimodule(A), dga.augmentation_module(A)):
+    tops = [LOWER.get((algebra, space), TOPS[space])]
+    if (algebra, space) in BENCH_SIZE:
+        tops.append(4)
+    for top, module in product(tops, (dga.algebra_as_bimodule(A),
+                                      dga.augmentation_module(A))):
         got = pr.CochainComplexData(Y, A, module, (0, top - 1), top)
         C = got.complex
         want = _reference_cochain_complex(Y, A, module, top)
@@ -823,9 +832,10 @@ def test_cochain_complex_matches_reference(field, algebra, space):
 
 
 @pytest.mark.parametrize("pair", ["circle,circle", "point,circle",
-                                  "circle∨circle,circle"])
+                                  "circle∨circle,circle",
+                                  "circle∨circle,circle,top4"])
 @pytest.mark.parametrize("algebra", ["trunc2", "exterior"])
-def test_wedge_product_matches_reference(QQ, pair, algebra):
+def test_wedge_product_matches_reference(QQ, pair, algebra, monkeypatch):
     N = 4
     A = ALGEBRAS[algebra](QQ)
     m = dga.algebra_as_bimodule(A)
@@ -834,6 +844,7 @@ def test_wedge_product_matches_reference(QQ, pair, algebra):
         "circle,circle": (c, c),
         "point,circle": (simp.point(N), c),
         "circle∨circle,circle": (simp.wedge(c, c), c),
+        "circle∨circle,circle,top4": (simp.wedge(c, c), c),
     }[pair]
     top = 3 if pair == "circle∨circle,circle" else N
     dx, dy, dw = (
@@ -850,6 +861,17 @@ def test_wedge_product_matches_reference(QQ, pair, algebra):
             for lab in rng.sample(labels, min(len(labels), rng.randint(1, 4)))
         }
 
+    # whether f vanishes on each x-half it is evaluated on: the arguments
+    # of a vanishing one are skipped
+    vanished, evaluate = [], pr._evaluate_pushed
+
+    def spy(data, *args):
+        value = evaluate(data, *args)
+        if data is dx:
+            vanished.append(not value)
+        return value
+
+    monkeypatch.setattr(pr, "_evaluate_pushed", spy)
     levels, parities = set(), set()
     for _ in range(12):
         fch = rand_cochain(dx, top // 2)
@@ -860,6 +882,8 @@ def test_wedge_product_matches_reference(QQ, pair, algebra):
         parities |= {dx.complex.index[lab][0] % 2 for lab in fch}
         parities |= {dy.complex.index[lab][0] % 2 for lab in gch}
     assert len(levels) > 1 and parities == {0, 1}
+    if pair == "circle∨circle,circle,top4":
+        assert any(vanished) and not all(vanished)
 
 
 def test_cochain_build_compiles_one_program_per_face(monkeypatch, trunc2):
@@ -890,8 +914,11 @@ def test_wedge_product_splits_and_compiles_once(monkeypatch, QQ, trunc2):
     assert pr.wedge_product(dc, dc, dw, fch, fch) == first
     assert len(compiled) == programs
     assert pr._wedge_halves(c, c, dw, 2) is halves
-    xs, ys, xi, yi = halves
-    assert len(xi) == len(yi) == len(dw.args[2]) > len(xs)
+    # the arguments indexed by x-half, each with its y-half
+    indexed = [warg for args in halves.values() for warg, _ in args]
+    assert sorted(indexed) == dw.args[2] and len(indexed) > len(halves)
+    assert all(_reference_split_wedge_arg(c, c, 2, warg, trunc2) == (x, y)
+               for x, args in halves.items() for warg, y in args)
     kept = [push for key, pair in dw._wedge_memo.items() if len(key) == 4
             for push in pair]
     assert kept and all(push.memo == {} for push in kept)
