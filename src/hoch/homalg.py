@@ -191,6 +191,13 @@ class ChainComplex:
         """Betti table {(degree, weight): dim} on the requested window.
 
         Requires one extra certified degree on each side of the window.
+        Each weight's blocks are ranked from the top degree down, and the
+        block d^D : C^D → C^{D+1} without the rows that are pivot columns
+        of d^{D+1}.  Those columns are linearly independent, so ker d^{D+1}
+        meets their span only in 0; as im d^D ⊆ ker d^{D+1}, dropping them
+        keeps the rank of d^D.  This assumes d∘d = 0 on the degrees
+        [lo − 1, hi + 1], which hold every block ranked and must be
+        certified anyway.
         """
         lo, hi = window
         if lo > hi:
@@ -225,7 +232,14 @@ class ChainComplex:
                 needed.add((d, w))
             if self.dim(d - 1, w):
                 needed.add((d - 1, w))
-        ranks = {key: rank(self.d_matrix(*key)) for key in sorted(needed)}
+        # top-down per weight, each block without the rows that the block
+        # above pivoted on (clearing)
+        ranks, pivots = {}, {}
+        for d, w in sorted(needed, key=lambda key: (key[1], -key[0])):
+            pivots[(d, w)] = set()
+            ranks[(d, w)] = rank(
+                self.d_matrix(d, w), pivots.get((d + 1, w), ()), pivots[(d, w)]
+            )
         results = {}
         for d, w in sorted(tasks):
             r_out = ranks.get((d, w), 0)

@@ -3,7 +3,9 @@
 Matrices are stored column-major as dicts of dicts of field elements.
 One loop, ``_eliminate``, does all elimination: a sparse row reduction over
 Z (rows of a rational matrix scaled to integers) or over F_p, which can
-record a transform per row.  ``rank`` counts its pivots; ``kernel_basis``
+record a transform per row.  ``rank`` counts its pivots and can leave
+rows out and hand back its pivot columns, which lets a chain complex
+clear the rows that the next differential pivoted on; ``kernel_basis``
 takes the transforms of the columns that reach zero; ``SubquotientSpace``
 sweeps a vector through the pivots of the image to a canonical residue,
 empty iff the vector is a boundary.  No floating point anywhere.
@@ -289,25 +291,36 @@ def _eliminate(rows, p, transforms=None):
         yield pc, pv, pivot_row, t, i
 
 
-def rank(mat):
+def rank(mat, skip_rows=(), pivot_cols=None):
     """Exact rank of a SparseMatrix: the pivot count of its rows.
 
     Over Q each row is scaled to integers and reduced over Z; over F_p
-    the residues are reduced mod p.  ``mat`` is left unchanged.
+    the residues are reduced mod p.  ``mat`` is left unchanged.  The rows
+    in ``skip_rows`` are left out, and ``pivot_cols``, when given, is a
+    set that receives the pivot column of each pivot row: the columns of
+    ``mat`` there are linearly independent.
 
     >>> rank(SparseMatrix.from_dense([[1, 1], [1, -1]]))
     2
     >>> rank(SparseMatrix.from_dense([[1, 1], [1, -1]], PrimeField(2)))
     1
+    >>> pivots = set()
+    >>> rank(SparseMatrix.from_dense([[0, 2], [1, 1]]), {1}, pivots), pivots
+    (1, {1})
     """
     p = mat.field.characteristic
     by_row = {}
     for col, colmap in mat.cols.items():
         for row, v in colmap.items():
             by_row.setdefault(row, {})[col] = v
+    for row in skip_rows:
+        by_row.pop(row, None)
     rows = list(by_row.values())
     _integral(rows, p)
-    return sum(1 for _ in _eliminate(rows, p))
+    pivots = [pc for pc, *_ in _eliminate(rows, p)]
+    if pivot_cols is not None:
+        pivot_cols.update(pivots)
+    return len(pivots)
 
 
 def _kernel(mat):

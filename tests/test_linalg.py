@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hoch.homalg import ChainComplex, Coefficients
 from hoch.linalg import (
     QQ,
     PrimeField,
@@ -366,6 +367,71 @@ def _random_pair(rng, field, entries):
 
 
 SUBQUOTIENT_ENTRIES = [2, -2, 3, -3, Fraction(1, 2), Fraction(-3, 2)]
+
+
+def _random_complex(rng, coefficients, entries, weights):
+    """A ChainComplex in degrees ≤ 0 with d∘d = 0 in each weight, built
+    top-down: the columns of each differential are random combinations of
+    some vectors of the reference kernel of the differential above it."""
+    field = coefficients.field
+    C = ChainComplex(coefficients)
+    blocks = []
+    for w in weights:
+        dims = [rng.randint(0, 7) for _ in range(rng.randint(2, 6))]
+        for degree, n in enumerate(dims):
+            for i in range(n):
+                C.add_element((w, -degree, i), -degree, w)
+        above = None
+        for degree in range(1, len(dims)):  # C^{-degree} -> C^{1-degree}
+            m, n = dims[degree - 1], dims[degree]
+            d = SparseMatrix(m, n, field)
+            if above is None:
+                density = rng.choice((0.2, 0.5, 0.8))
+                make = rng.choice((_random_dense, _low_rank_dense))
+                for i, row in enumerate(make(rng, m, n, entries, density)):
+                    for j, v in enumerate(row):
+                        d.set(i, j, field.coerce(v))
+            else:
+                kernel = _reference_kernel_basis(above)
+                some = rng.sample(kernel, rng.randint(0, len(kernel)))
+                for j in range(n):
+                    coeffs = [field.coerce(rng.choice(entries + [0]))
+                              for _ in some]
+                    for i, v in _combination(field, some, coeffs).items():
+                        d.set(i, j, v)
+            blocks.append((w, -degree, d))
+            above = d
+    for w, degree, d in blocks:
+        for i, j, v in d.entries():
+            C.set_differential_entry((w, degree, j), (w, degree + 1, i), v)
+    return C.freeze()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([0, 3, 7]))
+def test_cleared_homology_matches_per_block_ranks(seed, p):
+    # homology_dims drops the rows the block above pivoted on; the table
+    # must equal dim − rank(out) − rank(in) with every row kept
+    rng = random.Random(seed)
+    coefficients = Coefficients("prime-field", p) if p else Coefficients()
+    entries = [x for x in range(-4, 5) if x] if p else SUBQUOTIENT_ENTRIES
+    C = _random_complex(rng, coefficients, entries, (0, 1))
+    assert C.check_differential() == (True, None)
+
+    def reference(mat):
+        if p:
+            return _reference_rank_modp(_dense(mat), p)
+        return _reference_rank(mat)
+
+    window = (-5, 0)
+    expected = {}
+    for (degree, w), block in C.blocks.items():
+        n = len(block) - reference(C.d_matrix(degree, w)) - reference(
+            C.d_matrix(degree - 1, w)
+        )
+        if n:
+            expected[(degree, w)] = n
+    assert C.homology_dims(window) == expected
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5, 2**31 - 1])

@@ -769,6 +769,10 @@ ALGEBRAS = {
     "trunc3": lambda k: dga.truncated_polynomial(k, 3),
     "exterior": dga.exterior,
     "koszul": koszul_algebra,
+    # Λ(x, y): an odd basepoint factor meets odd module values
+    "exterior⊗exterior": lambda k: dga.tensor_algebra(
+        dga.exterior(k), dga.exterior(k)
+    ),
 }
 
 
@@ -797,6 +801,10 @@ LOWER = {
     ("koszul", "(circle∨circle)∨circle"): 1,
     ("koszul", "circle∨(circle∨circle)"): 1,
     ("koszul", "sphere_small(2)"): 3,
+    ("exterior⊗exterior", "circle∨circle"): 2,
+    ("exterior⊗exterior", "(circle∨circle)∨circle"): 1,
+    ("exterior⊗exterior", "circle∨(circle∨circle)"): 1,
+    ("exterior⊗exterior", "sphere_small(2)"): 3,
 }
 
 
@@ -831,10 +839,13 @@ def test_cochain_complex_matches_reference(field, algebra, space):
         assert C.check_differential()[0]
 
 
-@pytest.mark.parametrize("pair", ["circle,circle", "point,circle",
-                                  "circle∨circle,circle",
-                                  "circle∨circle,circle,top4"])
-@pytest.mark.parametrize("algebra", ["trunc2", "exterior"])
+@pytest.mark.parametrize("algebra,pair", [
+    *product(["trunc2", "exterior"], ["circle,circle", "point,circle",
+                                      "circle∨circle,circle",
+                                      "circle∨circle,circle,top4"]),
+    # Λ(x, y) at top 3, where the brute-force reference stays fast
+    ("exterior⊗exterior", "circle,circle"),
+])
 def test_wedge_product_matches_reference(QQ, pair, algebra, monkeypatch):
     N = 4
     A = ALGEBRAS[algebra](QQ)
@@ -846,7 +857,8 @@ def test_wedge_product_matches_reference(QQ, pair, algebra, monkeypatch):
         "circle∨circle,circle": (simp.wedge(c, c), c),
         "circle∨circle,circle,top4": (simp.wedge(c, c), c),
     }[pair]
-    top = 3 if pair == "circle∨circle,circle" else N
+    lower = pair == "circle∨circle,circle" or algebra == "exterior⊗exterior"
+    top = 3 if lower else N
     dx, dy, dw = (
         pr.CochainComplexData(Z, A, m, (0, top - 1), top)
         for Z in (X, Yc, simp.wedge(X, Yc))
