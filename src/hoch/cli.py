@@ -107,6 +107,29 @@ def parse_coefficients(spec):
     return Coefficients.parse(spec.get("coefficients", "Q"))
 
 
+_REQUIRED = object()
+
+
+def _integer(desc, key, default=_REQUIRED, minimum=None):
+    """``desc[key]`` as jobs/schema.json has it: an int, at least
+    ``minimum`` if given; ``default`` when absent (SchemaError if none)."""
+    if key not in desc:
+        if default is _REQUIRED:
+            raise SchemaError(f"{key!r} is required")
+        return default
+    value = desc[key]
+    if type(value) is not int or minimum is not None and value < minimum:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise SchemaError(f"{key} must be an integer{bound}, not {value!r}")
+    return value
+
+
+def _object(desc, what):
+    if not isinstance(desc, dict):
+        raise SchemaError(f"{what} must be an object, not {desc!r}")
+    return desc
+
+
 def build_algebra(desc, coefficients, weights=None):
     if not isinstance(desc, dict) or "name" not in desc and "basis" not in desc:
         raise SchemaError("algebra descriptor needs a name or a presentation")
@@ -114,13 +137,14 @@ def build_algebra(desc, coefficients, weights=None):
         return _inline_algebra(desc, coefficients)
     name = desc["name"]
     if name == "exterior":
-        return dga.exterior(coefficients, desc.get("degree", -1))
+        return dga.exterior(coefficients, _integer(desc, "degree", -1))
     if name == "truncated-polynomial":
         return dga.truncated_polynomial(
-            coefficients, desc.get("truncation", 2), desc.get("degree", 0)
+            coefficients, _integer(desc, "truncation", 2, 2),
+            _integer(desc, "degree", 0),
         )
     if name == "polynomial":
-        max_w = desc.get("max_weight")
+        max_w = _integer(desc, "max_weight", None, 1)
         if max_w is None:
             max_w = max(weights) if weights else 8
         return dga.polynomial(coefficients, max_w)
@@ -129,42 +153,47 @@ def build_algebra(desc, coefficients, weights=None):
 
 def _inline_algebra(desc, coefficients):
     f = coefficients.field
+    missing = {"unit", "mult"} - set(desc)
+    if missing:
+        raise SchemaError(f"inline algebra needs {sorted(missing)}")
+    entries = [_object(b, "a basis entry") for b in desc["basis"]]
     basis = [
-        (b["label"], int(b["degree"]), int(b.get("weight", 0)))
-        for b in desc["basis"]
+        (b.get("label"), _integer(b, "degree"), _integer(b, "weight", 0, 0))
+        for b in entries
     ]
     pos = {b[0]: i for i, b in enumerate(basis)}
 
-    def coeff(x):
-        return f.coerce(Fraction(x))
+    def at(label):
+        if label not in pos:
+            raise SchemaError(f"undeclared basis label {label!r}")
+        return pos[label]
 
-    mult = {}
-    for (a, b, out) in desc["mult"]:
-        mult[(pos[a], pos[b])] = {pos[k]: coeff(v) for k, v in out.items()}
-    diff = {}
-    for (a, out) in desc.get("differential", []):
-        diff[pos[a]] = {pos[k]: coeff(v) for k, v in out.items()}
-    aug = None
-    if "augmentation" in desc:
-        aug = {pos[k]: coeff(v) for k, v in desc["augmentation"].items()}
+    def terms(out):  # {label: coefficient string 'p/q'}
+        return {at(k): f.coerce(Fraction(v))
+                for k, v in _object(out, "a linear combination").items()}
+
+    mult = {(at(a), at(b)): terms(out) for a, b, out in desc["mult"]}
+    diff = {at(a): terms(out) for a, out in desc.get("differential", [])}
+    aug = terms(desc["augmentation"]) if "augmentation" in desc else None
+    unit = at(desc["unit"])
     try:
         return dga.DGAlgebra(
             desc.get("label", "inline"),
             coefficients,
             basis,
             mult,
-            unit=pos[desc["unit"]],
+            unit=unit,
             diff=diff,
             commutative=desc.get("commutative", True),
             augmentation=aug,
             weight_graded=desc.get("weight_graded", False),
         )
-    except (KeyError, AlgebraClassError, ValueError) as exc:
+    except (AlgebraClassError, ValueError) as exc:
         raise SchemaError(f"bad algebra presentation: {exc}") from exc
 
 
 def build_space(desc, level):
-    name = desc.get("name")
+    name = _object(desc, "space").get("name")
     if name == "point":
         return simp.point(level)
     if name == "interval":
@@ -174,11 +203,11 @@ def build_space(desc, level):
     if name == "torus":
         return simp.torus(level)
     if name == "sphere-standard":
-        return simp.sphere_standard(desc.get("d", 2), level)
+        return simp.sphere_standard(_integer(desc, "d", 2, 1), level)
     if name == "sphere-small":
-        return simp.sphere_small(desc.get("d", 2), level)
+        return simp.sphere_small(_integer(desc, "d", 2, 1), level)
     if name == "surface":
-        return simp.surface(desc.get("g", 1), level)
+        return simp.surface(_integer(desc, "g", 1, 1), level)
     if name == "wedge-circles":
         c = simp.circle(level)
         return simp.wedge(c, c)
@@ -188,10 +217,10 @@ def build_space(desc, level):
 def space_level_for(spec, A, space_desc):
     """The spec's level of the space, or the level that the builder reads
     (``hochschild.required_level``)."""
-    level = space_desc.get("level")
+    probe = build_space(space_desc, 0)  # checks the descriptor first
+    level = _integer(space_desc, "level", None, 0)
     if level is not None:
         return level
-    probe = build_space(space_desc, 0)
     return hh.required_level(probe, A, spec["window"], spec["weights"])[0]
 
 
@@ -273,7 +302,7 @@ def run_job(spec):
     if task == "hkr-check":
         pred = hh.hkr_prediction(
             _hkr_descriptor(spec["algebra"], A),
-            _hkr_space(spec["space"]),
+            _hkr_space(spec.get("space", {"name": "circle"})),
             window,
             weights,
         )

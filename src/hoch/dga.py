@@ -13,7 +13,10 @@ parity formulas; even factors never change a sign.
 
 A map of slot sets acts on monomials through a program compiled once per
 setmap (``compile_setmap``); ``apply_setmap`` is its one-shot form.  With
-module coefficients the map is pointed: it keeps the module slot in place.
+module coefficients the module sits in slot 0, the basepoint of every
+pointed space (``simp``), and the map must keep slot 0 in place.  Programs
+give plain coefficients; a builder coerces each column's sums into the
+field once (``linalg.field_values``).
 """
 
 import weakref
@@ -22,7 +25,7 @@ from itertools import product
 from operator import itemgetter
 
 from .homalg import NEG_INF, ChainComplex, Coefficients
-from .linalg import SparseMatrix, rank
+from .linalg import SparseMatrix, _Table, field_values, rank
 
 
 class AlgebraClassError(ValueError):
@@ -711,18 +714,6 @@ def koszul_sign(pairs):
     return sign
 
 
-class _Table(dict):
-    """A dict that makes the entry of a missing key as ``fill(key)``."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
 def _constants(owner, method):
     """The table on ``owner`` of ``owner.method(i, j)`` ({k: coeff}) as
     (k, coeff) pairs under (i, j), integral rationals as int, filled as
@@ -748,15 +739,16 @@ def _getter(slots):
     return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
 
 
-def _support(monomial, unit, keep=None):
+def _support(monomial, unit, module=False):
     """The support of a monomial: the (slot, position) pairs of its
-    non-unit slots and of slot ``keep`` (a module slot), in slot order.
+    non-unit slots and, with a ``module``, of slot 0, in slot order.
 
-    >>> _support((0, 2, 0, 1), 0)
-    ((1, 2), (3, 1))
+    >>> _support((0, 2, 0, 1), 0), _support((0, 2, 0, 1), 0, module=True)
+    (((1, 2), (3, 1)), ((0, 0), (1, 2), (3, 1)))
     """
     return tuple(
-        (s, p) for s, p in enumerate(monomial) if p != unit or s == keep
+        (s, p) for s, p in enumerate(monomial)
+        if p != unit or module and not s
     )
 
 
@@ -768,23 +760,22 @@ def _whole(support, card, unit):
     return tuple(mono)
 
 
-def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
-                   sign=1, coerce=True):
+def compile_setmap(A, setmap, n_targets=None, module=None, sign=1):
     """The program ``push`` of a map of slot sets (Eq.-7 style): for a
-    monomial (A-basis positions per source slot; with a ``module``, slot
-    ``module_slot`` holds a module position and merges through the
-    module), ``push`` gives its image {target: coeff} on n_targets slots
-    (default 1 + max(setmap)), every coefficient multiplied by ``sign``
-    (the face sign of a chain differential, say).
+    monomial (A-basis positions per source slot; with a ``module``, slot 0
+    holds a module position and merges through the module), ``push`` gives
+    its image {target: coeff} on n_targets slots (default 1 +
+    max(setmap)), every coefficient multiplied by ``sign`` (the face sign
+    of a chain differential, say).
 
-    The map must be pointed: it keeps the module slot in place
-    (``setmap[module_slot] == module_slot``), as a face or degeneracy
-    keeps the basepoint, or ValueError is raised here.
+    With a module the map must be pointed: it keeps slot 0 in place, as a
+    face or degeneracy keeps the basepoint, or ValueError is raised here.
 
     Compiled once: each source slot's target and the structure constants
-    of its merge there (A's product, or the module's left or right
-    action), and whether a Koszul sign can arise (only with an odd factor
-    and a setmap that is not order-preserving).
+    of its merge there (A's product, or the module's right action: the
+    module factor is first at target 0), and whether a Koszul sign can
+    arise (only with an odd factor and a setmap that is not
+    order-preserving).
 
     A fold multiplies the non-unit (and module) factors that reach a
     target into the first of them, in source order, target by target,
@@ -793,8 +784,8 @@ def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
     Its outcome is zero (None) or the merged values with their plain
     coefficients (several when a constant has several terms; terms and
     sums that vanish in the field dropped).  A run multiplies each by
-    ``sign`` and its monomial's Koszul sign and coerces it into the field
-    once (without ``coerce``: keeps it plain, for a caller that sums first).
+    ``sign`` and its monomial's Koszul sign and gives it plain, for the
+    caller to sum before it coerces.
 
     Over an algebra with no ``max_weight``, ``push`` takes and gives whole
     monomials, and ``push.memo`` keeps one outcome per merge key (the
@@ -821,8 +812,8 @@ def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
     >>> A = polynomial(max_weight=3)
     >>> push = compile_setmap(A, (0, 0, 1), 2)
     >>> push(((0, 1), (1, 2)))  # x ⊗ x² ⊗ 1 -> x³ ⊗ 1
-    {((0, 3),): Fraction(1, 1)}
-    >>> compile_setmap(A, (1, 0), 2, augmentation_module(A), 0)
+    {((0, 3),): 1}
+    >>> compile_setmap(A, (1, 0), 2, augmentation_module(A))
     Traceback (most recent call last):
     ...
     ValueError: setmap (1, 0) does not keep the module slot 0 in place
@@ -833,34 +824,23 @@ def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
     fibres = [[] for _ in range(n_targets)]
     for s, t in enumerate(setmap):
         fibres[t].append(s)
-    msrc = None
-    if module is not None:
-        if module_slot not in range(k) or setmap[module_slot] != module_slot:
-            raise ValueError(
-                f"setmap {setmap} does not keep the module slot "
-                f"{module_slot} in place"
-            )
-        msrc = module_slot
     # per source slot, the constants of its merge into the factor folded
-    # so far: A's product, or the module's left or right action
-    kinds = [_constants(A, "product")]
+    # so far: A's product, or at target 0 the module's right action
+    merges = [_constants(A, "product")] * k
     degrees = [A.degrees] * k
     if module is not None:
-        kinds += [_constants(module, "act_left"),
-                  _constants(module, "act_right")]
-        degrees[msrc] = module.degrees
-    merges = [
-        kinds[0 if t != msrc or s < msrc else 1 if s == msrc else 2]
-        for s, t in enumerate(setmap)
-    ]
+        if not k or setmap[0] != 0:
+            raise ValueError(
+                f"setmap {setmap} does not keep the module slot 0 in place"
+            )
+        right = _constants(module, "act_right")
+        merges = [right if t == 0 else m for t, m in zip(setmap, merges)]
+        degrees[0] = module.degrees
     orders = [(t, s) for s, t in enumerate(setmap)]
     signed = any(a > b for a, b in zip(setmap, setmap[1:])) and any(
         d % 2 for degs in degrees for d in degs
     )
-    f = A.coefficients.field
-    # plain coefficient -> its field value, or None for zero
-    coerced = _Table(lambda c: None if f.is_zero(v := f.coerce(c)) else v)
-    give = coerced if coerce else _Table(lambda c: c)  # a run's values
+    coerced = field_values(A.coefficients.field)  # tells a zero
 
     def fold(cells, freeze):
         """The outcome of the factors ``cells``, (target, slot, position)
@@ -917,7 +897,7 @@ def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
 
     # no fold and no Koszul sign: the image of a support whose factors
     # all reach distinct targets is coefficient ``sign``
-    plain, scaled = not signed, give[sign]
+    plain = not signed
 
     def fold_support(support):
         merged = {}
@@ -935,12 +915,12 @@ def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
         else:
             image = tuple(sorted(merged.items()))
             if plain:
-                return {image: scaled}
+                return {image: sign}
             outcome = ((image, 1),)
         c = sign * koszul_sign([
             (orders[s], d) for s, p in support if (d := degrees[s][p]) % 2
         ]) if signed else sign
-        return {image: give[c * e] for image, e in outcome}
+        return {image: c * e for image, e in outcome}
 
     if A.max_weight is not None:
         fold_support.memo, fold_support.owners = None, (A, module)
@@ -961,7 +941,7 @@ def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
     ])
     memo = _Table(lambda key: fold(
         [(t, s, p) for (t, s), p in zip(key_cells, key)
-         if p != unit or s == msrc],
+         if p != unit or module is not None and not s],
         lambda merged: tuple([merged.get(t, unit) for t in merging]) + tail,
     ))
 
@@ -975,36 +955,43 @@ def compile_setmap(A, setmap, n_targets=None, module=None, module_slot=None,
         ]) if signed else sign
         out = {}
         for merged, e in outcome:
-            out[assemble(monomial + merged)] = give[c * e]
+            out[assemble(monomial + merged)] = c * e
         return out
 
     run.memo, run.owners = memo, (A, module)
     return run
 
 
-def _on_monomials(push, n_targets, unit, keep=None):
+def _on_monomials(push, n_targets):
     """A program of ``compile_setmap`` run on whole monomials: a support
-    program gets each monomial's support (slot ``keep`` always in it) and
-    gives whole images on ``n_targets`` slots."""
+    program gets each monomial's support (slot 0 always in it with a
+    module) and gives whole images on ``n_targets`` slots."""
     if push.memo is not None:
         return push
+    A, module = push.owners
     return lambda monomial: {
-        _whole(image, n_targets, unit): c
-        for image, c in push(_support(monomial, unit, keep)).items()
+        _whole(image, n_targets, A.unit): c
+        for image, c in push(
+            _support(monomial, A.unit, module is not None)
+        ).items()
     }
 
 
-def apply_setmap(A, setmap, monomial, module=None, module_slot=None,
-                 n_targets=None):
-    """``compile_setmap`` for a single monomial, whole in and out.
+def apply_setmap(A, setmap, monomial, module=None, n_targets=None):
+    """``compile_setmap`` for a single monomial, whole in and out, its
+    coefficients coerced into the field.
 
     >>> apply_setmap(exterior(), (1, 0), (1, 1))  # two odd factors swap
     {(1, 1): Fraction(-1, 1)}
     """
     if n_targets is None:
         n_targets = 1 + max(setmap) if setmap else 0
-    push = compile_setmap(A, setmap, n_targets, module, module_slot)
-    return _on_monomials(push, n_targets, A.unit, module_slot)(monomial)
+    push = compile_setmap(A, setmap, n_targets, module)
+    coerce = A.coefficients.field.coerce
+    return {
+        image: coerce(c)
+        for image, c in _on_monomials(push, n_targets)(monomial).items()
+    }
 
 
 def multiop(A, setmap, n_source, n_target):
@@ -1020,10 +1007,8 @@ def multiop(A, setmap, n_source, n_target):
     tgt = list(product(range(A.dim), repeat=n_target))
     tpos = {m: i for i, m in enumerate(tgt)}
     mat = SparseMatrix(len(tgt), len(src), f)
-    push = _on_monomials(
-        compile_setmap(A, tuple(setmap), n_target), n_target, A.unit
-    )
+    push = _on_monomials(compile_setmap(A, tuple(setmap), n_target), n_target)
     for col, mono in enumerate(src):
         for m, c in push(mono).items():
-            mat.add_to(tpos[m], col, c)
+            mat.add_to(tpos[m], col, f.coerce(c))
     return mat, src, tgt

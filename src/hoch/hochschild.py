@@ -1,14 +1,13 @@
 """Hochschild complexes over simplicial sets, Bar constructions, oracles.
 
 The main builder realizes the level-n space A^{⊗Y_n} (module coefficients
-at the basepoint when present), faces induced by the face maps of Y with
-Koszul signs, and the normalized total complex.  Classical small-complex
+at the basepoint, slot 0, when present), faces induced by the face maps of
+Y with Koszul signs, and the normalized total complex.  Classical small-complex
 oracles (the textbook Hochschild complex, the periodic resolution for
 truncated polynomial algebras) live here too, on deliberately separate
 code paths.
 """
 
-from bisect import bisect_left
 from functools import reduce
 from itertools import compress, product
 from operator import or_
@@ -69,14 +68,15 @@ class HochschildComplex:
 
 
 def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
-                     unit_slot=None, supports=True):
+                     unit_base=False, supports=True):
     """Monomials at level n, each as ``(monomial, (internal degree,
     weight), support)``: a monomial is a tuple of basis positions per slot
     of Y_n, and its support the (slot, position) pairs of its non-unit
     slots and its module slot, in slot order (``dga._support``), or None
     without ``supports``.
 
-    The basepoint slot (when a module is given) carries module positions.
+    The basepoint, slot 0, carries module positions when a module is
+    given.
     Normalized: the non-unit algebra support must meet every degeneracy-
     image complement.  Budgets: total weight in ``weights`` (if given),
     total internal degree >= min_int (if given).  Sorted.
@@ -101,13 +101,13 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
     InfeasibleError is raised as soon as one holds more than ``cap``
     monomials.  A level block lies inside one block of the total complex,
     so this never rejects a job whose total blocks all fit.  Without a
-    module, ``unit_slot`` is left out of the search like the basepoint
-    slot of a module, and kept unit (the basepoint of a cochain argument).
+    module and with ``unit_base``, slot 0 is left out of the search all
+    the same, and kept unit (the basepoint of a cochain argument).
     """
     card = Y.card(n)
-    if module is not None and Y.basepoint is None:
+    if module is not None and not Y.pointed:
         raise ValueError("module coefficients require a pointed space")
-    bp = Y.basepoint[n] if module is not None else unit_slot
+    first = 1 if module is not None or unit_base else 0  # first searched slot
     complements = ()
     if normalized and n >= 1:
         complements = Y.nondegenerate_complements(n)
@@ -119,34 +119,32 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
         (p, A.weights[p], A.degrees[p]) for p in range(A.dim) if p != A.unit
     ]
 
-    # the basepoint slot never helps covering (it is degenerate-stable)
-    if bp is not None:
-        complements = [c - {bp} for c in complements]
+    # the basepoint never helps covering (it is degenerate-stable)
+    if first:
+        complements = [c - {0} for c in complements]
         if any(not c for c in complements):
             return []
-    algebra_slots = [s for s in range(card) if s != bp]
-    slot_index = {s: i for i, s in enumerate(algebra_slots)}
-    # complements as sorted slot indices, ordered by their last index, so
-    # the lowest uncovered one bounds the next non-unit slot
+    n_slots = card - first
+    # complements as sorted slot indices (slot - first), ordered by their
+    # last index, so the lowest uncovered one bounds the next non-unit slot
     comps = sorted(
-        (sorted(slot_index[s] for s in c) for c in complements),
+        (sorted(s - first for s in c) for c in complements),
         key=lambda c: c[-1],
     )
-    covers = [0] * len(algebra_slots)  # slot idx -> bitmask of complements
+    covers = [0] * n_slots  # slot idx -> bitmask of complements
     for ci, c in enumerate(comps):
         for i in c:
             covers[i] |= 1 << ci
     min_w = None
     if max_wt is not None and nonunit and all(w >= 1 for _, w, _ in nonunit):
         min_w = min(w for _, w, _ in nonunit)
-    n_slots = len(algebra_slots)
     # per slot index, its (slot, position) pair with the weight and degree
     # of each non-unit position: the supports of the level share the pairs
-    choices = [[((s, p), w, d) for p, w, d in nonunit] for s in algebra_slots]
-    # ((slot, position), weight, degree) of the basepoint slot's module
-    # element
+    choices = [[((s, p), w, d) for p, w, d in nonunit]
+               for s in range(first, card)]
+    # ((slot, position), weight, degree) of the module element at slot 0
     module_terms = [(None, 0, 0)] if module is None else [
-        ((bp, m), module.weights[m], module.degrees[m])
+        ((0, m), module.weights[m], module.degrees[m])
         for m in range(module.dim)
     ]
     monos = []
@@ -155,11 +153,7 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
     mono = [A.unit] * card  # their monomial
 
     def record(wt, deg):
-        sup = tuple(picks) if supports else None
-        if supports and module is not None:
-            # the picks lie in slot order; the module slot goes among them
-            cut = bisect_left(picks, (bp,))
-            head, rest = sup[:cut], sup[cut:]
+        sup = picked = tuple(picks) if supports else None
         for mpair, mw, md in module_terms:
             key = (deg + md, wt + mw)
             if wt_set is not None and key[1] not in wt_set:
@@ -167,8 +161,9 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
             if min_int is not None and key[0] < min_int:
                 continue
             if mpair is not None:
-                mono[bp] = mpair[1]
-                sup = head + (mpair,) + rest if supports else None
+                mono[0] = mpair[1]
+                # the module pair comes first, as slot 0 does
+                sup = (mpair,) + picked if supports else None
             monos.append((tuple(mono), key, sup))
             if cap is not None:
                 count = counts[key] = counts.get(key, 0) + 1
@@ -208,7 +203,7 @@ def _level_monomials(Y, n, A, module, weights, min_int, normalized, cap=None,
                 mono[pair[0]] = pair[1]
                 search(i + 1, w2, d2, rest)
                 picks.pop()
-            mono[algebra_slots[i]] = A.unit
+            mono[first + i] = A.unit
 
     search(0, 0, 0, (1 << len(comps)) - 1)
     # ``search`` refers to itself through its closure; breaking that cycle
@@ -223,8 +218,8 @@ def _is_nondegenerate(Y, n, A, mono):
         return True
     # positions are ints, so with the unit at 0 the non-unit slots are
     # exactly the truthy entries (as in a ``dga.compile_setmap`` program).
-    # A module slot is the basepoint, which lies in no complement (it is
-    # degenerate-stable), so whatever it holds never decides.
+    # A module slot is the basepoint, slot 0, which lies in no complement
+    # (it is degenerate-stable), so whatever it holds never decides.
     flags = mono if A.unit == 0 else map(A.unit.__ne__, mono)
     support = set(compress(range(len(mono)), flags))
     return not any(map(support.isdisjoint, Y.nondegenerate_complements(n)))
@@ -259,13 +254,14 @@ def _face_gates(Y, n, skip=True):
     )
 
 
-def _internal_diff(A, module, bp, mono):
-    """Slotwise differential with Koszul signs; {target_mono: coeff}."""
+def _internal_diff(A, module, mono):
+    """Slotwise differential with Koszul signs, the module (when given) at
+    slot 0; {target_mono: coeff}."""
     f = A.coefficients.field
     out = {}
     run = 0  # parity of the total degree left of the current slot
     for s, p in enumerate(mono):
-        if bp is not None and s == bp:
+        if module is not None and not s:
             img = module.d(p)
             deg = module.degrees[p]
         else:
@@ -369,9 +365,8 @@ def build_levels(Y, A, module=None, window=(-6, 0), weights=None,
                     f"has {size} elements through level {n} > cap {cap}"
                 )
         if has_diff:
-            bp = Y.basepoint[n] if module is not None else None
             for mono in c.index:
-                for tgt, v in _internal_diff(A, module, bp, mono).items():
+                for tgt, v in _internal_diff(A, module, mono).items():
                     if tgt in c.index:
                         c.set_differential_entry(mono, tgt, v)
                     elif _is_nondegenerate(Y, n, A, tgt):
@@ -406,11 +401,10 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
     sparse = A.max_weight is not None
     for n in range(1, len(levels)):
         index = levels[n - 1].index
-        bp = Y.basepoint[n] if module is not None else None
         gates, met = _face_gates(Y, n, normalized)
         # (gate of face r, the program of (-1)^r d_r onto Y_{n-1}'s slots)
         faces_r = [
-            (gate, compile_setmap(A, setmap, Y.card(n - 1), module, bp,
+            (gate, compile_setmap(A, setmap, Y.card(n - 1), module,
                                   -1 if r % 2 else 1))
             for r, (gate, setmap) in enumerate(
                 zip(gates, map(tuple, Y.face_tab[n]))
@@ -448,13 +442,13 @@ def hochschild_chain(Y, A, window=(-6, 0), weights=None, cap=None):
 
 def hochschild_chain_with_coeff(Y, A, module, window=(-6, 0), weights=None,
                                 cap=None):
-    """CH_Y(A, M): the basepoint slot carries M.
+    """CH_Y(A, M): the basepoint, slot 0, carries M.
 
     M must be a symmetric bimodule for a general pointed space; the circle
     admits genuine bimodules through the classical complex, whose blocks
     are held to ``cap`` before its faces (see ``classical_hochschild``).
     """
-    if not Y.is_pointed():
+    if not Y.pointed:
         raise ValueError("module coefficients require a pointed space")
     if not module.symmetric:
         if Y.name != "circle":

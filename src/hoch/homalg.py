@@ -11,7 +11,7 @@ Every complex records the degree window on which it is certifiably equal
 to the untruncated object; homology requests outside it are hard errors.
 """
 
-from .linalg import QQ, PrimeField, SparseMatrix, rank
+from .linalg import QQ, PrimeField, SparseMatrix, field_values, rank
 
 NEG_INF = -(10**9)
 POS_INF = 10**9
@@ -283,6 +283,7 @@ class ChainMap:
         self.target = target
         self.shift = shift
         self.blocks = {}  # (degree, weight) -> SparseMatrix
+        self._values = field_values(source.coefficients.field)
 
     def set_entry(self, source_label, target_label, coeff):
         sd, sw, sp = self.source.index[source_label]
@@ -303,21 +304,20 @@ class ChainMap:
     def set_column(self, entry, terms):
         """Set the image of a source element, given by its index entry
         (degree, weight, position), at once from ``(row, coeff)`` terms,
-        rows in its target block: summed as plain numbers, reduced mod p,
-        zeros dropped."""
+        rows in its target block: summed as plain numbers, each sum coerced
+        into the field (``linalg.field_values``), zeros dropped."""
         sd, sw, sp = entry
         column = {}
         for row, v in terms:
             column[row] = column[row] + v if row in column else v
-        field = self.source.coefficients.field
-        if field.characteristic:
-            column = {r: v % field.characteristic for r, v in column.items()}
-        column = {r: v for r, v in column.items() if v}
+        values = self._values
+        column = {r: x for r, v in column.items()
+                  if (x := values[v]) is not None}
         if column:
             if (sd, sw) not in self.blocks:
                 self.blocks[(sd, sw)] = SparseMatrix(
                     self.target.dim(sd + self.shift, sw),
-                    self.source.dim(sd, sw), field,
+                    self.source.dim(sd, sw), self.source.coefficients.field,
                 )
             self.blocks[(sd, sw)].cols[sp] = column
 

@@ -91,6 +91,29 @@ class PrimeField:
 QQ = RationalField()
 
 
+class _Table(dict):
+    """A dict that makes the entry of a missing key as ``fill(key)``."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def field_values(field):
+    """A table from plain numbers (ints, or Fractions over Q) to their
+    values in ``field``, None for zero: a builder sums a column's plain
+    coefficients and coerces each distinct sum once, here.
+
+    >>> field_values(PrimeField(3))[7], field_values(QQ)[0]
+    (1, None)
+    """
+    return _Table(lambda v: field.coerce(v) or None)
+
+
 class SparseMatrix:
     """Sparse matrix over a field, stored as {col: {row: value}}.
 

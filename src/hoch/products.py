@@ -13,7 +13,7 @@ from . import dga
 # apply_setmap stays bound here for perfbench's tracer test (ROADMAP item 8)
 from .dga import _constants, apply_setmap, compile_setmap  # noqa: F401
 from .homalg import NEG_INF, POS_INF, ChainComplex
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, field_values
 from .hochschild import (
     TruncationError,
     _internal_diff,
@@ -83,7 +83,7 @@ def shuffle_product(H, u, v):
         dga._on_monomials(compile_setmap(
             A, degeneracies(pq[0], nu) + degeneracies(pq[1], mu),
             Y.card(sum(pq)), sign=sgn,
-        ), Y.card(sum(pq)), A.unit)
+        ), Y.card(sum(pq)))
         for mu, nu, sgn in _shuffles(*pq)
     ])
     out = {}
@@ -268,7 +268,7 @@ class CochainComplexData:
     """CH^Y(A, M) = Hom_A(CH_Y(A), M) over a pointed simplicial set.
 
     Level-n basis: (n, arg, m) with arg a normalized monomial on the
-    non-basepoint slots (unit at the basepoint) and m a module basis
+    non-basepoint slots (unit at the basepoint, slot 0) and m a module basis
     element; weights are collapsed to 0.  ``arg_degrees[n]`` maps each
     level-n argument, in sorted order, to its internal degree.
 
@@ -281,7 +281,7 @@ class CochainComplexData:
     """
 
     def __init__(self, Y, A, module, window=(0, 4), top=None):
-        if not Y.is_pointed():
+        if not Y.pointed:
             raise ValueError("cochains require a pointed space")
         # the faces act on the value through the left action alone
         if not module.symmetric:
@@ -317,8 +317,7 @@ class CochainComplexData:
         for n in range(top + 1):
             gates, met = _face_gates(Y, n)
             keyed = _level_monomials(Y, n, A, None, None, None, True,
-                                     unit_slot=Y.basepoint[n],
-                                     supports=any(gates))
+                                     unit_base=True, supports=any(gates))
             self.arg_degrees.append({arg: adeg for arg, (adeg, _), _ in keyed})
             gated.append((gates, [met(sup) for _, _, sup in keyed]
                            if any(gates) else repeat(0)))
@@ -342,33 +341,30 @@ class CochainComplexData:
             column[target[2]] = column.get(target[2], 0) + value
 
         # the faces, dualized: a face image w of a level-lvl argument u
-        # splits into its basepoint factor b, which acts on the value, and
-        # the level-n argument ``rest``
+        # splits into its basepoint factor b (slot 0), which acts on the
+        # value, and the level-n argument ``rest``
         left = _constants(module, "act_left")
         unit, degrees = A.unit, A.degrees
         for lvl in range(1, top + 1):
             n = lvl - 1
-            bp = Y.basepoint[n]
             below, below_deg = at[n], self.arg_degrees[n]
             gates, covered = gated[lvl]
             for i, (gate, setmap) in enumerate(zip(gates, Y.face_tab[lvl])):
-                push = compile_setmap(A, tuple(setmap), Y.card(n),
-                                      coerce=False)
+                push = compile_setmap(A, tuple(setmap), Y.card(n))
                 for (u, rows), cov in zip(at[lvl].items(), covered):
                     if cov & gate != gate:
                         continue
                     for full, lam in push(u).items():
-                        rest = full[:bp] + (unit,) + full[bp + 1:]
+                        rest = (unit,) + full[1:]
                         spots = below.get(rest)
                         if spots is None:
                             if _is_nondegenerate(Y, n, A, rest):
                                 raise AssertionError("missing face target")
                             continue
-                        b = full[bp]
+                        b = full[0]
                         odd = degrees[b] % 2
-                        # |b| crosses the slots before bp and the value
-                        cross = i + (odd and sum(
-                            degrees[x] for x in full[:bp]) - below_deg[rest])
+                        # |b| crosses the value: the argument, then m
+                        cross = i + odd * below_deg[rest]
                         for m, (sd, _, col) in enumerate(spots):
                             v = -lam if (cross + odd * mdeg[m]) % 2 else lam
                             columns = cols[sd]
@@ -392,7 +388,7 @@ class CochainComplexData:
                 # -(-1)^{|phi|_int} phi ∘ d, dualized (nothing when d = 0)
                 if not A.diff:
                     continue
-                for tgt, c in _internal_diff(A, None, None, u).items():
+                for tgt, c in _internal_diff(A, None, u).items():
                     if tgt not in level:
                         if _is_nondegenerate(Y, n, A, tgt):
                             raise AssertionError("missing internal target")
@@ -402,7 +398,7 @@ class CochainComplexData:
                         sign = sign_n if (mdeg[m] - adeg) % 2 else -sign_n
                         add(level[tgt][m], spots[m], sign * c)
         f = A.coefficients.field
-        coerced = dga._Table(lambda v: f.coerce(v) or None)  # 0 -> None
+        values = field_values(f)
         for d, columns in cols.items():
             if not columns:
                 continue
@@ -411,7 +407,7 @@ class CochainComplexData:
             )
             for col, column in columns.items():
                 column = {row: x for row, v in column.items()
-                          if (x := coerced[v]) is not None}
+                          if (x := values[v]) is not None}
                 if column:
                     mat.cols[col] = column
         # missing levels n > top only touch total degrees >= n + min_deg_m
@@ -429,24 +425,22 @@ def _evaluate_pushed(data, by_arg, p, push, u_mono):
     """Value in M, {module_pos: coeff}, of a level-p cochain, given as
     {arg: {m: coeff}}, on the image of ``u_mono`` under the iterated face
     program ``push`` (which gives plain coefficients): push the argument
-    down, let the basepoint factor act on the output."""
-    Y, A, module = data.Y, data.A, data.module
+    down, let the basepoint factor (slot 0) act on the output."""
+    A, module = data.A, data.module
     f = A.coefficients.field
-    bp = Y.basepoint[p]
     left = _constants(module, "act_left")
     out = {}
     for full, lam in push(u_mono).items():
-        rest = full[:bp] + (A.unit,) + full[bp + 1:]
+        rest = (A.unit,) + full[1:]
         values = by_arg.get(rest)
         if values is None:
             continue
-        b = full[bp]
+        b = full[0]
         odd = A.degrees[b] % 2
-        # |b| crosses the slots before bp and the value
-        before = odd and sum(A.degrees[x] for x in full[:bp]) - \
-            data.arg_degrees[p][rest]
+        # |b| crosses the value: the argument, then m
+        cross = odd * data.arg_degrees[p][rest]
         for m, coeff in values.items():
-            v = -lam if odd * (before + module.degrees[m]) % 2 else lam
+            v = -lam if (cross + odd * module.degrees[m]) % 2 else lam
             for q, c in left[b, m]:
                 dga._acc(out, q, f.mul(coeff, v * c), f)
     return out
@@ -470,7 +464,7 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
         raise ValueError("wedge factors must share the algebra")
     if any(d.module.labels != A.labels for d in (data_x, data_y, data_wedge)):
         raise ValueError("wedge coefficients must be the algebra itself")
-    if not (data_x.Y.is_pointed() and data_y.Y.is_pointed()):
+    if not (data_x.Y.pointed and data_y.Y.pointed):
         raise ValueError("wedge factors must be pointed")
     f = A.coefficients.field
     times = _constants(A, "product")
@@ -527,10 +521,10 @@ def _wedge_programs(X, Ysp, data_wedge, p, q):
         programs = data_wedge._wedge_memo[key] = (
             compile_setmap(A, _composite(
                 [X.face_tab[lvl][lvl] for lvl in range(n, p, -1)], X.card(n)
-            ), X.card(p), coerce=False),
+            ), X.card(p)),
             compile_setmap(A, _composite(
                 [Ysp.face_tab[lvl][0] for lvl in range(n, q, -1)], Ysp.card(n)
-            ), Ysp.card(q), coerce=False),
+            ), Ysp.card(q)),
         )
     return programs
 
@@ -538,17 +532,16 @@ def _wedge_programs(X, Ysp, data_wedge, p, q):
 def _wedge_halves(X, Ysp, data_wedge, n):
     """The level-n wedge arguments indexed by x-half, {x-half: [(argument,
     its y-half)]} with the arguments in order: split once per factor spaces
-    and level.  After the wedge basepoint come the non-basepoint slots of
-    X, then those of Y, each in order."""
+    and level.  After the wedge basepoint come the other slots of X, then
+    those of Y (``simp.wedge``); each half gets the unit at its own
+    basepoint, slot 0."""
     key = (X, Ysp, n)
     by_x = data_wedge._wedge_memo.get(key)
     if by_x is None:
         by_x = data_wedge._wedge_memo[key] = {}
-        cx, bx, by = X.card(n), X.basepoint[n], Ysp.basepoint[n]
-        unit = (data_wedge.A.unit,)
+        cx, unit = X.card(n), (data_wedge.A.unit,)
         for warg in data_wedge.args[n]:
-            xs, ys = warg[1:cx], warg[cx:]
-            by_x.setdefault(xs[:bx] + unit + xs[bx:], []).append(
-                (warg, ys[:by] + unit + ys[by:])
+            by_x.setdefault(unit + warg[1:cx], []).append(
+                (warg, unit + warg[cx:])
             )
     return by_x

@@ -4,6 +4,10 @@ Standard models: point, interval, circle, spheres (standard and small),
 torus, genus-g surfaces; combinators: diagonal products and wedges.
 Element ids are stable order-preserving integers per level; all sign
 computations downstream reference this canonical order.
+
+A pointed set has its basepoint at slot 0 of every level, and every
+consumer reads it there: module coefficients sit in slot 0, a cochain
+argument holds the unit there, and the wedge glues at it.
 """
 
 import json
@@ -16,16 +20,17 @@ class SimplicialSet:
     levels[n]: list of element labels (position = canonical id).
     face_tab[n][i][x]: position of d_i(x) in level n-1 (n >= 1).
     deg_tab[n][i][x]: position of s_i(x) in level n+1 (n <= N-1).
-    basepoint[n]: position of the basepoint at level n, if pointed.
+    pointed: whether slot 0 of every level is a basepoint, fixed by every
+    face and degeneracy.
     """
 
-    def __init__(self, name, levels, face_tab, deg_tab, basepoint=None,
+    def __init__(self, name, levels, face_tab, deg_tab, pointed=False,
                  hitcap_coeff=None):
         self.name = name
         self.levels = levels
         self.face_tab = face_tab
         self.deg_tab = deg_tab
-        self.basepoint = basepoint
+        self.pointed = pointed
         # hitcap_coeff c certifies: any single element of a level fails to be
         # degenerate in at most c directions, so nondegenerate monomials with
         # k non-unit slots die above level c*k.  None = no certificate.
@@ -45,9 +50,6 @@ class SimplicialSet:
 
     def degeneracy(self, n, i, x):
         return self.deg_tab[n][i][x]
-
-    def is_pointed(self):
-        return self.basepoint is not None
 
     def degeneracy_image(self, n, i):
         """Image of s_i : Y_{n} -> Y_{n+1} as a set of positions."""
@@ -124,14 +126,14 @@ class SimplicialSet:
                             want = self.degeneracy(n - 1, j, self.face(n, i - 1, x))
                         if got != want:
                             return False, ("d_i s_j", n, i, j, x)
-        if self.basepoint is not None:
+        if self.pointed:
             for n in range(1, N + 1):
                 for i in range(n + 1):
-                    if self.face(n, i, self.basepoint[n]) != self.basepoint[n - 1]:
+                    if self.face(n, i, 0) != 0:
                         return False, ("basepoint face", n, i)
             for n in range(0, N):
                 for i in range(n + 1):
-                    if self.degeneracy(n, i, self.basepoint[n]) != self.basepoint[n + 1]:
+                    if self.degeneracy(n, i, 0) != 0:
                         return False, ("basepoint degeneracy", n, i)
         return True, None
 
@@ -174,7 +176,7 @@ class SimplicialSet:
                 "levels": [list(map(str, lvl)) for lvl in self.levels],
                 "faces": self.face_tab,
                 "degeneracies": self.deg_tab,
-                "basepoint": self.basepoint,
+                "pointed": self.pointed,
             },
             sort_keys=True,
         )
@@ -196,7 +198,7 @@ class NondegeneracyTable:
 # -- builders --------------------------------------------------------------
 
 
-def _build(name, levels, face_fn, deg_fn, basepoint_fn=None, hitcap=None):
+def _build(name, levels, face_fn, deg_fn, pointed=False, hitcap=None):
     N = len(levels) - 1
     face_tab = [None]
     for n in range(1, N + 1):
@@ -209,10 +211,7 @@ def _build(name, levels, face_fn, deg_fn, basepoint_fn=None, hitcap=None):
             [[deg_fn(n, i, x) for x in range(len(levels[n]))] for i in range(n + 1)]
         )
     deg_tab.append(None)
-    bp = None
-    if basepoint_fn is not None:
-        bp = [basepoint_fn(n) for n in range(N + 1)]
-    return SimplicialSet(name, levels, face_tab, deg_tab, bp, hitcap)
+    return SimplicialSet(name, levels, face_tab, deg_tab, pointed, hitcap)
 
 
 def point(N):
@@ -222,7 +221,7 @@ def point(N):
         levels,
         lambda n, i, x: 0,
         lambda n, i, x: 0,
-        lambda n: 0,
+        pointed=True,
         hitcap=0,
     )
 
@@ -237,7 +236,7 @@ def interval(N):
     def deg(n, i, x):
         return x if x <= i else x + 1
 
-    return _build("interval", levels, face, deg, lambda n: 0, hitcap=1)
+    return _build("interval", levels, face, deg, pointed=True, hitcap=1)
 
 
 def circle(N):
@@ -252,41 +251,32 @@ def circle(N):
     def deg(n, i, x):
         return x if x <= i else x + 1
 
-    return _build("circle", levels, face, deg, lambda n: 0, hitcap=1)
+    return _build("circle", levels, face, deg, pointed=True, hitcap=1)
 
 
 def product(X, Y, name=None):
-    """Levelwise cartesian product with diagonal faces and degeneracies."""
+    """Levelwise cartesian product with diagonal faces and degeneracies:
+    (x, y) sits at x * |Y_n| + y, so two basepoints give slot 0."""
     N = min(X.top_level, Y.top_level)
-    levels = []
-    pos = []
-    for n in range(N + 1):
-        lvl = [(x, y) for x in range(X.card(n)) for y in range(Y.card(n))]
-        levels.append(
-            [(X.levels[n][x], Y.levels[n][y]) for (x, y) in lvl]
-        )
-        pos.append({p: k for k, p in enumerate(lvl)})
-
-    def unpack(n, k):
-        ycard = Y.card(n)
-        return divmod(k, ycard)
+    levels = [
+        [(a, b) for a in X.levels[n] for b in Y.levels[n]]
+        for n in range(N + 1)
+    ]
 
     def face(n, i, k):
-        x, y = unpack(n, k)
-        return pos[n - 1][(X.face(n, i, x), Y.face(n, i, y))]
+        x, y = divmod(k, Y.card(n))
+        return X.face(n, i, x) * Y.card(n - 1) + Y.face(n, i, y)
 
     def deg(n, i, k):
-        x, y = unpack(n, k)
-        return pos[n + 1][(X.degeneracy(n, i, x), Y.degeneracy(n, i, y))]
+        x, y = divmod(k, Y.card(n))
+        return X.degeneracy(n, i, x) * Y.card(n + 1) + Y.degeneracy(n, i, y)
 
-    bp = None
-    if X.is_pointed() and Y.is_pointed():
-        bp = lambda n: pos[n][(X.basepoint[n], Y.basepoint[n])]
     hitcap = None
     if X.hitcap_coeff is not None and Y.hitcap_coeff is not None:
         hitcap = X.hitcap_coeff + Y.hitcap_coeff
     return _build(
-        name or f"product({X.name},{Y.name})", levels, face, deg, bp, hitcap
+        name or f"product({X.name},{Y.name})", levels, face, deg,
+        X.pointed and Y.pointed, hitcap,
     )
 
 
@@ -330,7 +320,7 @@ def sphere_standard(d, N):
         return pos[n + 1][img]
 
     return _build(
-        f"sphere_standard({d})", levels, face, deg, lambda n: 0, hitcap=d
+        f"sphere_standard({d})", levels, face, deg, pointed=True, hitcap=d
     )
 
 
@@ -358,7 +348,13 @@ def from_nondegenerate(name, gens, gen_faces, N, basepoint=None, hitcap=None):
     degeneracy of a generator (identity surjection for nondegenerate faces).
     Simplices at level n are pairs (gen at level m, surjection [n] ->> [m]);
     this is the free degeneracy completion (Eilenberg-Zilber normal form).
+    A ``basepoint`` must be the first level-0 generator, whose simplices
+    are slot 0 of every level; any other raises ValueError.
     """
+    if basepoint is not None and gens.get(0, [None])[0] != basepoint:
+        raise ValueError(
+            f"basepoint {basepoint!r} is not the first level-0 generator"
+        )
     levels = []
     pos = []
     for n in range(N + 1):
@@ -392,10 +388,7 @@ def from_nondegenerate(name, gens, gen_faces, N, basepoint=None, hitcap=None):
         new = tuple(surj[t if t <= i else t - 1] for t in range(n + 2))
         return pos[n + 1][(g, new)]
 
-    bp = None
-    if basepoint is not None:
-        bp = lambda n: pos[n][(basepoint, tuple([0] * (n + 1)))]
-    return _build(name, levels, face, deg, bp, hitcap)
+    return _build(name, levels, face, deg, basepoint is not None, hitcap)
 
 
 def _surjections(n, m):
@@ -490,58 +483,34 @@ def surface(g, N):
 
 
 def wedge(X, Y, name=None):
-    """Pushout of pointed simplicial sets along the basepoint."""
-    if not (X.is_pointed() and Y.is_pointed()):
+    """Pushout of pointed simplicial sets along the basepoint: level n is
+    the basepoint "*", then the other slots of X, then those of Y.
+
+    >>> W = wedge(circle(2), circle(2))
+    >>> W.levels[1]
+    ['*', ('L', 1), ('R', 1)]
+    >>> W.face(1, 1, 2)  # the loop of Y closes at the basepoint
+    0
+    """
+    if not (X.pointed and Y.pointed):
         raise ValueError("wedge requires pointed inputs")
     N = min(X.top_level, Y.top_level)
-    levels = []
-    xpos = []
-    ypos = []
-    for n in range(N + 1):
-        lvl = ["*"]
-        xp = {}
-        yp = {}
-        for x in range(X.card(n)):
-            if x == X.basepoint[n]:
-                xp[x] = 0
-            else:
-                xp[x] = len(lvl)
-                lvl.append(("L", X.levels[n][x]))
-        for y in range(Y.card(n)):
-            if y == Y.basepoint[n]:
-                yp[y] = 0
-            else:
-                yp[y] = len(lvl)
-                lvl.append(("R", Y.levels[n][y]))
-        levels.append(lvl)
-        xpos.append(xp)
-        ypos.append(yp)
-    back = []
-    for n in range(N + 1):
-        b = {}
-        for x, k in xpos[n].items():
-            if k != 0:
-                b[k] = ("L", x)
-        for y, k in ypos[n].items():
-            if k != 0:
-                b[k] = ("R", y)
-        back.append(b)
+    levels = [
+        ["*"] + [("L", x) for x in X.levels[n][1:]]
+        + [("R", y) for y in Y.levels[n][1:]]
+        for n in range(N + 1)
+    ]
 
-    def face(n, i, k):
-        if k == 0:
-            return 0
-        side, e = back[n][k]
-        if side == "L":
-            return xpos[n - 1][X.face(n, i, e)]
-        return ypos[n - 1][Y.face(n, i, e)]
-
-    def deg(n, i, k):
-        if k == 0:
-            return 0
-        side, e = back[n][k]
-        if side == "L":
-            return xpos[n + 1][X.degeneracy(n, i, e)]
-        return ypos[n + 1][Y.degeneracy(n, i, e)]
+    def on_halves(act, shift):
+        """``act`` (a face or degeneracy, onto level n + shift) on each
+        half: slot x of X stays x, slot y of Y sits at |X_n| - 1 + y."""
+        def image(n, i, k):
+            cx = X.card(n)
+            if k < cx:
+                return act(X, n, i, k)
+            y = act(Y, n, i, k - cx + 1)
+            return y and X.card(n + shift) - 1 + y
+        return image
 
     hitcap = None
     if X.hitcap_coeff is not None and Y.hitcap_coeff is not None:
@@ -549,8 +518,8 @@ def wedge(X, Y, name=None):
     return _build(
         name or f"wedge({X.name},{Y.name})",
         levels,
-        face,
-        deg,
-        lambda n: 0,
+        on_halves(lambda Z, n, i, z: Z.face(n, i, z), -1),
+        on_halves(lambda Z, n, i, z: Z.degeneracy(n, i, z), 1),
+        True,
         hitcap,
     )

@@ -419,6 +419,48 @@ def test_malformed_json_exit_code(tmp_path):
     assert cli.main(["run", str(path)]) == 2
 
 
+INLINE = {
+    "basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": 0,
+                                            "weight": 1}],
+    "unit": "1",
+    "mult": [["1", "1", {"1": "1"}], ["1", "x", {"x": "1"}],
+             ["x", "1", {"x": "1"}], ["x", "x", {}]],
+}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("space", "circle", "space must be an object"),
+    ("algebra", {**INLINE, "mult": INLINE["mult"] + [["x", "y", {}]]},
+     "undeclared basis label 'y'"),
+    ("algebra", {**INLINE, "basis": [{"label": "1", "degree": 0},
+                                     {"label": "x", "weight": 1}]},
+     "'degree' is required"),
+    ("algebra", {"name": "truncated-polynomial", "truncation": "3"},
+     "truncation must be an integer >= 2, not '3'"),
+], ids=["space-string", "undeclared-label", "basis-without-degree",
+        "truncation-string"])
+def test_malformed_descriptor_is_a_schema_error(tmp_path, capsys, field,
+                                                value, message):
+    # exit 1 is a failing oracle; a descriptor that breaks the rules of
+    # jobs/schema.json exits 2, from run and explain alike
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({**BASE, field: value}))
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and message in err
+
+
+def test_hkr_check_without_a_space_is_a_schema_error(tmp_path, capsys):
+    raw = json.loads((JOBS / "criterion05b_hkr_sphere3.json").read_text())
+    del raw["space"]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 2
+    assert "hkr-check needs a sphere or surface model" in (
+        capsys.readouterr().err)
+
+
 def test_unknown_field_exit_code(tmp_path):
     raw = dict(BASE)
     raw["mystery"] = True

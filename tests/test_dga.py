@@ -193,27 +193,27 @@ def test_multiop_functoriality_exhaustive(QQ, exterior):
 def test_apply_setmap_module_slot(QQ, trunc2):
     m = dga.algebra_as_bimodule(trunc2)
     # merge an algebra slot into the module slot: x . x^m
-    out = dga.apply_setmap(trunc2, (0, 0), (1, 1), module=m, module_slot=0)
+    out = dga.apply_setmap(trunc2, (0, 0), (1, 1), module=m)
     assert out == {}  # x·x = 0 in the module
-    out2 = dga.apply_setmap(trunc2, (0, 0), (0, 1), module=m, module_slot=0)
+    out2 = dga.apply_setmap(trunc2, (0, 0), (0, 1), module=m)
     assert out2 == {(1,): QQ.field.one}
 
 
-@pytest.mark.parametrize("setmap, slot", [
-    ((1, 0), 0),  # the module slot moves
-    ((0, 0, 1), 1),  # it merges into another slot
-    ((0, 1), 2),  # it is not a source slot
-    ((0, 1), None),  # a module with no module slot
+@pytest.mark.parametrize("setmap", [
+    (1, 0),  # the module slot moves
+    (1, 1, 0),  # it merges into another slot
+    (1, 0, 0),  # it moves, and other slots merge at target 0
+    (),  # a module with no slot to sit in
 ])
-def test_a_map_that_moves_the_module_slot_is_refused(trunc2, setmap, slot):
-    """Module coefficients sit at the basepoint, and only pointed maps act
-    on them: a slot map that does not keep the module slot in place is
+def test_a_map_that_moves_the_module_slot_is_refused(trunc2, setmap):
+    """Module coefficients sit at the basepoint, slot 0, and only pointed
+    maps act on them: a slot map that does not keep slot 0 in place is
     refused when it is compiled, whatever the monomial."""
     m = dga.algebra_as_bimodule(trunc2)
-    with pytest.raises(ValueError, match="keep the module slot"):
-        dga.compile_setmap(trunc2, setmap, module=m, module_slot=slot)
-    with pytest.raises(ValueError, match="keep the module slot"):
-        dga.apply_setmap(trunc2, setmap, (0,) * len(setmap), m, slot)
+    with pytest.raises(ValueError, match="keep the module slot 0"):
+        dga.compile_setmap(trunc2, setmap, module=m)
+    with pytest.raises(ValueError, match="keep the module slot 0"):
+        dga.apply_setmap(trunc2, setmap, (0,) * len(setmap), m)
 
 
 def test_koszul_sign():
@@ -286,14 +286,13 @@ def test_multiop_functoriality_hypothesis(QQ, ns, nm, nt, data):
 # -- apply_setmap against the generic fold ----------------------------------
 
 
-def _reference_apply_setmap(A, setmap, monomial, module=None,
-                            module_slot=None):
-    """The generic fold on a pointed map (the module, when given, in a
-    slot the map keeps in place): every source slot is walked, the Koszul
-    sign is taken over all non-unit factors, every fold step is multiplied
-    in the field and the output tuple is rebuilt slot by slot."""
+def _reference_apply_setmap(A, setmap, monomial, module=None):
+    """The generic fold on a pointed map (the module, when given, in slot
+    0, which the map keeps in place): every source slot is walked, the
+    Koszul sign is taken over all non-unit factors, every fold step is
+    multiplied in the field and the output tuple is rebuilt slot by slot."""
     f = A.coefficients.field
-    module_src = module_slot if module is not None else None
+    module_src = 0 if module is not None else None
     n_targets = 1 + max(setmap) if setmap else 0
     factors = []  # (source_slot, degree, kind, basis_pos)
     for s, t in enumerate(setmap):
@@ -418,18 +417,17 @@ ORACLE_CASES = {  # field -> [(algebra, modules)]
 
 def _calls(A, module, setmap):
     """Every monomial on the slots of ``setmap``, with the module (when
-    given) in each source slot that the setmap keeps in place."""
+    given) in slot 0 if the setmap keeps it in place."""
     k = len(setmap)
     if module is None:
         for mono in iproduct(range(A.dim), repeat=k):
-            yield A, setmap, mono, None, None
+            yield A, setmap, mono, None
         return
-    for s in range(k):
-        if setmap[s] != s:
-            continue
-        ranges = [range(module.dim if i == s else A.dim) for i in range(k)]
-        for mono in iproduct(*ranges):
-            yield A, setmap, mono, module, s
+    if not k or setmap[0] != 0:
+        return
+    ranges = [range(module.dim)] + [range(A.dim)] * (k - 1)
+    for mono in iproduct(*ranges):
+        yield A, setmap, mono, module
 
 
 @pytest.mark.parametrize("field", sorted(ORACLE_FIELDS))
@@ -463,18 +461,16 @@ def test_apply_setmap_matches_reference_hypothesis(data):
     k = data.draw(st.integers(0, 6))
     m = data.draw(st.integers(1, 6))
     setmap = tuple(data.draw(st.integers(0, m - 1)) for _ in range(k))
-    # the module sits in a slot the setmap keeps in place, if it has one
-    kept = [s for s in range(k) if setmap[s] == s]
-    slot = None
-    if module is not None and kept:
-        slot = data.draw(st.sampled_from(kept))
-    else:
+    # the module sits in slot 0, if the setmap keeps it in place
+    if not k or setmap[0] != 0:
         module = None
     mono = tuple(
-        data.draw(st.integers(0, (module if s == slot else A).dim - 1))
+        data.draw(st.integers(
+            0, (module if module is not None and not s else A).dim - 1
+        ))
         for s in range(k)
     )
-    args = (A, setmap, mono, module, slot)
+    args = (A, setmap, mono, module)
     assert _outcome(dga.apply_setmap, *args) == _outcome(
         _reference_apply_setmap, *args
     )
@@ -482,30 +478,31 @@ def test_apply_setmap_matches_reference_hypothesis(data):
 
 def test_zero_fold_leaves_a_later_error_standing():
     """Every fold runs to its end, so a zero at one target leaves an error
-    at a later one standing: here target 0 is zero (x acts as 0 on k, or
-    x·x = 0), and target 1 then multiplies past the materialized weight,
-    or needs the left action of a module that has none.  The second is a
-    memo program, which keeps no outcome for a fold that raises, so it
-    raises again on the next run."""
+    at a later one standing: here target 0 is zero (x acts as 0 on k), and
+    target 1 then multiplies past the materialized weight.  An error at
+    the module's target 0 stands as well when target 1 is zero (x·x = 0):
+    a module with no right action cannot take the algebra factor merged
+    into slot 0.  That is a memo program, which keeps no outcome for a
+    fold that raises, so it raises again on the next run."""
     F5 = Coefficients("prime-field", 5)
     A = dga.polynomial(F5, max_weight=3)
     with pytest.raises(AlgebraClassError,
                        match="product exceeds materialized weight 3"):
         dga.apply_setmap(A, (0, 0, 1, 1), (0, 1, 2, 2),
-                         dga.augmentation_module(A), 0)
+                         dga.augmentation_module(A))
     T = dga.truncated_polynomial(Coefficients(), 2)
-    right_only, E, _left = hh.enveloping_modules(T)
+    _right, E, left_only = hh.enveloping_modules(T)
     x = E.labels.index(("1", "x^1"))  # x·x = 0 in the envelope
-    # slot 0 acts on the module in slot 1 from the left
-    args = (E, (1, 1, 0, 0), (x, 0, x, x), right_only, 1)
-    error = (ValueError, "k[x]/x^2 (right over envelope): no left action")
+    # slot 1 acts on the module in slot 0 from the right
+    args = (E, (0, 0, 1, 1), (0, x, x, x), left_only)
+    error = (ValueError, "k[x]/x^2 (left over envelope): no right action")
     assert _outcome(dga.apply_setmap, *args) == _outcome(
         _reference_apply_setmap, *args
     ) == error
-    push = dga.compile_setmap(E, (1, 1, 0, 0), 2, right_only, 1)
+    push = dga.compile_setmap(E, (0, 0, 1, 1), 2, left_only)
     assert push.memo is not None
     for _ in range(2):
-        assert _outcome(push, (x, 0, x, x)) == error
+        assert _outcome(push, (0, x, x, x)) == error
     assert push.memo == {}
 
 
@@ -555,10 +552,18 @@ def _real_setmaps(Y):
             yield tuple(setmap), n, n + 1
 
 
+def _coerced(push, field):
+    """A program's plain coefficients coerced into ``field``, as a builder
+    coerces the sums of a column."""
+    return lambda run: {
+        image: field.coerce(c) for image, c in push(run).items()
+    }
+
+
 def test_programs_match_reference_on_real_faces():
-    """The full-length image of a compiled face or degeneracy program is
-    the generic fold padded with units, on random monomials, with the
-    module (when given) at the basepoint."""
+    """The full-length image of a compiled face or degeneracy program,
+    coerced into the field, is the generic fold padded with units, on
+    random monomials, with the module (when given) at the basepoint."""
     spaces = [
         simp.circle(6), simp.torus(3), simp.sphere_small(2, 5),
         simp.sphere_small(3, 6), simp.wedge(simp.circle(4), simp.circle(4)),
@@ -575,14 +580,13 @@ def test_programs_match_reference_on_real_faces():
                            dga.algebra_as_bimodule(A)):
                 for Y in spaces:
                     for setmap, n, m in _real_setmaps(Y):
-                        bp = Y.basepoint[n]
-                        push = dga.compile_setmap(
-                            A, setmap, Y.card(m), module, bp
-                        )
+                        push = _coerced(dga.compile_setmap(
+                            A, setmap, Y.card(m), module
+                        ), field.field)
                         for _ in range(3):
                             mono = tuple(
                                 rng.randrange(module.dim)
-                                if module is not None and s == bp
+                                if module is not None and not s
                                 else rng.choice((A.unit, rng.randrange(A.dim)))
                                 for s in range(Y.card(n))
                             )
@@ -591,7 +595,7 @@ def test_programs_match_reference_on_real_faces():
                                 lambda mono: {
                                     w + (A.unit,) * (Y.card(m) - len(w)): c
                                     for w, c in _reference_apply_setmap(
-                                        A, setmap, mono, module, bp
+                                        A, setmap, mono, module
                                     ).items()
                                 },
                                 mono,
@@ -616,9 +620,9 @@ def test_programs_match_reference_on_real_faces():
 # -- memoized programs against the fold of every run --------------------------
 
 
-def _reference_compile_setmap(A, setmap, n_targets=None, module=None,
-                              module_slot=None):
-    """The face program of a pointed map that folds every run anew: its
+def _reference_compile_setmap(A, setmap, n_targets=None, module=None):
+    """The face program of a pointed map (the module, when given, in slot
+    0) that folds every run anew: its
     coefficient starts at the Koszul sign, the representatives are
     gathered into a full image and the merging factors folded into it."""
     unit, k = A.unit, len(setmap)
@@ -629,7 +633,7 @@ def _reference_compile_setmap(A, setmap, n_targets=None, module=None,
         fibres[t].append(s)
     msrc = tm = None
     if module is not None:
-        msrc = tm = module_slot
+        msrc = tm = 0
     kinds = [(dga._constants(A, "product"), True)]
     if tm is not None:
         kinds += [
@@ -699,13 +703,13 @@ def _reference_compile_setmap(A, setmap, n_targets=None, module=None,
 
 
 def _program_cases():
-    """(A, setmap, n_targets, module, module_slot, sign, monomials): every
-    face of three spaces over k[x]/x² and k[x]/x³ over Q, F_2 and F_3
-    with alternating face signs, and every setmap {0..k-1} -> {0..m-1},
-    k, m <= 3, over Λ(x), the unreduced F_3 algebra, the two-term algebra
-    and, with the module in each slot the setmap keeps in place, k[x]/x³
-    over k, over itself and over itself twisted on the right; on every
-    monomial of each."""
+    """(A, setmap, n_targets, module, sign, monomials): every face of
+    three spaces over k[x]/x² and k[x]/x³ over Q, F_2 and F_3 with
+    alternating face signs, and every setmap {0..k-1} -> {0..m-1}, k, m <=
+    3, over Λ(x), the unreduced F_3 algebra, the two-term algebra and,
+    with the module in slot 0 where the setmap keeps it in place, k[x]/x³
+    and Λ(x) over k, over themselves and over themselves twisted on the
+    right; on every monomial of each."""
     spaces = [simp.circle(4), simp.wedge(simp.circle(3), simp.circle(3)),
               simp.sphere_small(2, 4)]
     fields = [Coefficients(), Coefficients("prime-field", 2),
@@ -717,23 +721,24 @@ def _program_cases():
                 for n in range(1, Y.top_level + 1):
                     monos = list(iproduct(range(A.dim), repeat=Y.card(n)))
                     for r, setmap in enumerate(Y.face_tab[n]):
-                        yield (A, tuple(setmap), Y.card(n - 1), None, None,
+                        yield (A, tuple(setmap), Y.card(n - 1), None,
                                -1 if r % 2 else 1, monos)
     trunc3 = dga.truncated_polynomial(Coefficients(), 3)
+    ext = dga.exterior(Coefficients())
     small = [(A, None) for A in (
-        dga.exterior(Coefficients()), _unreduced_algebra(),
+        ext, _unreduced_algebra(),
         _two_term_algebra(Coefficients("prime-field", 5)),
-    )] + [(trunc3, module) for module in _oracle_modules(trunc3)[1:]]
+    )] + [(A, module) for A in (trunc3, ext)
+          for module in _oracle_modules(A)[1:]]
     for A, module in small:
         for k in range(4):
             for m in range(1, 4):
                 for i, setmap in enumerate(iproduct(range(m), repeat=k)):
-                    runs = {}
-                    for _, _, mono, _, slot in _calls(A, module, setmap):
-                        runs.setdefault(slot, []).append(mono)
-                    for slot, monos in runs.items():
-                        yield (A, setmap, m, module, slot,
-                               -1 if i % 2 else 1, monos)
+                    monos = [mono for _, _, mono, _ in
+                             _calls(A, module, setmap)]
+                    if monos:
+                        yield (A, setmap, m, module, -1 if i % 2 else 1,
+                               monos)
 
 
 def test_programs_match_the_reference_fold_on_every_monomial():
@@ -742,10 +747,11 @@ def test_programs_match_the_reference_fold_on_every_monomial():
     in the same order, the same value types, the same errors."""
     seen, cases, runs, hits = set(), 0, 0, 0
     negative = vanished = False
-    for A, setmap, n, module, slot, sign, monos in _program_cases():
+    for A, setmap, n, module, sign, monos in _program_cases():
         f = A.coefficients.field
-        push = dga.compile_setmap(A, setmap, n, module, slot, sign)
-        ref = _reference_compile_setmap(A, setmap, n, module, slot)
+        program = dga.compile_setmap(A, setmap, n, module, sign)
+        push = _coerced(program, f)
+        ref = _reference_compile_setmap(A, setmap, n, module)
 
         def want(mono):
             return {w: c if sign > 0 else f.neg(c)
@@ -758,10 +764,10 @@ def test_programs_match_the_reference_fold_on_every_monomial():
                 seen.add(got[1])
             elif A.name == "exterior(-1)" and got[0]:
                 negative |= got[0][0][1] * sign < 0
-        assert push.memo is not None
+        assert program.memo is not None
         runs += len(monos)
-        hits += len(monos) - len(push.memo)
-        vanished |= A.name == "unreduced" and None in push.memo.values()
+        hits += len(monos) - len(program.memo)
+        vanished |= A.name == "unreduced" and None in program.memo.values()
         cases += 1
     assert cases > 500 and runs > 50000 and hits > runs // 2
     assert negative and vanished
@@ -818,12 +824,11 @@ def test_a_program_over_a_materialized_algebra_keeps_no_memo(monkeypatch):
 # -- support programs against the dense fold they replace --------------------
 
 
-def _reference_dense_program(A, setmap, n_targets=None, module=None,
-                             module_slot=None, sign=1):
-    """The program of a pointed map that folded whole monomials over a
-    materialized algebra, before programs folded supports: it reads every
-    merge step of the monomial, target by target, and gives images on
-    every target slot."""
+def _reference_dense_program(A, setmap, n_targets=None, module=None, sign=1):
+    """The program of a pointed map (the module, when given, in slot 0)
+    that folded whole monomials over a materialized algebra, before
+    programs folded supports: it reads every merge step of the monomial,
+    target by target, and gives images on every target slot."""
     unit, k = A.unit, len(setmap)
     if n_targets is None:
         n_targets = 1 + max(setmap) if setmap else 0
@@ -832,7 +837,7 @@ def _reference_dense_program(A, setmap, n_targets=None, module=None,
         fibres[t].append(s)
     msrc = tm = None
     if module is not None:
-        msrc = tm = module_slot
+        msrc = tm = 0
     merging = [t for t, fibre in enumerate(fibres) if len(fibre) > 1]
     steps = [(s, t) for t in merging for s in fibres[t][1:]]
     tail = () if all(fibres) else (unit,)
@@ -948,22 +953,23 @@ def test_support_programs_match_the_dense_fold():
                        dga.algebra_as_bimodule(A)):
             for Y in spaces:
                 for i, (setmap, n, m) in enumerate(_real_setmaps(Y)):
-                    bp, sign = Y.basepoint[n], -1 if i % 2 else 1
-                    push = dga.compile_setmap(A, setmap, Y.card(m), module,
-                                              bp, sign)
+                    sign = -1 if i % 2 else 1
+                    program = dga.compile_setmap(A, setmap, Y.card(m),
+                                                 module, sign)
+                    push = _coerced(program, A.coefficients.field)
                     ref = _reference_dense_program(A, setmap, Y.card(m),
-                                                   module, bp, sign)
-                    assert push.memo is None
-                    # the module slot, kept in place and in the supports
-                    keep = None if module is None else bp
-                    free = [s for s in range(Y.card(n)) if s != keep]
+                                                   module, sign)
+                    assert program.memo is None
+                    # the module slot 0, kept in place and in the supports
+                    keep = module is not None
+                    free = range(keep, Y.card(n))
                     for _ in range(4):
                         mono = [A.unit] * Y.card(n)
                         size = min(len(free), rng.randint(0, 4))
                         for s in rng.sample(free, size):
                             mono[s] = rng.choice(nonunit)
                         if module is not None:
-                            mono[bp] = rng.randrange(module.dim)
+                            mono[0] = rng.randrange(module.dim)
                         mono = tuple(mono)
                         got = _outcome(push, dga._support(mono, A.unit, keep))
                         want = _outcome(lambda mono: {

@@ -642,7 +642,7 @@ def _brute_monomials(Y, n, A, module, weights, min_int, normalized):
     meets every degeneracy-image complement (if normalized) and its total
     weight and internal degree pass the filters."""
     card = Y.card(n)
-    bp = Y.basepoint[n] if module is not None else None
+    bp = 0 if module is not None else None  # the basepoint's slot
     complements = []
     if normalized:
         complements = [
@@ -734,10 +734,9 @@ def test_enumeration_cap_boundary(Y, A, weights):
         )
         # each monomial comes with its (internal degree, weight) and its
         # support, the module slot always in it
-        keep = None if module is None else Y.basepoint[n]
         assert all(
             key == internal_key(Y, n, A, module, mono)
-            and sup == dga._support(mono, A.unit, keep)
+            and sup == dga._support(mono, A.unit, module is not None)
             for mono, key, sup in keyed
         )
         m = max(blocks.values())
@@ -799,8 +798,9 @@ def test_build_levels_caps_the_total_blocks(exterior, trunc2):
 ])
 def test_unit_slot_matches_filtered_enumeration(exterior, trunc2, space,
                                                 weights):
-    # cochain arguments: the basepoint left out of the search and kept
-    # unit gives exactly the normalized basis filtered to a unit basepoint
+    # cochain arguments: the basepoint (slot 0) left out of the search and
+    # kept unit gives exactly the normalized basis filtered to a unit
+    # basepoint
     Y = {
         "circle": lambda: simp.circle(4),
         "wedge_circles": lambda: simp.wedge(simp.circle(4), simp.circle(4)),
@@ -809,11 +809,10 @@ def test_unit_slot_matches_filtered_enumeration(exterior, trunc2, space,
     dropped = 0
     for A in (exterior, trunc2):
         for n in range(5):
-            bp = Y.basepoint[n]
             full = _monomials(Y, n, A, None, weights, None, True)
-            want = [m for m in full if m[bp] == A.unit]
+            want = [m for m in full if m[0] == A.unit]
             got = _monomials(
-                Y, n, A, None, weights, None, True, unit_slot=bp
+                Y, n, A, None, weights, None, True, unit_base=True
             )
             assert got == want, (A.name, n)
             dropped += len(full) - len(want)
@@ -848,7 +847,7 @@ def _reference_is_nondegenerate(Y, n, A, module, mono):
     every slot, the basepoint left out when a module is given."""
     if n == 0:
         return True
-    bp = Y.basepoint[n] if module is not None else None
+    bp = 0 if module is not None else None  # the basepoint's slot
     support = {s for s, p in enumerate(mono) if s != bp and p != A.unit}
     return not any(
         c.isdisjoint(support) for c in Y.nondegenerate_complements(n)
@@ -893,7 +892,7 @@ def test_is_nondegenerate_matches_reference(QQ, trunc3, space):
                     for s in slots:
                         mono[s] = rng.choice(nonunit)
                     if module is not None:
-                        mono[Y.basepoint[n]] = rng.randrange(module.dim)
+                        mono[0] = rng.randrange(module.dim)
                     mono = tuple(mono)
                     want = _reference_is_nondegenerate(Y, n, A, module, mono)
                     assert hh._is_nondegenerate(Y, n, A, mono) == want

@@ -196,10 +196,7 @@ def _reference_simplicial_ch(Y, A, module, window, weights, normalized=True):
             setmap = tuple(Y.face_tab[n][r])
             fmap = ChainMap(src, tgt)
             for mono in src.index:
-                image = dga.apply_setmap(
-                    A, setmap, mono, module=module,
-                    module_slot=Y.basepoint[n] if module else None,
-                )
+                image = dga.apply_setmap(A, setmap, mono, module=module)
                 for timg, v in image.items():
                     full = timg + (A.unit,) * (Y.card(n - 1) - len(timg))
                     if full in tgt.index:

@@ -97,11 +97,48 @@ def test_wedge_point_identity():
 
 def test_basepoint_fixed():
     for X in all_builders():
-        if not X.is_pointed():
+        if not X.pointed:
             continue
         for n in range(1, X.top_level + 1):
             for i in range(n + 1):
-                assert X.face(n, i, X.basepoint[n]) == X.basepoint[n - 1]
+                assert X.face(n, i, 0) == 0
+
+
+def test_a_basepoint_past_the_first_vertex_is_refused(monkeypatch):
+    # on the surface's generators the cone apex c is the second level-0
+    # generator, so its simplices would not sit at slot 0
+    real, calls = simp.from_nondegenerate, []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simp, "from_nondegenerate", spy)
+    X = simp.surface(1, 2)
+    (args, kwargs), = calls
+    assert kwargs["basepoint"] == "v" and X.levels[0][0] == ("v", (0,))
+    with pytest.raises(ValueError, match="first level-0 generator"):
+        real(*args, **{**kwargs, "basepoint": "c"})
+
+
+def test_a_face_that_moves_slot_0_fails_validate():
+    """Exchanging the two edges of the circle gives an isomorphic
+    simplicial set whose slot 0 at level 1 is the loop: every simplicial
+    identity holds, but a face of level 2 moves slot 0 off slot 0."""
+    X = simp.circle(3)
+    swap = (1, 0)  # level-1 positions exchanged (an involution)
+    face_tab = [None] + [[list(r) for r in X.face_tab[n]] for n in (1, 2, 3)]
+    deg_tab = [[list(r) for r in X.deg_tab[n]] for n in (0, 1, 2)] + [None]
+    face_tab[1] = [[row[k] for k in swap] for row in face_tab[1]]
+    deg_tab[1] = [[row[k] for k in swap] for row in deg_tab[1]]
+    face_tab[2] = [[swap[t] for t in row] for row in face_tab[2]]
+    deg_tab[0] = [[swap[t] for t in row] for row in deg_tab[0]]
+    unpointed = simp.SimplicialSet("swapped", X.levels, face_tab, deg_tab)
+    assert unpointed.validate() == (True, None)
+    pointed = simp.SimplicialSet("swapped", X.levels, face_tab, deg_tab,
+                                 pointed=True)
+    ok, witness = pointed.validate()
+    assert not ok and witness[0] == "basepoint face"
 
 
 def test_corrupted_face_table_fails():
@@ -111,7 +148,7 @@ def test_corrupted_face_table_fails():
     ]
     face_tab[3][1][2] = (face_tab[3][1][2] + 1) % X.card(2)
     bad = simp.SimplicialSet(
-        "bad", X.levels, face_tab, X.deg_tab, X.basepoint
+        "bad", X.levels, face_tab, X.deg_tab, X.pointed
     )
     ok, witness = bad.validate()
     assert not ok
@@ -163,7 +200,7 @@ def test_json_export_roundtrip():
         X.card(n) for n in range(5)
     ]
     assert doc["faces"][1] is not None
-    assert doc["basepoint"] == X.basepoint
+    assert doc["pointed"] is X.pointed is True
 
 
 def _meets_all(support, complements):

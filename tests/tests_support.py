@@ -38,7 +38,7 @@ def constant_simplicial(complex_, top_level):
 def internal_key(Y, n, A, module, mono):
     """(internal degree, weight) of a level-n monomial of Y, the module
     (when given) at the basepoint: the sums over its slots."""
-    bp = Y.basepoint[n] if module is not None else None
+    bp = 0 if module is not None else None  # the basepoint's slot
     deg = wt = 0
     for s, p in enumerate(mono):
         X = module if s == bp else A
