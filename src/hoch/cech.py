@@ -35,6 +35,7 @@ from .homalg import (
     SimplicialChainComplex,
     total_complex,
 )
+from .linalg import _Table, _acc, _compose, _signed
 from .hochschild import (
     build_levels,
     classical_basis,
@@ -297,7 +298,7 @@ def validate_prefactorization(F):
                     pf = tuple(family[i] for i in perm)
                     pl = tuple(factors[i] for i in perm)
                     sign = dga.koszul_sign([(i, degs[i]) for i in perm])
-                    if F.rho(pf, pl, w) != dga._signed(base, sign < 0, f):
+                    if F.rho(pf, pl, w) != _signed(base, sign < 0, f):
                         return False, ("symmetry", w, family, perm)
     # associativity square (nested families), inner families possibly empty
     for w in poset.opens:
@@ -319,7 +320,7 @@ def validate_prefactorization(F):
                         part = factors[pos : pos + len(fam)]
                         pos += len(fam)
                         mid_values.append(F.rho(fam, part, v))
-                    composite = dga._compose(
+                    composite = _compose(
                         _expand(mid_values),
                         lambda labs: F.rho(mids, labs, w), f,
                     )
@@ -340,7 +341,7 @@ def _validate_precosheaf(F):
                 if not (poset.leq(v, w) and v != w):
                     continue
                 for lab in _labels(F.value(u)):
-                    once = dga._compose(
+                    once = _compose(
                         F.ext(u, v, lab), lambda k: F.ext(v, w, k), f
                     )
                     if once != F.ext(u, w, lab):
@@ -384,12 +385,12 @@ def _expand(value_dicts):
 
 
 def _k_values(poset, coefficients):
-    """U ↦ k (the label "1" in degree 0) on every open, and the chain 1."""
-    coefficients = coefficients or Coefficients()
-    c = ChainComplex(coefficients)
+    """U ↦ k (the label "1" in degree 0) on every open, and the chain 1
+    (with the plain coefficient 1, as every field takes it)."""
+    c = ChainComplex(coefficients or Coefficients())
     c.add_element("1", 0, 0)
     k = c.freeze(support=(0, 0))
-    return {u: k for u in poset.opens}, {"1": coefficients.field.one}
+    return {u: k for u in poset.opens}, {"1": 1}
 
 
 def trivial_prefactorization(poset, coefficients=None):
@@ -422,7 +423,7 @@ def circle_arc_algebra(A, poset, orientation=1):
     arc = poset.arc_data
     # (open, target) -> the start of the open measured from the start of
     # the target arc, in the direction of the orientation
-    position = dga._Table(
+    position = _Table(
         lambda ut: orientation * ((arc[ut[0]][0] - arc[ut[1]][0]) % 1)
     )
 
@@ -524,7 +525,7 @@ def interval_stratified(Mr, A, Ml, poset):
 def _fold(X, value, act, f):
     """A value of X, {label: coeff}, with ``act`` (basis position of X ->
     {position: coeff}) applied to each term."""
-    return dga._compose(
+    return _compose(
         value,
         lambda lab: {
             X.labels[k]: c for k, c in act(X.labels.index(lab)).items()
@@ -679,7 +680,7 @@ def _family_internal_diff(F, parts):
         sign = f.coerce(-1 if run % 2 else 1)
         for tgt, v in cx.d_apply({l: f.one}).items():
             new = parts[:idx] + ((combo, tgt),) + parts[idx + 1 :]
-            dga._acc(out, new, f.mul(sign, v), f)
+            _acc(out, new, f.mul(sign, v), f)
         run += cx.index[l][0]
     return out
 
@@ -687,8 +688,8 @@ def _family_internal_diff(F, parts):
 def _face_image(F, alpha, lab, s):
     """∂_s on a basis vector (parts ``lab``) of F(alpha): discard
     collection s, regroup the parts by target combo with the Koszul sign,
-    apply F.rho per group."""
-    f = F.coefficients.field
+    apply F.rho per group.  The coefficients are multiplied and summed as
+    plain numbers; ``ChainMap.set_column`` coerces each column's sums."""
     groups = _unhit_targets(F, alpha[:s] + alpha[s + 1 :])
     for combo, l in lab:
         groups.setdefault(combo[:s] + combo[s + 1 :], []).append((combo, l))
@@ -696,19 +697,18 @@ def _face_image(F, alpha, lab, s):
         (combo[:s] + combo[s + 1 :], _part_index(F, (combo, l))[0])
         for combo, l in lab
     ])
-    results = [(f.coerce(sign), ())]
+    results = [(sign, ())]
     for tcombo in sorted(groups):
         image = _rho_parts(
             F, groups[tcombo], F.poset.family_intersection(tcombo)
         )
         results = [
-            (f.mul(coeff, v), parts + ((tcombo, k),))
+            (coeff * v, parts + ((tcombo, k),))
             for coeff, parts in results for k, v in image.items()
         ]
     out = {}
     for coeff, parts in results:
-        if not f.is_zero(coeff):
-            dga._acc(out, parts, coeff, f)
+        out[parts] = out.get(parts, 0) + coeff
     return out
 
 

@@ -17,6 +17,7 @@ from . import dga, hochschild as hh, simp
 from .dga import AlgebraClassError
 from .homalg import Coefficients, WindowError, per_degree
 from .hochschild import InfeasibleError, TruncationError
+from .linalg import _acc, _signed
 
 
 class SchemaError(ValueError):
@@ -93,6 +94,15 @@ def load_jobspec(obj):
     cap = obj.get("cap", 20000)
     if not isinstance(cap, int) or cap <= 0:
         raise SchemaError("cap must be a positive int")
+    _integer(obj, "iterations", None, 0)
+    _integer(obj, "trials", None, 1)
+    _integer(obj, "seed", None)
+    if type(obj.get("coefficients", "Q")) is not str:
+        raise SchemaError("coefficients must be a string, Q or Fp:<p>")
+    if obj.get("module", "self") != "self":
+        raise SchemaError(f"module must be 'self', not {obj['module']!r}")
+    if "automorphism" in obj:
+        _twist_scalar(obj)
     out = dict(obj)
     out["window"] = tuple(window)
     out["weights"] = list(weights) if weights is not None else None
@@ -112,7 +122,13 @@ _REQUIRED = object()
 
 def _integer(desc, key, default=_REQUIRED, minimum=None):
     """``desc[key]`` as jobs/schema.json has it: an int, at least
-    ``minimum`` if given; ``default`` when absent (SchemaError if none)."""
+    ``minimum`` if given; ``default`` when absent (SchemaError if none).
+
+    >>> _integer({"iterations": "2"}, "iterations", 1, 0)
+    Traceback (most recent call last):
+    ...
+    hoch.cli.SchemaError: iterations must be an integer >= 0, not '2'
+    """
     if key not in desc:
         if default is _REQUIRED:
             raise SchemaError(f"{key!r} is required")
@@ -128,6 +144,27 @@ def _object(desc, what):
     if not isinstance(desc, dict):
         raise SchemaError(f"{what} must be an object, not {desc!r}")
     return desc
+
+
+def _lists(desc, key, size, what):
+    """``desc[key]`` (empty when absent): a list of ``size``-item lists."""
+    items = desc.get(key, [])
+    if not isinstance(items, list) or not all(
+        isinstance(e, list) and len(e) == size for e in items
+    ):
+        raise SchemaError(f"{key} must be a list of {what} lists")
+    return items
+
+
+def _rational(value, what, types=(str,)):
+    """A rational as jobs/schema.json has it: a string 'p/q' (or an int,
+    where ``types`` takes one)."""
+    if type(value) not in types:
+        raise SchemaError(f"{what} must be a string 'p/q', not {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{what} {value!r} is not a rational") from exc
 
 
 def build_algebra(desc, coefficients, weights=None):
@@ -164,16 +201,18 @@ def _inline_algebra(desc, coefficients):
     pos = {b[0]: i for i, b in enumerate(basis)}
 
     def at(label):
-        if label not in pos:
+        if type(label) is not str or label not in pos:
             raise SchemaError(f"undeclared basis label {label!r}")
         return pos[label]
 
     def terms(out):  # {label: coefficient string 'p/q'}
-        return {at(k): f.coerce(Fraction(v))
+        return {at(k): f.coerce(_rational(v, "a coefficient"))
                 for k, v in _object(out, "a linear combination").items()}
 
-    mult = {(at(a), at(b)): terms(out) for a, b, out in desc["mult"]}
-    diff = {at(a): terms(out) for a, out in desc.get("differential", [])}
+    mult = {(at(a), at(b)): terms(out)
+            for a, b, out in _lists(desc, "mult", 3, "[a, b, {label: c}]")}
+    diff = {at(a): terms(out)
+            for a, out in _lists(desc, "differential", 2, "[a, {label: c}]")}
     aug = terms(desc["augmentation"]) if "augmentation" in desc else None
     unit = at(desc["unit"])
     try:
@@ -274,7 +313,8 @@ def _build(spec, coefficients):
 
 
 def _twist_scalar(spec):
-    return Fraction(spec.get("automorphism", {}).get("x", -1))
+    automorphism = _object(spec.get("automorphism", {}), "automorphism")
+    return _rational(automorphism.get("x", -1), "automorphism x", (int, str))
 
 
 def _betti_entries(table):
@@ -451,10 +491,11 @@ def _run_cech(spec, coefficients):
         raise SchemaError("cech task needs a cover descriptor")
     ambient = cover_desc.get("ambient", "circle")
     mode = cover_desc.get("mode", "coproduct")
-    trunc = cover_desc.get("truncation", 2)
+    trunc = _integer(cover_desc, "truncation", 2, 0)
     if ambient == "circle":
         arcs = [
-            (Fraction(a), Fraction(l)) for (a, l) in cover_desc.get("arcs", [])
+            (_rational(a, "an arc start"), _rational(l, "an arc length"))
+            for a, l in _lists(cover_desc, "arcs", 2, "[start, length]")
         ]
         poset = cech.circle_arc_poset(arcs)
     elif ambient == "interval":
@@ -556,12 +597,12 @@ def _shuffle_check(H, spec):
         # Leibniz: d(uv) = d(u) v + (-1)^{|u|} u d(v)
         rhs = products.shuffle_product(H, C.d_apply(u), v)
         udv = products.shuffle_product(H, u, C.d_apply(v))
-        for k, c in dga._signed(udv, du, f).items():
-            dga._acc(rhs, k, c, f)
+        for k, c in _signed(udv, du, f).items():
+            _acc(rhs, k, c, f)
         if C.d_apply(uv) != rhs:
             ok = False
         vu = products.shuffle_product(H, v, u)
-        if uv != dga._signed(vu, du * dv, f):
+        if uv != _signed(vu, du * dv, f):
             ok = False
     return ok, trials
 

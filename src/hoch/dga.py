@@ -7,9 +7,10 @@ Supported classes (so that every (degree, weight) computation is finite):
 Constructors outside these classes are rejected.
 
 All structure constants are exact; an axiom audit runs at construction
-and fails fast.  Koszul signs are computed from the sorting permutation
-of the odd-degree factors involved (``koszul_sign``), never from ad-hoc
-parity formulas; even factors never change a sign.
+and fails fast, each side of an axiom one sparse fold of structure maps
+(``linalg._compose``).  Koszul signs are computed from the sorting
+permutation of the odd-degree factors involved (``koszul_sign``), never
+from ad-hoc parity formulas; even factors never change a sign.
 
 A map of slot sets acts on monomials through a program compiled once per
 setmap (``compile_setmap``); ``apply_setmap`` is its one-shot form.  With
@@ -25,7 +26,9 @@ from itertools import product
 from operator import itemgetter
 
 from .homalg import NEG_INF, ChainComplex, Coefficients
-from .linalg import SparseMatrix, _Table, field_values, rank
+from .linalg import (
+    SparseMatrix, _Table, _compose, _signed, field_values, rank,
+)
 
 
 class AlgebraClassError(ValueError):
@@ -217,42 +220,6 @@ def _audit_grading(X):
                     f"{X.name}: differential must raise the degree by 1 and "
                     f"keep the weight at {i}"
                 )
-
-
-def _acc(store, key, value, field):
-    acc = field.add(store.get(key, field.zero), value)
-    if field.is_zero(acc):
-        store.pop(key, None)
-    else:
-        store[key] = acc
-
-
-def _compose(vec, images, field, out=None):
-    """Sum of c * images(k) over the terms {k: c} of ``vec``, added into
-    ``out`` (a new dict by default), which is returned; zero sums are
-    dropped.  Every axiom audit and structure-map fold is one of these.
-
-    >>> from hoch.linalg import QQ
-    >>> square = {0: {0: QQ.one}, 1: {2: QQ.one}, 2: {}}  # x^k -> x^2k
-    >>> _compose({0: QQ.one, 1: QQ.coerce(3)}, square.get, QQ)
-    {0: Fraction(1, 1), 2: Fraction(3, 1)}
-    >>> _compose({1: QQ.one}, square.get, QQ, {2: QQ.coerce(-1)})
-    {}
-    """
-    if out is None:
-        out = {}
-    mul = field.mul
-    for k, c in vec.items():
-        for t, e in images(k).items():
-            _acc(out, t, mul(c, e), field)
-    return out
-
-
-def _signed(vec, parity, field):
-    """(-1)^parity * vec, as a new dict."""
-    if parity % 2:
-        return {k: field.neg(c) for k, c in vec.items()}
-    return dict(vec)
 
 
 class DGModule:

@@ -24,7 +24,7 @@ from .homalg import (
     SimplicialChainComplex,
     total_complex,
 )
-from .linalg import SparseMatrix, rank
+from .linalg import SparseMatrix, _acc, _compose, _signed, rank
 
 
 class TruncationError(ValueError):
@@ -272,7 +272,7 @@ def _internal_diff(A, module, mono):
             for q, c in img.items():
                 t = list(mono)
                 t[s] = q
-                dga._acc(out, tuple(t), f.mul(sign, c), f)
+                _acc(out, tuple(t), f.mul(sign, c), f)
         run += deg
     return out
 
@@ -658,16 +658,16 @@ def enveloping_modules(A):
             e = pos(i, j)
             for m in range(A.dim):
                 # left action: (a ⊗ b^op) · m = (-1)^{|b||m|} a m b
-                image = dga._compose(
-                    dga._signed(A.product(m, j), deg[j] * deg[m], f),
+                image = _compose(
+                    _signed(A.product(m, j), deg[j] * deg[m], f),
                     lambda t: A.product(i, t), f,
                 )
                 if image:
                     left[(e, m)] = image
                 # right action: m · (a ⊗ b^op) = (-1)^{|b||m| + |a||b|} b m a
                 # (the unique sign making the right-module axiom hold)
-                image = dga._compose(
-                    dga._signed(A.product(m, i), deg[j] * (deg[m] + deg[i]), f),
+                image = _compose(
+                    _signed(A.product(m, i), deg[j] * (deg[m] + deg[i]), f),
                     lambda t: A.product(j, t), f,
                 )
                 if image:

@@ -9,9 +9,13 @@ Conventions (fixed once, used everywhere):
 
 Every complex records the degree window on which it is certifiably equal
 to the untruncated object; homology requests outside it are hard errors.
+
+A differential and a ``ChainMap`` are one kind of graded map, filled
+(``_add_entry``), fetched (``_block``) and walked (``_entries``) by one
+helper each; ``tensor``, ``hom_complex`` and ``cone`` loop over the walk.
 """
 
-from .linalg import QQ, PrimeField, SparseMatrix, field_values, rank
+from .linalg import QQ, PrimeField, SparseMatrix, _compose, field_values, rank
 
 NEG_INF = -(10**9)
 POS_INF = 10**9
@@ -95,20 +99,7 @@ class ChainComplex:
     def set_differential_entry(self, source_label, target_label, coeff):
         if self._frozen:
             raise RuntimeError("complex is frozen")
-        sd, sw, sp = self.index[source_label]
-        td, tw, tp = self.index[target_label]
-        if td != sd + 1:
-            raise ValueError(f"differential must raise degree by 1 ({sd}->{td})")
-        if tw != sw:
-            raise ValueError("differential must preserve weight")
-        key = (sd, sw)
-        mat = self.diff.get(key)
-        if mat is None:
-            mat = SparseMatrix(
-                self.dim(sd + 1, sw), self.dim(sd, sw), self.coefficients.field
-            )
-            self.diff[key] = mat
-        mat.add_to(tp, sp, coeff)
+        _add_entry(self, source_label, target_label, coeff)
 
     def freeze(self, window=None, support=None):
         if window is not None:
@@ -140,34 +131,17 @@ class ChainComplex:
         return sorted({w for _, w in self.blocks})
 
     def d_matrix(self, degree, weight):
-        key = (degree, weight)
-        mat = self.diff.get(key)
-        if mat is None:
-            mat = SparseMatrix(
-                self.dim(degree + 1, weight),
-                self.dim(degree, weight),
-                self.coefficients.field,
-            )
-        return mat
+        return _block(self, degree, weight)
 
     def d_apply(self, chain):
         """Differential on a chain given as {label: coeff}."""
-        f = self.coefficients.field
-        out = {}
-        for label, x in chain.items():
+        def image(label):
             d, w, pos = self.index[label]
             mat = self.diff.get((d, w))
-            if mat is None:
-                continue
-            targets = self.blocks.get((d + 1, w), [])
-            for row, v in mat.column(pos).items():
-                lab = targets[row]
-                acc = f.add(out.get(lab, f.zero), f.mul(v, x))
-                if f.is_zero(acc):
-                    out.pop(lab, None)
-                else:
-                    out[lab] = acc
-        return out
+            column = mat.cols.get(pos, {}) if mat else {}
+            return {self.blocks[(d + 1, w)][r]: v for r, v in column.items()}
+
+        return _compose(chain, image, self.coefficients.field)
 
     # -- verification and homology ---------------------------------------
 
@@ -286,20 +260,7 @@ class ChainMap:
         self._values = field_values(source.coefficients.field)
 
     def set_entry(self, source_label, target_label, coeff):
-        sd, sw, sp = self.source.index[source_label]
-        td, tw, tp = self.target.index[target_label]
-        if td != sd + self.shift or tw != sw:
-            raise ValueError("map entry violates declared (shift, weight)")
-        key = (sd, sw)
-        mat = self.blocks.get(key)
-        if mat is None:
-            mat = SparseMatrix(
-                self.target.dim(td, tw),
-                self.source.dim(sd, sw),
-                self.source.coefficients.field,
-            )
-            self.blocks[key] = mat
-        mat.add_to(tp, sp, coeff)
+        _add_entry(self, source_label, target_label, coeff)
 
     def set_column(self, entry, terms):
         """Set the image of a source element, given by its index entry
@@ -315,21 +276,11 @@ class ChainMap:
                   if (x := values[v]) is not None}
         if column:
             if (sd, sw) not in self.blocks:
-                self.blocks[(sd, sw)] = SparseMatrix(
-                    self.target.dim(sd + self.shift, sw),
-                    self.source.dim(sd, sw), self.source.coefficients.field,
-                )
+                self.blocks[(sd, sw)] = _block(self, sd, sw)
             self.blocks[(sd, sw)].cols[sp] = column
 
     def matrix(self, degree, weight):
-        mat = self.blocks.get((degree, weight))
-        if mat is None:
-            mat = SparseMatrix(
-                self.target.dim(degree + self.shift, weight),
-                self.source.dim(degree, weight),
-                self.source.coefficients.field,
-            )
-        return mat
+        return _block(self, degree, weight)
 
     def is_chain_map(self):
         """Check commutation with differentials on the window overlap."""
@@ -342,13 +293,54 @@ class ChainMap:
                 self.matrix(d, w)
             )
             right = self.matrix(d + 1, w).compose(self.source.d_matrix(d, w))
-            for row, col, v in left.entries():
-                if right.get(row, col) != v:
-                    return False
-            for row, col, v in right.entries():
-                if left.get(row, col) != v:
-                    return False
+            if left.cols != right.cols:
+                return False
         return True
+
+
+# -- graded maps: a complex's differential (degree +1) or a ChainMap ----------
+
+
+def _graded(m):
+    """(blocks, source, target, degree) of a complex's differential or of
+    a ChainMap: SparseMatrix blocks keyed by source (degree, weight)."""
+    if isinstance(m, ChainMap):
+        return m.blocks, m.source, m.target, m.shift
+    return m.diff, m, m, 1
+
+
+def _block(m, degree, weight):
+    """The block of ``m`` at source (degree, weight), or an empty one of
+    its shape (not stored)."""
+    blocks, source, target, shift = _graded(m)
+    if (degree, weight) in blocks:
+        return blocks[(degree, weight)]
+    return SparseMatrix(target.dim(degree + shift, weight),
+                        source.dim(degree, weight), source.coefficients.field)
+
+
+def _add_entry(m, source_label, target_label, coeff):
+    """Add ``coeff`` to the entry of ``m`` between two labels, which must
+    differ by its degree and share a weight."""
+    blocks, source, target, shift = _graded(m)
+    sd, sw, sp = source.index[source_label]
+    td, tw, tp = target.index[target_label]
+    if td != sd + shift or tw != sw:
+        raise ValueError(f"entry {source_label!r} -> {target_label!r} must "
+                         f"raise the degree by {shift} and keep the weight")
+    blocks.setdefault((sd, sw), _block(m, sd, sw)).add_to(tp, sp, coeff)
+
+
+def _entries(m):
+    """The entries of ``m`` as (source label, target label, value), block
+    by block in (degree, weight) order."""
+    blocks, source, target, shift = _graded(m)
+    for (d, w), mat in sorted(blocks.items()):
+        sources = source.blocks[(d, w)]
+        targets = target.blocks.get((d + shift, w), ())
+        for col, column in sorted(mat.cols.items()):
+            for row, v in column.items():
+                yield sources[col], targets[row], v
 
 
 # -- basic constructors ---------------------------------------------------
@@ -404,31 +396,14 @@ def tensor(c1, c2):
             for x in b1:
                 for y in b2:
                     out.add_element(("t", x, y), d1 + d2, w1 + w2)
-    for (d1, w1), b1 in sorted(c1.blocks.items()):
-        mat1 = c1.diff.get((d1, w1))
-        for (d2, w2), b2 in sorted(c2.blocks.items()):
-            targets1 = c1.blocks.get((d1 + 1, w1), [])
-            if mat1 is not None:
-                for col in range(len(b1)):
-                    for row, v in mat1.column(col).items():
-                        for y in b2:
-                            out.set_differential_entry(
-                                ("t", b1[col], y),
-                                ("t", targets1[row], y),
-                                v,
-                            )
-            mat2 = c2.diff.get((d2, w2))
-            if mat2 is not None:
-                targets2 = c2.blocks.get((d2 + 1, w2), [])
-                sign = f.coerce(1) if d1 % 2 == 0 else f.coerce(-1)
-                for col in range(len(b2)):
-                    for row, v in mat2.column(col).items():
-                        for x in b1:
-                            out.set_differential_entry(
-                                ("t", x, b2[col]),
-                                ("t", x, targets2[row]),
-                                f.mul(sign, v),
-                            )
+    for x, x2, v in _entries(c1):  # d⊗1
+        for y in c2.index:
+            out.set_differential_entry(("t", x, y), ("t", x2, y), v)
+    for y, y2, v in _entries(c2):  # (-1)^{|x|} 1⊗d
+        for x, (d1, _w, _p) in c1.index.items():
+            out.set_differential_entry(
+                ("t", x, y), ("t", x, y2), f.neg(v) if d1 % 2 else v
+            )
     window = _pair_window(c1.window, c1.support, c2.window, c2.support)
     support = (
         _clamp(c1.support[0] + c2.support[0]),
@@ -453,35 +428,16 @@ def hom_complex(c1, c2):
                 for y in b2:
                     out.add_element(("h", x, y), d2 - d1, 0)
     # delta(phi) = d_D ∘ phi - (-1)^{|phi|} phi ∘ d_C
-    for (d1, w1), b1 in sorted(c1.blocks.items()):
-        for (d2, w2), b2 in sorted(c2.blocks.items()):
-            n = d2 - d1
-            mat2 = c2.diff.get((d2, w2))
-            if mat2 is not None:
-                targets2 = c2.blocks.get((d2 + 1, w2), [])
-                for col in range(len(b2)):
-                    for row, v in mat2.column(col).items():
-                        for x in b1:
-                            out.set_differential_entry(
-                                ("h", x, b2[col]),
-                                ("h", x, targets2[row]),
-                                v,
-                            )
-            mat1 = c1.diff.get((d1 - 1, w1))
-            if mat1 is not None:
-                sources1 = c1.blocks.get((d1 - 1, w1), [])
-                sign = f.coerce(-1) if n % 2 == 0 else f.coerce(1)
-                # phi = (x^ ⊗ y) picks up terms on (x'^ ⊗ y) for x' with
-                # d(x') hitting x.
-                for col in range(len(sources1)):
-                    for row, v in mat1.column(col).items():
-                        x = b1[row]
-                        for y in b2:
-                            out.set_differential_entry(
-                                ("h", x, y),
-                                ("h", sources1[col], y),
-                                f.mul(sign, v),
-                            )
+    for y, y2, v in _entries(c2):
+        for x in c1.index:
+            out.set_differential_entry(("h", x, y), ("h", x, y2), v)
+    # phi = (x^ ⊗ y) picks up (x2^ ⊗ y) for each x2 with d(x2) hitting x
+    for x2, x, v in _entries(c1):
+        d1 = c1.index[x][0]
+        for y, (d2, _w, _p) in c2.index.items():
+            out.set_differential_entry(
+                ("h", x, y), ("h", x2, y), v if (d2 - d1) % 2 else f.neg(v)
+            )
     # degree n draws on pairs d2 - d1 = n within the supports: same rule as
     # tensor with the C-side degrees negated.
     refl_window = (_clamp(-c1.window[1]), _clamp(-c1.window[0]))
@@ -512,32 +468,12 @@ def cone(fmap):
     for (dd, w), block in sorted(d.blocks.items()):
         for y in block:
             out.add_element(("tgt", y), dd, w)
-    for (dc, w), block in sorted(c.blocks.items()):
-        mat = c.diff.get((dc, w))
-        if mat is not None:
-            targets = c.blocks.get((dc + 1, w), [])
-            for col in range(len(block)):
-                for row, v in mat.column(col).items():
-                    out.set_differential_entry(
-                        ("src", block[col]), ("src", targets[row]), f.neg(v)
-                    )
-        fm = fmap.blocks.get((dc, w))
-        if fm is not None:
-            targets = d.blocks.get((dc, w), [])
-            for col in range(len(block)):
-                for row, v in fm.column(col).items():
-                    out.set_differential_entry(
-                        ("src", block[col]), ("tgt", targets[row]), v
-                    )
-    for (dd, w), block in sorted(d.blocks.items()):
-        mat = d.diff.get((dd, w))
-        if mat is not None:
-            targets = d.blocks.get((dd + 1, w), [])
-            for col in range(len(block)):
-                for row, v in mat.column(col).items():
-                    out.set_differential_entry(
-                        ("tgt", block[col]), ("tgt", targets[row]), v
-                    )
+    for x, x2, v in _entries(c):  # -d_C
+        out.set_differential_entry(("src", x), ("src", x2), f.neg(v))
+    for x, y, v in _entries(fmap):  # f
+        out.set_differential_entry(("src", x), ("tgt", y), v)
+    for y, y2, v in _entries(d):  # d_D
+        out.set_differential_entry(("tgt", y), ("tgt", y2), v)
     lo = max(
         c.window[0] - 1 if c.window[0] > NEG_INF else NEG_INF, d.window[0]
     )

@@ -1,6 +1,7 @@
 """Exact sparse linear algebra over Q and F_p.
 
 Matrices are stored column-major as dicts of dicts of field elements.
+``_compose`` is the one sparse apply of a map to a vector {key: value}.
 One loop, ``_eliminate``, does all elimination: a sparse row reduction over
 Z (rows of a rational matrix scaled to integers) or over F_p, which can
 record a transform per row.  ``rank`` counts its pivots and can leave
@@ -114,6 +115,42 @@ def field_values(field):
     return _Table(lambda v: field.coerce(v) or None)
 
 
+def _acc(store, key, value, field):
+    acc = field.add(store.get(key, field.zero), value)
+    if field.is_zero(acc):
+        store.pop(key, None)
+    else:
+        store[key] = acc
+
+
+def _compose(vec, images, field, out=None):
+    """Sum of c * images(k) over the terms {k: c} of ``vec``, added into
+    ``out`` (a new dict by default), which is returned; zero sums are
+    dropped.  Every sparse apply, axiom audit and structure-map fold is
+    one of these.
+
+    >>> square = {0: {0: QQ.one}, 1: {2: QQ.one}, 2: {}}  # x^k -> x^2k
+    >>> _compose({0: QQ.one, 1: QQ.coerce(3)}, square.get, QQ)
+    {0: Fraction(1, 1), 2: Fraction(3, 1)}
+    >>> _compose({1: QQ.one}, square.get, QQ, {2: QQ.coerce(-1)})
+    {}
+    """
+    if out is None:
+        out = {}
+    mul = field.mul
+    for k, c in vec.items():
+        for t, e in images(k).items():
+            _acc(out, t, mul(c, e), field)
+    return out
+
+
+def _signed(vec, parity, field):
+    """(-1)^parity * vec, as a new dict."""
+    if parity % 2:
+        return {k: field.neg(c) for k, c in vec.items()}
+    return dict(vec)
+
+
 class SparseMatrix:
     """Sparse matrix over a field, stored as {col: {row: value}}.
 
@@ -164,18 +201,8 @@ class SparseMatrix:
 
     def apply(self, vec):
         """Apply to a vector given as {col: value}; returns {row: value}."""
-        f = self.field
-        out = {}
-        for col, x in vec.items():
-            if f.is_zero(x):
-                continue
-            for row, v in self.cols.get(col, {}).items():
-                acc = f.add(out.get(row, f.zero), f.mul(v, x))
-                if f.is_zero(acc):
-                    out.pop(row, None)
-                else:
-                    out[row] = acc
-        return out
+        cols = self.cols
+        return _compose(vec, lambda col: cols.get(col, {}), self.field)
 
     def compose(self, other):
         """self @ other (apply other first)."""

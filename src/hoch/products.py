@@ -13,7 +13,7 @@ from . import dga
 # apply_setmap stays bound here for perfbench's tracer test (ROADMAP item 8)
 from .dga import _constants, apply_setmap, compile_setmap  # noqa: F401
 from .homalg import NEG_INF, POS_INF, ChainComplex
-from .linalg import SparseMatrix, field_values
+from .linalg import SparseMatrix, _Table, _acc, field_values
 from .hochschild import (
     TruncationError,
     _internal_diff,
@@ -79,7 +79,7 @@ def shuffle_product(H, u, v):
 
     # (p, q) -> the program of each shuffle (mu, nu) of (p, q), signed by
     # it, on whole monomials
-    programs = dga._Table(lambda pq: [
+    programs = _Table(lambda pq: [
         dga._on_monomials(compile_setmap(
             A, degeneracies(pq[0], nu) + degeneracies(pq[1], mu),
             Y.card(sum(pq)), sign=sgn,
@@ -105,7 +105,7 @@ def shuffle_product(H, u, v):
                     if f.is_zero(total):
                         continue
                     if label in index:
-                        dga._acc(out, label, total, f)
+                        _acc(out, label, total, f)
                     elif _is_nondegenerate(Y, p + q, A, mono):
                         raise TruncationError(
                             "shuffle product leaves the materialized window"
@@ -175,7 +175,7 @@ class ClassicalCochains:
             for a1 in self.nonunit:
                 sgn = f.coerce(-1 if (A.degrees[a1] * fdeg) % 2 else 1)
                 for k, c in A.product(a1, v).items():
-                    dga._acc(
+                    _acc(
                         out,
                         (n + 1, (a1,) + arg, k),
                         f.mul(coeff, f.mul(sgn, c)),
@@ -185,12 +185,12 @@ class ClassicalCochains:
             for i in range(n):
                 sgn = f.coerce(-1 if (i + 1) % 2 else 1)
                 for a, b_ in self._insertions(arg, i):
-                    dga._acc(out, (n + 1, a, v), f.mul(coeff, f.mul(sgn, b_)), f)
+                    _acc(out, (n + 1, a, v), f.mul(coeff, f.mul(sgn, b_)), f)
             # last face: f(a_1 ... a_n) · a_{n+1}
             sgn_last = f.coerce(-1 if (n + 1) % 2 else 1)
             for an in self.nonunit:
                 for k, c in A.product(v, an).items():
-                    dga._acc(
+                    _acc(
                         out,
                         (n + 1, arg + (an,), k),
                         f.mul(coeff, f.mul(sgn_last, c)),
@@ -199,7 +199,7 @@ class ClassicalCochains:
             # internal differential of the DG algebra
             sgn_int = f.coerce(-1 if n % 2 else 1)
             for k, c in A.d(v).items():
-                dga._acc(out, (n, arg, k), f.mul(coeff, f.mul(sgn_int, c)), f)
+                _acc(out, (n, arg, k), f.mul(coeff, f.mul(sgn_int, c)), f)
             sgn_phi = f.coerce(1 if fdeg % 2 else -1)
             for s, p in enumerate(arg):
                 # phi ∘ d on slot s: replace a_s by preimages under d
@@ -213,7 +213,7 @@ class ClassicalCochains:
                             if (sum(A.degrees[x] for x in arg[:s])) % 2
                             else 1
                         )
-                        dga._acc(
+                        _acc(
                             out,
                             (n, t, v),
                             f.mul(
@@ -252,7 +252,7 @@ class ClassicalCochains:
                 cross = sum(A.degrees[x] for x in arg1)
                 sgn = f.coerce(-1 if (gdeg * cross) % 2 else 1)
                 for k, c in A.product(v1, v2).items():
-                    dga._acc(
+                    _acc(
                         out,
                         (p + q, arg1 + arg2, k),
                         f.mul(f.mul(c1, c2), f.mul(sgn, c)),
@@ -322,7 +322,7 @@ class CochainComplexData:
             gated.append((gates, [met(sup) for _, _, sup in keyed]
                            if any(gates) else repeat(0)))
             # internal degree -> the degree and block of each m
-            shapes = dga._Table(lambda adeg: [
+            shapes = _Table(lambda adeg: [
                 (d, blocks.setdefault((d, 0), []), cols.setdefault(d, {}))
                 for d in [n + dm - adeg for dm in mdeg]
             ])
@@ -442,7 +442,7 @@ def _evaluate_pushed(data, by_arg, p, push, u_mono):
         for m, coeff in values.items():
             v = -lam if (cross + odd * module.degrees[m]) % 2 else lam
             for q, c in left[b, m]:
-                dga._acc(out, q, f.mul(coeff, v * c), f)
+                _acc(out, q, f.mul(coeff, v * c), f)
     return out
 
 
@@ -501,7 +501,7 @@ def wedge_product(data_x, data_y, data_wedge, fch, gch):
                         for mY, cg in halves_g[y].items():
                             cfg = f.mul(cf, cg)
                             for k, c in times[mX, mY]:
-                                dga._acc(out, (n, warg, k),
+                                _acc(out, (n, warg, k),
                                          f.mul(cfg, -c if odd else c), f)
     # the memos of the kept programs hold this call's merge keys only, so
     # that they cost no memory between calls

@@ -7,6 +7,7 @@ import pytest
 from hoch import cech, dga
 from hoch.cech import CoverError
 from hoch.homalg import Coefficients
+from hoch.linalg import _acc
 
 THREE_ARCS = [
     (Fraction(0), Fraction(2, 5)),
@@ -230,7 +231,7 @@ def _augmented_faces(C):
             (n, src), (m, tgt) = block[col], targets[row]
             if (n, m) == (1, 0):
                 for k, e in eps_of.get(tgt, {}).items():
-                    dga._acc(out, (src, k), f.mul(v, e), f)
+                    _acc(out, (src, k), f.mul(v, e), f)
     level1 = sum(n == 1 for block in T.blocks.values() for n, _ in block)
     return out, level1
 

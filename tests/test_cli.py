@@ -451,6 +451,44 @@ def test_malformed_descriptor_is_a_schema_error(tmp_path, capsys, field,
         assert err.startswith("schema error: ") and message in err
 
 
+def _job(name, **changes):
+    """A golden job spec with some top-level or cover fields replaced."""
+    raw = json.loads((JOBS / name).read_text())
+    cover = changes.pop("cover", {})
+    raw.update(changes)
+    raw.get("cover", {}).update(cover)
+    return raw
+
+
+@pytest.mark.parametrize("raw, message", [
+    (_job("criterion08a_twisted.json", automorphism=3),
+     "automorphism must be an object, not 3"),
+    (_job("criterion09a_iterated_bar_exterior.json", iterations="2"),
+     "iterations must be an integer >= 0, not '2'"),
+    (_job("criterion11a_shuffle_check.json", trials="3"),
+     "trials must be an integer >= 1, not '3'"),
+    ({**BASE, "module": 5}, "module must be 'self', not 5"),
+    ({**BASE, "coefficients": 5}, "coefficients must be a string"),
+    (_job("criterion10_cosheaf_cech.json", cover={"truncation": "2"}),
+     "truncation must be an integer >= 0, not '2'"),
+    (_job("criterion10_cosheaf_cech.json", cover={"arcs": [[0, [1]]]}),
+     "an arc start must be a string 'p/q', not 0"),
+    ({**BASE, "algebra": {**INLINE, "mult": INLINE["mult"] + [5]}},
+     "mult must be a list of [a, b, {label: c}] lists"),
+    ({**BASE, "algebra": {**INLINE, "augmentation": {"1": [1]}}},
+     "a coefficient must be a string 'p/q', not [1]"),
+], ids=["automorphism-int", "iterations-string", "trials-string",
+        "module-int", "coefficients-int", "cover-truncation-string", "cover-arc-not-strings",
+        "mult-entry-not-a-list", "coefficient-not-a-string"])
+def test_mistyped_field_is_a_schema_error(tmp_path, capsys, raw, message):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and message in err
+
+
 def test_hkr_check_without_a_space_is_a_schema_error(tmp_path, capsys):
     raw = json.loads((JOBS / "criterion05b_hkr_sphere3.json").read_text())
     del raw["space"]

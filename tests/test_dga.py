@@ -13,6 +13,7 @@ from hoch import hochschild as hh
 from hoch import products as pr
 from hoch.dga import AlgebraClassError
 from hoch.homalg import Coefficients
+from hoch.linalg import _acc
 
 
 def test_exterior_relations(QQ, exterior):
@@ -336,7 +337,7 @@ def _reference_apply_setmap(A, setmap, monomial, module=None):
     for c, mono in results:
         if not f.is_zero(c):
             tgt = tuple(mono.get(t, ("a", A.unit))[1] for t in range(n_targets))
-            dga._acc(final, tgt, c, f)
+            _acc(final, tgt, c, f)
     return final
 
 
@@ -696,7 +697,7 @@ def _reference_compile_setmap(A, setmap, n_targets=None, module=None):
                 c *= e
             c = coerced[c]
             if c is not None:
-                dga._acc(out, tuple(image), c, f)
+                _acc(out, tuple(image), c, f)
         return out
 
     return run

@@ -1,12 +1,17 @@
-"""Doctests on the pure helpers."""
+"""Doctests of every module of the package."""
 
 import doctest
+import importlib
+import pkgutil
 
-from hoch import cech, dga, homalg, hochschild, linalg, products, simp
+import hoch
 
 
 def test_doctests():
-    for mod in (cech, dga, homalg, hochschild, linalg, products, simp):
+    names = [info.name for info in pkgutil.iter_modules(hoch.__path__, "hoch.")]
+    assert "hoch.cli" in names
+    for name in names:
+        mod = importlib.import_module(name)
         result = doctest.testmod(mod)
         assert result.failed == 0, mod.__name__
         assert result.attempted >= 1, mod.__name__

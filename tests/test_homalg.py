@@ -26,6 +26,7 @@ from hoch.homalg import (
     total_complex,
     zero_complex,
 )
+from hoch.linalg import _acc
 from tests_support import constant_simplicial
 
 
@@ -119,6 +120,44 @@ def test_hom_matches_classical_cochain_dims(QQ):
     H = hom_complex(chains, a_cx)
     assert [H.dim(d) for d in range(5)] == [2, 2, 2, 2, 2]
     assert H.check_differential()[0]
+
+
+def test_chain_maps_are_the_degree_0_cycles_of_hom(QQ):
+    # δφ = d∘φ − (−1)^n φ∘d: in degree 0 a chain map is a cycle and a map
+    # that anti-commutes with d is not; in degree −1, δh = d∘h + h∘d
+    f = QQ.field
+    C = ChainComplex(QQ)
+    for lab, d in (("a", -1), ("b", 0)):
+        C.add_element(lab, d, 0)
+    C.set_differential_entry("a", "b", f.one)
+    C.freeze(support=(-1, 0))
+    D = ChainComplex(QQ)
+    for lab, d in (("p", -1), ("q", 0), ("r", 0)):
+        D.add_element(lab, d, 0)
+    D.set_differential_entry("p", "q", f.one)
+    D.set_differential_entry("p", "r", f.coerce(2))
+    D.freeze(support=(-1, 0))
+
+    def graded_map(source, target, entries, shift=0):
+        fmap = ChainMap(source, target, shift)
+        for x, y, v in entries:
+            fmap.set_entry(x, y, f.coerce(v))
+        return fmap
+
+    def as_hom_element(fmap):
+        return {("h", x, y): v for x, y, v in homalg._entries(fmap)}
+
+    identity = graded_map(C, C, [("a", "a", 1), ("b", "b", 1)])
+    phi = graded_map(C, D, [("a", "p", 3), ("b", "q", 3), ("b", "r", 6)])
+    anti = graded_map(C, C, [("a", "a", 1), ("b", "b", -1)])
+    for fmap, is_cycle in ((identity, True), (phi, True), (anti, False)):
+        assert fmap.is_chain_map() == is_cycle
+        H = hom_complex(fmap.source, fmap.target)
+        assert (H.d_apply(as_hom_element(fmap)) == {}) == is_cycle
+    homotopy = graded_map(C, C, [("b", "a", 1)], shift=-1)
+    assert hom_complex(C, C).d_apply(as_hom_element(homotopy)) == (
+        as_hom_element(identity)
+    )
 
 
 def test_cone_identity_zero_and_gluing(QQ):
@@ -438,7 +477,7 @@ def _reference_family_internal_diff(F, lab):
             for tgt, v in d_img.items():
                 new = list(parts)
                 new[idx] = (combo, tgt)
-                dga._acc(out, ("tens",) + tuple(new), f.mul(sign, v), f)
+                _acc(out, ("tens",) + tuple(new), f.mul(sign, v), f)
         run += cx.index[l][0]
     return out
 
@@ -492,7 +531,7 @@ def _reference_face_image(F, alpha, lab, s):
         new_parts = []
         for combo, inter in _reference_combos(F, beta):
             new_parts.append((combo, assign[combo]))
-        dga._acc(out, ("tens",) + tuple(new_parts), coeff, f)
+        _acc(out, ("tens",) + tuple(new_parts), coeff, f)
     return out
 
 

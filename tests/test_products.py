@@ -14,7 +14,7 @@ from hoch import cli, dga, simp
 from hoch import hochschild as hh
 from hoch import products as pr
 from hoch.homalg import ChainComplex, Coefficients
-from hoch.linalg import SubquotientSpace, kernel_basis
+from hoch.linalg import SubquotientSpace, _acc, kernel_basis
 from tests_support import count_compiles, internal_key, koszul_algebra
 
 
@@ -179,7 +179,7 @@ def _reference_slotwise_product(A, m1, m2):
             break
     out = {}
     for c, mono in results:
-        dga._acc(out, mono, c, f)
+        _acc(out, mono, c, f)
     return out
 
 
@@ -210,7 +210,7 @@ def _reference_shuffle_product(H, u, v):
                     if f.is_zero(total):
                         continue
                     if label in index:
-                        dga._acc(out, label, total, f)
+                        _acc(out, label, total, f)
                     elif hh._is_nondegenerate(Y, p + q, A, mono):
                         raise hh.TruncationError(
                             "shuffle product leaves the materialized window"
@@ -692,7 +692,7 @@ def _reference_evaluate_pushed(data, fch_level, level_from, count, which,
                 sgn = -sgn
             for q, c in module.act_left(b, m).items():
                 val = f.mul(coeff, f.mul(f.coerce(sgn), f.mul(lam, c)))
-                dga._acc(out, q, val, f)
+                _acc(out, q, val, f)
     return out
 
 
@@ -749,7 +749,7 @@ def _reference_wedge_product(data_x, data_y, data_wedge, fch, gch, cache):
                     for mX, cf in valF.items():
                         for mY, cg in valG.items():
                             for k, c in A.product(mX, mY).items():
-                                dga._acc(
+                                _acc(
                                     out, (n, warg, k),
                                     f.mul(f.mul(cf, cg), f.mul(sgn, c)), f,
                                 )
