@@ -499,8 +499,17 @@ def _run_cech(spec, coefficients):
         ]
         poset = cech.circle_arc_poset(arcs)
     elif ambient == "interval":
-        opens = [tuple(o) for o in cover_desc.get("opens", [])]
-        poset = cech.interval_poset(opens)
+        opens = cover_desc.get("opens", [])
+        if not isinstance(opens, list) or not all(
+            isinstance(o, list) and o[:1] in (["r"], ["m"], ["l"])
+            and len(o) == 2 + (o[0] == "m") for o in opens
+        ):
+            raise SchemaError("opens must be a list of ['r', s], ['m', t, u]"
+                              " or ['l', t] lists")
+        poset = cech.interval_poset([
+            (o[0], *(_rational(e, "an interval endpoint") for e in o[1:]))
+            for o in opens
+        ])
     else:
         raise SchemaError("cech cover ambient must be circle or interval")
     value = cover_desc.get("value", "constant-Q")

@@ -7,6 +7,7 @@ the exactness of unit/associativity/commutativity/Leibniz at chain level
 is enforced by the test battery.
 """
 
+from functools import cached_property
 from itertools import combinations, product, repeat
 
 from . import dga
@@ -272,7 +273,8 @@ class CochainComplexData:
     element; weights are collapsed to 0.  ``arg_degrees[n]`` maps each
     level-n argument, in sorted order, to its internal degree.
 
-    The labels of each level are laid out in one pass.  The coboundary is
+    The coboundary, ``complex``, is built by ``_build`` on first read.  The
+    labels of each level are laid out in one pass.  The coboundary is
     summed as plain numbers, by position, into one {column: {row: value}}
     dict per block, and each distinct sum is coerced once.  A face whose
     image is provably degenerate is not pushed (``hochschild._face_gates``,
@@ -290,51 +292,54 @@ class CochainComplexData:
             )
         if A.max_weight is not None:
             raise TruncationError("cochains need a finite-dimensional algebra")
-        self.Y = Y
-        self.A = A
-        self.module = module
+        self.Y, self.A, self.module = Y, A, module
         # wedge_product's iterated-face programs and argument halves, kept
         # per pair of factor spaces (see _wedge_programs, _wedge_halves)
         self._wedge_memo = {}
-        mdeg = module.degrees
-        min_deg_m = min(mdeg, default=0)
         if top is None:
-            top = window[1] + 1 - min_deg_m
+            top = window[1] + 1 - min(module.degrees, default=0)
         if top > Y.top_level:
             raise TruncationError(
                 f"{Y.name} materialized to level {Y.top_level}, need {top}"
             )
         self.top = top
-        out = ChainComplex(A.coefficients)
-        index, blocks = out.index, out.blocks
-        cols = {}  # degree -> {column: {row: plain number}} of its block
-        # per level: the arguments with their internal degrees; per
-        # argument the index entries of its labels (n, arg, m), m in
-        # order; the gates of the faces and, where a face has masks, per
-        # argument the bits of the masks its support meets
-        # (hochschild._face_gates)
-        self.arg_degrees, at, gated = [], [], []
+        # per level: the arguments with their internal degrees; for _build
+        # alone, the face gates and each argument's mask bits (_face_gates)
+        self.arg_degrees, self._gated = [], []
         for n in range(top + 1):
             gates, met = _face_gates(Y, n)
             keyed = _level_monomials(Y, n, A, None, None, None, True,
                                      unit_base=True, supports=any(gates))
             self.arg_degrees.append({arg: adeg for arg, (adeg, _), _ in keyed})
-            gated.append((gates, [met(sup) for _, _, sup in keyed]
-                           if any(gates) else repeat(0)))
+            self._gated.append((gates, [met(sup) for _, _, sup in keyed]
+                                if any(gates) else repeat(0)))
+        self.args = [list(table) for table in self.arg_degrees]
+
+    @cached_property
+    def complex(self):  # the coboundary, a ChainComplex built on first read
+        return self._build()
+
+    def _build(self):
+        """Lay out the labels and push every face; drop the face gates."""
+        Y, A, module, mdeg = self.Y, self.A, self.module, self.module.degrees
+        out = ChainComplex(A.coefficients)
+        index, blocks = out.index, out.blocks
+        cols = {}  # degree -> {column: {row: plain number}} of its block
+        at = []  # per level, per argument the index entries of its labels
+        for n, degrees in enumerate(self.arg_degrees):
             # internal degree -> the degree and block of each m
             shapes = _Table(lambda adeg: [
                 (d, blocks.setdefault((d, 0), []), cols.setdefault(d, {}))
                 for d in [n + dm - adeg for dm in mdeg]
             ])
             at.append(spots := {})
-            for arg, (adeg, _), _ in keyed:
+            for arg, adeg in degrees.items():
                 here = spots[arg] = []
                 for m, (d, block, _) in enumerate(shapes[adeg]):
                     label = n, arg, m
                     here.append(entry := (d, 0, len(block)))
                     index[label] = entry
                     block.append(label)
-        self.args = [list(table) for table in self.arg_degrees]
 
         def add(source, target, value):  # by the labels' index entries
             column = cols[source[0]].setdefault(source[2], {})
@@ -345,10 +350,10 @@ class CochainComplexData:
         # value, and the level-n argument ``rest``
         left = _constants(module, "act_left")
         unit, degrees = A.unit, A.degrees
-        for lvl in range(1, top + 1):
+        for lvl in range(1, self.top + 1):
             n = lvl - 1
             below, below_deg = at[n], self.arg_degrees[n]
-            gates, covered = gated[lvl]
+            gates, covered = self._gated[lvl]
             for i, (gate, setmap) in enumerate(zip(gates, Y.face_tab[lvl])):
                 push = compile_setmap(A, tuple(setmap), Y.card(n))
                 for (u, rows), cov in zip(at[lvl].items(), covered):
@@ -410,9 +415,10 @@ class CochainComplexData:
                           if (x := values[v]) is not None}
                 if column:
                     mat.cols[col] = column
-        # missing levels n > top only touch total degrees >= n + min_deg_m
-        self.complex = out.freeze(
-            window=(NEG_INF, top + min_deg_m),
+        del self._gated
+        # missing levels n > top only touch total degrees >= n + min(mdeg)
+        return out.freeze(
+            window=(NEG_INF, self.top + min(mdeg, default=0)),
             support=(NEG_INF, POS_INF),
         )
 

@@ -473,12 +473,21 @@ def _job(name, **changes):
      "truncation must be an integer >= 0, not '2'"),
     (_job("criterion10_cosheaf_cech.json", cover={"arcs": [[0, [1]]]}),
      "an arc start must be a string 'p/q', not 0"),
+    *((_job("criterion10_cosheaf_cech.json",
+            cover={"ambient": "interval", "opens": [bad]}),
+       "opens must be a list of ['r', s], ['m', t, u] or ['l', t] lists")
+      for bad in (5, "r", ["z", "1/2"], ["m", "1/2"])),
+    (_job("criterion10_cosheaf_cech.json",
+          cover={"ambient": "interval", "opens": [["r", 1]]}),
+     "an interval endpoint must be a string 'p/q', not 1"),
     ({**BASE, "algebra": {**INLINE, "mult": INLINE["mult"] + [5]}},
      "mult must be a list of [a, b, {label: c}] lists"),
     ({**BASE, "algebra": {**INLINE, "augmentation": {"1": [1]}}},
      "a coefficient must be a string 'p/q', not [1]"),
 ], ids=["automorphism-int", "iterations-string", "trials-string",
         "module-int", "coefficients-int", "cover-truncation-string", "cover-arc-not-strings",
+        "cover-open-int", "cover-open-kind-alone", "cover-open-unknown-kind",
+        "cover-open-middle-one-end", "cover-open-endpoint-int",
         "mult-entry-not-a-list", "coefficient-not-a-string"])
 def test_mistyped_field_is_a_schema_error(tmp_path, capsys, raw, message):
     path = tmp_path / "job.json"

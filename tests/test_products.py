@@ -535,6 +535,38 @@ def test_wedge_homology_associativity(QQ, trunc2):
     assert compared >= 2
 
 
+def test_wedge_product_leaves_the_coboundaries_unbuilt(QQ, trunc2):
+    """wedge_product reads a data's arguments, never its coboundary, so
+    neither the factors nor the targets of two three-fold products build
+    one; a built data keeps nothing that only the build used; a refusal
+    that needs no face still raises at construction."""
+    m = dga.algebra_as_bimodule(trunc2)
+    c = simp.circle(3)
+    cc = simp.wedge(c, c)
+    d1, d2, d3a, d3b = (
+        pr.CochainComplexData(Y, trunc2, m, (0, 2), 3)
+        for Y in (c, cc, simp.wedge(cc, c), simp.wedge(c, cc))
+    )
+    one = QQ.field.one
+    # values 1 and x on the one level-1 argument
+    f, g = ({(1, arg, k): one} for arg in d1.args[1] for k in (0, 1))
+    h = f
+    fg = pr.wedge_product(d1, d1, d2, f, g)
+    gh = pr.wedge_product(d1, d1, d2, g, h)
+    left = pr.wedge_product(d2, d1, d3a, fg, h)
+    right = pr.wedge_product(d1, d2, d3b, f, gh)
+    assert fg and left and right
+    assert fg == _reference_wedge_product(d1, d1, d2, f, g, {})
+    assert left == _reference_wedge_product(d2, d1, d3a, fg, h, {})
+    assert right == _reference_wedge_product(d1, d2, d3b, f, gh, {})
+    assert all("complex" not in vars(d) for d in (d1, d2, d3a, d3b))
+    before = set(vars(d1))
+    assert d1.complex is d1.complex and d1.differential(f)
+    assert set(vars(d1)) == before - {"_gated"} | {"complex"}
+    with pytest.raises(hh.TruncationError, match="materialized to level 3"):
+        pr.CochainComplexData(c, trunc2, m, (0, 3), 4)
+
+
 def test_wedge_algebra_mismatch_rejected(QQ, trunc2, trunc3, wedge_setup):
     d1, d2, dw = wedge_setup
     f = QQ.field
@@ -586,7 +618,7 @@ def test_cochain_face_target_missing_raises(QQ, trunc2, monkeypatch):
         pr.CochainComplexData(
             simp.circle(4), trunc2, dga.algebra_as_bimodule(trunc2),
             window=(0, 2), top=4,
-        )
+        ).complex  # the faces are pushed on the first read
 
 
 # -- reference constructions: the cochain coboundary set entry by entry with
@@ -907,7 +939,7 @@ def test_cochain_build_compiles_one_program_per_face(monkeypatch, trunc2):
     pr.CochainComplexData(
         simp.wedge(circle, circle), trunc2, dga.algebra_as_bimodule(trunc2),
         (0, 2), 3,
-    )
+    ).complex  # the faces are compiled on the first read
     assert len(compiled) == sum(n + 1 for n in range(1, 4)) == 9
 
 
