@@ -9,6 +9,7 @@ import argparse
 import datetime
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -62,6 +63,12 @@ _TOP_FIELDS = {
     "seed",
 }
 
+# the keys of an asserted Betti table: their pattern and its description
+_EXPECT_KEYS = {
+    "expect": (r"-?[0-9]+(,[0-9]+)?", '"d" or "d,w"'),
+    "expect_per_degree": (r"-?[0-9]+", '"d"'),
+}
+
 
 def load_jobspec(obj):
     if not isinstance(obj, dict):
@@ -78,25 +85,32 @@ def load_jobspec(obj):
     if (
         not isinstance(window, list)
         or len(window) != 2
-        or not all(isinstance(x, int) for x in window)
+        or not all(type(x) is int for x in window)
         or window[0] > window[1]
     ):
         raise SchemaError("window must be [lo, hi] with lo <= hi")
     weights = obj.get("weights")
     if weights is not None:
         if not isinstance(weights, list) or not all(
-            isinstance(w, int) and w >= 0 for w in weights
+            type(w) is int and w >= 0 for w in weights
         ):
             raise SchemaError("weights must be a list of non-negative ints")
         if not weights:
             # an empty list would select no chain at all
             raise SchemaError("weights must name at least one weight")
     cap = obj.get("cap", 20000)
-    if not isinstance(cap, int) or cap <= 0:
+    if type(cap) is not int or cap <= 0:
         raise SchemaError("cap must be a positive int")
     _integer(obj, "iterations", None, 0)
     _integer(obj, "trials", None, 1)
     _integer(obj, "seed", None)
+    for key, (keys, form) in _EXPECT_KEYS.items():
+        for k, v in _object(obj.get(key, {}), key).items():
+            if not re.fullmatch(keys, k):
+                raise SchemaError(f"{key} keys must be {form}, not {k!r}")
+            if type(v) is not int or v < 0:
+                raise SchemaError(
+                    f"{key}[{k!r}] must be an integer >= 0, not {v!r}")
     if type(obj.get("coefficients", "Q")) is not str:
         raise SchemaError("coefficients must be a string, Q or Fp:<p>")
     if obj.get("module", "self") != "self":
@@ -307,6 +321,12 @@ def _build(spec, coefficients):
             A, spec.get("iterations", 1), window, weights, cap=cap
         )
     else:
+        # the oracle, periodic_resolution_dims, holds for k[x]/x^N, |x| = 0
+        desc = spec["algebra"]
+        if ("basis" in desc or desc["name"] != "truncated-polynomial"
+                or any(A.degrees)):
+            raise SchemaError(
+                "twisted-hh needs a truncated-polynomial algebra of degree 0")
         sigma = _scaling_automorphism(A, _twist_scalar(spec))
         C = hh.twisted_hochschild(A, sigma, window, cap)
     return A, C, C.max_block_dim()
@@ -370,9 +390,8 @@ def run_job(spec):
             )
     elif task == "twisted-hh":
         betti_table = C.homology_dims(window, None)
-        trunc = spec["algebra"].get("truncation", 2)
-        oracle = hh.periodic_resolution_dims(
-            trunc, _twist_scalar(spec), window, coefficients
+        oracle = hh.periodic_resolution_dims(  # A = k[x]/x^N, of dim N
+            A.dim, _twist_scalar(spec), window, coefficients
         )
         got = per_degree(betti_table, window)
         deltas.append(_delta("periodic_resolution", oracle, got))
@@ -440,10 +459,8 @@ def _echo(spec):
 
 
 def _parse_key(key):
-    parts = key.split(",")
-    if len(parts) == 1:
-        return (int(parts[0]), 0)
-    return (int(parts[0]), int(parts[1]))
+    degree, _, weight = key.partition(",")
+    return int(degree), int(weight or 0)
 
 
 def _delta(name, expected, got):

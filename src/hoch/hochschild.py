@@ -470,15 +470,6 @@ def _chain(Y, A, module, window, weights, cap):
     )
 
 
-# -- cochains (implementation in products.py, re-exported there) ------------
-
-
-def hochschild_cochain(Y, A, module, window=(0, 4)):
-    from .products import CochainComplexData
-
-    return CochainComplexData(Y, A, module, window).complex
-
-
 # -- classical oracles -------------------------------------------------------
 
 # (deliberately independent of the simplicial machinery above)

@@ -1,6 +1,10 @@
 """Products: shuffle on chains, cup on classical cochains, wedge on
 higher cochains, and the cochain complexes they act on.
 
+There is one cochain coboundary, ``CochainComplexData``'s, built over any
+pointed simplicial set; the classical cochains of ``ClassicalCochains``
+are its circle case, CH^{S^1}(A, A), and carry only the cup product.
+
 Sign policy: every sign is produced by the explicit sorting permutations
 of dga.compile_setmap / dga.koszul_sign plus the fixed totalization signs;
 the exactness of unit/associativity/commutativity/Leibniz at chain level
@@ -124,123 +128,25 @@ def unit_chain(H):
 
 
 class ClassicalCochains:
-    """The normalized Hochschild cochain complex C^n(A, A) = Hom(Ā^{⊗n}, A)
-    with the Gerstenhaber cup product; independent of the simplicial
-    machinery.
+    """Classical Hochschild cochains C^n(A, A) = Hom(Ā^{⊗n}, A), n <= top,
+    with the Gerstenhaber cup product; works for noncommutative A too.
 
-    A cochain of arity n is {arg_tuple: {a_pos: coeff}} over non-unit
-    argument tuples.
+    A cochain is {(n, arg, v): coeff}: arg a tuple of n non-unit basis
+    positions, v the position of the value.  The coboundary is the
+    circle's: C^{<=t}(A, A) is ``CochainComplexData(simp.circle(t + 1), A,
+    algebra_as_bimodule(A), top=t)``, whose label (n, (A.unit,) + arg, v)
+    is the cochain (n, arg, v) here.
     """
 
     def __init__(self, A, top):
         self.A = A
-        self.top = top
-        self.nonunit = A.nonunit()
         self.args = [
-            list(product(self.nonunit, repeat=n)) for n in range(top + 1)
+            list(product(A.nonunit(), repeat=n)) for n in range(top + 1)
         ]
 
     def internal_degree(self, n, value_pos, arg):
         A = self.A
         return A.degrees[value_pos] - sum(A.degrees[p] for p in arg)
-
-    def as_complex(self):
-        """ChainComplex with labels (n, arg, value_pos); degree n + int."""
-        A = self.A
-        out = ChainComplex(A.coefficients)
-        for n in range(self.top + 1):
-            for arg in self.args[n]:
-                for v in range(A.dim):
-                    out.add_element(
-                        (n, arg, v), n + self.internal_degree(n, v, arg), 0
-                    )
-        f = A.coefficients.field
-        for n in range(self.top):
-            for arg in self.args[n]:
-                for v in range(A.dim):
-                    img = self.coboundary({(n, arg, v): f.one})
-                    for tgt, c in img.items():
-                        out.set_differential_entry((n, arg, v), tgt, c)
-        # missing arities n > top contribute degrees >= n + min A-degree
-        hi_cert = self.top + min(A.degrees[p] for p in range(A.dim))
-        return out.freeze(window=(NEG_INF, hi_cert), support=(NEG_INF, POS_INF))
-
-    def coboundary(self, cochain):
-        """Graded Hochschild coboundary on {(n, arg, v): coeff}."""
-        A = self.A
-        f = A.coefficients.field
-        out = {}
-        for (n, arg, v), coeff in cochain.items():
-            fdeg = self.internal_degree(n, v, arg)
-            # first face: a_1 · f(a_2 ... ), with a_1 crossing f
-            for a1 in self.nonunit:
-                sgn = f.coerce(-1 if (A.degrees[a1] * fdeg) % 2 else 1)
-                for k, c in A.product(a1, v).items():
-                    _acc(
-                        out,
-                        (n + 1, (a1,) + arg, k),
-                        f.mul(coeff, f.mul(sgn, c)),
-                        f,
-                    )
-            # inner faces: f(..., a_i a_{i+1}, ...)
-            for i in range(n):
-                sgn = f.coerce(-1 if (i + 1) % 2 else 1)
-                for a, b_ in self._insertions(arg, i):
-                    _acc(out, (n + 1, a, v), f.mul(coeff, f.mul(sgn, b_)), f)
-            # last face: f(a_1 ... a_n) · a_{n+1}
-            sgn_last = f.coerce(-1 if (n + 1) % 2 else 1)
-            for an in self.nonunit:
-                for k, c in A.product(v, an).items():
-                    _acc(
-                        out,
-                        (n + 1, arg + (an,), k),
-                        f.mul(coeff, f.mul(sgn_last, c)),
-                        f,
-                    )
-            # internal differential of the DG algebra
-            sgn_int = f.coerce(-1 if n % 2 else 1)
-            for k, c in A.d(v).items():
-                _acc(out, (n, arg, k), f.mul(coeff, f.mul(sgn_int, c)), f)
-            sgn_phi = f.coerce(1 if fdeg % 2 else -1)
-            for s, p in enumerate(arg):
-                # phi ∘ d on slot s: replace a_s by preimages under d
-                for src in self.nonunit:
-                    for q, c in A.d(src).items():
-                        if q != p:
-                            continue
-                        t = arg[:s] + (src,) + arg[s + 1 :]
-                        ksgn = f.coerce(
-                            -1
-                            if (sum(A.degrees[x] for x in arg[:s])) % 2
-                            else 1
-                        )
-                        _acc(
-                            out,
-                            (n, t, v),
-                            f.mul(
-                                coeff,
-                                f.mul(sgn_int, f.mul(sgn_phi, f.mul(ksgn, c))),
-                            ),
-                            f,
-                        )
-        return out
-
-    def _insertions(self, arg, i):
-        """Merge slots i, i+1 of the extended argument list: all (new_arg,
-        coeff) for (a_1 .. a_i a_{i+1} .. a_{n+1}) hitting the stored arg."""
-        # produce arity n+1 arguments whose i-th merge gives ``arg``
-        A = self.A
-        n = len(arg)
-        res = []
-        for a in self.nonunit:
-            for b_ in self.nonunit:
-                prod = A.product(a, b_)
-                c = prod.get(arg[i]) if i < n else None
-                if c is None:
-                    continue
-                new_arg = arg[:i] + (a, b_) + arg[i + 1 :]
-                res.append((new_arg, c))
-        return res
 
     def cup(self, fch, gch):
         """(f ∪ g)(a_1..a_{p+q}) = ± f(a_1..a_p) g(a_{p+1}..a_{p+q})."""

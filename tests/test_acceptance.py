@@ -199,8 +199,8 @@ def test_criterion_11a_d_squared_everywhere(QQ, exterior, trunc2, trunc3):
                                 window=(-4, 0))
     )
     complexes.append(
-        hh.hochschild_cochain(simp.circle(6), trunc2,
-                              dga.algebra_as_bimodule(trunc2), window=(0, 3))
+        pr.CochainComplexData(simp.circle(6), trunc2,
+                              dga.algebra_as_bimodule(trunc2), (0, 3)).complex
     )
     rng = random.Random(0)
     # random tensor products and cones of two-term complexes

@@ -484,11 +484,41 @@ def _job(name, **changes):
      "mult must be a list of [a, b, {label: c}] lists"),
     ({**BASE, "algebra": {**INLINE, "augmentation": {"1": [1]}}},
      "a coefficient must be a string 'p/q', not [1]"),
+    ({**BASE, "expect": [1]}, "expect must be an object, not [1]"),
+    ({**BASE, "expect_per_degree": [1]},
+     "expect_per_degree must be an object, not [1]"),
+    ({**BASE, "expect": {"0": "one"}},
+     "expect['0'] must be an integer >= 0, not 'one'"),
+    ({**BASE, "expect": {"0,1": -1}},
+     "expect['0,1'] must be an integer >= 0, not -1"),
+    ({**BASE, "expect_per_degree": {"0": True}},
+     "expect_per_degree['0'] must be an integer >= 0, not True"),
+    ({**BASE, "expect": {"0,0,7": 1}},
+     'expect keys must be "d" or "d,w", not \'0,0,7\''),
+    ({**BASE, "expect": {"x": 1}}, 'expect keys must be "d" or "d,w"'),
+    ({**BASE, "expect_per_degree": {"0,0": 1}},
+     'expect_per_degree keys must be "d", not \'0,0\''),
+    ({**BASE, "cap": True}, "cap must be a positive int"),
+    ({**BASE, "window": [False, True]}, "window must be [lo, hi]"),
+    ({**BASE, "weights": [True]},
+     "weights must be a list of non-negative ints"),
+    # periodic_resolution_dims is the twisted HH of k[x]/x^N, |x| = 0
+    *((_job("criterion08a_twisted.json", algebra=algebra),
+       "twisted-hh needs a truncated-polynomial algebra of degree 0")
+      for algebra in ({"name": "exterior"},
+                      {"name": "truncated-polynomial", "degree": -2},
+                      {**INLINE, "weight_graded": True})),
 ], ids=["automorphism-int", "iterations-string", "trials-string",
         "module-int", "coefficients-int", "cover-truncation-string", "cover-arc-not-strings",
         "cover-open-int", "cover-open-kind-alone", "cover-open-unknown-kind",
         "cover-open-middle-one-end", "cover-open-endpoint-int",
-        "mult-entry-not-a-list", "coefficient-not-a-string"])
+        "mult-entry-not-a-list", "coefficient-not-a-string",
+        "expect-list", "expect-per-degree-list", "expect-value-string",
+        "expect-value-negative", "expect-per-degree-value-bool",
+        "expect-key-three-parts", "expect-key-not-a-number",
+        "expect-per-degree-key-with-weight", "cap-bool", "window-bools",
+        "weights-bool", "twisted-exterior", "twisted-degree-2",
+        "twisted-inline"])
 def test_mistyped_field_is_a_schema_error(tmp_path, capsys, raw, message):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(raw))
@@ -496,6 +526,16 @@ def test_mistyped_field_is_a_schema_error(tmp_path, capsys, raw, message):
         assert cli.main([cmd, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("schema error: ") and message in err
+
+
+def test_expect_keys_read_degree_and_weight():
+    # "d" is the weight-0 entry of degree d; "d,w" the entry of weight w
+    want = {"0": 1, "0,1": 1, "-1,1": 1, "-2,3": 1, "-3,3": 1, "-4,5": 1}
+    report = run_spec({**BASE, "expect": want})
+    assert report["verdict"] == "pass"
+    report = run_spec({**BASE, "expect": {**want, "-1": 1, "-1,1": 0}})
+    assert report["oracles"] == [{"name": "expected_betti", "delta": 2}]
+    assert report["verdict"] == "fail"
 
 
 def test_hkr_check_without_a_space_is_a_schema_error(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hoch import cli, dga, simp
 from hoch import hochschild as hh
 from hoch.homalg import NEG_INF, POS_INF, ChainComplex, Coefficients
 from hoch.hochschild import TruncationError
+from hoch.products import CochainComplexData
 from tests_support import (
     count_compiles, count_runs, internal_key, koszul_algebra,
 )
@@ -419,24 +420,24 @@ def test_iterated_bar(QQ, exterior, trunc2):
 
 
 def test_cochain_dims_match_classical(QQ, trunc2):
-    data = hh.hochschild_cochain(
-        simp.circle(7), trunc2, dga.algebra_as_bimodule(trunc2), window=(0, 4)
-    )
+    data = CochainComplexData(
+        simp.circle(7), trunc2, dga.algebra_as_bimodule(trunc2), (0, 4)
+    ).complex
     assert [data.dim(d) for d in range(5)] == [2, 2, 2, 2, 2]
     assert data.betti((0, 4)) == {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}
 
 
 def test_cochain_point_retract(QQ, trunc2):
-    data = hh.hochschild_cochain(
-        simp.point(7), trunc2, dga.algebra_as_bimodule(trunc2), window=(0, 4)
-    )
+    data = CochainComplexData(
+        simp.point(7), trunc2, dga.algebra_as_bimodule(trunc2), (0, 4)
+    ).complex
     assert data.betti((0, 4)) == {0: 2, 1: 0, 2: 0, 3: 0, 4: 0}
 
 
 def test_cochain_chain_duality(QQ, exterior, trunc2):
     for A in (exterior, trunc2):
         k = dga.augmentation_module(A)
-        co = hh.hochschild_cochain(simp.circle(9), A, k, window=(0, 5))
+        co = CochainComplexData(simp.circle(9), A, k, (0, 5)).complex
         ch = hh.hochschild_chain_with_coeff(
             simp.circle(9), A, k, window=(-5, 0)
         )

@@ -319,10 +319,36 @@ def basis_cochains(cc, max_arity):
     return out
 
 
+def circle_cochains(A, top):
+    """The classical cochains of arity <= top, and their coboundary: the
+    higher cochains of the circle, CH^{S^1}(A, A)."""
+    return pr.ClassicalCochains(A, top), pr.CochainComplexData(
+        simp.circle(top + 1), A, dga.algebra_as_bimodule(A), top=top)
+
+
+def classical_label(label):
+    """The circle label (n, (unit,) + arg, v) as the classical (n, arg, v)."""
+    n, arg, v = label
+    return n, arg[1:], v
+
+
+def coboundary(data, cochain):
+    """The circle's coboundary on a classical cochain {(n, arg, v): c}."""
+    unit = (data.A.unit,)
+    image = data.differential(
+        {(n, unit + arg, v): c for (n, arg, v), c in cochain.items()})
+    return {classical_label(lab): c for lab, c in image.items()}
+
+
+F3 = Coefficients("prime-field", 3)
+
+
 def test_classical_cochain_complex(QQ, trunc2, exterior):
     for A, dims in ((trunc2, [2, 2, 2, 2, 2]), (exterior, None)):
-        cc = pr.ClassicalCochains(A, 6)
-        X = cc.as_complex()
+        cc, data = circle_cochains(A, 6)
+        X = data.complex
+        assert {classical_label(lab) for lab in X.index} == {
+            lab for b in basis_cochains(cc, 6) for lab in b}
         assert X.check_differential()[0], A.name
         if dims:
             assert [X.dim(d) for d in range(5)] == dims
@@ -345,23 +371,26 @@ def test_cup_unital_associative_exhaustive(QQ, trunc2, exterior):
         assert cases >= 200
 
 
-def test_cup_chain_map(QQ, trunc2, exterior):
-    f = QQ.field
+def test_cup_chain_map(QQ):
     rng = random.Random(5)
-    for A in (trunc2, exterior):
-        cc = pr.ClassicalCochains(A, 7)
+    algebras = [A for k in (QQ, F3) for A in (
+        dga.truncated_polynomial(k, 2), dga.exterior(k),
+        dga.truncated_polynomial(k, 3, -2))]
+    for A in algebras:
+        f = A.coefficients.field
+        cc, data = circle_cochains(A, 7)
         basis = basis_cochains(cc, 2)
         for _ in range(150):
             a = rng.choice(basis)
             b = rng.choice(basis)
             ((n1, arg1, v1),) = a.keys()
             deg_a = n1 + cc.internal_degree(n1, v1, arg1)
-            lhs = cc.coboundary(cc.cup(a, b))
+            lhs = coboundary(data, cc.cup(a, b))
             rhs = add(
-                f, cc.cup(cc.coboundary(a), b),
-                cc.cup(a, cc.coboundary(b)), sign=(-1) ** (deg_a % 2),
+                f, cc.cup(coboundary(data, a), b),
+                cc.cup(a, coboundary(data, b)), sign=(-1) ** (deg_a % 2),
             )
-            assert lhs == rhs
+            assert lhs == rhs, A.name
 
 
 def test_cup_hh0_is_center(QQ, trunc2):
@@ -381,14 +410,20 @@ def test_cup_hh0_is_center(QQ, trunc2):
 
 
 def test_cup_commutative_in_homology_with_chain_witness(QQ, trunc3):
-    f = QQ.field
-    cc = pr.ClassicalCochains(trunc3, 6)
-    X = cc.as_complex()
+    for A in (trunc3, dga.truncated_polynomial(F3, 3)):
+        _check_cup_commutative_in_homology(A)
+
+
+def _check_cup_commutative_in_homology(A):
+    f = A.coefficients.field
+    cc, data = circle_cochains(A, 6)
+    X = data.complex
 
     def all_cocycles(deg):
         ker = kernel_basis(X.d_matrix(deg, 0))
         labels = X.blocks[(deg, 0)]
-        return [{labels[i]: c for i, c in v.items()} for v in ker]
+        return [{classical_label(labels[i]): c for i, c in v.items()}
+                for v in ker]
 
     witness = None
     checks = 0
@@ -398,7 +433,7 @@ def test_cup_commutative_in_homology_with_chain_witness(QQ, trunc3):
             X.d_matrix(p + q, 0), X.d_matrix(p + q - 1, 0), f
         )
         labs = X.blocks[(p + q, 0)]
-        pos = {lab: i for i, lab in enumerate(labs)}
+        pos = {classical_label(lab): i for i, lab in enumerate(labs)}
         for fc in fs:
             for gc in gs:
                 fg = cc.cup(fc, gc)
@@ -411,7 +446,7 @@ def test_cup_commutative_in_homology_with_chain_witness(QQ, trunc3):
                 rv = {pos[k]: v for k, v in gf_s.items()}
                 checks += 1
                 assert sub.same_class(lv, rv)
-    assert checks >= 20
+    assert checks >= 20, A.coefficients
     assert witness is not None, "expected a chain-level noncommuting pair"
 
 
