@@ -38,6 +38,7 @@ from .homalg import (
 from .linalg import _Table, _acc, _compose, _signed
 from .hochschild import (
     build_levels,
+    check_cap,
     classical_basis,
     enveloping_modules,
     hh_via_enveloping,
@@ -563,7 +564,7 @@ class CechComplex:
         return self.total.betti(window, weights)
 
 
-def cech_complex(F, cover, truncation=2):
+def cech_complex(F, cover, truncation=2, cap=None):
     """Čech complex over PU^{i+1} tuples (adjacent-distinct, i.e. the
     normalized total complex), faces discard one collection.
 
@@ -571,7 +572,10 @@ def cech_complex(F, cover, truncation=2):
     (combo, label) pairs, a combo being a tuple (U_0..U_i) ∈ Πα_j with
     nonempty intersection and the label one of F(U_0 ∩ … ∩ U_i).  The
     tensor regime has one part per combo of alpha, the coproduct regime
-    exactly one part; everything past the basis is written once."""
+    exactly one part; everything past the basis is written once.  Once
+    every level is laid out, and before any face, InfeasibleError is
+    raised when a (degree, weight) block of the total complex exceeds
+    ``cap``."""
     poset = F.poset
     for u in cover:
         for v in cover:
@@ -595,6 +599,11 @@ def cech_complex(F, cover, truncation=2):
             for tgt, v in _family_internal_diff(F, parts).items():
                 c.set_differential_entry((alpha, parts), (alpha, tgt), v)
         levels.append(c.freeze(support=(NEG_INF, POS_INF)))
+    totals = {}  # the level blocks (d, w) add up to the total (d - i, w)
+    for i, level in enumerate(levels):
+        for (d, w), block in level.blocks.items():
+            totals[d - i, w] = totals.get((d - i, w), 0) + len(block)
+    check_cap(max(totals.values(), default=0), cap)
     faces = {}  # i -> the alternating face sum, one column per element
     for i in range(1, truncation + 1):
         index = levels[i - 1].index

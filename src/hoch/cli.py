@@ -117,6 +117,7 @@ def load_jobspec(obj):
         raise SchemaError(f"module must be 'self', not {obj['module']!r}")
     if "automorphism" in obj:
         _twist_scalar(obj)
+    _task_inputs(obj, task)
     out = dict(obj)
     out["window"] = tuple(window)
     out["weights"] = list(weights) if weights is not None else None
@@ -125,6 +126,36 @@ def load_jobspec(obj):
     if out["output"] not in ("text", "json"):
         raise SchemaError("output must be text or json")
     return out
+
+
+def _task_inputs(obj, task):
+    """The rules of jobs/schema.json that tie the algebra and the space to
+    the task, so that run and explain refuse the same specs."""
+    cover = obj.get("cover")
+    if "algebra" not in obj:
+        if task != "cech" or (isinstance(cover, dict)
+                              and cover.get("value") == "arc-algebra"):
+            raise SchemaError(f"{task} needs an algebra")
+        return
+    desc = _object(obj["algebra"], "algebra")
+    inline = "basis" in desc
+    name = None if inline else desc.get("name")
+    if task == "twisted-hh" and (
+            name != "truncated-polynomial" or desc.get("degree", 0) != 0):
+        # the oracle, periodic_resolution_dims, holds for k[x]/x^N, |x| = 0
+        raise SchemaError(
+            "twisted-hh needs a truncated-polynomial algebra of degree 0")
+    if task == "cup-table" and name not in (
+            "exterior", "truncated-polynomial") and not (
+            inline and desc.get("commutative", True) is True
+            and not desc.get("differential")):
+        # the reported HH^0 is A with its product: A must be its own centre
+        raise SchemaError(
+            "cup-table needs an exterior or truncated-polynomial algebra, or"
+            " a commutative inline one with no differential")
+    if task == "hkr-check":
+        _hkr_descriptor(desc)
+        _hkr_space(_object(obj.get("space", {"name": "circle"}), "space"))
 
 
 def parse_coefficients(spec):
@@ -313,20 +344,14 @@ def _build(spec, coefficients):
             )
         return A, H, H.complex.max_block_dim()
     if task == "cech":
-        C = _run_cech(spec, coefficients)
-        return None, C, hh.check_cap(C.total, cap)
+        C = _run_cech(spec, coefficients, cap)
+        return None, C, C.total.max_block_dim()
     A = build_algebra(spec["algebra"], coefficients, weights)
     if task == "iterated-bar":
         C = hh.iterated_bar(
             A, spec.get("iterations", 1), window, weights, cap=cap
         )
     else:
-        # the oracle, periodic_resolution_dims, holds for k[x]/x^N, |x| = 0
-        desc = spec["algebra"]
-        if ("basis" in desc or desc["name"] != "truncated-polynomial"
-                or any(A.degrees)):
-            raise SchemaError(
-                "twisted-hh needs a truncated-polynomial algebra of degree 0")
         sigma = _scaling_automorphism(A, _twist_scalar(spec))
         C = hh.twisted_hochschild(A, sigma, window, cap)
     return A, C, C.max_block_dim()
@@ -361,7 +386,7 @@ def run_job(spec):
         betti_table = C.homology_dims(window, weights)
     if task == "hkr-check":
         pred = hh.hkr_prediction(
-            _hkr_descriptor(spec["algebra"], A),
+            _hkr_descriptor(spec["algebra"]),
             _hkr_space(spec.get("space", {"name": "circle"})),
             window,
             weights,
@@ -416,7 +441,7 @@ def run_job(spec):
             )
     elif task == "cup-table":
         A = build_algebra(spec["algebra"], coefficients, weights)
-        table, ok = _cup_table(A, spec)
+        table, ok = _cup_table(A)
         extra["cup_table"] = table
         extra["max_block"] = 0
         deltas.append({"name": "cup_chain_level_axioms", "delta": 0 if ok else 1})
@@ -473,7 +498,7 @@ def _delta(name, expected, got):
     return {"name": name, "delta": mismatches}
 
 
-def _hkr_descriptor(desc, A):
+def _hkr_descriptor(desc):
     if desc.get("name") == "polynomial":
         return "polynomial"
     if desc.get("name") == "exterior":
@@ -500,7 +525,7 @@ def _scaling_automorphism(A, scalar):
     return dga.AlgebraAutomorphism(A, images)
 
 
-def _run_cech(spec, coefficients):
+def _run_cech(spec, coefficients, cap=None):
     from . import cech
 
     cover_desc = spec.get("cover")
@@ -542,7 +567,7 @@ def _run_cech(spec, coefficients):
     ok, wit = cech.validate_prefactorization(F)
     if not ok:
         raise SchemaError(f"prefactorization audit failed: {wit}")
-    return cech.cech_complex(F, poset.opens, trunc)
+    return cech.cech_complex(F, poset.opens, trunc, cap)
 
 
 def _cone_gluing_dims(coefficients):
@@ -564,32 +589,23 @@ def _cone_gluing_dims(coefficients):
     return cone(fm).betti((-1, 0))
 
 
-def _cup_table(A, spec):
+def _cup_table(A):
+    """HH⁰ of a commutative A with d = 0 is A, with A's product; and the
+    cup's unit and associativity on the circle's cochains of arity <= 2."""
     from . import products
 
     f = A.coefficients.field
-    cc = products.ClassicalCochains(A, 4)
-    basis = []
-    for n in range(3):
-        for arg in cc.args[n]:
-            for v in range(A.dim):
-                basis.append({(n, arg, v): f.one})
-    one = {(0, (), A.unit): f.one}
-    ok = all(cc.cup(one, b) == b and cc.cup(b, one) == b for b in basis)
-    for a in basis:
-        for b in basis:
-            for c in basis:
-                if cc.cup(cc.cup(a, b), c) != cc.cup(a, cc.cup(b, c)):
-                    ok = False
-    table = []
-    for i in range(A.dim):
-        row = []
-        for j in range(A.dim):
-            prod = A.product(i, j)
-            row.append(
-                {A.labels[k]: str(v) for k, v in sorted(prod.items())}
-            )
-        table.append(row)
+    data = products.CochainComplexData(
+        simp.circle(3), A, dga.algebra_as_bimodule(A), top=2)
+    basis = [{(n, arg, v): f.one} for n, args in enumerate(data.args)
+             for arg in args for v in range(A.dim)]
+    one = {(0, (A.unit,), A.unit): f.one}
+    cup = products.cup
+    ok = all(cup(A, one, b) == b == cup(A, b, one) for b in basis) and all(
+        cup(A, cup(A, a, b), c) == cup(A, a, cup(A, b, c))
+        for a in basis for b in basis for c in basis)
+    table = [[{A.labels[k]: str(v) for k, v in sorted(A.product(i, j).items())}
+              for j in range(A.dim)] for i in range(A.dim)]
     return {"hh0_basis": list(A.labels), "product": table}, ok
 
 

@@ -35,15 +35,13 @@ class InfeasibleError(RuntimeError):
     """A (degree, weight) block of the total complex exceeds the cap."""
 
 
-def check_cap(complex_, cap):
-    """The largest (degree, weight) block of a complex; raises
-    InfeasibleError when it exceeds ``cap`` (if given)."""
-    size = complex_.max_block_dim()
+def check_cap(size, cap):
+    """InfeasibleError when ``size``, the largest (degree, weight) block of
+    a complex, exceeds ``cap`` (if given)."""
     if cap is not None and size > cap:
         raise InfeasibleError(
             f"largest (degree, weight) block has dimension {size} > cap {cap}"
         )
-    return size
 
 
 class HochschildComplex:
@@ -551,7 +549,7 @@ def classical_basis(A, module, window=(-6, 0), cap=None):
                 out.add_element(label, deg - n, wt)
                 level.append(label)
         levels.append(level)
-    check_cap(out, cap)
+    check_cap(out.max_block_dim(), cap)
     return out, levels
 
 
@@ -692,7 +690,7 @@ def iterated_bar(A, i, window=(-6, 0), weights=None, cap=None):
         raise ValueError("iterated Bar needs an augmented algebra")
     if i == 0:
         C = dga.underlying_complex(A)
-        check_cap(C, cap)
+        check_cap(C.max_block_dim(), cap)
         return C
     k_mod = dga.augmentation_module(A)
     level = required_level(simp.sphere_small(i, 0), A, window, weights)[0]
@@ -777,11 +775,4 @@ def _descriptor_generators(descriptor):
         raise ValueError(f"not in the smooth/free catalogue: {descriptor}")
     if isinstance(descriptor, dict) and "free_generators" in descriptor:
         return [tuple(g) for g in descriptor["free_generators"]]
-    if isinstance(descriptor, dga.DGAlgebra):
-        name = descriptor.name
-        if name.startswith("exterior"):
-            return [(descriptor.degrees[1], descriptor.weights[1])]
-        if name == "k[x]":
-            return [(0, 1)]
-        raise ValueError(f"not in the smooth/free catalogue: {name}")
     raise ValueError(descriptor)

@@ -1,18 +1,22 @@
-"""Products: shuffle on chains, cup on classical cochains, wedge on
-higher cochains, and the cochain complexes they act on.
+"""Products: shuffle on chains, cup and wedge on higher cochains, and the
+cochain complexes they act on.
 
-There is one cochain coboundary, ``CochainComplexData``'s, built over any
-pointed simplicial set; the classical cochains of ``ClassicalCochains``
-are its circle case, CH^{S^1}(A, A), and carry only the cup product.
+There is one cochain type and one coboundary, ``CochainComplexData``'s,
+built over any pointed simplicial set; the classical cochains are its
+circle case, CH^{S^1}(A, A), and the cup product acts on their labels.
 
-Sign policy: every sign is produced by the explicit sorting permutations
-of dga.compile_setmap / dga.koszul_sign plus the fixed totalization signs;
-the exactness of unit/associativity/commutativity/Leibniz at chain level
-is enforced by the test battery.
+Sign policy: the Koszul rule, (-1)^{|x||y|} whenever x passes y.  A
+permutation of slots takes its sign from dga.compile_setmap's sorting
+permutation; where one factor passes a block whole (g past f's arguments
+in the cup, the simplicial degree in the shuffle, the basepoint factor
+past the cochain), the sign is the crossing parity (-1)^{|x|·Σ|block|}.
+The totalization signs are fixed.  The exactness of
+unit/associativity/commutativity/Leibniz at chain level is enforced by
+the test battery.
 """
 
 from functools import cached_property
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
 
 from . import dga
 # apply_setmap stays bound here for perfbench's tracer test (ROADMAP item 8)
@@ -124,48 +128,27 @@ def unit_chain(H):
     return {(0, mono): H.algebra.coefficients.field.one}
 
 
-# -- classical Hochschild cochains and the cup product -----------------------
+# -- the cup product on the circle's cochains -------------------------------
 
 
-class ClassicalCochains:
-    """Classical Hochschild cochains C^n(A, A) = Hom(Ā^{⊗n}, A), n <= top,
-    with the Gerstenhaber cup product; works for noncommutative A too.
-
-    A cochain is {(n, arg, v): coeff}: arg a tuple of n non-unit basis
-    positions, v the position of the value.  The coboundary is the
-    circle's: C^{<=t}(A, A) is ``CochainComplexData(simp.circle(t + 1), A,
-    algebra_as_bimodule(A), top=t)``, whose label (n, (A.unit,) + arg, v)
-    is the cochain (n, arg, v) here.
-    """
-
-    def __init__(self, A, top):
-        self.A = A
-        self.args = [
-            list(product(A.nonunit(), repeat=n)) for n in range(top + 1)
-        ]
-
-    def internal_degree(self, n, value_pos, arg):
-        A = self.A
-        return A.degrees[value_pos] - sum(A.degrees[p] for p in arg)
-
-    def cup(self, fch, gch):
-        """(f ∪ g)(a_1..a_{p+q}) = ± f(a_1..a_p) g(a_{p+1}..a_{p+q})."""
-        A = self.A
-        f = A.coefficients.field
-        out = {}
-        for (p, arg1, v1), c1 in fch.items():
-            for (q, arg2, v2), c2 in gch.items():
-                gdeg = self.internal_degree(q, v2, arg2)
-                cross = sum(A.degrees[x] for x in arg1)
-                sgn = f.coerce(-1 if (gdeg * cross) % 2 else 1)
-                for k, c in A.product(v1, v2).items():
-                    _acc(
-                        out,
-                        (p + q, arg1 + arg2, k),
-                        f.mul(f.mul(c1, c2), f.mul(sgn, c)),
-                        f,
-                    )
-        return out
+def cup(A, fch, gch):
+    """The Gerstenhaber cup product on C^*(A, A) = CH^{S^1}(A, A), whose
+    cochains are {(n, (A.unit,) + arg, v): coeff} as ``CochainComplexData``
+    over the circle has them; A may be noncommutative:
+    (f ∪ g)(a_1..a_{p+q}) = ± f(a_1..a_p) g(a_{p+1}..a_{p+q}), the sign
+    (-1)^{|g|_int · Σ|a_i|} of g crossing f's arguments."""
+    f, degrees = A.coefficients.field, A.degrees
+    out = {}
+    for (p, arg1, v1), c1 in fch.items():
+        cross = sum(map(degrees.__getitem__, arg1))  # the unit has degree 0
+        for (q, arg2, v2), c2 in gch.items():
+            gdeg = degrees[v2] - sum(map(degrees.__getitem__, arg2))
+            c12 = f.mul(c1, c2)
+            if gdeg * cross % 2:
+                c12 = f.neg(c12)
+            for k, c in A.product(v1, v2).items():
+                _acc(out, (p + q, arg1 + arg2[1:], k), f.mul(c12, c), f)
+    return out
 
 
 # -- higher Hochschild cochains ----------------------------------------------

@@ -11,7 +11,9 @@ argument holds the unit there, and the wedge glues at it.
 """
 
 import json
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 
 class SimplicialSet:
@@ -51,10 +53,6 @@ class SimplicialSet:
     def degeneracy(self, n, i, x):
         return self.deg_tab[n][i][x]
 
-    def degeneracy_image(self, n, i):
-        """Image of s_i : Y_{n} -> Y_{n+1} as a set of positions."""
-        return set(self.deg_tab[n][i])
-
     def nondegenerate_complements(self, n):
         """For level n >= 1: the complements of the degeneracy images
         s_i : Y_{n-1} -> Y_n, one frozenset per i in 0..n-1.  Computed at
@@ -63,7 +61,7 @@ class SimplicialSet:
         if comps is None:
             full = frozenset(range(self.card(n)))
             comps = tuple(
-                full - self.degeneracy_image(n - 1, i) for i in range(n)
+                full.difference(self.deg_tab[n - 1][i]) for i in range(n)
             )
             self._complements[n] = comps
         return comps
@@ -75,17 +73,40 @@ class SimplicialSet:
         S meets every mask of r.  A mask that contains a level-n complement
         is left out, since a nondegenerate level-n support meets it
         already; so is a repeated one.  Kept per level, like the
-        complements."""
+        complements.
+
+        The mask of c under face r holds a level-n complement h exactly
+        when d_r(h) lies in c.  So the complements below that hold each
+        slot, as bits, are intersected over d_r(h) for every h (one lookup
+        for a one-slot h), and only the masks left are pulled back,
+        through one preimage table per face."""
         masks = self._face_masks.get(n)
         if masks is None:
-            here = [_bits(c) for c in self.nondegenerate_complements(n)]
             below = self.nondegenerate_complements(n - 1)
+            holds = [0] * self.card(n - 1)  # slot -> bits of those holding it
+            for j, c in enumerate(below):
+                for t in c:
+                    holds[t] |= 1 << j
+            every = (1 << len(below)) - 1
+            here = self.nondegenerate_complements(n)
+            ones = [s for h in here if len(h) == 1 for s in h]
+            wider = [h for h in here if len(h) != 1]
             masks = []
             for tab in self.face_tab[n]:
-                pulled = (_bits(s for s, t in enumerate(tab) if t in c)
-                          for c in below)
+                # the complements below that hold some d_r(h)
+                inside = reduce(or_, map(holds.__getitem__,
+                                         map(tab.__getitem__, ones)), 0)
+                for h in wider:
+                    inside |= reduce(and_, [holds[tab[s]] for s in h], every)
+                if inside == every:
+                    masks.append(())
+                    continue
+                preimage = [0] * self.card(n - 1)
+                for s, t in enumerate(tab):
+                    preimage[t] |= 1 << s
                 masks.append(tuple(dict.fromkeys(
-                    m for m in pulled if all(h & ~m for h in here)
+                    sum(preimage[t] for t in c)  # disjoint preimages
+                    for j, c in enumerate(below) if not inside >> j & 1
                 )))
             masks = self._face_masks[n] = tuple(masks)
         return masks
@@ -180,10 +201,6 @@ class SimplicialSet:
             },
             sort_keys=True,
         )
-
-
-def _bits(slots):
-    return sum(1 << s for s in slots)
 
 
 class NondegeneracyTable:

@@ -309,22 +309,24 @@ def test_criterion_11e_cup_exhaustive(QQ, trunc2, trunc3):
     f = QQ.field
     cases = 0
     for A in (trunc2, trunc3):
-        cc = pr.ClassicalCochains(A, 7)
+        # the classical cochains are the circle's, CH^{S^1}(A, A)
+        data = pr.CochainComplexData(
+            simp.circle(4), A, dga.algebra_as_bimodule(A), top=3)
         basis = []
         for n in range(4):  # chain-level associativity at degrees <= 3
-            for arg in cc.args[n]:
+            for arg in data.args[n]:
                 for v in range(A.dim):
                     basis.append({(n, arg, v): f.one})
-        one = {(0, (), A.unit): f.one}
+        one = {(0, (A.unit,), A.unit): f.one}
         for a in basis:
-            assert cc.cup(one, a) == a and cc.cup(a, one) == a
+            assert pr.cup(A, one, a) == a and pr.cup(A, a, one) == a
             for b in basis:
                 for c in basis:
                     if (next(iter(a))[0] + next(iter(b))[0]
                             + next(iter(c))[0] > 3):
                         continue
-                    assert cc.cup(cc.cup(a, b), c) == cc.cup(
-                        a, cc.cup(b, c)
+                    assert pr.cup(A, pr.cup(A, a, b), c) == pr.cup(
+                        A, a, pr.cup(A, b, c)
                     )
                     cases += 1
     assert cases >= 500

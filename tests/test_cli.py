@@ -528,6 +528,102 @@ def test_mistyped_field_is_a_schema_error(tmp_path, capsys, raw, message):
         assert err.startswith("schema error: ") and message in err
 
 
+def _units(labels):
+    """The unit rows of an inline multiplication table."""
+    return [["1", lab, {lab: "1"}] for lab in labels] + [
+        [lab, "1", {lab: "1"}] for lab in labels if lab != "1"]
+
+
+# ab = c, ba = 0: its centre is span{1, c}, not the whole algebra
+NONCOMMUTATIVE = {
+    "basis": [{"label": "1", "degree": 0},
+              {"label": "a", "degree": 0, "weight": 1},
+              {"label": "b", "degree": 0, "weight": 1},
+              {"label": "c", "degree": 0, "weight": 2}],
+    "unit": "1", "weight_graded": True, "commutative": False,
+    "mult": _units(["1", "a", "b", "c"]) + [["a", "b", {"c": "1"}]],
+}
+
+# tests_support.koszul_algebra: k[x]/x^2 ⊗ Λ(e) with de = x
+KOSZUL = {
+    "basis": [{"label": "1", "degree": 0},
+              {"label": "x", "degree": 0, "weight": 1},
+              {"label": "e", "degree": -1, "weight": 1},
+              {"label": "xe", "degree": -1, "weight": 2}],
+    "unit": "1", "weight_graded": True, "augmentation": {"1": "1"},
+    "mult": _units(["1", "x", "e", "xe"])
+    + [["x", "e", {"xe": "1"}], ["e", "x", {"xe": "1"}]],
+    "differential": [["e", {"x": "1"}]],
+}
+
+CUP = "cup-table needs an exterior or truncated-polynomial algebra"
+
+
+@pytest.mark.parametrize("raw, message", [
+    (_job("criterion11b_cup_table.json", algebra=NONCOMMUTATIVE), CUP),
+    (_job("criterion11b_cup_table.json", algebra=KOSZUL), CUP),
+    (_job("criterion11b_cup_table.json", algebra={"name": "polynomial"}),
+     CUP),
+    *(({k: v for k, v in _job(name).items() if k != "algebra"},
+       f"{task} needs an algebra")
+      for name, task in (
+          ("criterion03_circle_classical.json", "homology"),
+          ("criterion05b_hkr_sphere3.json", "hkr-check"),
+          ("criterion02_bar_acyclicity.json", "bar"),
+          ("criterion09a_iterated_bar_exterior.json", "iterated-bar"),
+          ("criterion08a_twisted.json", "twisted-hh"),
+          ("criterion04a_excision_trunc.json", "excision-check"),
+          ("extra_tensor_cech.json", "cech"),
+          ("criterion11b_cup_table.json", "cup-table"),
+          ("criterion11a_shuffle_check.json", "shuffle-check"))),
+    (_job("criterion05b_hkr_sphere3.json",
+          algebra={"name": "truncated-polynomial"}),
+     "hkr-check needs a polynomial or exterior algebra"),
+    (_job("criterion05b_hkr_sphere3.json", space={"name": "circle"}),
+     "hkr-check needs a sphere or surface model"),
+], ids=["cup-noncommutative", "cup-koszul", "cup-polynomial",
+        "homology-no-algebra", "hkr-no-algebra", "bar-no-algebra",
+        "iterated-bar-no-algebra", "twisted-no-algebra",
+        "excision-no-algebra", "cech-arc-algebra-no-algebra",
+        "cup-no-algebra", "shuffle-no-algebra", "hkr-truncated",
+        "hkr-circle"])
+def test_run_and_explain_refuse_what_the_task_cannot_read(tmp_path, capsys,
+                                                          raw, message):
+    # an algebra or a space that the task cannot read is a schema error
+    # (exit 2) from run and explain alike, not a failed oracle (exit 1)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, str(path)]) == 2, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and message in err, err
+
+
+@pytest.mark.parametrize("algebra, labels", [
+    ({"name": "exterior"}, ["1", "x"]),
+    ({**INLINE, "weight_graded": True}, ["1", "x"]),
+], ids=["exterior", "inline-commutative"])
+def test_cup_table_reports_a_commutative_algebra(algebra, labels):
+    raw = _job("criterion11b_cup_table.json", algebra=algebra)
+    report = run_spec(raw)
+    assert report["verdict"] == "pass"
+    assert report["cup_table"]["hh0_basis"] == labels
+
+
+def test_infeasible_cech_builds_no_face(monkeypatch):
+    # the level bases add up to a total block of 1,722 elements, refused
+    # before any face is built
+    from hoch import cech
+
+    def no_faces(*args):
+        raise AssertionError("a Čech face was built")
+
+    monkeypatch.setattr(cech, "_face_image", no_faces)
+    path = str(JOBS / "criterion10_cosheaf_cech.json")
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, path, "--cap", "1000"]) == 3, cmd
+
+
 def test_expect_keys_read_degree_and_weight():
     # "d" is the weight-0 entry of degree d; "d,w" the entry of weight w
     want = {"0": 1, "0,1": 1, "-1,1": 1, "-2,3": 1, "-3,3": 1, "-4,5": 1}

@@ -309,35 +309,21 @@ def test_shuffle_check_job_makes_no_one_shot_setmap_call(monkeypatch):
 # -- classical cochains and cup ------------------------------------------------
 
 
-def basis_cochains(cc, max_arity):
-    f = cc.A.coefficients.field
+def basis_cochains(data, max_arity):
+    f = data.A.coefficients.field
     out = []
     for n in range(max_arity + 1):
-        for arg in cc.args[n]:
-            for v in range(cc.A.dim):
+        for arg in data.args[n]:
+            for v in range(data.A.dim):
                 out.append({(n, arg, v): f.one})
     return out
 
 
 def circle_cochains(A, top):
-    """The classical cochains of arity <= top, and their coboundary: the
-    higher cochains of the circle, CH^{S^1}(A, A)."""
-    return pr.ClassicalCochains(A, top), pr.CochainComplexData(
+    """The classical cochains of arity <= top: the higher cochains of the
+    circle, CH^{S^1}(A, A), with labels (n, (unit,) + arg, v)."""
+    return pr.CochainComplexData(
         simp.circle(top + 1), A, dga.algebra_as_bimodule(A), top=top)
-
-
-def classical_label(label):
-    """The circle label (n, (unit,) + arg, v) as the classical (n, arg, v)."""
-    n, arg, v = label
-    return n, arg[1:], v
-
-
-def coboundary(data, cochain):
-    """The circle's coboundary on a classical cochain {(n, arg, v): c}."""
-    unit = (data.A.unit,)
-    image = data.differential(
-        {(n, unit + arg, v): c for (n, arg, v), c in cochain.items()})
-    return {classical_label(lab): c for lab, c in image.items()}
 
 
 F3 = Coefficients("prime-field", 3)
@@ -345,10 +331,11 @@ F3 = Coefficients("prime-field", 3)
 
 def test_classical_cochain_complex(QQ, trunc2, exterior):
     for A, dims in ((trunc2, [2, 2, 2, 2, 2]), (exterior, None)):
-        cc, data = circle_cochains(A, 6)
+        data = circle_cochains(A, 6)
         X = data.complex
-        assert {classical_label(lab) for lab in X.index} == {
-            lab for b in basis_cochains(cc, 6) for lab in b}
+        assert set(X.index) == {
+            (n, (A.unit,) + arg, v) for n in range(7)
+            for arg in product(A.nonunit(), repeat=n) for v in range(A.dim)}
         assert X.check_differential()[0], A.name
         if dims:
             assert [X.dim(d) for d in range(5)] == dims
@@ -357,16 +344,17 @@ def test_classical_cochain_complex(QQ, trunc2, exterior):
 
 def test_cup_unital_associative_exhaustive(QQ, trunc2, exterior):
     for A in (trunc2, exterior):
-        cc = pr.ClassicalCochains(A, 7)
+        data = circle_cochains(A, 2)
         f = QQ.field
-        basis = basis_cochains(cc, 2)
-        one = {(0, (), A.unit): f.one}
+        basis = basis_cochains(data, 2)
+        one = {(0, (A.unit,), A.unit): f.one}
         cases = 0
         for a in basis:
-            assert cc.cup(one, a) == a and cc.cup(a, one) == a
+            assert pr.cup(A, one, a) == a and pr.cup(A, a, one) == a
             for b in basis:
                 for c in basis:
-                    assert cc.cup(cc.cup(a, b), c) == cc.cup(a, cc.cup(b, c))
+                    assert pr.cup(A, pr.cup(A, a, b), c) == pr.cup(
+                        A, a, pr.cup(A, b, c))
                     cases += 1
         assert cases >= 200
 
@@ -378,17 +366,18 @@ def test_cup_chain_map(QQ):
         dga.truncated_polynomial(k, 3, -2))]
     for A in algebras:
         f = A.coefficients.field
-        cc, data = circle_cochains(A, 7)
-        basis = basis_cochains(cc, 2)
+        data = circle_cochains(A, 7)
+        index = data.complex.index
+        basis = basis_cochains(data, 2)
         for _ in range(150):
             a = rng.choice(basis)
             b = rng.choice(basis)
-            ((n1, arg1, v1),) = a.keys()
-            deg_a = n1 + cc.internal_degree(n1, v1, arg1)
-            lhs = coboundary(data, cc.cup(a, b))
+            (label_a,) = a
+            deg_a = index[label_a][0]
+            lhs = data.differential(pr.cup(A, a, b))
             rhs = add(
-                f, cc.cup(coboundary(data, a), b),
-                cc.cup(a, coboundary(data, b)), sign=(-1) ** (deg_a % 2),
+                f, pr.cup(A, data.differential(a), b),
+                pr.cup(A, a, data.differential(b)), sign=(-1) ** (deg_a % 2),
             )
             assert lhs == rhs, A.name
 
@@ -397,16 +386,29 @@ def test_cup_hh0_is_center(QQ, trunc2):
     # HH^0 of a commutative algebra is the algebra; the induced product is
     # its multiplication
     f = QQ.field
-    cc = pr.ClassicalCochains(trunc2, 4)
+    unit = (trunc2.unit,)
     for i in range(trunc2.dim):
         for j in range(trunc2.dim):
-            a = {(0, (), i): f.one}
-            b = {(0, (), j): f.one}
-            prod = cc.cup(a, b)
+            a = {(0, unit, i): f.one}
+            b = {(0, unit, j): f.one}
+            prod = pr.cup(trunc2, a, b)
             want = {
-                (0, (), k): c for k, c in trunc2.product(i, j).items()
+                (0, unit, k): c for k, c in trunc2.product(i, j).items()
             }
             assert prod == want
+
+
+def test_cup_sign_is_g_crossing_the_arguments_of_f(QQ):
+    # (f ∪ g)(a) = (-1)^{|g| |a|} f(a) g(): f = (a -> 1) of arity 1, g the
+    # constant x of arity 0; an odd g passing an odd argument gives -1,
+    # and no other case does
+    for A, sign in ((dga.exterior(QQ), -1), (dga.exterior(QQ, -3), -1),
+                    (dga.truncated_polynomial(QQ, 2, -2), 1)):
+        unit, (x,) = A.unit, A.nonunit()
+        f = {(1, (unit, x), unit): QQ.field.one}
+        g = {(0, (unit,), x): QQ.field.one}
+        assert pr.cup(A, f, g) == {(1, (unit, x), x): QQ.field.coerce(sign)}
+        assert pr.cup(A, g, f) == {(1, (unit, x), x): QQ.field.one}
 
 
 def test_cup_commutative_in_homology_with_chain_witness(QQ, trunc3):
@@ -416,14 +418,12 @@ def test_cup_commutative_in_homology_with_chain_witness(QQ, trunc3):
 
 def _check_cup_commutative_in_homology(A):
     f = A.coefficients.field
-    cc, data = circle_cochains(A, 6)
-    X = data.complex
+    X = circle_cochains(A, 6).complex
 
     def all_cocycles(deg):
         ker = kernel_basis(X.d_matrix(deg, 0))
         labels = X.blocks[(deg, 0)]
-        return [{classical_label(labels[i]): c for i, c in v.items()}
-                for v in ker]
+        return [{labels[i]: c for i, c in v.items()} for v in ker]
 
     witness = None
     checks = 0
@@ -432,12 +432,11 @@ def _check_cup_commutative_in_homology(A):
         sub = SubquotientSpace(
             X.d_matrix(p + q, 0), X.d_matrix(p + q - 1, 0), f
         )
-        labs = X.blocks[(p + q, 0)]
-        pos = {classical_label(lab): i for i, lab in enumerate(labs)}
+        pos = {lab: i for i, lab in enumerate(X.blocks[(p + q, 0)])}
         for fc in fs:
             for gc in gs:
-                fg = cc.cup(fc, gc)
-                gf = cc.cup(gc, fc)
+                fg = pr.cup(A, fc, gc)
+                gf = pr.cup(A, gc, fc)
                 sign = (-1) ** ((p * q) % 2)
                 gf_s = {k: f.mul(f.coerce(sign), v) for k, v in gf.items()}
                 if fg != gf_s and witness is None:

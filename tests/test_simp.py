@@ -252,3 +252,31 @@ def test_face_masks_of_circles_and_their_wedges_are_empty():
         0, 0, 1, 1, 4, 5, 6, 7, 8,
     ]
     assert masks(3) == ((0,),) * 4  # level 2 holds no nondegenerate slot
+
+
+def _reference_face_masks(X, n):
+    """``face_masks`` as first written: every slot scanned for each
+    (face, complement below) pair, each mask tested against every level-n
+    complement."""
+    here = [sum(1 << s for s in c) for c in X.nondegenerate_complements(n)]
+    below = X.nondegenerate_complements(n - 1)
+    masks = []
+    for tab in X.face_tab[n]:
+        pulled = (sum(1 << s for s, t in enumerate(tab) if t in c)
+                  for c in below)
+        masks.append(tuple(dict.fromkeys(
+            m for m in pulled if all(h & ~m for h in here)
+        )))
+    return tuple(masks)
+
+
+def test_face_masks_match_the_reference():
+    c = simp.circle(4)
+    two = simp.wedge(c, c)
+    spaces = [simp.circle(8), simp.torus(3), two, simp.wedge(two, c),
+              simp.wedge(c, two), simp.sphere_small(2, 6),
+              simp.sphere_small(3, 9), simp.sphere_standard(2, 5),
+              simp.surface(1, 4)]
+    for X in spaces:
+        for n in range(1, X.top_level + 1):
+            assert X.face_masks(n) == _reference_face_masks(X, n), (X.name, n)
