@@ -19,6 +19,10 @@ The regime is read in three places only: the level basis (one part per
 combo, or one part), the pointed unit for face targets no part hits
 (tensor only), and ``PrefactorizationData`` with its validators (a
 coproduct structure map is the extension map of its one open).
+
+The ``cech`` task reads its cover from the job spec here
+(``spec_complex``), and compares with the cone-excision gluing
+(``cone_gluing_dims``, through the mapping ``cone``).
 """
 
 from fractions import Fraction
@@ -33,18 +37,19 @@ from .homalg import (
     ChainMap,
     Coefficients,
     SimplicialChainComplex,
+    _entries,
     total_complex,
 )
 from .linalg import _Table, _acc, _compose, _signed
-from .hochschild import (
-    build_levels,
-    check_cap,
+from .classical import (
     classical_basis,
     enveloping_modules,
     hh_via_enveloping,
-    hochschild_chain,
+    outer_bimodule,
     two_sided_bar,
+    underlying_complex,
 )
+from .hochschild import build_levels, check_cap, hochschild_chain
 
 
 class CoverError(ValueError):
@@ -420,7 +425,7 @@ def circle_arc_algebra(A, poset, orientation=1):
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     f = A.coefficients.field
-    values = {u: dga.underlying_complex(A) for u in poset.opens}
+    values = {u: underlying_complex(A) for u in poset.opens}
     arc = poset.arc_data
     # (open, target) -> the start of the open measured from the start of
     # the target arc, in the direction of the orientation
@@ -459,7 +464,7 @@ def interval_stratified(Mr, A, Ml, poset):
     values = {}
     for u in poset.opens:
         kind = data[u][0]
-        values[u] = dga.underlying_complex(
+        values[u] = underlying_complex(
             Mr if kind == "r" else Ml if kind == "l" else A
         )
 
@@ -738,7 +743,7 @@ def excision_layout(A, window=(-5, 0), cap=None):
     face: InfeasibleError when a (degree, weight) block of either exceeds
     ``cap``.  Returns the circle that carries CH_{S^1}(A)."""
     mod_r, E, mod_l = enveloping_modules(A)
-    classical_basis(E, dga.outer_bimodule(mod_l, mod_r), window, cap)
+    classical_basis(E, outer_bimodule(mod_l, mod_r), window, cap)
     Y = simp.circle(max(0, 1 - window[0]) + 1)
     build_levels(Y, A, None, window, cap=cap)
     return Y
@@ -758,3 +763,107 @@ def excision_report(A, window=(-5, 0), cap=None):
         "circle": right,
         "equal": left == right,
     }
+
+
+# -- the cech task: a job spec's cover, the cone-excision gluing ------------
+
+
+def spec_complex(spec, coefficients, cap=None):
+    """The Čech complex of a ``cech`` job spec's cover, its (degree,
+    weight) blocks held to ``cap`` before any face (``cech_complex``)."""
+    from .cli import SchemaError, _integer, _lists, _rational, build_algebra
+
+    cover_desc = spec.get("cover")
+    if not isinstance(cover_desc, dict):
+        raise SchemaError("cech task needs a cover descriptor")
+    ambient = cover_desc.get("ambient", "circle")
+    mode = cover_desc.get("mode", "coproduct")
+    trunc = _integer(cover_desc, "truncation", 2, 0)
+    if ambient == "circle":
+        arcs = [
+            (_rational(a, "an arc start"), _rational(l, "an arc length"))
+            for a, l in _lists(cover_desc, "arcs", 2, "[start, length]")
+        ]
+        poset = circle_arc_poset(arcs)
+    elif ambient == "interval":
+        opens = cover_desc.get("opens", [])
+        if not isinstance(opens, list) or not all(
+            isinstance(o, list) and o[:1] in (["r"], ["m"], ["l"])
+            and len(o) == 2 + (o[0] == "m") for o in opens
+        ):
+            raise SchemaError("opens must be a list of ['r', s], ['m', t, u]"
+                              " or ['l', t] lists")
+        poset = interval_poset([
+            (o[0], *(_rational(e, "an interval endpoint") for e in o[1:]))
+            for o in opens
+        ])
+    else:
+        raise SchemaError("cech cover ambient must be circle or interval")
+    value = cover_desc.get("value", "constant-Q")
+    if value == "constant-Q" and mode == "coproduct":
+        F = constant_precosheaf(poset, coefficients)
+    elif value == "trivial" and mode == "tensor":
+        F = trivial_prefactorization(poset, coefficients)
+    elif value == "arc-algebra" and mode == "tensor":
+        A = build_algebra(spec["algebra"], coefficients)
+        F = circle_arc_algebra(A, poset)
+    else:
+        raise SchemaError(f"unsupported cech value/mode {value}/{mode}")
+    ok, wit = validate_prefactorization(F)
+    if not ok:
+        raise SchemaError(f"prefactorization audit failed: {wit}")
+    return cech_complex(F, poset.opens, trunc, cap)
+
+
+def cone(fmap):
+    """Mapping cone of a degree-0 chain map: cone^m = C^{m+1} ⊕ D^m."""
+    if fmap.shift != 0:
+        raise ValueError("cone requires a degree-0 map")
+    c, d = fmap.source, fmap.target
+    f = c.coefficients.field
+    out = ChainComplex(c.coefficients)
+    for (dc, w), block in sorted(c.blocks.items()):
+        for x in block:
+            out.add_element(("src", x), dc - 1, w)
+    for (dd, w), block in sorted(d.blocks.items()):
+        for y in block:
+            out.add_element(("tgt", y), dd, w)
+    for x, x2, v in _entries(c):  # -d_C
+        out.set_differential_entry(("src", x), ("src", x2), f.neg(v))
+    for x, y, v in _entries(fmap):  # f
+        out.set_differential_entry(("src", x), ("tgt", y), v)
+    for y, y2, v in _entries(d):  # d_D
+        out.set_differential_entry(("tgt", y), ("tgt", y2), v)
+    lo = max(
+        c.window[0] - 1 if c.window[0] > NEG_INF else NEG_INF, d.window[0]
+    )
+    hi = min(
+        c.window[1] - 1 if c.window[1] < POS_INF else POS_INF, d.window[1]
+    )
+    slo = min(
+        c.support[0] - 1 if c.support[0] > NEG_INF else NEG_INF, d.support[0]
+    )
+    shi = max(
+        c.support[1] - 1 if c.support[1] < POS_INF else POS_INF, d.support[1]
+    )
+    return out.freeze(window=(lo, hi), support=(slo, shi))
+
+
+def cone_gluing_dims(coefficients):
+    """Betti numbers of the cone of k² → k², z ↦ x − y on both
+    generators: the gluing that the ``compare_cone_gluing`` key of a
+    cover compares with."""
+    f = coefficients.field
+    Z = ChainComplex(coefficients)
+    Z.add_element("z1", 0, 0)
+    Z.add_element("z2", 0, 0)
+    Z.freeze(support=(0, 0))
+    XY = ChainComplex(coefficients)
+    XY.add_element("x", 0, 0)
+    XY.add_element("y", 0, 0)
+    XY.freeze(support=(0, 0))
+    fm = ChainMap(Z, XY)
+    for z in ("z1", "z2"):
+        fm.set_entry(z, "x", f.one)
+        fm.set_entry(z, "y", f.coerce(-1))
+    return cone(fm).betti((-1, 0))

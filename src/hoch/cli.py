@@ -5,10 +5,7 @@ Reports are deterministic for a fixed job spec apart from the timestamp
 and wall-time fields.
 """
 
-import argparse
 import datetime
-import json
-import random
 import re
 import sys
 import time
@@ -18,7 +15,6 @@ from . import dga, hochschild as hh, simp
 from .dga import AlgebraClassError
 from .homalg import Coefficients, WindowError, per_degree
 from .hochschild import InfeasibleError, TruncationError
-from .linalg import _acc, _signed
 
 
 class SchemaError(ValueError):
@@ -344,16 +340,20 @@ def _build(spec, coefficients):
             )
         return A, H, H.complex.max_block_dim()
     if task == "cech":
-        C = _run_cech(spec, coefficients, cap)
+        from . import cech
+
+        C = cech.spec_complex(spec, coefficients, cap)
         return None, C, C.total.max_block_dim()
+    from . import classical
+
     A = build_algebra(spec["algebra"], coefficients, weights)
     if task == "iterated-bar":
-        C = hh.iterated_bar(
+        C = classical.iterated_bar(
             A, spec.get("iterations", 1), window, weights, cap=cap
         )
     else:
-        sigma = _scaling_automorphism(A, _twist_scalar(spec))
-        C = hh.twisted_hochschild(A, sigma, window, cap)
+        sigma = classical.scaling_automorphism(A, _twist_scalar(spec))
+        C = classical.twisted_hochschild(A, sigma, window, cap)
     return A, C, C.max_block_dim()
 
 
@@ -404,8 +404,10 @@ def run_job(spec):
     elif task == "iterated-bar":
         betti_table = C.homology_dims(window, weights)
         if spec.get("iterations", 1) == 1:
-            k_mod = dga.augmentation_module(A)
-            B = hh.two_sided_bar(k_mod, A, k_mod, window)
+            from . import classical
+
+            k_mod = classical.augmentation_module(A)
+            B = classical.two_sided_bar(k_mod, A, k_mod, window)
             deltas.append(
                 _delta(
                     "two_sided_bar(k,A,k)",
@@ -434,19 +436,25 @@ def run_job(spec):
     elif task == "cech":
         betti_table = C.homology_dims(window, None)
         if spec.get("cover", {}).get("compare_cone_gluing"):
-            cone_dims = _cone_gluing_dims(coefficients)
+            from . import cech
+
+            cone_dims = cech.cone_gluing_dims(coefficients)
             deltas.append(
                 _delta("cone_excision_gluing", cone_dims,
                        per_degree(betti_table, window))
             )
     elif task == "cup-table":
+        from . import products
+
         A = build_algebra(spec["algebra"], coefficients, weights)
-        table, ok = _cup_table(A)
+        table, ok = products.cup_table(A, spec["cap"])
         extra["cup_table"] = table
         extra["max_block"] = 0
         deltas.append({"name": "cup_chain_level_axioms", "delta": 0 if ok else 1})
     elif task == "shuffle-check":
-        ok, checked = _shuffle_check(C, spec)
+        from . import products
+
+        ok, checked = products.shuffle_check(C, spec)
         extra["cases"] = checked
         deltas.append({"name": "shuffle_axioms", "delta": 0 if ok else 1})
 
@@ -517,138 +525,6 @@ def _hkr_space(desc):
     raise SchemaError("hkr-check needs a sphere or surface model")
 
 
-def _scaling_automorphism(A, scalar):
-    f = A.coefficients.field
-    images = {}
-    for p in range(A.dim):
-        images[p] = {p: f.coerce(Fraction(scalar) ** A.weights[p])}
-    return dga.AlgebraAutomorphism(A, images)
-
-
-def _run_cech(spec, coefficients, cap=None):
-    from . import cech
-
-    cover_desc = spec.get("cover")
-    if not isinstance(cover_desc, dict):
-        raise SchemaError("cech task needs a cover descriptor")
-    ambient = cover_desc.get("ambient", "circle")
-    mode = cover_desc.get("mode", "coproduct")
-    trunc = _integer(cover_desc, "truncation", 2, 0)
-    if ambient == "circle":
-        arcs = [
-            (_rational(a, "an arc start"), _rational(l, "an arc length"))
-            for a, l in _lists(cover_desc, "arcs", 2, "[start, length]")
-        ]
-        poset = cech.circle_arc_poset(arcs)
-    elif ambient == "interval":
-        opens = cover_desc.get("opens", [])
-        if not isinstance(opens, list) or not all(
-            isinstance(o, list) and o[:1] in (["r"], ["m"], ["l"])
-            and len(o) == 2 + (o[0] == "m") for o in opens
-        ):
-            raise SchemaError("opens must be a list of ['r', s], ['m', t, u]"
-                              " or ['l', t] lists")
-        poset = cech.interval_poset([
-            (o[0], *(_rational(e, "an interval endpoint") for e in o[1:]))
-            for o in opens
-        ])
-    else:
-        raise SchemaError("cech cover ambient must be circle or interval")
-    value = cover_desc.get("value", "constant-Q")
-    if value == "constant-Q" and mode == "coproduct":
-        F = cech.constant_precosheaf(poset, coefficients)
-    elif value == "trivial" and mode == "tensor":
-        F = cech.trivial_prefactorization(poset, coefficients)
-    elif value == "arc-algebra" and mode == "tensor":
-        A = build_algebra(spec["algebra"], coefficients)
-        F = cech.circle_arc_algebra(A, poset)
-    else:
-        raise SchemaError(f"unsupported cech value/mode {value}/{mode}")
-    ok, wit = cech.validate_prefactorization(F)
-    if not ok:
-        raise SchemaError(f"prefactorization audit failed: {wit}")
-    return cech.cech_complex(F, poset.opens, trunc, cap)
-
-
-def _cone_gluing_dims(coefficients):
-    from .homalg import ChainComplex, ChainMap, cone
-
-    f = coefficients.field
-    Z = ChainComplex(coefficients)
-    Z.add_element("z1", 0, 0)
-    Z.add_element("z2", 0, 0)
-    Z.freeze(support=(0, 0))
-    XY = ChainComplex(coefficients)
-    XY.add_element("x", 0, 0)
-    XY.add_element("y", 0, 0)
-    XY.freeze(support=(0, 0))
-    fm = ChainMap(Z, XY)
-    for z in ("z1", "z2"):
-        fm.set_entry(z, "x", f.one)
-        fm.set_entry(z, "y", f.coerce(-1))
-    return cone(fm).betti((-1, 0))
-
-
-def _cup_table(A):
-    """HH⁰ of a commutative A with d = 0 is A, with A's product; and the
-    cup's unit and associativity on the circle's cochains of arity <= 2."""
-    from . import products
-
-    f = A.coefficients.field
-    data = products.CochainComplexData(
-        simp.circle(3), A, dga.algebra_as_bimodule(A), top=2)
-    basis = [{(n, arg, v): f.one} for n, args in enumerate(data.args)
-             for arg in args for v in range(A.dim)]
-    one = {(0, (A.unit,), A.unit): f.one}
-    cup = products.cup
-    ok = all(cup(A, one, b) == b == cup(A, b, one) for b in basis) and all(
-        cup(A, cup(A, a, b), c) == cup(A, a, cup(A, b, c))
-        for a in basis for b in basis for c in basis)
-    table = [[{A.labels[k]: str(v) for k, v in sorted(A.product(i, j).items())}
-              for j in range(A.dim)] for i in range(A.dim)]
-    return {"hh0_basis": list(A.labels), "product": table}, ok
-
-
-def _shuffle_check(H, spec):
-    from . import products
-
-    f = H.algebra.coefficients.field
-    C = H.complex
-    rng = random.Random(spec.get("seed", 0))
-    labels = sorted(
-        lab for lab in C.index if lab[0] <= 2 and C.index[lab][0] >= -2
-    )
-    degs = {}
-    for lab in labels:
-        degs.setdefault(C.index[lab][0], []).append(lab)
-    one = products.unit_chain(H)
-    trials = spec.get("trials", 100)
-    ok = True
-
-    def rand_chain():
-        d = rng.choice(sorted(degs))
-        labs = rng.sample(degs[d], min(2, len(degs[d])))
-        return d, {lab: f.coerce(rng.choice([-2, -1, 1, 2])) for lab in labs}
-
-    for _ in range(trials):
-        du, u = rand_chain()
-        dv, v = rand_chain()
-        if products.shuffle_product(H, one, u) != u:
-            ok = False
-        uv = products.shuffle_product(H, u, v)
-        # Leibniz: d(uv) = d(u) v + (-1)^{|u|} u d(v)
-        rhs = products.shuffle_product(H, C.d_apply(u), v)
-        udv = products.shuffle_product(H, u, C.d_apply(v))
-        for k, c in _signed(udv, du, f).items():
-            _acc(rhs, k, c, f)
-        if C.d_apply(uv) != rhs:
-            ok = False
-        vu = products.shuffle_product(H, v, u)
-        if uv != _signed(vu, du * dv, f):
-            ok = False
-    return ok, trials
-
-
 def explain_job(spec):
     """Size a job without ranking a block.
 
@@ -660,8 +536,9 @@ def explain_job(spec):
     The complexes of BUILT_TASKS, and the classical complex of a genuine
     bimodule over the circle, are built as ``run`` builds them and
     reported by their largest block alone.  An ``excision-check`` lays out
-    the bases of its two complexes under the cap, as ``run`` does first,
-    and is otherwise only noted.
+    the bases of its two complexes under the cap, and a ``cup-table``
+    counts the triples of its associativity check against it, as ``run``
+    does first; both are otherwise only noted.
     """
     task, window, weights, cap = (
         spec["task"], spec["window"], spec["weights"], spec["cap"]
@@ -672,6 +549,13 @@ def explain_job(spec):
         cech.excision_layout(
             build_algebra(spec["algebra"], parse_coefficients(spec), weights),
             window, cap,
+        )
+    elif task == "cup-table":
+        from . import products
+
+        products.cup_labels(
+            build_algebra(spec["algebra"], parse_coefficients(spec), weights),
+            cap,
         )
     if task not in CHAIN_TASKS + BUILT_TASKS:
         return {"job": _echo(spec), "note": "explain supports chain tasks"}
@@ -699,6 +583,8 @@ def explain_job(spec):
 
 def render(report, fmt):
     if fmt == "json":
+        import json
+
         return json.dumps(report, indent=2, sort_keys=True, default=str)
     lines = [f"task: {report['job']['task']}"]
     if "cap" in report:  # an explain report
@@ -719,6 +605,9 @@ def render(report, fmt):
 
 
 def main(argv=None):
+    import argparse
+    import json
+
     parser = argparse.ArgumentParser(
         prog="hoch",
         description="exact higher Hochschild / factorization-homology jobs",

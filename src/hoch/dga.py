@@ -25,10 +25,8 @@ from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 
-from .homalg import NEG_INF, ChainComplex, Coefficients
-from .linalg import (
-    SparseMatrix, _Table, _compose, _signed, field_values, rank,
-)
+from .homalg import Coefficients
+from .linalg import _Table, _compose, _signed, field_values
 
 
 class AlgebraClassError(ValueError):
@@ -341,49 +339,6 @@ class DGModule:
         return f"DGModule({self.name}, dim={self.dim})"
 
 
-class AlgebraAutomorphism:
-    """Degree-0, weight-preserving multiplicative unital chain automorphism."""
-
-    def __init__(self, algebra, images):
-        self.algebra = algebra
-        self.images = images  # {i: {j: coeff}}
-        self.audit()
-
-    def apply(self, i):
-        return self.images.get(i, {})
-
-    def audit(self):
-        A = self.algebra
-        f = A.coefficients.field
-        for i, img in self.images.items():
-            for j in img:
-                if A.degrees[j] != A.degrees[i] or A.weights[j] != A.weights[i]:
-                    raise ValueError("automorphism must preserve (degree, weight)")
-        if self.apply(A.unit) != {A.unit: f.one}:
-            raise ValueError("automorphism must fix the unit")
-        for i, j in A.pairs():
-            # sigma(i j) = sigma(i) sigma(j)
-            if _compose(A.product(i, j), self.apply, f) != _compose(
-                self.apply(i),
-                lambda t: _compose(
-                    self.apply(j), lambda s: A.product(t, s), f
-                ),
-                f,
-            ):
-                raise ValueError("automorphism is not multiplicative")
-        for i in range(A.dim):
-            if _compose(A.d(i), self.apply, f) != _compose(
-                self.apply(i), A.d, f
-            ):
-                raise ValueError("automorphism is not a chain map")
-        mat = SparseMatrix(A.dim, A.dim, f)
-        for i, img in self.images.items():
-            for j, c in img.items():
-                mat.set(j, i, c)
-        if rank(mat) != A.dim:
-            raise ValueError("automorphism is not invertible")
-
-
 # -- constructors -----------------------------------------------------------
 
 
@@ -465,93 +420,6 @@ def polynomial(coefficients=None, max_weight=8, name=None):
     )
 
 
-def tensor_algebra(A, B, name=None):
-    """A ⊗ B with the Koszul-signed product."""
-    if A.coefficients != B.coefficients:
-        raise ValueError("coefficient mismatch")
-    f = A.coefficients.field
-    bound = min(
-        (x for x in (A.max_weight, B.max_weight) if x is not None),
-        default=None,
-    )
-    # the pairs within the bound passed on as max_weight, row by row
-    pairs = [
-        (i, j) for i, j in product(range(A.dim), range(B.dim))
-        if bound is None or A.weights[i] + B.weights[j] <= bound
-    ]
-    basis = [
-        (
-            (A.labels[i], B.labels[j]),
-            A.degrees[i] + B.degrees[j],
-            A.weights[i] + B.weights[j],
-        )
-        for i, j in pairs
-    ]
-    index = {ij: p for p, ij in enumerate(pairs)}
-    pos = lambda i, j: index[i, j]
-    mult = {}
-    for (i1, j1), (i2, j2) in product(pairs, repeat=2):
-        p, q = pos(i1, j1), pos(i2, j2)
-        if bound is not None and basis[p][2] + basis[q][2] > bound:
-            continue
-        mult[(p, q)] = _compose(
-            _signed(A.product(i1, i2), B.degrees[j1] * A.degrees[i2], f),
-            lambda ka: {
-                pos(ka, kb): cb for kb, cb in B.product(j1, j2).items()
-            },
-            f,
-        )
-    aug = None
-    if A.augmentation is not None and B.augmentation is not None:
-        aug = {}
-        for i, j in pairs:
-            v = f.mul(A.eps(i), B.eps(j))
-            if not f.is_zero(v):
-                aug[pos(i, j)] = v
-    # d(a ⊗ b) = da ⊗ b + (-1)^{|a|} a ⊗ db
-    diff = {}
-    for i, j in pairs:
-        out = _compose(A.d(i), lambda k: {pos(k, j): f.one}, f)
-        _compose(
-            _signed(B.d(j), A.degrees[i], f),
-            lambda k: {pos(i, k): f.one}, f, out,
-        )
-        if out:
-            diff[pos(i, j)] = out
-    return DGAlgebra(
-        name or f"{A.name}⊗{B.name}",
-        A.coefficients,
-        basis,
-        mult,
-        unit=pos(A.unit, B.unit),
-        diff=diff,
-        commutative=A.commutative and B.commutative,
-        augmentation=aug,
-        weight_graded=A.weight_graded and B.weight_graded,
-        max_weight=bound,
-    )
-
-
-def opposite(A, name=None):
-    """A^op: reversed product with the sign (-1)^{|a||b|}."""
-    f = A.coefficients.field
-    mult = {}
-    for (i, j), out in A.mult.items():
-        mult[(j, i)] = _signed(out, A.degrees[i] * A.degrees[j], f)
-    return DGAlgebra(
-        name or f"{A.name}^op",
-        A.coefficients,
-        list(zip(A.labels, A.degrees, A.weights)),
-        mult,
-        unit=A.unit,
-        diff=dict(A.diff),
-        commutative=A.commutative,
-        augmentation=dict(A.augmentation) if A.augmentation else None,
-        weight_graded=A.weight_graded,
-        max_weight=A.max_weight,
-    )
-
-
 def algebra_as_bimodule(A, name=None):
     """A as a symmetric bimodule over itself (requires commutative A)."""
     left = {}
@@ -569,92 +437,6 @@ def algebra_as_bimodule(A, name=None):
         diff={i: dict(v) for i, v in A.diff.items()},
         pointed_element=A.unit,
     )
-
-
-def underlying_complex(X):
-    """The chain complex of a DG algebra or module: one element per basis
-    label, with the differential of X."""
-    c = ChainComplex(X.coefficients)
-    for p in range(X.dim):
-        c.add_element(X.labels[p], X.degrees[p], X.weights[p])
-    for p in range(X.dim):
-        for q, v in X.d(p).items():
-            c.set_differential_entry(X.labels[p], X.labels[q], v)
-    return c.freeze(support=(NEG_INF, 0))
-
-
-def augmentation_module(A, name=None):
-    """k as an A-module through the augmentation."""
-    if A.augmentation is None:
-        raise ValueError(f"{A.name} is not augmented")
-    f = A.coefficients.field
-    left = {}
-    for a in range(A.dim):
-        v = A.eps(a)
-        if not f.is_zero(v):
-            left[(a, 0)] = {0: v}
-    return DGModule(
-        name or "k",
-        A,
-        [("1", 0, 0)],
-        left,
-        symmetric=True,
-        pointed_element=0,
-    )
-
-
-def twisted_bimodule(A, sigma, name=None):
-    """A as a bimodule with the right action routed through sigma."""
-    f = A.coefficients.field
-    left = {}
-    right = {}
-    for a, m in A.pairs():
-        out = A.product(a, m)
-        if out:
-            left[(a, m)] = dict(out)
-        tw = _compose(sigma.apply(a), lambda t: A.product(m, t), f)
-        if tw:
-            right[(m, a)] = tw
-    return DGModule(
-        name or f"{A.name}^twisted",
-        A,
-        list(zip(A.labels, A.degrees, A.weights)),
-        left,
-        right=right,
-        symmetric=False,
-        diff={i: dict(v) for i, v in A.diff.items()},
-        pointed_element=A.unit,
-    )
-
-
-def outer_bimodule(Ml, Mr):
-    """M_l ⊗ M_r as an A-bimodule: A acts on M_l from the left and on M_r
-    from the right, d(l ⊗ r) = dl ⊗ r + (-1)^{|l|} l ⊗ dr.  Its Hochschild
-    complex is the two-sided Bar complex of (M_r, A, M_l)."""
-    A = Ml.algebra
-    if Mr.algebra is not A:
-        raise ValueError(
-            f"{Ml.name} and {Mr.name} are modules over different algebras"
-        )
-    f = A.coefficients.field
-    pos = lambda l, r: l * Mr.dim + r
-    left, right, diff, basis = {}, {}, {}, []
-    for l, r in product(range(Ml.dim), range(Mr.dim)):
-        basis.append(((Ml.labels[l], Mr.labels[r]),
-                      Ml.degrees[l] + Mr.degrees[r],
-                      Ml.weights[l] + Mr.weights[r]))
-        for a in range(A.dim):
-            if image := Ml.act_left(a, l):
-                left[a, pos(l, r)] = {pos(k, r): c for k, c in image.items()}
-            if image := Mr.act_right(r, a):
-                right[pos(l, r), a] = {pos(l, k): c for k, c in image.items()}
-        out = _compose(Ml.d(l), lambda k: {pos(k, r): f.one}, f)
-        _compose(_signed(Mr.d(r), Ml.degrees[l], f),
-                 lambda k: {pos(l, k): f.one}, f, out)
-        if out:
-            diff[pos(l, r)] = out
-    return DGModule(f"{Ml.name}⊗{Mr.name}", A, basis, left, right=right,
-                    symmetric=False, diff=diff)
 
 
 # -- monomials and induced maps (Eq.-7 machinery) ---------------------------
@@ -780,7 +562,7 @@ def compile_setmap(A, setmap, n_targets=None, module=None, sign=1):
     >>> push = compile_setmap(A, (0, 0, 1), 2)
     >>> push(((0, 1), (1, 2)))  # x ⊗ x² ⊗ 1 -> x³ ⊗ 1
     {((0, 3),): 1}
-    >>> compile_setmap(A, (1, 0), 2, augmentation_module(A))
+    >>> compile_setmap(A, (1, 0), 2, algebra_as_bimodule(A))
     Traceback (most recent call last):
     ...
     ValueError: setmap (1, 0) does not keep the module slot 0 in place
@@ -960,22 +742,3 @@ def apply_setmap(A, setmap, monomial, module=None, n_targets=None):
         for image, c in _on_monomials(push, n_targets)(monomial).items()
     }
 
-
-def multiop(A, setmap, n_source, n_target):
-    """Matrix of f_*: A^{⊗S} -> A^{⊗T} on full monomial bases, for small
-    slot counts (tests, explicit checks): one ``compile_setmap`` program
-    run on every source monomial, as the chain builders run one per face."""
-    f = A.coefficients.field
-    if len(setmap) != n_source:
-        raise ValueError("setmap length mismatch")
-    if setmap and max(setmap) >= n_target:
-        raise ValueError("setmap range exceeds target")
-    src = list(product(range(A.dim), repeat=n_source))
-    tgt = list(product(range(A.dim), repeat=n_target))
-    tpos = {m: i for i, m in enumerate(tgt)}
-    mat = SparseMatrix(len(tgt), len(src), f)
-    push = _on_monomials(compile_setmap(A, tuple(setmap), n_target), n_target)
-    for col, mono in enumerate(src):
-        for m, c in push(mono).items():
-            mat.add_to(tpos[m], col, f.coerce(c))
-    return mat, src, tgt

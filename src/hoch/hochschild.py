@@ -1,15 +1,18 @@
-"""Hochschild complexes over simplicial sets, Bar constructions, oracles.
+"""Hochschild complexes over simplicial sets, and the oracles of the chain
+tasks.
 
 The main builder realizes the level-n space A^{⊗Y_n} (module coefficients
 at the basepoint, slot 0, when present), faces induced by the face maps of
-Y with Koszul signs, and the normalized total complex.  Classical small-complex
-oracles (the textbook Hochschild complex, the periodic resolution for
-truncated polynomial algebras) live here too, on deliberately separate
-code paths.
+Y with Koszul signs, and the normalized total complex; the Bar construction
+is its interval case.  The periodic resolution for truncated polynomial
+algebras and the HKR prediction tables are oracles on deliberately
+separate code paths.  The classical complexes (the textbook Hochschild
+complex, twisted, two-sided and iterated Bar, the enveloping route) are in
+``classical``, which only the other tasks import.
 """
 
 from functools import reduce
-from itertools import compress, product
+from itertools import compress
 from operator import or_
 
 from . import dga
@@ -17,14 +20,13 @@ from . import dga
 from .dga import apply_setmap, compile_setmap  # noqa: F401
 from .homalg import (
     NEG_INF,
-    POS_INF,
     ChainComplex,
     ChainMap,
     Coefficients,
     SimplicialChainComplex,
     total_complex,
 )
-from .linalg import SparseMatrix, _acc, _compose, _signed, rank
+from .linalg import SparseMatrix, _acc, rank
 
 
 class TruncationError(ValueError):
@@ -444,7 +446,8 @@ def hochschild_chain_with_coeff(Y, A, module, window=(-6, 0), weights=None,
 
     M must be a symmetric bimodule for a general pointed space; the circle
     admits genuine bimodules through the classical complex, whose blocks
-    are held to ``cap`` before its faces (see ``classical_hochschild``).
+    are held to ``cap`` before its faces (see
+    ``classical.classical_hochschild``).
     """
     if not Y.pointed:
         raise ValueError("module coefficients require a pointed space")
@@ -454,6 +457,8 @@ def hochschild_chain_with_coeff(Y, A, module, window=(-6, 0), weights=None,
                 "genuine bimodule coefficients are only supported over the "
                 "circle"
             )
+        from .classical import classical_hochschild
+
         classical = classical_hochschild(A, module, window, cap)
         return HochschildComplex(Y, A, module, classical, [])
     return _chain(Y, A, module, window, weights, cap)
@@ -468,101 +473,10 @@ def _chain(Y, A, module, window, weights, cap):
     )
 
 
-# -- classical oracles -------------------------------------------------------
+# -- the periodic-resolution oracle -----------------------------------------
 
-# (deliberately independent of the simplicial machinery above)
-
-
-def classical_hochschild(A, module, window=(-6, 0), cap=None):
-    """The textbook Hochschild complex M ⊗ Ā^{⊗n}, normalized.
-
-    Faces: d_0 = m·a_1, middle merges, d_n moves a_n to the front with its
-    Koszul sign and acts on the left.  Total degree of level n is the
-    internal degree minus n; the internal differential carries (-1)^n.
-    ``cap`` holds its (degree, weight) blocks before any face is set
-    (``classical_basis``).
-    """
-    f = A.coefficients.field
-    lo = window[0]
-    out, levels = classical_basis(A, module, window, cap)
-    for n in range(len(levels)):
-        sign_n = f.coerce(-1 if n % 2 else 1)
-        for src in levels[n]:
-            _, m, mono = src
-            # internal differential
-            run = module.degrees[m]
-            for q, c in module.d(m).items():
-                _add_if(out, src, (n, q, mono), f.mul(sign_n, c), f)
-            for s, p in enumerate(mono):
-                sgn = f.coerce(-1 if run % 2 else 1)
-                for q, c in A.d(p).items():
-                    t = list(mono)
-                    t[s] = q
-                    if q == A.unit:
-                        continue
-                    _add_if(
-                        out, src, (n, m, tuple(t)),
-                        f.mul(sign_n, f.mul(sgn, c)), f,
-                    )
-                run += A.degrees[p]
-            if n == 0:
-                continue
-            # d_0: m · a_1
-            for q, c in module.act_right(m, mono[0]).items():
-                _add_if(out, src, (n - 1, q, mono[1:]), c, f)
-            # middle faces
-            for r in range(1, n):
-                sgn = f.coerce(-1 if r % 2 else 1)
-                for q, c in A.product(mono[r - 1], mono[r]).items():
-                    if q == A.unit:
-                        continue
-                    t = mono[: r - 1] + (q,) + mono[r + 1 :]
-                    _add_if(out, src, (n - 1, m, t), f.mul(sgn, c), f)
-            # d_n: a_n moves to the front past the rest, of degree
-            # run - |a_n|, and acts on the left
-            last = mono[-1]
-            crossed = A.degrees[last] * (run - A.degrees[last])
-            sgn = f.coerce(-1 if (crossed + n) % 2 else 1)
-            for q, c in module.act_left(last, m).items():
-                _add_if(out, src, (n - 1, q, mono[:-1]), f.mul(sgn, c), f)
-    return out.freeze(window=(lo - 1, POS_INF), support=(NEG_INF, 0))
-
-
-def classical_basis(A, module, window=(-6, 0), cap=None):
-    """The basis of ``classical_hochschild``'s complex, laid out with no
-    entry, and its labels per level: InfeasibleError when a (degree,
-    weight) block exceeds ``cap``."""
-    lo = window[0]
-    nonunit = A.nonunit()
-    out = ChainComplex(A.coefficients)
-    levels = []
-    for n in range(max(0, 1 - lo) + 1):
-        monos = list(product(nonunit, repeat=n))
-        level = []
-        for m in range(module.dim):
-            for mono in monos:
-                deg = module.degrees[m] + sum(A.degrees[p] for p in mono)
-                wt = module.weights[m] + sum(A.weights[p] for p in mono)
-                if deg - n < lo - 1:
-                    continue
-                label = (n, m, mono)
-                out.add_element(label, deg - n, wt)
-                level.append(label)
-        levels.append(level)
-    check_cap(out.max_block_dim(), cap)
-    return out, levels
-
-
-def _add_if(co, src, tgt, val, f):
-    if f.is_zero(val):
-        return
-    if tgt in co.index:
-        co.set_differential_entry(src, tgt, val)
-
-
-def twisted_hochschild(B, mon, window=(-6, 0), cap=None):
-    """HH(B, B twisted by mon) via the classical complex."""
-    return classical_hochschild(B, dga.twisted_bimodule(B, mon), window, cap)
+# (deliberately independent of the simplicial machinery above; the classical
+# complexes are in ``classical``)
 
 
 def periodic_resolution_dims(truncation, twist_scalar, window=(-6, 0),
@@ -607,96 +521,6 @@ def periodic_resolution_dims(truncation, twist_scalar, window=(-6, 0),
         r_out = rank(d_out) if i > 0 else 0
         out[deg] = N - r_in - r_out
     return out
-
-
-# -- Bar constructions -------------------------------------------------------
-
-
-def two_sided_bar(right_module, A, left_module, window=(-6, 0), cap=None):
-    """Bar(M_r, A, M_l) = ⊕ M_r ⊗ Ā^{⊗n} ⊗ M_l, reduced, total degree
-    -n + internal, built as the Hochschild complex of the bimodule
-    M_l ⊗ M_r: excision glues the ends of the interval carrying
-    (M_r, A, M_l) into the marked point of a circle carrying M_l ⊗ M_r, so
-    M_r ⊗^L_A M_l ≅ HH(A, M_l ⊗ M_r).  Moving M_l to the front, with its
-    Koszul sign, turns the left action on M_l into the classical d_n."""
-    return classical_hochschild(
-        A, dga.outer_bimodule(left_module, right_module), window, cap
-    )
-
-
-def enveloping_modules(A):
-    """(A as right A⊗A^op-module, A⊗A^op, A as left A⊗A^op-module).
-
-    The classical Bar complex has no weight truncation, so an algebra
-    materialized per weight only (``max_weight``) is refused."""
-    if A.max_weight is not None:
-        raise dga.AlgebraClassError(
-            f"{A.name}: the enveloping algebra needs every product, but "
-            f"{A.name} is materialized per weight only (through weight "
-            f"{A.max_weight})"
-        )
-    f = A.coefficients.field
-    E = dga.tensor_algebra(A, dga.opposite(A), name=f"{A.name}^e")
-    dimB = A.dim
-    pos = lambda i, j: i * dimB + j
-    deg = A.degrees
-    left = {}
-    right = {}
-    for i in range(A.dim):
-        for j in range(A.dim):
-            e = pos(i, j)
-            for m in range(A.dim):
-                # left action: (a ⊗ b^op) · m = (-1)^{|b||m|} a m b
-                image = _compose(
-                    _signed(A.product(m, j), deg[j] * deg[m], f),
-                    lambda t: A.product(i, t), f,
-                )
-                if image:
-                    left[(e, m)] = image
-                # right action: m · (a ⊗ b^op) = (-1)^{|b||m| + |a||b|} b m a
-                # (the unique sign making the right-module axiom hold)
-                image = _compose(
-                    _signed(A.product(m, i), deg[j] * (deg[m] + deg[i]), f),
-                    lambda t: A.product(j, t), f,
-                )
-                if image:
-                    right[(m, e)] = image
-    basis = list(zip(A.labels, A.degrees, A.weights))
-    mod_r = dga.DGModule(
-        f"{A.name} (right over envelope)", E, basis, left=None, right=right,
-        symmetric=False, diff={i: dict(v) for i, v in A.diff.items()},
-        pointed_element=A.unit,
-    )
-    mod_l = dga.DGModule(
-        f"{A.name} (left over envelope)", E, basis, left=left,
-        symmetric=False, diff={i: dict(v) for i, v in A.diff.items()},
-        pointed_element=A.unit,
-    )
-    return mod_r, E, mod_l
-
-
-def hh_via_enveloping(A, window=(-6, 0), cap=None):
-    """A ⊗^L_{A⊗A^op} A computed as the two-sided Bar complex."""
-    mod_r, E, mod_l = enveloping_modules(A)
-    return two_sided_bar(mod_r, E, mod_l, window, cap)
-
-
-def iterated_bar(A, i, window=(-6, 0), weights=None, cap=None):
-    """Bar^{(i)}(A) = CH over the i-sphere with trivial coefficients;
-    ``cap`` bounds its (degree, weight) blocks (see ``build_levels``)."""
-    from . import simp
-
-    if A.augmentation is None:
-        raise ValueError("iterated Bar needs an augmented algebra")
-    if i == 0:
-        C = dga.underlying_complex(A)
-        check_cap(C.max_block_dim(), cap)
-        return C
-    k_mod = dga.augmentation_module(A)
-    level = required_level(simp.sphere_small(i, 0), A, window, weights)[0]
-    Y = simp.sphere_small(i, level)
-    hc = hochschild_chain_with_coeff(Y, A, k_mod, window, weights, cap=cap)
-    return hc.complex
 
 
 # -- HKR predictions ---------------------------------------------------------

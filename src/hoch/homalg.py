@@ -12,7 +12,8 @@ to the untruncated object; homology requests outside it are hard errors.
 
 A differential and a ``ChainMap`` are one kind of graded map, filled
 (``_add_entry``), fetched (``_block``) and walked (``_entries``) by one
-helper each; ``tensor``, ``hom_complex`` and ``cone`` loop over the walk.
+helper each; the mapping cone (``cech.cone``) and the tests' tensor and
+hom complexes loop over the walk.
 """
 
 from .linalg import QQ, PrimeField, SparseMatrix, _compose, field_values, rank
@@ -227,13 +228,6 @@ class ChainComplex:
         """Betti numbers per degree (weights summed), zeros included."""
         return per_degree(self.homology_dims(window, weights), window)
 
-    def euler_per_weight(self):
-        """Alternating sum of chain dimensions per weight (full support)."""
-        out = {}
-        for (d, w), block in self.blocks.items():
-            out[w] = out.get(w, 0) + (-1) ** (d % 2) * len(block)
-        return out
-
     def max_block_dim(self):
         return max((len(b) for b in self.blocks.values()), default=0)
 
@@ -343,150 +337,11 @@ def _entries(m):
                 yield sources[col], targets[row], v
 
 
-# -- basic constructors ---------------------------------------------------
-
-
-def zero_complex(coefficients):
-    return ChainComplex(coefficients).freeze()
-
-
-def field_complex(coefficients, degree=0, label="k"):
-    c = ChainComplex(coefficients)
-    c.add_element(label, degree, 0)
-    return c.freeze(support=(degree, degree))
+# -- simplicial objects in chain complexes, totalization --------------------
 
 
 def _interval_meet(a, b):
     return (max(a[0], b[0]), min(a[1], b[1]))
-
-
-def _clamp(x):
-    return max(NEG_INF, min(POS_INF, x))
-
-
-def _pair_window(w1, s1, w2, s2):
-    """Certified window of a degreewise sum over pairs d1 + d2 = m.
-
-    Degree m is certified when every pair inside the supports lies inside
-    both certified windows.
-    """
-    (lo1, hi1), (s1lo, s1hi) = w1, s1
-    (lo2, hi2), (s2lo, s2hi) = w2, s2
-    need_lo = []
-    if s1lo < lo1:
-        need_lo.append(_clamp(lo1 + s2hi))
-    if s2lo < lo2:
-        need_lo.append(_clamp(lo2 + s1hi))
-    need_hi = []
-    if s1hi > hi1:
-        need_hi.append(_clamp(hi1 + s2lo))
-    if s2hi > hi2:
-        need_hi.append(_clamp(hi2 + s1lo))
-    return (max(need_lo, default=NEG_INF), min(need_hi, default=POS_INF))
-
-
-def tensor(c1, c2):
-    """Tensor product over k with the Koszul sign d⊗1 + (-1)^{|c|} 1⊗d."""
-    if c1.coefficients != c2.coefficients:
-        raise ValueError("coefficient mismatch")
-    f = c1.coefficients.field
-    out = ChainComplex(c1.coefficients)
-    for (d1, w1), b1 in sorted(c1.blocks.items()):
-        for (d2, w2), b2 in sorted(c2.blocks.items()):
-            for x in b1:
-                for y in b2:
-                    out.add_element(("t", x, y), d1 + d2, w1 + w2)
-    for x, x2, v in _entries(c1):  # d⊗1
-        for y in c2.index:
-            out.set_differential_entry(("t", x, y), ("t", x2, y), v)
-    for y, y2, v in _entries(c2):  # (-1)^{|x|} 1⊗d
-        for x, (d1, _w, _p) in c1.index.items():
-            out.set_differential_entry(
-                ("t", x, y), ("t", x, y2), f.neg(v) if d1 % 2 else v
-            )
-    window = _pair_window(c1.window, c1.support, c2.window, c2.support)
-    support = (
-        _clamp(c1.support[0] + c2.support[0]),
-        _clamp(c1.support[1] + c2.support[1]),
-    )
-    return out.freeze(window=window, support=support)
-
-
-def hom_complex(c1, c2):
-    """Hom(C, D): degree n part is maps C -> D raising degree by n.
-
-    Weights of the output are collapsed to 0 (hom of weight-graded spaces
-    is graded by weight differences, which may be negative).
-    """
-    if c1.coefficients != c2.coefficients:
-        raise ValueError("coefficient mismatch")
-    f = c1.coefficients.field
-    out = ChainComplex(c1.coefficients)
-    for (d1, w1), b1 in sorted(c1.blocks.items()):
-        for (d2, w2), b2 in sorted(c2.blocks.items()):
-            for x in b1:
-                for y in b2:
-                    out.add_element(("h", x, y), d2 - d1, 0)
-    # delta(phi) = d_D ∘ phi - (-1)^{|phi|} phi ∘ d_C
-    for y, y2, v in _entries(c2):
-        for x in c1.index:
-            out.set_differential_entry(("h", x, y), ("h", x, y2), v)
-    # phi = (x^ ⊗ y) picks up (x2^ ⊗ y) for each x2 with d(x2) hitting x
-    for x2, x, v in _entries(c1):
-        d1 = c1.index[x][0]
-        for y, (d2, _w, _p) in c2.index.items():
-            out.set_differential_entry(
-                ("h", x, y), ("h", x2, y), v if (d2 - d1) % 2 else f.neg(v)
-            )
-    # degree n draws on pairs d2 - d1 = n within the supports: same rule as
-    # tensor with the C-side degrees negated.
-    refl_window = (_clamp(-c1.window[1]), _clamp(-c1.window[0]))
-    refl_support = (_clamp(-c1.support[1]), _clamp(-c1.support[0]))
-    window = _pair_window(refl_window, refl_support, c2.window, c2.support)
-    support = (
-        _clamp(c2.support[0] - c1.support[1]),
-        _clamp(c2.support[1] - c1.support[0]),
-    )
-    return out.freeze(window=window, support=support)
-
-
-def dual(c):
-    """Hom(C, k)."""
-    return hom_complex(c, field_complex(c.coefficients))
-
-
-def cone(fmap):
-    """Mapping cone of a degree-0 chain map: cone^m = C^{m+1} ⊕ D^m."""
-    if fmap.shift != 0:
-        raise ValueError("cone requires a degree-0 map")
-    c, d = fmap.source, fmap.target
-    f = c.coefficients.field
-    out = ChainComplex(c.coefficients)
-    for (dc, w), block in sorted(c.blocks.items()):
-        for x in block:
-            out.add_element(("src", x), dc - 1, w)
-    for (dd, w), block in sorted(d.blocks.items()):
-        for y in block:
-            out.add_element(("tgt", y), dd, w)
-    for x, x2, v in _entries(c):  # -d_C
-        out.set_differential_entry(("src", x), ("src", x2), f.neg(v))
-    for x, y, v in _entries(fmap):  # f
-        out.set_differential_entry(("src", x), ("tgt", y), v)
-    for y, y2, v in _entries(d):  # d_D
-        out.set_differential_entry(("tgt", y), ("tgt", y2), v)
-    lo = max(
-        c.window[0] - 1 if c.window[0] > NEG_INF else NEG_INF, d.window[0]
-    )
-    hi = min(
-        c.window[1] - 1 if c.window[1] < POS_INF else POS_INF, d.window[1]
-    )
-    slo = min(
-        c.support[0] - 1 if c.support[0] > NEG_INF else NEG_INF, d.support[0]
-    )
-    shi = max(
-        c.support[1] - 1 if c.support[1] < POS_INF else POS_INF, d.support[1]
-    )
-    return out.freeze(window=(lo, hi), support=(slo, shi))
 
 
 class SimplicialChainComplex:

@@ -463,12 +463,6 @@ class SubquotientSpace:
     def is_cycle(self, vec):
         return self.d_out is None or not self.d_out.apply(vec)
 
-    def class_residue(self, vec):
-        """Canonical residue of a cycle modulo boundaries (0 iff trivial)."""
-        if not self.is_cycle(vec):
-            raise ValueError("not a cycle")
-        return self._residue(vec)
-
     def same_class(self, u, v):
         diff = dict(u)
         _combine(diff, 1, 1, v, self.field.characteristic)

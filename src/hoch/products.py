@@ -12,18 +12,22 @@ in the cup, the simplicial degree in the shuffle, the basepoint factor
 past the cochain), the sign is the crossing parity (-1)^{|x|·Σ|block|}.
 The totalization signs are fixed.  The exactness of
 unit/associativity/commutativity/Leibniz at chain level is enforced by
-the test battery.
+the test battery, and checked by the ``cup-table`` and ``shuffle-check``
+tasks (``cup_table``, held to the cap by ``cup_labels``, and
+``shuffle_check``).
 """
 
+import random
 from functools import cached_property
 from itertools import combinations, repeat
 
-from . import dga
+from . import dga, simp
 # apply_setmap stays bound here for perfbench's tracer test (ROADMAP item 8)
 from .dga import _constants, apply_setmap, compile_setmap  # noqa: F401
 from .homalg import NEG_INF, POS_INF, ChainComplex
-from .linalg import SparseMatrix, _Table, _acc, field_values
+from .linalg import SparseMatrix, _Table, _acc, _signed, field_values
 from .hochschild import (
+    InfeasibleError,
     TruncationError,
     _internal_diff,
     _is_nondegenerate,
@@ -440,3 +444,79 @@ def _wedge_halves(X, Ysp, data_wedge, n):
                 (warg, unit + warg[cx:])
             )
     return by_x
+
+
+# -- the cup-table and shuffle-check tasks ----------------------------------
+
+
+def cup_labels(A, cap=None):
+    """The labels of the circle's basis cochains of arity <= 2 over A, the
+    basis that ``cup_table`` checks: InfeasibleError when the triples of
+    its associativity check, their number cubed, exceed ``cap``.  The
+    cup-table task's ``run`` and ``explain`` both take this rule."""
+    data = CochainComplexData(
+        simp.circle(3), A, dga.algebra_as_bimodule(A), top=2)
+    labels = [(n, arg, v) for n, args in enumerate(data.args)
+              for arg in args for v in range(A.dim)]
+    triples = len(labels) ** 3
+    if cap is not None and triples > cap:
+        raise InfeasibleError(
+            f"cup-table checks {triples} triples of basis cochains > cap {cap}"
+        )
+    return labels
+
+
+def cup_table(A, cap=None):
+    """HH⁰ of a commutative A with d = 0 is A, with A's product; and the
+    cup's unit and associativity on the circle's cochains of arity <= 2,
+    held to ``cap`` first (``cup_labels``)."""
+    f = A.coefficients.field
+    basis = [{label: f.one} for label in cup_labels(A, cap)]
+    one = {(0, (A.unit,), A.unit): f.one}
+    ok = all(cup(A, one, b) == b == cup(A, b, one) for b in basis) and all(
+        cup(A, cup(A, a, b), c) == cup(A, a, cup(A, b, c))
+        for a in basis for b in basis for c in basis)
+    table = [[{A.labels[k]: str(v) for k, v in sorted(A.product(i, j).items())}
+              for j in range(A.dim)] for i in range(A.dim)]
+    return {"hh0_basis": list(A.labels), "product": table}, ok
+
+
+def shuffle_check(H, spec):
+    """The shuffle-check task: on ``spec["trials"]`` seeded random pairs of
+    chains of H in degrees >= -2, the unit, Leibniz and graded
+    commutativity of ``shuffle_product``; (all held, trials)."""
+    f = H.algebra.coefficients.field
+    C = H.complex
+    rng = random.Random(spec.get("seed", 0))
+    labels = sorted(
+        lab for lab in C.index if lab[0] <= 2 and C.index[lab][0] >= -2
+    )
+    degs = {}
+    for lab in labels:
+        degs.setdefault(C.index[lab][0], []).append(lab)
+    one = unit_chain(H)
+    trials = spec.get("trials", 100)
+    ok = True
+
+    def rand_chain():
+        d = rng.choice(sorted(degs))
+        labs = rng.sample(degs[d], min(2, len(degs[d])))
+        return d, {lab: f.coerce(rng.choice([-2, -1, 1, 2])) for lab in labs}
+
+    for _ in range(trials):
+        du, u = rand_chain()
+        dv, v = rand_chain()
+        if shuffle_product(H, one, u) != u:
+            ok = False
+        uv = shuffle_product(H, u, v)
+        # Leibniz: d(uv) = d(u) v + (-1)^{|u|} u d(v)
+        rhs = shuffle_product(H, C.d_apply(u), v)
+        udv = shuffle_product(H, u, C.d_apply(v))
+        for k, c in _signed(udv, du, f).items():
+            _acc(rhs, k, c, f)
+        if C.d_apply(uv) != rhs:
+            ok = False
+        vu = shuffle_product(H, v, u)
+        if uv != _signed(vu, du * dv, f):
+            ok = False
+    return ok, trials

@@ -10,7 +10,6 @@ consumer reads it there: module coefficients sit in slot 0, a cochain
 argument holds the unit there, and the wedge glues at it.
 """
 
-import json
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
@@ -110,106 +109,6 @@ class SimplicialSet:
                 )))
             masks = self._face_masks[n] = tuple(masks)
         return masks
-
-    def validate(self):
-        """Exhaustively check all simplicial identities up to the top level.
-
-        Returns (True, None) or (False, witness) with the violated identity.
-        """
-        N = self.top_level
-        for n in range(2, N + 1):
-            for i in range(n + 1):
-                for j in range(i + 1, n + 1):
-                    for x in range(self.card(n)):
-                        left = self.face(n - 1, i, self.face(n, j, x))
-                        right = self.face(n - 1, j - 1, self.face(n, i, x))
-                        if left != right:
-                            return False, ("d_i d_j", n, i, j, x)
-        for n in range(0, N - 1):
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    for x in range(self.card(n)):
-                        left = self.degeneracy(n + 1, i, self.degeneracy(n, j, x))
-                        right = self.degeneracy(n + 1, j + 1, self.degeneracy(n, i, x))
-                        if left != right:
-                            return False, ("s_i s_j", n, i, j, x)
-        for n in range(1, N):
-            for x in range(self.card(n)):
-                for j in range(n + 1):
-                    sx = self.degeneracy(n, j, x)
-                    for i in range(n + 2):
-                        got = self.face(n + 1, i, sx)
-                        if i == j or i == j + 1:
-                            want = x
-                        elif i < j:
-                            want = self.degeneracy(n - 1, j - 1, self.face(n, i, x))
-                        else:
-                            want = self.degeneracy(n - 1, j, self.face(n, i - 1, x))
-                        if got != want:
-                            return False, ("d_i s_j", n, i, j, x)
-        if self.pointed:
-            for n in range(1, N + 1):
-                for i in range(n + 1):
-                    if self.face(n, i, 0) != 0:
-                        return False, ("basepoint face", n, i)
-            for n in range(0, N):
-                for i in range(n + 1):
-                    if self.degeneracy(n, i, 0) != 0:
-                        return False, ("basepoint degeneracy", n, i)
-        return True, None
-
-    def nondegenerate(self):
-        """Eilenberg-Zilber table: per level the nondegenerate elements and,
-        for each degenerate one, its unique normal form (level, elt, surj),
-        the surjection being the composite degeneracy operator."""
-        N = self.top_level
-        nondeg = [set(range(self.card(0)))]
-        normal = [{x: (0, x, (0,)) for x in range(self.card(0))}]
-        for n in range(1, N + 1):
-            degenerate = {}
-            for i in range(n):
-                for y in range(self.card(n - 1)):
-                    x = self.degeneracy(n - 1, i, y)
-                    ly, ey, surj = normal[n - 1][y]
-                    comp = tuple(
-                        surj[t] if t <= i else surj[t - 1] for t in range(n + 1)
-                    )
-                    form = (ly, ey, comp)
-                    if x in degenerate and degenerate[x] != form:
-                        raise ValueError(
-                            f"normal form not unique at level {n}, elt {x}"
-                        )
-                    degenerate[x] = form
-            nd = set(range(self.card(n))) - set(degenerate)
-            normal.append(
-                {
-                    **{x: (n, x, tuple(range(n + 1))) for x in nd},
-                    **degenerate,
-                }
-            )
-            nondeg.append(nd)
-        return NondegeneracyTable(nondeg, normal)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "name": self.name,
-                "levels": [list(map(str, lvl)) for lvl in self.levels],
-                "faces": self.face_tab,
-                "degeneracies": self.deg_tab,
-                "pointed": self.pointed,
-            },
-            sort_keys=True,
-        )
-
-
-class NondegeneracyTable:
-    def __init__(self, nondeg, normal):
-        self.nondeg = nondeg  # list of sets of positions per level
-        self.normal = normal  # list of dicts pos -> (level, pos, ops)
-
-    def counts(self):
-        return [len(s) for s in self.nondeg]
 
 
 # -- builders --------------------------------------------------------------

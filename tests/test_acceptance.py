@@ -10,10 +10,12 @@ import random
 import time
 from fractions import Fraction
 
-from hoch import cech, dga, simp
+from hoch import cech, classical, dga, simp
 from hoch import hochschild as hh
 from hoch import products as pr
-from hoch.homalg import tensor
+from hoch.cech import cone
+from hoch.homalg import ChainMap
+from tests_support import multiop, tensor, validate
 
 
 def report(criterion, ok, elapsed, budget):
@@ -49,13 +51,13 @@ def test_criterion_03_circle_against_both_oracles(QQ, trunc2):
     t0 = time.time()
     expected = {0: 2, -1: 1, -2: 1, -3: 1, -4: 1, -5: 1, -6: 1}
     C = hh.hochschild_chain(simp.circle(8), trunc2, window=(-6, 0))
-    classical = hh.classical_hochschild(
+    textbook = classical.classical_hochschild(
         trunc2, dga.algebra_as_bimodule(trunc2), window=(-6, 0)
     )
     periodic = hh.periodic_resolution_dims(2, 1, (-6, 0))
     ok = (
         C.betti((-6, 0)) == expected
-        and classical.betti((-6, 0)) == expected
+        and textbook.betti((-6, 0)) == expected
         and periodic == expected
     )
     report("3 (circle = classical HH)", ok, time.time() - t0, 10.0)
@@ -63,9 +65,9 @@ def test_criterion_03_circle_against_both_oracles(QQ, trunc2):
 
 def test_criterion_04_excision_identity(QQ, exterior, trunc2):
     t0 = time.time()
-    env2 = hh.hh_via_enveloping(trunc2, window=(-5, 0))
+    env2 = classical.hh_via_enveloping(trunc2, window=(-5, 0))
     ok = env2.betti((-5, 0)) == {0: 2, -1: 1, -2: 1, -3: 1, -4: 1, -5: 1}
-    envL = hh.hh_via_enveloping(exterior, window=(-5, 0))
+    envL = classical.hh_via_enveloping(exterior, window=(-5, 0))
     circL = hh.hochschild_chain(simp.circle(7), exterior, window=(-5, 0))
     ok = ok and envL.betti((-5, 0)) == circL.betti((-5, 0))
     report("4 (excision identity)", ok, time.time() - t0, 30.0)
@@ -120,16 +122,16 @@ def test_criterion_08_twisted_hochschild(QQ, trunc2):
     f = QQ.field
 
     def scaling(c):
-        return dga.AlgebraAutomorphism(
+        return classical.AlgebraAutomorphism(
             trunc2,
             {p: {p: f.coerce(Fraction(c) ** trunc2.weights[p])}
              for p in range(trunc2.dim)},
         )
 
-    twisted = hh.twisted_hochschild(trunc2, scaling(-1), window=(-6, 0))
+    twisted = classical.twisted_hochschild(trunc2, scaling(-1), window=(-6, 0))
     oracle = hh.periodic_resolution_dims(2, -1, (-6, 0))
     ok = twisted.betti((-6, 0)) == oracle
-    untwisted = hh.twisted_hochschild(trunc2, scaling(1), window=(-6, 0))
+    untwisted = classical.twisted_hochschild(trunc2, scaling(1), window=(-6, 0))
     ok = ok and untwisted.betti((-6, 0)) == {
         0: 2, -1: 1, -2: 1, -3: 1, -4: 1, -5: 1, -6: 1
     }
@@ -140,11 +142,11 @@ def test_criterion_09_iterated_bar(QQ, exterior, trunc2):
     t0 = time.time()
     ok = True
     for A in (exterior, trunc2):
-        i1 = hh.iterated_bar(A, 1, window=(-5, 0))
-        k = dga.augmentation_module(A)
-        bar = hh.two_sided_bar(k, A, k, window=(-5, 0))
+        i1 = classical.iterated_bar(A, 1, window=(-5, 0))
+        k = classical.augmentation_module(A)
+        bar = classical.two_sided_bar(k, A, k, window=(-5, 0))
         ok = ok and i1.betti((-5, 0)) == bar.betti((-5, 0))
-    i2 = hh.iterated_bar(exterior, 2, window=(-5, 0))
+    i2 = classical.iterated_bar(exterior, 2, window=(-5, 0))
     ok = ok and i2.betti((-5, 0)) == {
         0: 1, -1: 0, -2: 0, -3: 1, -4: 0, -5: 0
     }
@@ -164,9 +166,7 @@ def test_criterion_10_cosheaf_regime(QQ):
     cech_betti = C.betti((-1, 0))
     ok = cech_betti == {0: 1, -1: 1}
     # the cone-excision gluing of two intervals over two points
-    from hoch.cli import _cone_gluing_dims
-
-    ok = ok and _cone_gluing_dims(QQ) == cech_betti
+    ok = ok and cech.cone_gluing_dims(QQ) == cech_betti
     report("10 (cosheaf regime)", ok, time.time() - t0, 60.0)
 
 
@@ -192,10 +192,10 @@ def test_criterion_11a_d_squared_everywhere(QQ, exterior, trunc2, trunc3):
                             weights=[0, 1, 2]).complex
     )
     m3 = dga.algebra_as_bimodule(trunc3)
-    complexes.append(hh.two_sided_bar(m3, trunc3, m3, window=(-3, 0)))
-    complexes.append(hh.hh_via_enveloping(trunc2, window=(-3, 0)))
+    complexes.append(classical.two_sided_bar(m3, trunc3, m3, window=(-3, 0)))
+    complexes.append(classical.hh_via_enveloping(trunc2, window=(-3, 0)))
     complexes.append(
-        hh.classical_hochschild(exterior, dga.algebra_as_bimodule(exterior),
+        classical.classical_hochschild(exterior, dga.algebra_as_bimodule(exterior),
                                 window=(-4, 0))
     )
     complexes.append(
@@ -204,7 +204,6 @@ def test_criterion_11a_d_squared_everywhere(QQ, exterior, trunc2, trunc3):
     )
     rng = random.Random(0)
     # random tensor products and cones of two-term complexes
-    from hoch.homalg import ChainMap, cone
     from tests_support import two_term_complex
 
     for _ in range(60):
@@ -238,7 +237,7 @@ def test_criterion_11b_simplicial_identities_level8():
     ]
     checks = 0
     for X in builders:
-        ok, witness = X.validate()
+        ok, witness = validate(X)
         assert ok, (X.name, witness)
         N = X.top_level
         for n in range(2, N + 1):
@@ -257,10 +256,10 @@ def test_criterion_11c_multiop_functoriality(QQ, exterior):
                        (3, 2, 3), (2, 3, 3), (1, 3, 3), (4, 2, 2)]:
         for fmap in iproduct(range(nm), repeat=ns):
             for gmap in iproduct(range(nt), repeat=nm):
-                Mf, _, _ = dga.multiop(exterior, fmap, ns, nm)
-                Mg, _, _ = dga.multiop(exterior, gmap, nm, nt)
+                Mf, _, _ = multiop(exterior, fmap, ns, nm)
+                Mg, _, _ = multiop(exterior, gmap, nm, nt)
                 comp = tuple(gmap[t] for t in fmap)
-                Mgf, _, _ = dga.multiop(exterior, comp, ns, nt)
+                Mgf, _, _ = multiop(exterior, comp, ns, nt)
                 assert Mg.compose(Mf).cols == Mgf.cols
                 cases += 1
     assert cases >= 500

@@ -4,7 +4,7 @@ presentation below breaks one axiom while keeping the earlier ones."""
 
 import pytest
 
-from hoch import dga
+from hoch import classical, dga
 from hoch.homalg import Coefficients
 from tests_support import koszul_algebra
 
@@ -210,29 +210,29 @@ CASES = {
     ),
     # -- AlgebraAutomorphism ----------------------------------------------
     "automorphism grading": (
-        lambda: dga.AlgebraAutomorphism(trunc(3), {1: {2: ONE}}),
+        lambda: classical.AlgebraAutomorphism(trunc(3), {1: {2: ONE}}),
         "automorphism must preserve (degree, weight)",
     ),
     "automorphism unit": (
-        lambda: dga.AlgebraAutomorphism(trunc(3), {0: {0: TWO}}),
+        lambda: classical.AlgebraAutomorphism(trunc(3), {0: {0: TWO}}),
         "automorphism must fix the unit",
     ),
     "automorphism multiplicative": (
-        lambda: dga.AlgebraAutomorphism(
+        lambda: classical.AlgebraAutomorphism(
             trunc(3), {0: {0: ONE}, 1: {1: F.coerce(-1)}, 2: {2: F.coerce(-1)}}
         ),
         "automorphism is not multiplicative",
     ),
     # e -> 2e, xe -> 2xe is multiplicative but does not commute with de = x
     "automorphism chain map": (
-        lambda: dga.AlgebraAutomorphism(
+        lambda: classical.AlgebraAutomorphism(
             koszul_algebra(QQ),
             {0: {0: ONE}, 1: {1: ONE}, 2: {2: TWO}, 3: {3: TWO}},
         ),
         "automorphism is not a chain map",
     ),
     "automorphism invertible": (
-        lambda: dga.AlgebraAutomorphism(trunc(3), {0: {0: ONE}}),
+        lambda: classical.AlgebraAutomorphism(trunc(3), {0: {0: ONE}}),
         "automorphism is not invertible",
     ),
 }

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hoch import cech, dga
+from hoch import cech, classical, dga
 from hoch.cech import CoverError
 from hoch.homalg import Coefficients
 from hoch.linalg import _acc
@@ -83,7 +83,7 @@ def test_orientation_reversal_is_opposite(arc_poset, QQ, exterior):
     # reversing the orientation produces the structure maps of A^op
     A = exterior
     rev = cech.circle_arc_algebra(A, arc_poset, orientation=-1)
-    opp = cech.circle_arc_algebra(dga.opposite(A), arc_poset, orientation=1)
+    opp = cech.circle_arc_algebra(classical.opposite(A), arc_poset, orientation=1)
     ok, wit = cech.validate_prefactorization(rev)
     assert ok, wit
     poset = arc_poset
@@ -114,7 +114,7 @@ def test_mutant_sign_fault_detected(arc_poset, QQ, trunc2):
 def test_koszul_dropping_mutant_detected(arc_poset, QQ, exterior):
     # drop the reordering sign: the symmetry audit must catch it on an
     # algebra where odd-degree elements multiply nontrivially
-    E = dga.tensor_algebra(exterior, exterior, name="Λ⊗Λ")
+    E = classical.tensor_algebra(exterior, exterior, name="Λ⊗Λ")
     F = cech.circle_arc_algebra(E, arc_poset)
 
     def no_koszul(family, factors, target):
@@ -290,7 +290,7 @@ def test_interval_stratified_signs_follow_positions(QQ, exterior):
     # three disjoint opens carrying odd factors, whose family order (sorted
     # by id) differs from their order on the interval: the reordering sign
     # takes each factor's degree by its place in the family
-    E = dga.tensor_algebra(exterior, exterior, name="Λ⊗Λ")
+    E = classical.tensor_algebra(exterior, exterior, name="Λ⊗Λ")
     ip = cech.interval_poset(
         [("r", Fraction(9, 10)), ("m", Fraction(1, 10), Fraction(2, 10)),
          ("m", Fraction(3, 10), Fraction(4, 10)),

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hoch import cli
+from hoch import classical, cli
 from hoch import hochschild as hh
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -302,7 +303,7 @@ def _no_classical_faces(monkeypatch):
     def no_faces(*args):
         raise AssertionError("a classical face was set")
 
-    monkeypatch.setattr(hh, "_add_if", no_faces)
+    monkeypatch.setattr(classical, "_add_if", no_faces)
 
 
 def test_infeasible_excision_check_builds_no_face(tmp_path, monkeypatch,
@@ -624,6 +625,37 @@ def test_infeasible_cech_builds_no_face(monkeypatch):
         assert cli.main([cmd, path, "--cap", "1000"]) == 3, cmd
 
 
+def test_infeasible_cup_table_takes_no_cup(tmp_path, monkeypatch, capsys):
+    # k[x]/x^5 has (1 + 4 + 16)·5 = 105 basis cochains of arity <= 2, so
+    # its associativity check would take 105³ triples: refused before any
+    # cup by both commands
+    from hoch import products
+
+    def no_cups(*args):
+        raise AssertionError("a cup was taken")
+
+    monkeypatch.setattr(products, "cup", no_cups)
+    raw = _job("criterion11b_cup_table.json",
+               algebra={"name": "truncated-polynomial", "truncation": 5})
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, str(path)]) == 3, cmd
+        assert capsys.readouterr().err == (
+            "infeasible: cup-table checks 1157625 triples of basis cochains "
+            "> cap 20000\n"
+        )
+
+
+def test_cup_table_cap_bounds_the_triples(capsys):
+    # criterion11b's 6 basis cochains make 216 triples
+    path = str(JOBS / "criterion11b_cup_table.json")
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, path, "--cap", "215"]) == 3, cmd
+        assert cli.main([cmd, path, "--cap", "216"]) == 0, cmd
+    capsys.readouterr()
+
+
 def test_expect_keys_read_degree_and_weight():
     # "d" is the weight-0 entry of degree d; "d,w" the entry of weight w
     want = {"0": 1, "0,1": 1, "-1,1": 1, "-2,3": 1, "-3,3": 1, "-4,5": 1}
@@ -688,6 +720,38 @@ def test_importing_the_cli_leaves_cech_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False]"
+
+
+# the modules of the package that a chain task loads, and no others
+CHAIN_PATH = ["hoch", "hoch.cli", "hoch.dga", "hoch.hochschild",
+              "hoch.homalg", "hoch.linalg", "hoch.simp"]
+
+
+def test_chain_jobs_load_only_the_chain_path():
+    # a fresh process compiles every module it loads: run and explain a
+    # chain job of each kind there, and list the package's modules
+    script = (
+        "import json, sys\n"
+        "from hoch import cli\n"
+        "for job in sys.argv[1:]:\n"
+        "    with open(job) as handle:\n"
+        "        spec = cli.load_jobspec(json.load(handle))\n"
+        "    assert cli.run_job(spec)['verdict'] == 'pass', job\n"
+        "    cli.explain_job(spec)\n"
+        "print(json.dumps(sorted(\n"
+        "    m for m in sys.modules if m.partition('.')[0] == 'hoch')))\n"
+    )
+    jobs = [str(JOBS / "criterion05b_hkr_sphere3.json"),
+            str(JOBS / "criterion02_bar_acyclicity.json")]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *jobs], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                            PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == CHAIN_PATH
 
 
 def test_cover_error_is_a_schema_error(tmp_path, capsys):

@@ -8,12 +8,13 @@ from random import Random
 
 import pytest
 
-from hoch import cli, dga, simp
+from hoch import classical, cli, dga, simp
 from hoch import hochschild as hh
 from hoch import products as pr
 from hoch.dga import AlgebraClassError
 from hoch.homalg import Coefficients
 from hoch.linalg import _acc
+from tests_support import multiop
 
 
 def test_exterior_relations(QQ, exterior):
@@ -90,22 +91,22 @@ def test_audit_catches_broken_unit_and_commutativity(QQ):
 
 
 def test_opposite_involution_and_commutative_fixed(QQ, exterior, trunc2):
-    assert dga.opposite(trunc2).mult == trunc2.mult
-    twice = dga.opposite(dga.opposite(exterior))
+    assert classical.opposite(trunc2).mult == trunc2.mult
+    twice = classical.opposite(classical.opposite(exterior))
     assert twice.mult == exterior.mult
 
 
 def test_tensor_algebra_audited(QQ, trunc2, exterior):
-    E = dga.tensor_algebra(trunc2, dga.opposite(trunc2))
+    E = classical.tensor_algebra(trunc2, classical.opposite(trunc2))
     assert E.dim == 4 and E.weight_graded
-    EL = dga.tensor_algebra(exterior, dga.opposite(exterior))
+    EL = classical.tensor_algebra(exterior, classical.opposite(exterior))
     assert EL.dim == 4  # audit ran at construction (Koszul signs included)
 
 
 def test_tensor_algebra_keeps_the_pairs_within_its_bound(exterior):
     # exterior ⊗ k[x] through weight 4 drops x ⊗ x^4 (weight 5), so its
     # own unit audit never multiplies past the bound it passes on
-    E = dga.tensor_algebra(exterior, dga.polynomial(max_weight=4))
+    E = classical.tensor_algebra(exterior, dga.polynomial(max_weight=4))
     assert E.dim == 9 and E.max_weight == 4
     assert max(E.weights) == 4
     assert E.product(E.position["x", "1"], E.position["1", "x^3"]) == {
@@ -114,11 +115,11 @@ def test_tensor_algebra_keeps_the_pairs_within_its_bound(exterior):
 
 
 def test_augmentation_module(QQ, exterior):
-    k = dga.augmentation_module(exterior)
+    k = classical.augmentation_module(exterior)
     assert k.dim == 1
     assert k.act_left(1, 0) == {}  # x acts by zero
     P = dga.polynomial(QQ, 3)
-    assert dga.augmentation_module(P).dim == 1
+    assert classical.augmentation_module(P).dim == 1
     no_aug = dga.DGAlgebra(
         "noaug", QQ,
         [("1", 0, 0), ("x", 0, 1)],
@@ -128,19 +129,19 @@ def test_augmentation_module(QQ, exterior):
         weight_graded=True,
     )
     with pytest.raises(ValueError):
-        dga.augmentation_module(no_aug)
+        classical.augmentation_module(no_aug)
 
 
 def test_twisted_bimodule(QQ, trunc2):
     one = QQ.field.one
-    sig = dga.AlgebraAutomorphism(
+    sig = classical.AlgebraAutomorphism(
         trunc2, {0: {0: one}, 1: {1: QQ.field.coerce(-1)}}
     )
-    tw = dga.twisted_bimodule(trunc2, sig)
+    tw = classical.twisted_bimodule(trunc2, sig)
     # right action routes through sigma: x^1 . x = -x^2 = 0; 1 . x = -x
     assert tw.act_right(0, 1) == {1: QQ.field.coerce(-1)}
-    ident = dga.AlgebraAutomorphism(trunc2, {0: {0: one}, 1: {1: one}})
-    tw_id = dga.twisted_bimodule(trunc2, ident)
+    ident = classical.AlgebraAutomorphism(trunc2, {0: {0: one}, 1: {1: one}})
+    tw_id = classical.twisted_bimodule(trunc2, ident)
     plain = dga.algebra_as_bimodule(trunc2)
     for a in range(2):
         for m in range(2):
@@ -154,16 +155,16 @@ def test_non_multiplicative_automorphism_rejected(QQ, trunc3):
     # sigma(x)^2 = x^2 but sigma(x^2) = x^2: fine; corrupt it instead
     images[2] = {2: QQ.field.coerce(-1)}
     with pytest.raises(ValueError, match="multiplicative"):
-        dga.AlgebraAutomorphism(trunc3, images)
+        classical.AlgebraAutomorphism(trunc3, images)
 
 
 def test_multiop_identity_and_collapse(QQ, exterior):
-    M, src, tgt = dga.multiop(exterior, (0, 1), 2, 2)
+    M, src, tgt = multiop(exterior, (0, 1), 2, 2)
     assert M.nnz() == len(src)
     assert all(M.get(i, i) == QQ.field.one for i in range(len(src)))
-    M2, src2, _ = dga.multiop(exterior, (0, 0), 2, 1)
+    M2, src2, _ = multiop(exterior, (0, 0), 2, 1)
     assert M2.column(src2.index((1, 1))) == {}  # x⊗x ↦ x² = 0
-    M3, src3, tgt3 = dga.multiop(exterior, (), 0, 1)
+    M3, src3, tgt3 = multiop(exterior, (), 0, 1)
     # empty preimage yields the unit
     assert M3.column(0) == {tgt3.index((0,)): QQ.field.one}
 
@@ -181,9 +182,9 @@ def test_multiop_functoriality_exhaustive(QQ, exterior):
     for ns, nm, nt in shapes:
         for f in iproduct(range(nm), repeat=ns):
             for g in iproduct(range(nt), repeat=nm):
-                Mf, _, _ = dga.multiop(exterior, f, ns, nm)
-                Mg, _, _ = dga.multiop(exterior, g, nm, nt)
-                Mgf, _, _ = dga.multiop(
+                Mf, _, _ = multiop(exterior, f, ns, nm)
+                Mg, _, _ = multiop(exterior, g, nm, nt)
+                Mgf, _, _ = multiop(
                     exterior, compose_setmaps(f, g), ns, nt
                 )
                 assert Mg.compose(Mf).cols == Mgf.cols, (f, g)
@@ -225,7 +226,7 @@ def test_koszul_sign():
 
 
 def test_enveloping_modules_axioms(QQ, exterior, trunc2):
-    from hoch.hochschild import enveloping_modules
+    from hoch.classical import enveloping_modules
 
     for A in (exterior, trunc2):
         mod_r, E, mod_l = enveloping_modules(A)
@@ -277,10 +278,10 @@ def test_multiop_functoriality_hypothesis(QQ, ns, nm, nt, data):
     gmap = tuple(
         data.draw(st.integers(0, nt - 1)) for _ in range(nm)
     )
-    Mf, _, _ = dga.multiop(A, fmap, ns, nm)
-    Mg, _, _ = dga.multiop(A, gmap, nm, nt)
+    Mf, _, _ = multiop(A, fmap, ns, nm)
+    Mg, _, _ = multiop(A, gmap, nm, nt)
     comp = tuple(gmap[t] for t in fmap)
-    Mgf, _, _ = dga.multiop(A, comp, ns, nt)
+    Mgf, _, _ = multiop(A, comp, ns, nt)
     assert Mg.compose(Mf).cols == Mgf.cols
 
 
@@ -387,7 +388,7 @@ def _oracle_algebras(coefficients):
         ext,
         trunc3,
         dga.polynomial(coefficients, max_weight=3),
-        dga.tensor_algebra(ext, dga.truncated_polynomial(coefficients, 2)),
+        classical.tensor_algebra(ext, dga.truncated_polynomial(coefficients, 2)),
         _two_term_algebra(coefficients),
         _reversed(trunc3),
     ]
@@ -398,14 +399,14 @@ def _oracle_modules(A):
     right action twisted by x -> 2^weight(x) x, so that the right action
     is not the left one read backwards."""
     f = A.coefficients.field
-    scale = dga.AlgebraAutomorphism(
+    scale = classical.AlgebraAutomorphism(
         A, {p: {p: f.coerce(2 ** A.weights[p])} for p in range(A.dim)}
     )
     return [
         None,
-        dga.augmentation_module(A),
+        classical.augmentation_module(A),
         dga.algebra_as_bimodule(A),
-        dga.twisted_bimodule(A, scale),
+        classical.twisted_bimodule(A, scale),
     ]
 
 
@@ -490,9 +491,9 @@ def test_zero_fold_leaves_a_later_error_standing():
     with pytest.raises(AlgebraClassError,
                        match="product exceeds materialized weight 3"):
         dga.apply_setmap(A, (0, 0, 1, 1), (0, 1, 2, 2),
-                         dga.augmentation_module(A))
+                         classical.augmentation_module(A))
     T = dga.truncated_polynomial(Coefficients(), 2)
-    _right, E, left_only = hh.enveloping_modules(T)
+    _right, E, left_only = classical.enveloping_modules(T)
     x = E.labels.index(("1", "x^1"))  # x·x = 0 in the envelope
     # slot 1 acts on the module in slot 0 from the right
     args = (E, (0, 0, 1, 1), (0, x, x, x), left_only)
@@ -576,8 +577,8 @@ def test_programs_match_reference_on_real_faces():
         ext = dga.exterior(field)
         trunc2 = dga.truncated_polynomial(field, 2)
         for A in (ext, dga.truncated_polynomial(field, 3),
-                  dga.tensor_algebra(ext, trunc2)):
-            for module in (None, dga.augmentation_module(A),
+                  classical.tensor_algebra(ext, trunc2)):
+            for module in (None, classical.augmentation_module(A),
                            dga.algebra_as_bimodule(A)):
                 for Y in spaces:
                     for setmap, n, m in _real_setmaps(Y):
@@ -929,7 +930,7 @@ def _support_battery_algebras():
     factors), over Q and F_3."""
     for field in (Coefficients(), Coefficients("prime-field", 3)):
         yield dga.polynomial(field, max_weight=3)
-        yield dga.tensor_algebra(
+        yield classical.tensor_algebra(
             dga.exterior(field), dga.polynomial(field, max_weight=3)
         )
 
@@ -950,7 +951,7 @@ def test_support_programs_match_the_dense_fold():
     seen, runs, negative = set(), 0, False
     for A in _support_battery_algebras():
         nonunit = A.nonunit()
-        for module in (None, dga.augmentation_module(A),
+        for module in (None, classical.augmentation_module(A),
                        dga.algebra_as_bimodule(A)):
             for Y in spaces:
                 for i, (setmap, n, m) in enumerate(_real_setmaps(Y)):

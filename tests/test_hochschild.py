@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hoch import cli, dga, simp
+from hoch import classical, cli, dga, simp
 from hoch import hochschild as hh
 from hoch.homalg import NEG_INF, POS_INF, ChainComplex, Coefficients
 from hoch.hochschild import TruncationError
@@ -21,7 +21,7 @@ from tests_support import (
 
 def scaling(A, c):
     f = A.coefficients.field
-    return dga.AlgebraAutomorphism(
+    return classical.AlgebraAutomorphism(
         A, {p: {p: f.coerce(Fraction(c) ** A.weights[p])} for p in range(A.dim)}
     )
 
@@ -39,20 +39,20 @@ def test_circle_equals_classical_and_periodic(QQ, trunc2):
     C = hh.hochschild_chain(simp.circle(8), trunc2, window=(-6, 0))
     expected = {0: 2, -1: 1, -2: 1, -3: 1, -4: 1, -5: 1, -6: 1}
     assert C.betti((-6, 0)) == expected
-    classical = hh.classical_hochschild(
+    textbook = classical.classical_hochschild(
         trunc2, dga.algebra_as_bimodule(trunc2), window=(-6, 0)
     )
-    assert classical.betti((-6, 0)) == expected
+    assert textbook.betti((-6, 0)) == expected
     assert hh.periodic_resolution_dims(2, 1, (-6, 0)) == expected
 
 
 def test_circle_oracle_equivalence_multi(QQ, exterior, trunc2, trunc3):
     for A in (exterior, trunc2, trunc3):
         C = hh.hochschild_chain(simp.circle(7), A, window=(-5, 0))
-        classical = hh.classical_hochschild(
+        textbook = classical.classical_hochschild(
             A, dga.algebra_as_bimodule(A), window=(-5, 0)
         )
-        assert C.betti((-5, 0)) == classical.betti((-5, 0)), A.name
+        assert C.betti((-5, 0)) == textbook.betti((-5, 0)), A.name
 
 
 def test_bar_acyclicity(QQ, trunc3):
@@ -78,7 +78,7 @@ def test_interval_with_coeff_matches_two_sided_bar(QQ, trunc2):
     ch = hh.hochschild_chain_with_coeff(
         simp.interval(7), trunc2, m, window=(-5, 0)
     )
-    bar = hh.two_sided_bar(m, trunc2, m, window=(-5, 0))
+    bar = classical.two_sided_bar(m, trunc2, m, window=(-5, 0))
     assert ch.betti((-5, 0)) == bar.betti((-5, 0))
 
 
@@ -168,7 +168,7 @@ def test_surface_space_homology(QQ):
 
 def test_twisted_hochschild_sign_flip(QQ, trunc2):
     mon = scaling(trunc2, -1)
-    C = hh.twisted_hochschild(trunc2, mon, window=(-6, 0))
+    C = classical.twisted_hochschild(trunc2, mon, window=(-6, 0))
     assert C.check_differential()[0]
     oracle = hh.periodic_resolution_dims(2, -1, (-6, 0))
     assert C.betti((-6, 0)) == oracle
@@ -177,13 +177,13 @@ def test_twisted_hochschild_sign_flip(QQ, trunc2):
 
 def test_twisted_identity_is_classical(QQ, trunc2):
     mon = scaling(trunc2, 1)
-    C = hh.twisted_hochschild(trunc2, mon, window=(-6, 0))
+    C = classical.twisted_hochschild(trunc2, mon, window=(-6, 0))
     assert C.betti((-6, 0)) == hh.periodic_resolution_dims(2, 1, (-6, 0))
 
 
 def test_twisted_trunc3_against_periodic(QQ, trunc3):
     mon = scaling(trunc3, -1)
-    C = hh.twisted_hochschild(trunc3, mon, window=(-4, 0))
+    C = classical.twisted_hochschild(trunc3, mon, window=(-4, 0))
     assert C.betti((-4, 0)) == hh.periodic_resolution_dims(3, -1, (-4, 0))
 
 
@@ -191,8 +191,8 @@ def test_conjugate_automorphisms_equal_dims(QQ, trunc2):
     # x -> -x conjugated by x -> 2x is still x -> -x; more usefully,
     # scaling twists by c and 1/c give equal dims (conjugate via x -> cx)
     for c in (Fraction(2), Fraction(-2)):
-        a = hh.twisted_hochschild(trunc2, scaling(trunc2, c), (-4, 0))
-        b = hh.twisted_hochschild(trunc2, scaling(trunc2, 1 / c), (-4, 0))
+        a = classical.twisted_hochschild(trunc2, scaling(trunc2, c), (-4, 0))
+        b = classical.twisted_hochschild(trunc2, scaling(trunc2, 1 / c), (-4, 0))
         assert a.betti((-4, 0)) == b.betti((-4, 0))
 
 
@@ -201,25 +201,25 @@ def test_conjugate_automorphisms_equal_dims(QQ, trunc2):
 
 def test_two_sided_bar_retract(QQ, trunc3):
     m = dga.algebra_as_bimodule(trunc3)
-    B = hh.two_sided_bar(m, trunc3, m, window=(-6, 0))
+    B = classical.two_sided_bar(m, trunc3, m, window=(-6, 0))
     assert B.betti((-6, 0)) == {
         0: 3, -1: 0, -2: 0, -3: 0, -4: 0, -5: 0, -6: 0
     }
 
 
 def test_bar_k_exterior_divided_powers(QQ, exterior):
-    k = dga.augmentation_module(exterior)
-    B = hh.two_sided_bar(k, exterior, k, window=(-6, 0))
+    k = classical.augmentation_module(exterior)
+    B = classical.two_sided_bar(k, exterior, k, window=(-6, 0))
     assert B.betti((-6, 0)) == {
         0: 1, -1: 0, -2: 1, -3: 0, -4: 1, -5: 0, -6: 1
     }
 
 
 def test_hh_via_enveloping(QQ, exterior, trunc2):
-    assert hh.hh_via_enveloping(
+    assert classical.hh_via_enveloping(
         dga.truncated_polynomial(QQ, 2), window=(-5, 0)
     ).betti((-5, 0)) == {0: 2, -1: 1, -2: 1, -3: 1, -4: 1, -5: 1}
-    env = hh.hh_via_enveloping(exterior, window=(-5, 0))
+    env = classical.hh_via_enveloping(exterior, window=(-5, 0))
     circ = hh.hochschild_chain(simp.circle(7), exterior, window=(-5, 0))
     assert env.betti((-5, 0)) == circ.betti((-5, 0))
 
@@ -228,7 +228,7 @@ def test_enveloping_refuses_a_per_weight_algebra(QQ):
     # the classical Bar path has no weight truncation: refuse up front
     # rather than multiply past the materialized bound
     A = dga.polynomial(QQ, max_weight=2)
-    for build in (hh.enveloping_modules, hh.hh_via_enveloping):
+    for build in (classical.enveloping_modules, classical.hh_via_enveloping):
         with pytest.raises(dga.AlgebraClassError,
                            match="materialized per weight"):
             build(A)
@@ -240,7 +240,7 @@ def test_enveloping_trivial_algebra(QQ):
         "k", QQ, [("1", 0, 0)], {(0, 0): {0: one}}, unit=0,
         augmentation={0: one}, weight_graded=True,
     )
-    E = hh.hh_via_enveloping(k_alg, window=(-3, 0))
+    E = classical.hh_via_enveloping(k_alg, window=(-3, 0))
     assert E.betti((-3, 0)) == {0: 1, -1: 0, -2: 0, -3: 0}
 
 
@@ -373,17 +373,17 @@ def test_two_sided_bar_matches_reference(algebra, field):
     # as the slot-by-slot builder, for every pair of k and A as M_r, M_l
     A = BAR_ALGEBRAS[algebra](BAR_FIELDS[field])
     window = (-2, 0) if A.dim > 3 else (-4, 0)
-    k, bimodule = dga.augmentation_module(A), dga.algebra_as_bimodule(A)
+    k, bimodule = classical.augmentation_module(A), dga.algebra_as_bimodule(A)
     for mr, ml in product((k, bimodule), repeat=2):
-        got = hh.two_sided_bar(mr, A, ml, window)
+        got = classical.two_sided_bar(mr, A, ml, window)
         want = _reference_two_sided_bar(mr, A, ml, window)
         assert _bar_summary(got, window) == _bar_summary(want, window), (
             mr.name, ml.name
         )
     if A.commutative and A.dim <= 3:
         window = (-2, 0)
-        got = hh.hh_via_enveloping(A, window)
-        want = _reference_two_sided_bar(*hh.enveloping_modules(A), window)
+        got = classical.hh_via_enveloping(A, window)
+        want = _reference_two_sided_bar(*classical.enveloping_modules(A), window)
         assert _bar_summary(got, window) == _bar_summary(want, window)
 
 
@@ -391,20 +391,20 @@ def test_outer_bimodule_rejects_factors_over_different_algebras(
     QQ, exterior, trunc2
 ):
     with pytest.raises(ValueError, match="over different algebras"):
-        dga.outer_bimodule(
-            dga.augmentation_module(exterior), dga.augmentation_module(trunc2)
+        classical.outer_bimodule(
+            classical.augmentation_module(exterior), classical.augmentation_module(trunc2)
         )
 
 
 def test_iterated_bar(QQ, exterior, trunc2):
     for A in (exterior, trunc2):
-        i1 = hh.iterated_bar(A, 1, window=(-5, 0))
-        k = dga.augmentation_module(A)
-        bar = hh.two_sided_bar(k, A, k, window=(-5, 0))
+        i1 = classical.iterated_bar(A, 1, window=(-5, 0))
+        k = classical.augmentation_module(A)
+        bar = classical.two_sided_bar(k, A, k, window=(-5, 0))
         assert i1.betti((-5, 0)) == bar.betti((-5, 0)), A.name
-    i2 = hh.iterated_bar(exterior, 2, window=(-5, 0))
+    i2 = classical.iterated_bar(exterior, 2, window=(-5, 0))
     assert i2.betti((-5, 0)) == {0: 1, -1: 0, -2: 0, -3: 1, -4: 0, -5: 0}
-    i0 = hh.iterated_bar(exterior, 0, window=(-3, 0))
+    i0 = classical.iterated_bar(exterior, 0, window=(-3, 0))
     assert i0.betti((-3, 0)) == {0: 1, -1: 1, -2: 0, -3: 0}
     with pytest.raises(ValueError):
         bad = dga.DGAlgebra(
@@ -413,7 +413,7 @@ def test_iterated_bar(QQ, exterior, trunc2):
              (1, 0): {1: QQ.field.one}, (1, 1): {}},
             unit=0, weight_graded=True,
         )
-        hh.iterated_bar(bad, 1, window=(-2, 0))
+        classical.iterated_bar(bad, 1, window=(-2, 0))
 
 
 # -- cochains -----------------------------------------------------------------
@@ -436,7 +436,7 @@ def test_cochain_point_retract(QQ, trunc2):
 
 def test_cochain_chain_duality(QQ, exterior, trunc2):
     for A in (exterior, trunc2):
-        k = dga.augmentation_module(A)
+        k = classical.augmentation_module(A)
         co = CochainComplexData(simp.circle(9), A, k, (0, 5)).complex
         ch = hh.hochschild_chain_with_coeff(
             simp.circle(9), A, k, window=(-5, 0)
@@ -484,7 +484,7 @@ def test_exponential_law_cross_check(QQ):
 def test_circle_genuine_bimodule_routes_classically(QQ, trunc2):
     # twisted coefficients over the circle: dims from the periodic oracle
     mon = scaling(trunc2, -1)
-    tw = dga.twisted_bimodule(trunc2, mon)
+    tw = classical.twisted_bimodule(trunc2, mon)
     C = hh.hochschild_chain_with_coeff(simp.circle(8), trunc2, tw,
                                        window=(-6, 0))
     assert C.betti((-6, 0)) == hh.periodic_resolution_dims(2, -1, (-6, 0))
@@ -495,7 +495,7 @@ def test_circle_genuine_bimodule_routes_classically(QQ, trunc2):
 
 def test_hh0_of_commutative_is_algebra(QQ, exterior, trunc2, trunc3):
     for A in (exterior, trunc2, trunc3):
-        C = hh.classical_hochschild(
+        C = classical.classical_hochschild(
             A, dga.algebra_as_bimodule(A), window=(-2, 0)
         )
         dims_at_zero = sum(
@@ -525,10 +525,10 @@ def test_prime_field_coefficients(QQ):
     F5 = Coefficients("prime-field", 5)
     A5 = dga.truncated_polynomial(F5, 2)
     C = hh.hochschild_chain(simp.circle(7), A5, window=(-5, 0))
-    classical = hh.classical_hochschild(
+    textbook = classical.classical_hochschild(
         A5, dga.algebra_as_bimodule(A5), window=(-5, 0)
     )
-    assert C.betti((-5, 0)) == classical.betti((-5, 0))
+    assert C.betti((-5, 0)) == textbook.betti((-5, 0))
     assert C.betti((-5, 0)) == hh.periodic_resolution_dims(
         2, 1, (-5, 0), F5
     )
@@ -547,7 +547,7 @@ def test_trunc3_untwisted_periodic_crosscheck(QQ, trunc3):
 
 
 def test_two_odd_generators_hkr(QQ, exterior):
-    E = dga.tensor_algebra(exterior, exterior, name="two odd gens")
+    E = classical.tensor_algebra(exterior, exterior, name="two odd gens")
     C = hh.hochschild_chain(simp.circle(6), E, window=(-4, 0))
     assert C.complex.check_differential()[0]
     assert C.betti((-4, 0)) == {0: 1, -1: 2, -2: 3, -3: 4, -4: 5}
@@ -591,7 +591,7 @@ def test_nonzero_differential_quasi_iso_invariance(QQ, koszul_dga, exterior):
     assert C.complex.check_differential()[0]
     ref = hh.hochschild_chain(simp.circle(8), exterior, window=(-5, 0))
     assert C.betti((-5, 0)) == ref.betti((-5, 0))
-    cls = hh.classical_hochschild(
+    cls = classical.classical_hochschild(
         koszul_dga, dga.algebra_as_bimodule(koszul_dga), window=(-5, 0)
     )
     assert cls.betti((-5, 0)) == ref.betti((-5, 0))
@@ -699,7 +699,7 @@ def test_level_monomials_match_brute_force(QQ, exterior, trunc3, space):
     checked = 0
     for A, weights, min_int in variants:
         modules = (
-            None, dga.augmentation_module(A), dga.algebra_as_bimodule(A)
+            None, classical.augmentation_module(A), dga.algebra_as_bimodule(A)
         )
         for module in modules:
             for normalized in (True, False):
@@ -778,7 +778,7 @@ def test_build_levels_caps_the_total_blocks(exterior, trunc2):
     # with an odd and an even generator of weight 1, one total block draws
     # on several levels and is larger than every level block; the cap
     # holds it before any face is built
-    E = dga.tensor_algebra(exterior, trunc2)
+    E = classical.tensor_algebra(exterior, trunc2)
     Y = simp.circle(5)
     levels, _exhausted, blocks, _supports = hh.build_levels(
         Y, E, None, (-3, 0)
@@ -881,7 +881,7 @@ def test_is_nondegenerate_matches_reference(QQ, trunc3, space):
     for A in (trunc3, _exterior_unit_last(QQ)):
         nonunit = [p for p in range(A.dim) if p != A.unit]
         modules = (
-            None, dga.augmentation_module(A), dga.algebra_as_bimodule(A)
+            None, classical.augmentation_module(A), dga.algebra_as_bimodule(A)
         )
         for module in modules:
             for n in range(5):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hoch import cech, cli, dga, homalg, simp
+from hoch import cech, classical, cli, dga, homalg, simp
 from hoch import hochschild as hh
 from hoch.homalg import (
     NEG_INF,
@@ -18,16 +18,19 @@ from hoch.homalg import (
     ChainMap,
     Coefficients,
     WindowError,
-    cone,
+    total_complex,
+)
+from hoch.cech import cone
+from hoch.linalg import _acc
+from tests_support import (
+    constant_simplicial,
     dual,
+    euler_per_weight,
     field_complex,
     hom_complex,
     tensor,
-    total_complex,
     zero_complex,
 )
-from hoch.linalg import _acc
-from tests_support import constant_simplicial
 
 
 def two_term(coefficients, label="a", degree=-1):
@@ -109,7 +112,7 @@ def test_hom_complex_cases(QQ):
 def test_hom_matches_classical_cochain_dims(QQ):
     # Hom(CH_{S^1}(A, k), A) has the classical cochain dimensions 2,2,2,2,2
     A = dga.truncated_polynomial(QQ, 2)
-    k_mod = dga.augmentation_module(A)
+    k_mod = classical.augmentation_module(A)
     chains = hh.hochschild_chain_with_coeff(
         simp.circle(8), A, k_mod, window=(-6, 0)
     ).complex
@@ -358,7 +361,7 @@ REFERENCE_CASES = {
         dga.algebra_as_bimodule, (-2, 0), None, False),
     "sphere2-augmentation": lambda: (
         simp.sphere_small(2, 6), dga.truncated_polynomial(truncation=3),
-        dga.augmentation_module, (-3, 0), None, True),
+        classical.augmentation_module, (-3, 0), None, True),
     "sphere2-self-F7": lambda: (
         simp.sphere_small(2, 6), dga.polynomial(F7, max_weight=2),
         dga.algebra_as_bimodule, (-3, 0), [0, 1, 2], True),
@@ -633,7 +636,7 @@ def test_cech_total_matches_reference(job, monkeypatch):
 
     monkeypatch.setattr(cech, "cech_complex", keep_precosheaf)
     monkeypatch.setattr(cech, "total_complex", keep_simplicial)
-    C = cli._run_cech(spec, cli.parse_coefficients(spec))
+    C = cech.spec_complex(spec, cli.parse_coefficients(spec))
     truncation = spec["cover"]["truncation"]
     ref, _ = _reference_cech(kept["F"], C.cover, truncation)
     levels = kept["scc"].levels
@@ -720,7 +723,7 @@ def test_euler_characteristic_per_weight(QQ, trunc2):
     C = hh.hochschild_chain(simp.circle(8), trunc2, window=(-6, 0),
                             weights=[0, 1, 2, 3]).complex
     table = C.homology_dims((-6, 0), weights=[0, 1, 2, 3])
-    euler_chain = C.euler_per_weight()
+    euler_chain = euler_per_weight(C)
     for w in (0, 1, 2, 3):
         euler_h = sum(
             (-1) ** (d % 2) * v for (d, ww), v in table.items() if ww == w

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hoch import cli, dga, simp
+from hoch import classical, cli, dga, simp
 from hoch import hochschild as hh
 from hoch import products as pr
 from hoch.homalg import ChainComplex, Coefficients
@@ -232,7 +232,7 @@ SHUFFLE_ALGEBRAS = {
     "exterior |x|=-3": lambda: dga.exterior(Coefficients(), -3),
     "trunc3": lambda: dga.truncated_polynomial(Coefficients(), 3),
     "polynomial": lambda: dga.polynomial(Coefficients(), max_weight=3),
-    "exterior⊗trunc2": lambda: dga.tensor_algebra(
+    "exterior⊗trunc2": lambda: classical.tensor_algebra(
         dga.exterior(Coefficients()),
         dga.truncated_polynomial(Coefficients(), 2),
     ),
@@ -617,7 +617,7 @@ def test_wedge_algebra_mismatch_rejected(QQ, trunc2, trunc3, wedge_setup):
 def test_wedge_rejects_module_coefficients(QQ, trunc3):
     """The values of the two factors multiply in the algebra, so the
     coefficients must be the algebra itself, not another module."""
-    k = dga.augmentation_module(trunc3)
+    k = classical.augmentation_module(trunc3)
     c = simp.circle(3)
     dk = pr.CochainComplexData(c, trunc3, k, window=(0, 2), top=3)
     dw = pr.CochainComplexData(simp.wedge(c, c), trunc3, k, (0, 2), top=3)
@@ -632,8 +632,8 @@ def test_cochains_refuse_a_genuine_bimodule(QQ, trunc2):
     twisted by x -> -x has HH^0 spanned by x, not of the untwisted
     dimension 2."""
     f = QQ.field
-    flip = dga.AlgebraAutomorphism(trunc2, {0: {0: f.one}, 1: {1: -f.one}})
-    twisted = dga.twisted_bimodule(trunc2, flip)
+    flip = classical.AlgebraAutomorphism(trunc2, {0: {0: f.one}, 1: {1: -f.one}})
+    twisted = classical.twisted_bimodule(trunc2, flip)
     with pytest.raises(ValueError, match="require a symmetric bimodule"):
         pr.CochainComplexData(simp.circle(7), trunc2, twisted, (0, 4))
 
@@ -837,7 +837,7 @@ ALGEBRAS = {
     "exterior": dga.exterior,
     "koszul": koszul_algebra,
     # Λ(x, y): an odd basepoint factor meets odd module values
-    "exterior⊗exterior": lambda k: dga.tensor_algebra(
+    "exterior⊗exterior": lambda k: classical.tensor_algebra(
         dga.exterior(k), dga.exterior(k)
     ),
 }
@@ -892,7 +892,7 @@ def test_cochain_complex_matches_reference(field, algebra, space):
     if (algebra, space) in BENCH_SIZE:
         tops.append(4)
     for top, module in product(tops, (dga.algebra_as_bimodule(A),
-                                      dga.augmentation_module(A))):
+                                      classical.augmentation_module(A))):
         got = pr.CochainComplexData(Y, A, module, (0, top - 1), top)
         C = got.complex
         want = _reference_cochain_complex(Y, A, module, top)

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from hoch import simp
+from tests_support import nondegenerate, to_json, validate
 
 LEVEL = 8
 
@@ -30,7 +31,7 @@ def all_builders(level=LEVEL):
 
 def test_all_builders_validate():
     for X in all_builders():
-        ok, witness = X.validate()
+        ok, witness = validate(X)
         assert ok, (X.name, witness)
 
 
@@ -91,7 +92,7 @@ def test_wedge_point_identity():
     Y = simp.circle(6)
     W = simp.wedge(simp.point(6), Y)
     assert [W.card(n) for n in range(7)] == [Y.card(n) for n in range(7)]
-    ok, _ = W.validate()
+    ok, _ = validate(W)
     assert ok
 
 
@@ -134,10 +135,10 @@ def test_a_face_that_moves_slot_0_fails_validate():
     face_tab[2] = [[swap[t] for t in row] for row in face_tab[2]]
     deg_tab[0] = [[swap[t] for t in row] for row in deg_tab[0]]
     unpointed = simp.SimplicialSet("swapped", X.levels, face_tab, deg_tab)
-    assert unpointed.validate() == (True, None)
+    assert validate(unpointed) == (True, None)
     pointed = simp.SimplicialSet("swapped", X.levels, face_tab, deg_tab,
                                  pointed=True)
-    ok, witness = pointed.validate()
+    ok, witness = validate(pointed)
     assert not ok and witness[0] == "basepoint face"
 
 
@@ -150,30 +151,30 @@ def test_corrupted_face_table_fails():
     bad = simp.SimplicialSet(
         "bad", X.levels, face_tab, X.deg_tab, X.pointed
     )
-    ok, witness = bad.validate()
+    ok, witness = validate(bad)
     assert not ok
     assert witness[0] in ("d_i d_j", "d_i s_j", "basepoint face")
 
 
 def test_validate_idempotent():
     X = simp.circle(6)
-    snapshot = json.loads(X.to_json())
-    assert X.validate()[0] and X.validate()[0]
-    assert json.loads(X.to_json()) == snapshot
+    snapshot = json.loads(to_json(X))
+    assert validate(X)[0] and validate(X)[0]
+    assert json.loads(to_json(X)) == snapshot
 
 
 def test_nondegenerate_counts():
-    assert simp.sphere_small(2, 8).nondegenerate().counts() == [
+    assert nondegenerate(simp.sphere_small(2, 8)).counts() == [
         1, 0, 1, 0, 0, 0, 0, 0, 0,
     ]
-    assert simp.sphere_small(3, 7).nondegenerate().counts() == [
+    assert nondegenerate(simp.sphere_small(3, 7)).counts() == [
         1, 0, 0, 1, 0, 0, 0, 0,
     ]
-    assert simp.circle(6).nondegenerate().counts() == [1, 1, 0, 0, 0, 0, 0]
-    assert simp.point(5).nondegenerate().counts() == [1, 0, 0, 0, 0, 0]
+    assert nondegenerate(simp.circle(6)).counts() == [1, 1, 0, 0, 0, 0, 0]
+    assert nondegenerate(simp.point(5)).counts() == [1, 0, 0, 0, 0, 0]
     # surface(g): 2 vertices, 6g edges, 4g triangles
-    assert simp.surface(1, 4).nondegenerate().counts() == [2, 6, 4, 0, 0]
-    assert simp.surface(2, 3).nondegenerate().counts() == [2, 12, 8, 0]
+    assert nondegenerate(simp.surface(1, 4)).counts() == [2, 6, 4, 0, 0]
+    assert nondegenerate(simp.surface(2, 3)).counts() == [2, 12, 8, 0]
 
 
 def test_sphere_standard_faces_collapse():
@@ -188,13 +189,13 @@ def test_sphere_standard_faces_collapse():
         img = S.face(n, n, k)
         if p == n or q == n:
             assert img == 0
-    ok, _ = S.validate()
+    ok, _ = validate(S)
     assert ok
 
 
 def test_json_export_roundtrip():
     X = simp.sphere_small(2, 4)
-    doc = json.loads(X.to_json())
+    doc = json.loads(to_json(X))
     assert doc["name"] == "sphere_small(2)"
     assert [len(lvl) for lvl in doc["levels"]] == [
         X.card(n) for n in range(5)
