@@ -556,10 +556,9 @@ def interval_global_sections(F, window=(-6, 0)):
 
 
 class CechComplex:
-    def __init__(self, cover, total, truncation, augmentation=None):
+    def __init__(self, cover, total, augmentation=None):
         self.cover = cover
         self.total = total
-        self.simplicial_truncation = truncation
         self.augmentation = augmentation
 
     def homology_dims(self, window, weights=None):
@@ -627,7 +626,7 @@ def cech_complex(F, cover, truncation=2, cap=None):
     augmentation = None
     if F.poset.union_id is not None and F.poset.union_id in F.values:
         augmentation = _augmentation_map(F, levels[0])
-    return CechComplex(tuple(cover), tot, truncation, augmentation)
+    return CechComplex(tuple(cover), tot, augmentation)
 
 
 def _adjacent_distinct(PU, length):

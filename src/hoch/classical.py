@@ -433,5 +433,4 @@ def iterated_bar(A, i, window=(-6, 0), weights=None, cap=None):
     k_mod = augmentation_module(A)
     level = required_level(simp.sphere_small(i, 0), A, window, weights)[0]
     Y = simp.sphere_small(i, level)
-    hc = hochschild_chain_with_coeff(Y, A, k_mod, window, weights, cap=cap)
-    return hc.complex
+    return hochschild_chain_with_coeff(Y, A, k_mod, window, weights, cap=cap)

@@ -325,7 +325,8 @@ def _chain_inputs(spec, coefficients):
 
 
 def _build(spec, coefficients):
-    """(algebra, complex, max_block) of a task in CHAIN_TASKS or BUILT_TASKS:
+    """(space, algebra, complex, max_block) of a task in CHAIN_TASKS or
+    BUILT_TASKS, the space set only for the chain tasks and shuffle-check:
     InfeasibleError when a (degree, weight) block exceeds the cap."""
     task, window, weights, cap = (
         spec["task"], spec["window"], spec["weights"], spec["cap"]
@@ -333,17 +334,17 @@ def _build(spec, coefficients):
     if task in CHAIN_TASKS + ("shuffle-check",):
         Y, A, module = _chain_inputs(spec, coefficients)
         if module is None:
-            H = hh.hochschild_chain(Y, A, window, weights, cap=cap)
+            C = hh.hochschild_chain(Y, A, window, weights, cap=cap)
         else:
-            H = hh.hochschild_chain_with_coeff(
+            C = hh.hochschild_chain_with_coeff(
                 Y, A, module, window, weights, cap=cap
             )
-        return A, H, H.complex.max_block_dim()
+        return Y, A, C, C.max_block_dim()
     if task == "cech":
         from . import cech
 
         C = cech.spec_complex(spec, coefficients, cap)
-        return None, C, C.total.max_block_dim()
+        return None, None, C, C.total.max_block_dim()
     from . import classical
 
     A = build_algebra(spec["algebra"], coefficients, weights)
@@ -354,7 +355,7 @@ def _build(spec, coefficients):
     else:
         sigma = classical.scaling_automorphism(A, _twist_scalar(spec))
         C = classical.twisted_hochschild(A, sigma, window, cap)
-    return A, C, C.max_block_dim()
+    return None, A, C, C.max_block_dim()
 
 
 def _twist_scalar(spec):
@@ -381,7 +382,7 @@ def run_job(spec):
     task = spec["task"]
 
     if task in CHAIN_TASKS + BUILT_TASKS:
-        A, C, extra["max_block"] = _build(spec, coefficients)
+        Y, A, C, extra["max_block"] = _build(spec, coefficients)
     if task in CHAIN_TASKS:
         betti_table = C.homology_dims(window, weights)
     if task == "hkr-check":
@@ -454,7 +455,7 @@ def run_job(spec):
     elif task == "shuffle-check":
         from . import products
 
-        ok, checked = products.shuffle_check(C, spec)
+        ok, checked = products.shuffle_check(Y, A, C, spec)
         extra["cases"] = checked
         deltas.append({"name": "shuffle_axioms", "delta": 0 if ok else 1})
 
@@ -564,7 +565,7 @@ def explain_job(spec):
     if task in CHAIN_TASKS:
         Y, A, module = _chain_inputs(spec, coefficients)
     if task in BUILT_TASKS or module is not None and not module.symmetric:
-        report["max_block"] = _build(spec, coefficients)[2]
+        report["max_block"] = _build(spec, coefficients)[3]
         return report
     levels, exhausted, blocks, _supports = hh.build_levels(
         Y, A, module, window, weights, cap=cap
@@ -587,6 +588,9 @@ def render(report, fmt):
 
         return json.dumps(report, indent=2, sort_keys=True, default=str)
     lines = [f"task: {report['job']['task']}"]
+    if "note" in report:  # a task that explain only notes
+        lines.append(f"note: {report['note']}")
+        return "\n".join(lines) + "\n"
     if "cap" in report:  # an explain report
         if "truncation_level" in report:
             lines.append(f"truncation level: {report['truncation_level']}")

@@ -121,12 +121,12 @@ class DGAlgebra:
         deg_ok = all(
             self.degrees[i] <= -1 for i in range(self.dim) if i != self.unit
         )
-        self.class_i = self.max_weight is None and deg_ok
+        class_i = self.max_weight is None and deg_ok
         wt_ok = all(
             self.weights[i] >= 1 for i in range(self.dim) if i != self.unit
         )
-        self.class_ii = self.weight_graded and wt_ok
-        if not (self.class_i or self.class_ii):
+        class_ii = self.weight_graded and wt_ok
+        if not (class_i or class_ii):
             raise AlgebraClassError(
                 f"{self.name}: presentation is neither finite with negative-"
                 "degree ideal nor weight-graded with positive-weight ideal"
@@ -283,7 +283,8 @@ class DGModule:
         """Unit, associativity and Leibniz for the left action, when there
         is one; unit and associativity for the right action, when there is
         one (a right table, or a symmetric module); compatibility when
-        there are both; then the grading of the differential."""
+        there are both; then the grading of the stored actions, which add
+        degrees and weights as the product does, and of the differential."""
         A = self.algebra
         f = self.coefficients.field
         uA = A.unit
@@ -333,6 +334,18 @@ class DGModule:
                 )
                 if lhs != rhs:
                     raise ValueError(f"{self.name}: module Leibniz fails")
+        for side, table in (("left", self.left), ("right", self._right)):
+            for pair, out in (table or {}).items():
+                a, m = pair if side == "left" else pair[::-1]
+                for k in out:
+                    if self.degrees[k] != A.degrees[a] + self.degrees[m]:
+                        raise ValueError(
+                            f"{self.name}: {side} action not degree-additive"
+                        )
+                    if self.weights[k] != A.weights[a] + self.weights[m]:
+                        raise ValueError(
+                            f"{self.name}: {side} action not weight-additive"
+                        )
         _audit_grading(self)
 
     def __repr__(self):
@@ -378,10 +391,6 @@ def truncated_polynomial(coefficients=None, truncation=2, generator_degree=0,
     mult = {
         (i, j): {i + j: one} for i in range(N) for j in range(N) if i + j < N
     }
-    for i in range(N):
-        for j in range(N):
-            if i + j >= N:
-                mult[(i, j)] = {}
     return DGAlgebra(
         name or f"k[x]/x^{N}",
         coefficients,

@@ -3,12 +3,12 @@ tasks.
 
 The main builder realizes the level-n space A^{⊗Y_n} (module coefficients
 at the basepoint, slot 0, when present), faces induced by the face maps of
-Y with Koszul signs, and the normalized total complex; the Bar construction
-is its interval case.  The periodic resolution for truncated polynomial
-algebras and the HKR prediction tables are oracles on deliberately
-separate code paths.  The classical complexes (the textbook Hochschild
-complex, twisted, two-sided and iterated Bar, the enveloping route) are in
-``classical``, which only the other tasks import.
+Y with Koszul signs, and the normalized total complex, which both builders
+return; the Bar construction is its interval case.  The periodic
+resolution for truncated polynomial algebras and the HKR prediction tables
+are oracles on deliberately separate code paths.  The classical complexes
+(the textbook Hochschild complex, twisted, two-sided and iterated Bar, the
+enveloping route) are in ``classical``, which only the other tasks import.
 """
 
 from functools import reduce
@@ -44,24 +44,6 @@ def check_cap(size, cap):
         raise InfeasibleError(
             f"largest (degree, weight) block has dimension {size} > cap {cap}"
         )
-
-
-class HochschildComplex:
-    """CH_Y(A) (or CH_Y(A, M)): the normalized total complex plus the
-    labeling of tensor slots by simplices, kept for products."""
-
-    def __init__(self, space, algebra, module, complex_, levels):
-        self.space = space
-        self.algebra = algebra
-        self.module = module
-        self.complex = complex_
-        self.levels = levels  # level -> list of monomial tuples
-
-    def homology_dims(self, window, weights=None):
-        return self.complex.homology_dims(window, weights)
-
-    def betti(self, window, weights=None):
-        return self.complex.betti(window, weights)
 
 
 # -- monomial enumeration ---------------------------------------------------
@@ -435,18 +417,20 @@ def build_simplicial_ch(Y, A, module=None, window=(-6, 0), weights=None,
 
 
 def hochschild_chain(Y, A, window=(-6, 0), weights=None, cap=None):
-    """CH_Y(A) as a HochschildComplex with a certified window; ``cap``
-    bounds its (degree, weight) blocks (see ``build_levels``)."""
+    """CH_Y(A): the normalized total complex, labelled ``(level,
+    monomial)``, with a certified window; ``cap`` bounds its (degree,
+    weight) blocks (see ``build_levels``)."""
     return _chain(Y, A, None, window, weights, cap)
 
 
 def hochschild_chain_with_coeff(Y, A, module, window=(-6, 0), weights=None,
                                 cap=None):
-    """CH_Y(A, M): the basepoint, slot 0, carries M.
+    """CH_Y(A, M) as the total complex of ``hochschild_chain``: the
+    basepoint, slot 0, carries M.
 
     M must be a symmetric bimodule for a general pointed space; the circle
-    admits genuine bimodules through the classical complex, whose blocks
-    are held to ``cap`` before its faces (see
+    admits genuine bimodules, and returns the classical complex, whose
+    blocks are held to ``cap`` before its faces (see
     ``classical.classical_hochschild``).
     """
     if not Y.pointed:
@@ -459,8 +443,7 @@ def hochschild_chain_with_coeff(Y, A, module, window=(-6, 0), weights=None,
             )
         from .classical import classical_hochschild
 
-        classical = classical_hochschild(A, module, window, cap)
-        return HochschildComplex(Y, A, module, classical, [])
+        return classical_hochschild(A, module, window, cap)
     return _chain(Y, A, module, window, weights, cap)
 
 
@@ -468,9 +451,7 @@ def _chain(Y, A, module, window, weights, cap):
     scc = build_simplicial_ch(Y, A, module, window, weights, cap=cap)
     tot = total_complex(scc)
     tot.weights_materialized = set(weights) if weights is not None else None
-    return HochschildComplex(
-        Y, A, module, tot, [list(l.index) for l in scc.levels]
-    )
+    return tot
 
 
 # -- the periodic-resolution oracle -----------------------------------------

@@ -125,9 +125,6 @@ class ChainComplex:
             )
         return len(self.blocks.get((degree, weight), ()))
 
-    def degrees(self):
-        return sorted({d for d, _ in self.blocks})
-
     def weights(self):
         return sorted({w for _, w in self.blocks})
 
@@ -340,10 +337,6 @@ def _entries(m):
 # -- simplicial objects in chain complexes, totalization --------------------
 
 
-def _interval_meet(a, b):
-    return (max(a[0], b[0]), min(a[1], b[1]))
-
-
 class SimplicialChainComplex:
     """A simplicial object in chain complexes, materialized to a level.
 
@@ -363,7 +356,7 @@ class SimplicialChainComplex:
         return len(self.levels) - 1
 
 
-def total_complex(simp, window=None):
+def total_complex(simp):
     """Totalize: level n shifted by -n, D = (-1)^n d_int + Σ (-1)^r d_r.
 
     A total block (D, w) stacks the level blocks (D + n, w) in level order.
@@ -417,6 +410,4 @@ def total_complex(simp, window=None):
                 hi_int = max(hi_int, d)
         win = (hi_int - simp.top_level, POS_INF)
         support = (NEG_INF, hi_int)
-    if window is not None:
-        win = _interval_meet(win, window)
     return out.freeze(window=win, support=support)

@@ -181,15 +181,15 @@ def test_criterion_11a_d_squared_everywhere(QQ, exterior, trunc2, trunc3):
     for A in (exterior, trunc2, trunc3):
         for Y in (simp.point(5), simp.interval(5), simp.circle(5)):
             complexes.append(
-                hh.hochschild_chain(Y, A, window=(-3, 0)).complex
+                hh.hochschild_chain(Y, A, window=(-3, 0))
             )
     complexes.append(
         hh.hochschild_chain(simp.sphere_small(2, 4), exterior,
-                            window=(-3, 0)).complex
+                            window=(-3, 0))
     )
     complexes.append(
         hh.hochschild_chain(simp.torus(4), P, window=(-2, 0),
-                            weights=[0, 1, 2]).complex
+                            weights=[0, 1, 2])
     )
     m3 = dga.algebra_as_bimodule(trunc3)
     complexes.append(classical.two_sided_bar(m3, trunc3, m3, window=(-3, 0)))
@@ -270,9 +270,9 @@ def test_criterion_11c_multiop_functoriality(QQ, exterior):
 def test_criterion_11d_shuffle_suite(QQ, exterior):
     t0 = time.time()
     f = QQ.field
-    H = hh.hochschild_chain(simp.circle(9), exterior, window=(-8, 0))
-    C = H.complex
-    one = pr.unit_chain(H)
+    Y, A = simp.circle(9), exterior
+    C = hh.hochschild_chain(Y, A, window=(-8, 0))
+    one = pr.unit_chain(Y, A)
     degs = {}
     for lab in C.index:
         d, _w, _ = C.index[lab]
@@ -283,19 +283,19 @@ def test_criterion_11d_shuffle_suite(QQ, exterior):
     for _ in range(125):
         du, u = _rand(rng, f, degs)
         dv, v = _rand(rng, f, degs)
-        assert pr.shuffle_product(H, one, u) == u
-        uv = pr.shuffle_product(H, u, v)
+        assert pr.shuffle_product(Y, A, C, one, u) == u
+        uv = pr.shuffle_product(Y, A, C, u, v)
         lhs = C.d_apply(uv)
-        rhs = _add(f, pr.shuffle_product(H, C.d_apply(u), v),
-                   pr.shuffle_product(H, u, C.d_apply(v)),
+        rhs = _add(f, pr.shuffle_product(Y, A, C, C.d_apply(u), v),
+                   pr.shuffle_product(Y, A, C, u, C.d_apply(v)),
                    sign=(-1) ** (du % 2))
         assert lhs == rhs
-        vu = pr.shuffle_product(H, v, u)
+        vu = pr.shuffle_product(Y, A, C, v, u)
         sgn = (-1) ** ((du * dv) % 2)
         assert uv == {k: f.mul(f.coerce(sgn), c) for k, c in vu.items()}
         dw, w = _rand(rng, f, degs)
-        assert pr.shuffle_product(H, uv, w) == pr.shuffle_product(
-            H, u, pr.shuffle_product(H, v, w)
+        assert pr.shuffle_product(Y, A, C, uv, w) == pr.shuffle_product(
+            Y, A, C, u, pr.shuffle_product(Y, A, C, v, w)
         )
         cases += 4
     assert cases >= 500

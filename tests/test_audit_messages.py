@@ -186,6 +186,26 @@ CASES = {
         lambda: two_dim_module({(1, 0): {1: ONE}}, diff={0: {0: ONE}}),
         "M: module Leibniz fails",
     ),
+    # x m0 = m1 is an action of k[x]/x^2 with |m1| = -2: every axiom
+    # holds, but the action does not add degrees
+    "left action degree": (
+        lambda: module(trunc(2), {(0, 0): {0: ONE}, (0, 1): {1: ONE},
+                                  (1, 0): {1: ONE}},
+                       basis=(("m0", 0, 0), ("m1", -2, 1))),
+        "M: left action not degree-additive",
+    ),
+    # the same with m1 in degree 0 and weight 0: x has weight 1
+    "left action weight": (
+        lambda: two_dim_module({(1, 0): {1: ONE}}),
+        "M: left action not weight-additive",
+    ),
+    # m0 x = m1 with |m1| = -1 on a right module
+    "right action degree": (
+        lambda: module(trunc(2), None, basis=(("m0", 0, 0), ("m1", -1, 1)),
+                       right={(0, 0): {0: ONE}, (1, 0): {1: ONE},
+                              (0, 1): {1: ONE}}),
+        "M: right action not degree-additive",
+    ),
     # x acts as 0, so d m0 = m1 satisfies Leibniz, yet keeps the degree
     "module differential grading": (
         lambda: two_dim_module({}, diff={0: {1: ONE}}),

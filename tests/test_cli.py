@@ -560,7 +560,9 @@ KOSZUL = {
 CUP = "cup-table needs an exterior or truncated-polynomial algebra"
 
 
-@pytest.mark.parametrize("raw, message", [
+# specs whose algebra or space the task cannot read: both commands and
+# jobs/schema.json refuse them
+UNREADABLE = [
     (_job("criterion11b_cup_table.json", algebra=NONCOMMUTATIVE), CUP),
     (_job("criterion11b_cup_table.json", algebra=KOSZUL), CUP),
     (_job("criterion11b_cup_table.json", algebra={"name": "polynomial"}),
@@ -582,12 +584,17 @@ CUP = "cup-table needs an exterior or truncated-polynomial algebra"
      "hkr-check needs a polynomial or exterior algebra"),
     (_job("criterion05b_hkr_sphere3.json", space={"name": "circle"}),
      "hkr-check needs a sphere or surface model"),
-], ids=["cup-noncommutative", "cup-koszul", "cup-polynomial",
-        "homology-no-algebra", "hkr-no-algebra", "bar-no-algebra",
-        "iterated-bar-no-algebra", "twisted-no-algebra",
-        "excision-no-algebra", "cech-arc-algebra-no-algebra",
-        "cup-no-algebra", "shuffle-no-algebra", "hkr-truncated",
-        "hkr-circle"])
+]
+UNREADABLE_IDS = [
+    "cup-noncommutative", "cup-koszul", "cup-polynomial",
+    "homology-no-algebra", "hkr-no-algebra", "bar-no-algebra",
+    "iterated-bar-no-algebra", "twisted-no-algebra", "excision-no-algebra",
+    "cech-arc-algebra-no-algebra", "cup-no-algebra", "shuffle-no-algebra",
+    "hkr-truncated", "hkr-circle",
+]
+
+
+@pytest.mark.parametrize("raw, message", UNREADABLE, ids=UNREADABLE_IDS)
 def test_run_and_explain_refuse_what_the_task_cannot_read(tmp_path, capsys,
                                                           raw, message):
     # an algebra or a space that the task cannot read is a schema error
@@ -803,6 +810,29 @@ def test_golden_jobs_pass(job, capsys):
 def test_golden_explain_matches_snapshot(job, capsys):
     out, stored = _snapshot(job, "explain", capsys)
     assert out == stored
+
+
+def test_explain_text_of_a_noted_task_prints_its_note(capsys):
+    # explain only sizes excision-check and cup-table against the cap; its
+    # text form prints the note, not the fields of a run report
+    for job, task in (("criterion04a_excision_trunc.json", "excision-check"),
+                      ("criterion11b_cup_table.json", "cup-table")):
+        assert cli.main(["explain", str(JOBS / job), "--format", "text"]) == 0
+        assert capsys.readouterr().out == (
+            f"task: {task}\nnote: explain supports chain tasks\n"
+        )
+
+
+def test_schema_accepts_the_golden_jobs_and_refuses_the_unreadable():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((JOBS / "schema.json").read_text())
+    validator = jsonschema.Draft202012Validator(schema)
+    validator.check_schema(schema)
+    assert len(GOLDEN_JOBS) == 19 and len(UNREADABLE) == 14
+    for job in GOLDEN_JOBS:
+        validator.validate(json.loads((JOBS / job).read_text()))
+    for raw, _message in UNREADABLE:
+        assert not validator.is_valid(raw), raw
 
 
 def test_every_golden_job_has_snapshots():

@@ -1003,12 +1003,13 @@ def test_one_shot_callers_still_raise_past_the_materialized_weight():
     assert dga.apply_setmap(A, (0, 0, 1), (1, 2, 0)) == {(3, 0): 1}
     with pytest.raises(AlgebraClassError, match="materialized weight 3"):
         dga.apply_setmap(A, (0, 0, 1), (2, 2, 0))
-    H = hh.hochschild_chain(simp.circle(4), A, (-3, 0), weights=[1, 2, 3])
+    Y = simp.circle(4)
+    C = hh.hochschild_chain(Y, A, (-3, 0), weights=[1, 2, 3])
     one = A.coefficients.field.one
     x, x2 = {(0, (1,)): one}, {(0, (2,)): one}
-    assert pr.shuffle_product(H, x, x2) == {(0, (3,)): one}
+    assert pr.shuffle_product(Y, A, C, x, x2) == {(0, (3,)): one}
     with pytest.raises(AlgebraClassError, match="materialized weight 3"):
-        pr.shuffle_product(H, x2, x2)
+        pr.shuffle_product(Y, A, C, x2, x2)
 
 
 def test_a_job_leaves_no_hoch_object_to_the_cyclic_collector():

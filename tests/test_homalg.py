@@ -52,17 +52,17 @@ def test_homology_requires_window_margin(QQ):
     c = hh.hochschild_chain(simp.circle(8), dga.truncated_polynomial(QQ, 2),
                             window=(-6, 0))
     with pytest.raises(WindowError):
-        c.complex.homology_dims((-7, 0))
+        c.homology_dims((-7, 0))
 
 
 def test_weights_materialized_guard(QQ):
     P = dga.polynomial(QQ, max_weight=2)
     c = hh.hochschild_chain(simp.circle(4), P, window=(-3, 0), weights=[1, 2])
     with pytest.raises(WindowError):
-        c.complex.homology_dims((-2, 0))  # all weights not materialized
+        c.homology_dims((-2, 0))  # all weights not materialized
     with pytest.raises(WindowError):
-        c.complex.homology_dims((-2, 0), weights=[3])
-    assert c.complex.homology_dims((-2, 0), weights=[1])
+        c.homology_dims((-2, 0), weights=[3])
+    assert c.homology_dims((-2, 0), weights=[1])
 
 
 def test_tensor_unit_and_shift(QQ):
@@ -115,7 +115,7 @@ def test_hom_matches_classical_cochain_dims(QQ):
     k_mod = classical.augmentation_module(A)
     chains = hh.hochschild_chain_with_coeff(
         simp.circle(8), A, k_mod, window=(-6, 0)
-    ).complex
+    )
     a_cx = ChainComplex(QQ)
     for p in range(A.dim):
         a_cx.add_element(A.labels[p], A.degrees[p], 0)
@@ -217,7 +217,7 @@ def test_check_differential_witness(QQ):
 def test_constant_simplicial_total(QQ):
     V = two_term(QQ, degree=-1)
     scc = constant_simplicial(V, 5)
-    tot = total_complex(scc, window=(-4, 1))
+    tot = total_complex(scc)
     assert tot.check_differential()[0]
     assert tot.betti((-3, 0)) == V.betti((-3, 0))
 
@@ -254,7 +254,7 @@ def _reference_simplicial_ch(Y, A, module, window, weights, normalized=True):
     )
 
 
-def _reference_total_complex(simp_, window=None):
+def _reference_total_complex(simp_):
     """Reference totalization: every entry of every face added in by
     ``set_differential_entry`` under its labels."""
     levels = simp_.levels
@@ -300,8 +300,6 @@ def _reference_total_complex(simp_, window=None):
                 hi_int = max(hi_int, d)
         win = (hi_int - simp_.top_level, POS_INF)
         support = (NEG_INF, hi_int)
-    if window is not None:
-        win = (max(win[0], window[0]), min(win[1], window[1]))
     return out.freeze(window=win, support=support)
 
 
@@ -379,8 +377,6 @@ def test_total_complex_matches_reference(case):
     assert [l.blocks for l in scc.levels] == [l.blocks for l in ref.levels]
     assert sorted(scc.faces) == list(range(1, len(scc.levels)))
     _assert_same_total(total_complex(scc), _reference_total_complex(ref))
-    _assert_same_total(total_complex(scc, window=(-2, 0)),
-                       _reference_total_complex(ref, window=(-2, 0)))
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
@@ -630,9 +626,9 @@ def test_cech_total_matches_reference(job, monkeypatch):
         kept["F"] = F
         return real_cech_complex(F, *args)
 
-    def keep_simplicial(scc, window=None):
+    def keep_simplicial(scc):
         kept["scc"] = scc
-        return total_complex(scc, window)
+        return total_complex(scc)
 
     monkeypatch.setattr(cech, "cech_complex", keep_precosheaf)
     monkeypatch.setattr(cech, "total_complex", keep_simplicial)
@@ -721,7 +717,7 @@ def test_normalized_vs_unnormalized_totalizations(QQ, trunc2):
 def test_euler_characteristic_per_weight(QQ, trunc2):
     # for a per-weight-complete complex the alternating sums agree
     C = hh.hochschild_chain(simp.circle(8), trunc2, window=(-6, 0),
-                            weights=[0, 1, 2, 3]).complex
+                            weights=[0, 1, 2, 3])
     table = C.homology_dims((-6, 0), weights=[0, 1, 2, 3])
     euler_chain = euler_per_weight(C)
     for w in (0, 1, 2, 3):
@@ -735,7 +731,7 @@ def test_euler_characteristic_per_weight(QQ, trunc2):
 def test_homology_ranks_each_block_once(QQ, trunc2, monkeypatch, sphere_dim):
     lo, hi = window = (-4, 0)
     X = simp.sphere_small(sphere_dim, 8)
-    C = hh.hochschild_chain(X, trunc2, window=window).complex
+    C = hh.hochschild_chain(X, trunc2, window=window)
     real_rank = homalg.rank
     ranked, skipped, pivots = [], [], []
 
@@ -800,7 +796,7 @@ def test_cleared_ranks_on_the_circle_and_the_torus_over_fp():
     })
     for spec in (circle, torus):
         window, weights = tuple(spec["window"]), spec["weights"]
-        C = cli._build(spec, cli.parse_coefficients(spec))[1].complex
+        C = cli._build(spec, cli.parse_coefficients(spec))[2]
         table = C.homology_dims(window, weights)
         assert table == _twice_ranked(C, window, weights)
         if spec is circle:
@@ -823,7 +819,7 @@ def test_chain_map_validation(QQ):
 
 def test_dual_mirrors_betti(QQ):
     C = hh.hochschild_chain(simp.circle(7), dga.exterior(QQ),
-                            window=(-4, 0)).complex
+                            window=(-4, 0))
     D = dual(C)
     cb = C.betti((-4, 0))
     db = D.betti((0, 4))
