@@ -269,6 +269,29 @@ def test_coproduct_rho_is_the_extension_map(QQ):
         F.rho((u, v), ("1", "1"), "arc(0,9/20)")
 
 
+def test_precosheaf_audit_composes_along_chains(QQ):
+    # arc(1/10,1/20) ⊂ arc(1/10,1/10) ⊂ arc(0,9/20): doubling the map
+    # straight into the union breaks ext(V, W) ∘ ext(U, V) = ext(U, W)
+    poset = cech.circle_arc_poset(AUG_ARCS)
+    small, middle, union = "arc(1/10,1/20)", "arc(1/10,1/10)", "arc(0,9/20)"
+    assert poset.leq(small, middle) and poset.leq(middle, union)
+    F = cech.constant_precosheaf(poset, QQ)
+    assert cech.validate_prefactorization(F) == (True, None)
+
+    def doubled(u, v, lab):
+        out = F.ext(u, v, lab)
+        if (u, v) == (small, union):
+            return {k: 2 * c for k, c in out.items()}
+        return out
+
+    bad = cech.PrefactorizationData(
+        "doubled", poset, F.values, "coproduct", ext=doubled
+    )
+    ok, wit = cech.validate_prefactorization(bad)
+    assert not ok
+    assert wit[0] == "functoriality"
+
+
 def test_interval_stratified(QQ, trunc2):
     ip = cech.interval_poset(
         [("r", Fraction(2, 5)), ("m", Fraction(1, 4), Fraction(3, 4)),

@@ -600,6 +600,23 @@ def test_nonzero_differential_quasi_iso_invariance(QQ, koszul_dga, exterior):
     ref2 = hh.hochschild_chain(simp.sphere_small(2, 6), exterior,
                                window=(-4, 0))
     assert C2.betti((-4, 0)) == ref2.betti((-4, 0))
+    # the module's differential enters the internal differential too
+    for k in (QQ, Coefficients("prime-field", 3)):
+        K = koszul_algebra(k)
+        bimodule = dga.algebra_as_bimodule(K)
+        with_coeff = hh.hochschild_chain_with_coeff(
+            simp.circle(7), K, bimodule, (-4, 0)
+        ).betti((-4, 0))
+        assert with_coeff == classical.classical_hochschild(
+            K, bimodule, (-4, 0)
+        ).betti((-4, 0))
+        assert with_coeff == hh.hochschild_chain(
+            simp.circle(7), K, (-4, 0)
+        ).betti((-4, 0))
+        k_mod = classical.augmentation_module(K)
+        assert classical.iterated_bar(K, 1, (-4, 0)).betti((-4, 0)) == (
+            classical.two_sided_bar(k_mod, K, k_mod, (-4, 0)).betti((-4, 0))
+        )
 
 
 def test_window_consistency_under_rematerialization(QQ, exterior, trunc2,

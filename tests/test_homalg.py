@@ -28,6 +28,7 @@ from tests_support import (
     euler_per_weight,
     field_complex,
     hom_complex,
+    koszul_algebra,
     tensor,
     zero_complex,
 )
@@ -682,6 +683,8 @@ CECH_CASES = {
         dga.exterior(k), _arc_poset(), orientation=-1),
     "arcs-exterior-crossing": lambda k: cech.circle_arc_algebra(
         dga.exterior(k), _arc_poset(CROSSING_ARCS)),
+    "arcs-koszul": lambda k: cech.circle_arc_algebra(
+        koszul_algebra(k), _arc_poset()),
     "interval-exterior": _stratified_exterior,
     "interval-constant-Q": lambda k: cech.constant_precosheaf(
         cech.interval_poset(STRATA), k),
