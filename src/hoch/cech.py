@@ -13,8 +13,10 @@ carrying a bimodule pair.
 A cosheaf is a prefactorization algebra in the coproduct regime, and its
 Čech complex is the tensor-regime one with ⊕ for ⊗ over the combos of a
 tuple, so both regimes share one builder.  A level-i basis element is
-(alpha, parts), parts a tuple of (combo, label) pairs; degree, internal
+(alpha, parts), parts a tuple of (combo, position) pairs, the position
+that of a basis element of the combo's value; degree, internal
 differential, faces and augmentation are written once over the parts.
+``cech_complex`` returns the total complex and the augmentation.
 The regime is read in three places only: the level basis (one part per
 combo, or one part), the pointed unit for face targets no part hits
 (tensor only), and ``PrefactorizationData`` with its validators (a
@@ -232,13 +234,14 @@ def _interval_intersection(a, b):
 class PrefactorizationData:
     """Values and structure maps of a prefactorization algebra on a poset.
 
-    tensor mode: rho_raw(family_ids, factor_labels, target) gives the
-    image chain {label: coeff} of a pure tensor of basis labels, for a
+    A value's elements are labelled by basis position.  tensor mode:
+    rho_raw(family_ids, factor_positions, target) gives the image chain
+    {position: coeff} of a pure tensor of basis elements, for a
     pairwise-disjoint family in any order; pointed[target] is the image
     of 1 under the empty-family map k -> F(target).
 
     coproduct mode: structure maps are determined by the precosheaf
-    extension maps ext(U, V, label) (Lemma: cosheaves are exactly the
+    extension maps ext(U, V, position) (Lemma: cosheaves are exactly the
     coproduct-regime prefactorization algebras).
     """
 
@@ -391,12 +394,12 @@ def _expand(value_dicts):
 
 
 def _k_values(poset, coefficients):
-    """U ↦ k (the label "1" in degree 0) on every open, and the chain 1
-    (with the plain coefficient 1, as every field takes it)."""
+    """U ↦ k (its one element 0 in degree 0) on every open, and the chain
+    1 (with the plain coefficient 1, as every field takes it)."""
     c = ChainComplex(coefficients or Coefficients())
-    c.add_element("1", 0, 0)
+    c.add_element(0, 0, 0)
     k = c.freeze(support=(0, 0))
-    return {u: k for u in poset.opens}, {"1": 1}
+    return {u: k for u in poset.opens}, {0: 1}
 
 
 def trivial_prefactorization(poset, coefficients=None):
@@ -425,7 +428,7 @@ def circle_arc_algebra(A, poset, orientation=1):
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     f = A.coefficients.field
-    values = {u: underlying_complex(A) for u in poset.opens}
+    value = underlying_complex(A)
     arc = poset.arc_data
     # (open, target) -> the start of the open measured from the start of
     # the target arc, in the direction of the orientation
@@ -434,20 +437,16 @@ def circle_arc_algebra(A, poset, orientation=1):
     )
 
     def rho_raw(family, factors, target):
-        keyed = [
-            (position[u, target], lab) for u, lab in zip(family, factors)
-        ]
-        sign = dga.koszul_sign(
-            [(key, A.degrees[A.position[lab]]) for key, lab in keyed]
-        )
-        out = {A.labels[A.unit]: f.coerce(sign)}
-        for _key, lab in sorted(keyed, key=lambda k: k[0]):
-            out = _fold_algebra(A, out, lab, f)
+        keyed = [(position[u, target], p) for u, p in zip(family, factors)]
+        sign = dga.koszul_sign([(key, A.degrees[p]) for key, p in keyed])
+        out = {A.unit: f.coerce(sign)}
+        for _key, p in sorted(keyed, key=lambda k: k[0]):
+            out = _compose(out, lambda q: A.product(q, p), f)
         return out
 
-    pointed = {u: {A.labels[A.unit]: f.one} for u in poset.opens}
     return PrefactorizationData(
-        f"arcs({A.name})", poset, values, "tensor", rho_raw, pointed
+        f"arcs({A.name})", poset, {u: value for u in poset.opens}, "tensor",
+        rho_raw, {u: {A.unit: f.one} for u in poset.opens},
     )
 
 
@@ -461,89 +460,43 @@ def interval_stratified(Mr, A, Ml, poset):
         raise ValueError("modules must be pointed")
     f = A.coefficients.field
     data = poset.interval_data
-    values = {}
-    for u in poset.opens:
-        kind = data[u][0]
-        values[u] = underlying_complex(
-            Mr if kind == "r" else Ml if kind == "l" else A
-        )
+    # kind of open -> its value, its distinguished element, and the fold
+    # of one more factor of A into the target's running product
+    table = {
+        "r": (Mr, Mr.pointed_element, Mr.act_right),
+        "m": (A, A.unit, A.product),
+        "l": (Ml, Ml.pointed_element, lambda m, a: Ml.act_left(a, m)),
+    }
+    complexes = {k: underlying_complex(X) for k, (X, *_) in table.items()}
 
     def _pos(u):
         return _interval_span(data[u])[0]
 
     def rho_raw(family, factors, target):
-        kinds = [data[u][0] for u in family]
-        keyed = sorted(
-            range(len(family)), key=lambda i: _pos(family[i])
-        )
-        def deg_of(i):
-            kind = kinds[i]
-            if kind == "r":
-                return Mr.degrees[Mr.labels.index(factors[i])]
-            if kind == "l":
-                return Ml.degrees[Ml.labels.index(factors[i])]
-            return A.degrees[A.position[factors[i]]]
-        sign = dga.koszul_sign(
-            [(_pos(family[i]), deg_of(i)) for i in range(len(family))]
-        )
-        tkind = data[target][0]
-        # fold in position order
-        if tkind == "m":
-            out = {A.labels[A.unit]: f.coerce(sign)}
-            for i in keyed:
-                out = _fold_algebra(A, out, factors[i], f)
-            return out
-        # a module factor at the end of the target starts the fold, else
-        # its distinguished element does
-        if tkind == "r":
-            start = bool(kinds) and kinds[keyed[0]] == "r"
-            lab = factors[keyed[0]] if start else Mr.labels[Mr.pointed_element]
-            cur = {lab: f.coerce(sign)}
-            for i in keyed[start:]:
-                apos = A.position[factors[i]]
-                cur = _fold(Mr, cur, lambda m: Mr.act_right(m, apos), f)
-            return cur
-        # target contains 1: fold from the right
-        start = bool(kinds) and kinds[keyed[-1]] == "l"
-        lab = factors[keyed[-1]] if start else Ml.labels[Ml.pointed_element]
-        cur = {lab: f.coerce(sign)}
-        for i in reversed(keyed[: len(keyed) - start]):
-            apos = A.position[factors[i]]
-            cur = _fold(Ml, cur, lambda m: Ml.act_left(apos, m), f)
-        return cur
+        sign = dga.koszul_sign([
+            (_pos(u), table[data[u][0]][0].degrees[p])
+            for u, p in zip(family, factors)
+        ])
+        kind = data[target][0]
+        _, point, act = table[kind]
+        # in position order, or from the right for a target containing 1;
+        # a factor of the target's kind sits at its end and starts the
+        # fold, else the distinguished element does
+        keyed = sorted(zip(family, factors), key=lambda up: _pos(up[0]),
+                       reverse=kind == "l")
+        start = bool(keyed) and data[keyed[0][0]][0] == kind
+        out = {keyed[0][1] if start else point: f.coerce(sign)}
+        for _u, p in keyed[start:]:
+            out = _compose(out, lambda m: act(m, p), f)
+        return out
 
-    pointed = {}
-    for u in poset.opens:
-        kind = data[u][0]
-        if kind == "r":
-            pointed[u] = {Mr.labels[Mr.pointed_element]: f.one}
-        elif kind == "l":
-            pointed[u] = {Ml.labels[Ml.pointed_element]: f.one}
-        else:
-            pointed[u] = {A.labels[A.unit]: f.one}
     F = PrefactorizationData(
-        "stratified-interval", poset, values, "tensor", rho_raw, pointed
+        "stratified-interval", poset,
+        {u: complexes[data[u][0]] for u in poset.opens}, "tensor", rho_raw,
+        {u: {table[data[u][0]][1]: f.one} for u in poset.opens},
     )
     F.modules = (Mr, A, Ml)
     return F
-
-
-def _fold(X, value, act, f):
-    """A value of X, {label: coeff}, with ``act`` (basis position of X ->
-    {position: coeff}) applied to each term."""
-    return _compose(
-        value,
-        lambda lab: {
-            X.labels[k]: c for k, c in act(X.labels.index(lab)).items()
-        },
-        f,
-    )
-
-
-def _fold_algebra(A, out, lab, f):
-    """``out`` times ``lab`` in A, on labels."""
-    p = A.position[lab]
-    return _fold(A, out, lambda q: A.product(q, p), f)
 
 
 def interval_global_sections(F, window=(-6, 0)):
@@ -555,31 +508,20 @@ def interval_global_sections(F, window=(-6, 0)):
 # -- Čech complexes -----------------------------------------------------------
 
 
-class CechComplex:
-    def __init__(self, cover, total, augmentation=None):
-        self.cover = cover
-        self.total = total
-        self.augmentation = augmentation
-
-    def homology_dims(self, window, weights=None):
-        return self.total.homology_dims(window, weights)
-
-    def betti(self, window, weights=None):
-        return self.total.betti(window, weights)
-
-
 def cech_complex(F, cover, truncation=2, cap=None):
-    """Čech complex over PU^{i+1} tuples (adjacent-distinct, i.e. the
-    normalized total complex), faces discard one collection.
+    """(total, augmentation): the Čech complex over PU^{i+1} tuples
+    (adjacent-distinct, i.e. the normalized total complex), faces
+    discarding one collection, and its augmentation into the value of the
+    poset's union open (None when the poset has none).
 
     A level-i basis element is (alpha, parts): parts is a tuple of
-    (combo, label) pairs, a combo being a tuple (U_0..U_i) ∈ Πα_j with
-    nonempty intersection and the label one of F(U_0 ∩ … ∩ U_i).  The
-    tensor regime has one part per combo of alpha, the coproduct regime
-    exactly one part; everything past the basis is written once.  Once
-    every level is laid out, and before any face, InfeasibleError is
-    raised when a (degree, weight) block of the total complex exceeds
-    ``cap``."""
+    (combo, position) pairs, a combo being a tuple (U_0..U_i) ∈ Πα_j
+    with nonempty intersection and the position that of a basis element
+    of F(U_0 ∩ … ∩ U_i).  The tensor regime has one part per combo of
+    alpha, the coproduct regime exactly one part; everything past the
+    basis is written once.  Once every level is laid out, and before any
+    face, InfeasibleError is raised when a (degree, weight) block of the
+    total complex exceeds ``cap``."""
     poset = F.poset
     for u in cover:
         for v in cover:
@@ -621,12 +563,10 @@ def cech_complex(F, cover, truncation=2, cap=None):
                 for tgt, v in _face_image(F, alpha, parts, s).items():
                     terms.append((index[(beta, tgt)][2], -v if s % 2 else v))
             fmap.set_column(entry, terms)
-    scc = SimplicialChainComplex(levels, faces, exhausted=False)
-    tot = total_complex(scc)
-    augmentation = None
-    if F.poset.union_id is not None and F.poset.union_id in F.values:
-        augmentation = _augmentation_map(F, levels[0])
-    return CechComplex(tuple(cover), tot, augmentation)
+    tot = total_complex(SimplicialChainComplex(levels, faces, exhausted=False))
+    if F.poset.union_id is None or F.poset.union_id not in F.values:
+        return tot, None
+    return tot, _augmentation_map(F, levels[0])
 
 
 def _adjacent_distinct(PU, length):
@@ -768,8 +708,9 @@ def excision_report(A, window=(-5, 0), cap=None):
 
 
 def spec_complex(spec, coefficients, cap=None):
-    """The Čech complex of a ``cech`` job spec's cover, its (degree,
-    weight) blocks held to ``cap`` before any face (``cech_complex``)."""
+    """The total Čech complex of a ``cech`` job spec's cover, its
+    (degree, weight) blocks held to ``cap`` before any face
+    (``cech_complex``)."""
     from .cli import SchemaError, _integer, _lists, _rational, build_algebra
 
     cover_desc = spec.get("cover")
@@ -811,7 +752,7 @@ def spec_complex(spec, coefficients, cap=None):
     ok, wit = validate_prefactorization(F)
     if not ok:
         raise SchemaError(f"prefactorization audit failed: {wit}")
-    return cech_complex(F, poset.opens, trunc, cap)
+    return cech_complex(F, poset.opens, trunc, cap)[0]
 
 
 def cone(fmap):

@@ -237,14 +237,14 @@ def augmentation_module(A, name=None):
 
 
 def underlying_complex(X):
-    """The chain complex of a DG algebra or module: one element per basis
-    label, with the differential of X."""
+    """The chain complex of a DG algebra or module: element p is the basis
+    element at position p, with the differential of X."""
     c = ChainComplex(X.coefficients)
     for p in range(X.dim):
-        c.add_element(X.labels[p], X.degrees[p], X.weights[p])
+        c.add_element(p, X.degrees[p], X.weights[p])
     for p in range(X.dim):
         for q, v in X.d(p).items():
-            c.set_differential_entry(X.labels[p], X.labels[q], v)
+            c.set_differential_entry(p, q, v)
     return c.freeze(support=(NEG_INF, 0))
 
 

@@ -344,7 +344,7 @@ def _build(spec, coefficients):
         from . import cech
 
         C = cech.spec_complex(spec, coefficients, cap)
-        return None, None, C, C.total.max_block_dim()
+        return None, None, C, C.max_block_dim()
     from . import classical
 
     A = build_algebra(spec["algebra"], coefficients, weights)

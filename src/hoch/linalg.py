@@ -42,13 +42,30 @@ class RationalField:
         return a == 0
 
 
+def _is_prime(p):
+    """Miller–Rabin on the first twelve prime bases: exact for p < 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % q == 0 for q in bases):
+        return p in bases
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # p passes base a when a^d = 1 or a^(d·2^r) = -1 for some r < s
+    return all(
+        pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+        for a in bases
+    )
+
+
 class PrimeField:
     """Arithmetic over F_p; elements are ints in [0, p)."""
 
     characteristic = None
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= 2**64:
+            raise ValueError("F_p needs p < 2^64")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"

@@ -162,8 +162,8 @@ def test_criterion_10_cosheaf_regime(QQ):
     ]
     poset = cech.circle_arc_poset(arcs)
     F = cech.constant_precosheaf(poset, QQ)
-    C = cech.cech_complex(F, poset.opens, truncation=2)
-    cech_betti = C.betti((-1, 0))
+    T, _ = cech.cech_complex(F, poset.opens, truncation=2)
+    cech_betti = T.betti((-1, 0))
     ok = cech_betti == {0: 1, -1: 1}
     # the cone-excision gluing of two intervals over two points
     ok = ok and cech.cone_gluing_dims(QQ) == cech_betti

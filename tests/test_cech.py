@@ -8,6 +8,7 @@ from hoch import cech, classical, dga
 from hoch.cech import CoverError
 from hoch.homalg import Coefficients
 from hoch.linalg import _acc
+from tests_support import short_words
 
 THREE_ARCS = [
     (Fraction(0), Fraction(2, 5)),
@@ -74,9 +75,9 @@ def test_arc_algebra_structure_map_order(arc_poset, QQ, trunc3):
             pair = fams[0]
             break
     assert pair is not None
-    x = "x^1"
+    x = trunc3.position["x^1"]
     out = F.rho(pair, (x, x), target)
-    assert out == {"x^2": QQ.field.one}
+    assert out == {trunc3.position["x^2"]: QQ.field.one}
 
 
 def test_orientation_reversal_is_opposite(arc_poset, QQ, exterior):
@@ -116,6 +117,8 @@ def test_koszul_dropping_mutant_detected(arc_poset, QQ, exterior):
     # algebra where odd-degree elements multiply nontrivially
     E = classical.tensor_algebra(exterior, exterior, name="Λ⊗Λ")
     F = cech.circle_arc_algebra(E, arc_poset)
+    ok, wit = cech.validate_prefactorization(F)
+    assert ok, wit
 
     def no_koszul(family, factors, target):
         arc = arc_poset.arc_data
@@ -124,14 +127,12 @@ def test_koszul_dropping_mutant_detected(arc_poset, QQ, exterior):
             range(len(family)), key=lambda i: (arc[family[i]][0] - t0) % 1
         )
         f = E.coefficients.field
-        out = {E.labels[E.unit]: f.one}  # reordering sign dropped
+        out = {E.unit: f.one}  # reordering sign dropped
         for i in order:
             new = {}
             for cur, c in out.items():
-                for k, v in E.product(
-                    E.position[cur], E.position[factors[i]]
-                ).items():
-                    new[E.labels[k]] = f.mul(c, v)
+                for k, v in E.product(cur, factors[i]).items():
+                    new[k] = f.mul(c, v)
             out = new
         return out
 
@@ -147,23 +148,23 @@ def test_cosheaf_cech_three_arcs(arc_poset, QQ):
     F = cech.constant_precosheaf(arc_poset, QQ)
     ok, _ = cech.validate_prefactorization(F)
     assert ok
-    C = cech.cech_complex(F, arc_poset.opens, truncation=2)
-    assert C.total.check_differential()[0]
-    assert C.betti((-1, 0)) == {0: 1, -1: 1}
+    T, _ = cech.cech_complex(F, arc_poset.opens, truncation=2)
+    assert T.check_differential()[0]
+    assert T.betti((-1, 0)) == {0: 1, -1: 1}
 
 
 def test_cech_single_open(QQ):
     poset = cech.circle_arc_poset([(0, Fraction(1, 3))])
     F = cech.constant_precosheaf(poset, QQ)
-    C = cech.cech_complex(F, poset.opens, truncation=2)
-    assert C.betti((-1, 0)) == {0: 1, -1: 0}
+    T, _ = cech.cech_complex(F, poset.opens, truncation=2)
+    assert T.betti((-1, 0)) == {0: 1, -1: 0}
 
 
 def test_cech_two_interval_cover_contractible(QQ):
     ip = cech.interval_poset([("r", Fraction(3, 5)), ("l", Fraction(2, 5))])
     F = cech.constant_precosheaf(ip, QQ)
-    C = cech.cech_complex(F, ip.opens, truncation=2)
-    assert C.betti((-1, 0)) == {0: 1, -1: 0}
+    T, _ = cech.cech_complex(F, ip.opens, truncation=2)
+    assert T.betti((-1, 0)) == {0: 1, -1: 0}
 
 
 def test_interval_poset_names_normalized_opens(QQ):
@@ -174,7 +175,7 @@ def test_interval_poset_names_normalized_opens(QQ):
         "(2/5,1]", "(2/5,3/5)", "[0,3/5)"
     ]
     totals = [
-        cech.cech_complex(cech.constant_precosheaf(ip, QQ), ip.opens, 2).total
+        cech.cech_complex(cech.constant_precosheaf(ip, QQ), ip.opens, 2)[0]
         for ip in posets
     ]
     assert totals[0].blocks == totals[1].blocks
@@ -194,8 +195,8 @@ def test_cech_subcover_must_be_closed(arc_poset, QQ):
 
 def test_cech_tensor_mode_trivial(arc_poset, QQ):
     F = cech.trivial_prefactorization(arc_poset, QQ)
-    C = cech.cech_complex(F, arc_poset.opens, truncation=1)
-    assert C.total.check_differential()[0]
+    T, _ = cech.cech_complex(F, arc_poset.opens, truncation=1)
+    assert T.check_differential()[0]
 
 
 def test_cech_augmentation_chain_map(QQ):
@@ -205,19 +206,18 @@ def test_cech_augmentation_chain_map(QQ):
     )
     poset.union_id = "arc(0,2/5)"
     F = cech.constant_precosheaf(poset, QQ)
-    C = cech.cech_complex(F, poset.opens, truncation=2)
-    assert C.augmentation is not None
-    assert C.augmentation.is_chain_map()
+    _, eps = cech.cech_complex(F, poset.opens, truncation=2)
+    assert eps is not None
+    assert eps.is_chain_map()
 
 
 AUG_ARCS = [(0, Fraction(9, 20)), (Fraction(1, 20), Fraction(1, 10)),
             (Fraction(1, 10), Fraction(1, 10)), (Fraction(1, 4), Fraction(1, 10))]
 
 
-def _augmented_faces(C):
+def _augmented_faces(T, eps):
     """ε∘∂₁ on the level-1 elements, read off the total differential, and
     the number of level-1 elements."""
-    T, eps = C.total, C.augmentation
     f = T.coefficients.field
     eps_of = {}
     for key, mat in eps.blocks.items():
@@ -248,10 +248,10 @@ def test_augmentation_kills_the_faces_in_both_regimes(p):
         cech.circle_arc_algebra(dga.truncated_polynomial(k, 2), poset),
     ]
     for F in data:
-        C = cech.cech_complex(F, poset.opens, truncation=1)
-        assert C.augmentation.is_chain_map()
-        assert C.augmentation.blocks  # ε is not zero
-        composite, level1 = _augmented_faces(C)
+        T, eps = cech.cech_complex(F, poset.opens, truncation=1)
+        assert eps.is_chain_map()
+        assert eps.blocks  # ε is not zero
+        composite, level1 = _augmented_faces(T, eps)
         assert composite == {}, F.name
         assert 56 <= level1 <= 130, (F.name, level1)
 
@@ -263,10 +263,10 @@ def test_coproduct_rho_is_the_extension_map(QQ):
              if poset.leq(u, v)]
     assert len(pairs) > len(poset.opens)
     for u, v in pairs:
-        assert F.rho((u,), ("1",), v) == F.ext(u, v, "1") == {"1": 1}
+        assert F.rho((u,), (0,), v) == F.ext(u, v, 0) == {0: 1}
     u, v = next(f for f in poset.disjoint_families() if len(f) == 2)
     with pytest.raises(ValueError, match="one open"):
-        F.rho((u, v), ("1", "1"), "arc(0,9/20)")
+        F.rho((u, v), (0, 0), "arc(0,9/20)")
 
 
 def test_precosheaf_audit_composes_along_chains(QQ):
@@ -302,9 +302,9 @@ def test_interval_stratified(QQ, trunc2):
     ok, wit = cech.validate_prefactorization(F)
     assert ok, wit
     interior = "(1/4,3/4)"
-    assert F.rho((), (), interior) == {"1": QQ.field.one}
+    assert F.rho((), (), interior) == {trunc2.unit: QQ.field.one}
     # values by stratum
-    assert set(F.value("[0,2/5)").index) == set(trunc2.labels)
+    assert set(F.value("[0,2/5)").index) == set(range(trunc2.dim))
     G = cech.interval_global_sections(F, window=(-4, 0))
     assert G.betti((-4, 0)) == {0: 2, -1: 0, -2: 0, -3: 0, -4: 0}
 
@@ -326,6 +326,30 @@ def test_interval_stratified_signs_follow_positions(QQ, exterior):
     F = cech.interval_stratified(m, E, m, ip)
     ok, wit = cech.validate_prefactorization(F)
     assert ok, wit
+
+
+def test_interval_stratified_multiplies_in_position_order(QQ):
+    # k<x, y>/(words of length 3) is not commutative: every structure map
+    # multiplies its factors in their order on the interval, into a module
+    # end from that end's side, whatever the order of the family
+    W = short_words(QQ)
+    m = dga.algebra_as_bimodule(W)
+    ip = cech.interval_poset(
+        [("r", "3/10"), ("m", "2/5", "1/2"), ("m", "11/20", "13/20"),
+         ("l", "7/10"), ("r", "3/5"), ("m", "1/3", "2/3"), ("l", "1/3")]
+    )
+    F = cech.interval_stratified(m, W, m, ip)
+    ok, wit = cech.validate_prefactorization(F)
+    assert ok, wit
+    x, y = W.position["x"], W.position["y"]
+    xy = {W.position["xy"]: QQ.field.one}
+    for family, target in (
+        (("[0,3/10)", "(2/5,1/2)"), "[0,3/5)"),
+        (("(2/5,1/2)", "(11/20,13/20)"), "(1/3,2/3)"),
+        (("(2/5,1/2)", "(7/10,1]"), "(1/3,1]"),
+    ):
+        assert F.rho(family, (x, y), target) == xy, target
+        assert F.rho(family[::-1], (y, x), target) == xy, target
 
 
 def test_interval_stratified_requires_pointing(QQ, trunc2):
@@ -359,7 +383,7 @@ def test_cosheaf_cech_degreewise_identification(arc_poset, QQ):
     """Coproduct-mode Čech agrees degreewise with the ordinary cosheaf
     Čech complex on the cover PU, counted independently by arc arithmetic."""
     F = cech.constant_precosheaf(arc_poset, QQ)
-    C = cech.cech_complex(F, arc_poset.opens, truncation=2)
+    T, _ = cech.cech_complex(F, arc_poset.opens, truncation=2)
     PU = arc_poset.disjoint_families()
 
     def nonempty_combos(alpha):
@@ -375,4 +399,4 @@ def test_cosheaf_cech_degreewise_identification(arc_poset, QQ):
             if any(alpha[j] == alpha[j + 1] for j in range(i)):
                 continue  # normalized: degenerate tuples are quotiented
             expected += nonempty_combos(alpha)
-        assert C.total.dim(-i) == expected
+        assert T.dim(-i) == expected

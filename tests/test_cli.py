@@ -166,6 +166,21 @@ def test_fp_coefficients():
     assert report["verdict"] == "pass"
 
 
+def test_large_prime_coefficients(tmp_path, capsys):
+    # a prime near 10^18 is read at once; a 309-digit p is refused by both
+    # commands, where it used to end in an OverflowError
+    path = tmp_path / "job.json"
+    big = dict(BASE, coefficients=f"Fp:{10**18 + 3}")
+    path.write_text(json.dumps(big))
+    assert cli.main(["explain", str(path)]) == 0
+    huge = 2**1024 + 643
+    assert len(str(huge)) == 309
+    path.write_text(json.dumps(dict(BASE, coefficients=f"Fp:{huge}")))
+    for cmd in ("run", "explain"):
+        assert cli.main([cmd, str(path)]) == 2, cmd
+        assert "2^64" in capsys.readouterr().err
+
+
 def test_cap_infeasible(tmp_path):
     raw = {
         "schema": 1,
@@ -703,6 +718,14 @@ def test_flag_overrides(tmp_path, capsys):
     assert out["job"]["window"] == [-2, 0]
 
 
+def _child_env(**extra):
+    """The environment with this checkout's src first on PYTHONPATH, so
+    that a child process imports the hoch under test."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_cli_subprocess_smoke(tmp_path):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(BASE))
@@ -710,6 +733,7 @@ def test_cli_subprocess_smoke(tmp_path):
         [sys.executable, "-m", "hoch.cli", "run", str(path)],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert '"verdict": "pass"' in proc.stdout
@@ -724,6 +748,7 @@ def test_importing_the_cli_leaves_cech_unloaded():
          f"import sys, hoch.cli; print([m in sys.modules for m in {lazy}])"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False]"
@@ -750,12 +775,9 @@ def test_chain_jobs_load_only_the_chain_path():
     )
     jobs = [str(JOBS / "criterion05b_hkr_sphere3.json"),
             str(JOBS / "criterion02_bar_acyclicity.json")]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, *jobs], capture_output=True,
-        text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                            PYTHONPATH=path),
+        text=True, env=_child_env(PYTHONDONTWRITEBYTECODE="1"),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == CHAIN_PATH

@@ -15,7 +15,7 @@ from hoch.homalg import NEG_INF, POS_INF, ChainComplex, Coefficients
 from hoch.hochschild import TruncationError
 from hoch.products import CochainComplexData
 from tests_support import (
-    count_compiles, count_runs, internal_key, koszul_algebra,
+    count_compiles, count_runs, internal_key, koszul_algebra, short_words,
 )
 
 
@@ -325,22 +325,6 @@ def _reference_two_sided_bar(right_module, A, left_module, window=(-6, 0)):
     return out.freeze(window=(lo - 1, POS_INF), support=(NEG_INF, 0))
 
 
-def _short_words(coefficients):
-    """k<x, y> modulo the words of length >= 3, |x| = |y| = 0: a non-
-    commutative algebra with weight the word length."""
-    words = ["", "x", "y", "xx", "xy", "yx", "yy"]
-    one = coefficients.field.one
-    mult = {
-        (i, j): {words.index(u + v): one} if len(u + v) < 3 else {}
-        for i, u in enumerate(words) for j, v in enumerate(words)
-    }
-    return dga.DGAlgebra(
-        "k<x,y>/(len>=3)", coefficients,
-        [(w or "1", 0, len(w)) for w in words], mult, unit=0,
-        commutative=False, augmentation={0: one}, weight_graded=True,
-    )
-
-
 BAR_ALGEBRAS = {
     "exterior(-1)": lambda c: dga.exterior(c),
     "exterior(-3)": lambda c: dga.exterior(c, generator_degree=-3),
@@ -349,7 +333,7 @@ BAR_ALGEBRAS = {
     "k[x]/x^3, |x|=-2": lambda c: dga.truncated_polynomial(
         c, 3, generator_degree=-2
     ),
-    "k<x,y>/(len>=3)": _short_words,
+    "k<x,y>/(len>=3)": short_words,
     "koszul": koszul_algebra,  # the one with a differential
 }
 
@@ -613,6 +597,10 @@ def test_nonzero_differential_quasi_iso_invariance(QQ, koszul_dga, exterior):
         assert with_coeff == hh.hochschild_chain(
             simp.circle(7), K, (-4, 0)
         ).betti((-4, 0))
+        # its underlying complex keeps de = x: the homology of Λ(z), z = [xe]
+        assert classical.underlying_complex(K).homology_dims((-2, 0)) == {
+            (0, 0): 1, (-1, 2): 1
+        }
         k_mod = classical.augmentation_module(K)
         assert classical.iterated_bar(K, 1, (-4, 0)).betti((-4, 0)) == (
             classical.two_sided_bar(k_mod, K, k_mod, (-4, 0)).betti((-4, 0))

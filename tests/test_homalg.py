@@ -603,13 +603,14 @@ def _reference_cech(F, cover, truncation):
 
 
 def _assert_same_cech(C, F, truncation):
-    ref, basis0 = _reference_cech(F, C.cover, truncation)
-    _assert_same_total(C.total, _reference_total_complex(ref))
-    if C.augmentation is None:
+    total, augmentation = C
+    ref, basis0 = _reference_cech(F, F.poset.opens, truncation)
+    _assert_same_total(total, _reference_total_complex(ref))
+    if augmentation is None:
         return
     got = {}
-    src, tgt = C.augmentation.source, C.augmentation.target
-    for (d, w), mat in C.augmentation.blocks.items():
+    src, tgt = augmentation.source, augmentation.target
+    for (d, w), mat in augmentation.blocks.items():
         for row, col, v in mat.entries():
             got[(src.blocks[(d, w)][col], tgt.blocks[(d, w)][row])] = v
     assert got == _reference_augmentation(F, basis0)
@@ -633,12 +634,12 @@ def test_cech_total_matches_reference(job, monkeypatch):
 
     monkeypatch.setattr(cech, "cech_complex", keep_precosheaf)
     monkeypatch.setattr(cech, "total_complex", keep_simplicial)
-    C = cech.spec_complex(spec, cli.parse_coefficients(spec))
-    truncation = spec["cover"]["truncation"]
-    ref, _ = _reference_cech(kept["F"], C.cover, truncation)
+    T = cech.spec_complex(spec, cli.parse_coefficients(spec))
+    F, truncation = kept["F"], spec["cover"]["truncation"]
+    ref, _ = _reference_cech(F, F.poset.opens, truncation)
     levels = kept["scc"].levels
     assert [l.blocks for l in levels] == [l.blocks for l in ref.levels]
-    _assert_same_cech(C, kept["F"], truncation)
+    _assert_same_cech((T, None), F, truncation)
 
 
 F3 = Coefficients("prime-field", 3)
@@ -697,7 +698,7 @@ CECH_CASES = {
 def test_cech_matches_reference(case, k, truncation):
     F = CECH_CASES[case](k)
     C = cech.cech_complex(F, F.poset.opens, truncation)
-    assert (C.augmentation is None) == (F.poset.ambient == "interval")
+    assert (C[1] is None) == (F.poset.ambient == "interval")
     _assert_same_cech(C, F, truncation)
 
 

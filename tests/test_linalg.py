@@ -221,6 +221,18 @@ def test_prime_field_rank():
         PrimeField(6)
 
 
+def test_prime_field_decides_large_primes():
+    # Miller–Rabin on twelve bases is exact below 2^64 and decides a
+    # prime near 10^18 at once
+    assert PrimeField(10**18 + 3).one == 1
+    # 3825123056546413051 passes the bases up to 31 and fails 37
+    for composite in (10**18 + 1, 6, 3825123056546413051):
+        with pytest.raises(ValueError, match="is not prime"):
+            PrimeField(composite)
+    with pytest.raises(ValueError, match="2\\^64"):
+        PrimeField(2**64)
+
+
 def test_prime_field_rejects_denominators_divisible_by_p():
     F3, F5 = PrimeField(3), PrimeField(5)
     assert F5.coerce(Fraction(1, 3)) == 2

@@ -85,6 +85,22 @@ def koszul_algebra(coefficients):
     )
 
 
+def short_words(coefficients):
+    """k<x, y> modulo the words of length >= 3, |x| = |y| = 0: a non-
+    commutative algebra with weight the word length."""
+    words = ["", "x", "y", "xx", "xy", "yx", "yy"]
+    one = coefficients.field.one
+    mult = {
+        (i, j): {words.index(u + v): one} if len(u + v) < 3 else {}
+        for i, u in enumerate(words) for j, v in enumerate(words)
+    }
+    return dga.DGAlgebra(
+        "k<x,y>/(len>=3)", coefficients,
+        [(w or "1", 0, len(w)) for w in words], mult, unit=0,
+        commutative=False, augmentation={0: one}, weight_graded=True,
+    )
+
+
 def count_compiles(monkeypatch, module):
     """The setmaps compiled into programs through ``module``'s binding of
     ``compile_setmap``, a list that grows as they are compiled."""
