@@ -352,6 +352,29 @@ def test_interval_stratified_multiplies_in_position_order(QQ):
         assert F.rho(family[::-1], (y, x), target) == xy, target
 
 
+def test_interval_stratified_reads_the_modules_own_basis(QQ, exterior):
+    # the free module on e, |e| = -2, listed as (xe, e): its positions,
+    # degrees and distinguished element all differ from those of Λ(x)
+    one = QQ.field.one
+    M = dga.DGModule(
+        "Λ·e", exterior, [("xe", -3, 1), ("e", -2, 0)],
+        {(0, 0): {0: one}, (0, 1): {1: one}, (1, 1): {0: one}},
+        pointed_element=1,
+    )
+    ip = cech.interval_poset(
+        [("r", Fraction(2, 5)), ("r", Fraction(1, 20)),
+         ("m", Fraction(1, 10), Fraction(1, 5)),
+         ("m", Fraction(1, 4), Fraction(3, 4)),
+         ("l", Fraction(3, 5)), ("l", Fraction(19, 20))]
+    )
+    F = cech.interval_stratified(M, exterior, M, ip)
+    ok, wit = cech.validate_prefactorization(F)
+    assert ok, wit
+    assert F.rho((), (), "[0,2/5)") == {1: one}
+    x = exterior.position["x"]
+    assert F.rho(("(1/10,1/5)",), (x,), "[0,2/5)") == {0: one}
+
+
 def test_interval_stratified_requires_pointing(QQ, trunc2):
     ip = cech.interval_poset([("r", Fraction(1, 2)), ("l", Fraction(1, 2))])
     m = dga.algebra_as_bimodule(trunc2)
